@@ -23,7 +23,8 @@ from reporting import emit
 from repro.detectors.predict import PredictPolicy
 from repro.detectors.ski import run_ski
 from repro.detectors.tsan import run_tsan
-from repro.owl.explore import ExplorePolicy, explore_program
+from repro.owl.explore import ExplorePolicy
+from repro.owl.integration import run_detector
 
 EXPLORED_PROGRAMS = [
     "apache", "chrome", "libsafe", "linux", "memcached", "mysql", "ssdb",
@@ -43,7 +44,7 @@ def _fixed_sweep(spec):
 def _explore(spec, predict=None):
     policy = ExplorePolicy(max_seeds=BUDGET, wave_size=4, saturation_k=2,
                            escalate=False, predict=predict)
-    reports, _ = explore_program(spec, explore=policy)
+    reports, _ = run_detector(spec, explore=policy)
     return {report.static_key for report in reports}, policy.last
 
 

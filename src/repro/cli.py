@@ -78,21 +78,18 @@ def _make_pipeline(spec, args, journal_config=None):
         cache = ResultCache(args.cache_dir)
         journal = BatchJournal(journal_path(args.cache_dir, spec.name))
     explore = None
-    predict = None
-    if getattr(args, "predict", False):
+    if getattr(args, "explore", False) or getattr(args, "predict", False):
         from repro.detectors.predict import PredictPolicy
-
-        predict = PredictPolicy(
-            optimistic=getattr(args, "optimistic", False),
-            witness=getattr(args, "witness", True),
-        )
-    if getattr(args, "explore", False) or predict is not None:
         from repro.owl.explore import ExplorePolicy
 
         explore = ExplorePolicy(
             max_seeds=getattr(args, "max_seeds", 20),
             wave_size=getattr(args, "wave_size", 4),
             saturation_k=getattr(args, "saturation_k", 2),
+            predict=PredictPolicy(
+                optimistic=getattr(args, "optimistic", False),
+                witness=getattr(args, "witness", True),
+            ) if getattr(args, "predict", False) else None,
         )
     profile = None
     if getattr(args, "profile", False):
@@ -108,7 +105,7 @@ def _make_pipeline(spec, args, journal_config=None):
     pipeline = OwlPipeline(
         spec, jobs=args.jobs, cache=cache, policy=policy,
         journal=journal, journal_config=journal_config or {},
-        explore=explore, predict=predict, profile=profile, feed=feed,
+        explore=explore, profile=profile, feed=feed,
         fuse=getattr(args, "fuse", False),
     )
     return pipeline, cache, journal
@@ -474,8 +471,8 @@ def _cmd_predict(args) -> int:
     import json
 
     from repro import spec_by_name
-    from repro.detectors.predict import PredictPolicy, predict_program
-    from repro.owl.replay import default_record_dir
+    from repro.detectors.predict import PredictPolicy
+    from repro.owl.replay import default_record_dir, predict_program
 
     spec = spec_by_name(args.program)
     policy = PredictPolicy(optimistic=args.optimistic, witness=args.witness)
@@ -563,21 +560,15 @@ def _cmd_replay(args) -> int:
     ))
     failures = source.total_divergences + source.unfaithful_replays
     if args.check_fingerprint:
-        from repro.owl.replay import _spec_scheduler, _spec_world
+        from repro.owl.replay import _spec_world, record_spec_seed
         from repro.runtime.diffcheck import compare_fingerprints
-        from repro.runtime.record import record_seed, replay_log
+        from repro.runtime.record import replay_log
 
         module = spec.build()
         mismatches = 0
         for log in source.logs:
-            scheduler, label = _spec_scheduler(spec, log.seed)
-            _, _, recorded = record_seed(
-                module, log.seed, entry=spec.entry,
-                inputs=spec.workload_inputs, max_steps=spec.max_steps,
-                scheduler=scheduler, scheduler_label=label,
-                world=_spec_world(spec), program=spec.name,
-                fingerprint=True,
-            )
+            _, _, recorded = record_spec_seed(spec, module, log.seed,
+                                              fingerprint=True)
             outcome = replay_log(
                 module, log, inputs=spec.workload_inputs,
                 world=_spec_world(spec), fingerprint=True,

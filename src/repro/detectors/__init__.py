@@ -12,6 +12,8 @@
   execution, the sync-preserving closure decides which conflicting access
   pairs a reordered-but-sync-consistent schedule could co-enable, each
   prediction witness-replayed or explicitly marked unwitnessed.
+- :mod:`repro.detectors.seed` — :class:`SeedJob`, one detector execution
+  as a frozen value, and :func:`run_seed`, which executes it.
 - :mod:`repro.detectors.annotations` — TSan-markup-style annotations that
   OWL's adhoc-synchronization stage applies to suppress benign schedules.
 - :mod:`repro.detectors.report` — race report data structures shared by all
@@ -29,8 +31,8 @@ from repro.detectors.predict import (
     PredictPolicy,
     PredictionResult,
     predict_from_log,
-    predict_program,
 )
+from repro.detectors.seed import SeedJob, SeedRun, run_seed
 
 __all__ = [
     "AccessRecord",
@@ -48,5 +50,7 @@ __all__ = [
     "PredictPolicy",
     "PredictionResult",
     "predict_from_log",
-    "predict_program",
+    "SeedJob",
+    "SeedRun",
+    "run_seed",
 ]

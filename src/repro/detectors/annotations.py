@@ -79,3 +79,34 @@ class AnnotationSet:
     def unique_static_count(self) -> int:
         """Number of distinct static adhoc synchronizations annotated."""
         return len({annotation.static_key for annotation in self.annotations})
+
+
+def annotations_to_payload(
+        annotations: Optional[AnnotationSet]) -> Optional[Tuple]:
+    """The annotations as ``(read uid, write uid, variable)`` triples.
+
+    Instruction identity travels as the module uid, so the payload can
+    cross process boundaries and key cache entries.
+    """
+    if annotations is None:
+        return None
+    return tuple(
+        (a.read_instruction.uid or 0, a.write_instruction.uid or 0,
+         a.variable)
+        for a in annotations
+    )
+
+
+def annotations_from_payload(module,
+                             payload: Optional[Tuple]) -> Optional[AnnotationSet]:
+    """Rehydrate :func:`annotations_to_payload` output against ``module``."""
+    if payload is None:
+        return None
+    return AnnotationSet(
+        AdhocSyncAnnotation(
+            module.instruction_by_uid(read_uid),
+            module.instruction_by_uid(write_uid),
+            variable,
+        )
+        for read_uid, write_uid, variable in payload
+    )

@@ -63,7 +63,13 @@ from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.detectors.annotations import AnnotationSet
-from repro.detectors.report import AccessRecord, RaceReport, ReportSet
+from repro.detectors.report import (
+    AccessRecord,
+    RaceReport,
+    ReportSet,
+    report_from_payload,
+    report_to_payload,
+)
 from repro.runtime.events import (
     AccessEvent,
     SyncEvent,
@@ -92,7 +98,8 @@ class PredictPolicy:
       marks every non-observed prediction unwitnessed.
     - ``max_pairs_per_static`` — closure attempts per static instruction
       pair before giving up on it (different concrete event pairs of the
-      same static pair can differ in feasibility).
+      same static pair can differ in feasibility).  Pairs the detector
+      observed on the trace are exempt, so they are always predicted.
     - ``max_closures`` — global closure budget per trace.
     """
 
@@ -563,8 +570,6 @@ class PredictionResult:
         }
 
     def to_payload(self) -> Dict:
-        from repro.owl.batch import report_to_payload
-
         return {
             "program": self.program,
             "seed": self.seed,
@@ -583,8 +588,6 @@ class PredictionResult:
 
     @classmethod
     def from_payload(cls, module, payload: Dict) -> "PredictionResult":
-        from repro.owl.batch import report_from_payload
-
         policy = PredictPolicy(**payload["policy"])
         result = cls(payload["program"], int(payload["seed"]), policy)
         result.counters.update(payload["counters"])
@@ -814,7 +817,11 @@ def predict_from_log(
                 if key not in seen_pairs:
                     seen_pairs.add(key)
                     counters["candidate_pairs"] += 1
-                if attempts.get(key, 0) >= policy.max_pairs_per_static:
+                # The cap bounds closure work on unobserved pairs only: an
+                # observed pair may need every concrete instance to reach
+                # the one the detector saw (predicted ⊇ observed).
+                if key not in observed_keys and \
+                        attempts.get(key, 0) >= policy.max_pairs_per_static:
                     continue
                 if counters["closures"] >= policy.max_closures:
                     counters["truncated_pairs"] += 1
@@ -856,44 +863,3 @@ def predict_from_log(
     counters["rejected"] = counters["closures"] - counters["predicted"]
     result.wall_seconds = time.perf_counter() - started
     return result
-
-
-def predict_program(
-    spec,
-    seed: int = 0,
-    annotations: Optional[AnnotationSet] = None,
-    policy: Optional[PredictPolicy] = None,
-    log=None,
-    record_dir: Optional[str] = None,
-) -> PredictionResult:
-    """Predict from one recorded execution of a :class:`ProgramSpec`.
-
-    Loads the seed's log from ``record_dir`` when one exists (``owl
-    record`` output), otherwise records a fresh execution under the
-    schedule family the spec's live detector would use — and saves it to
-    ``record_dir`` when given, so the next prediction is replay-only.
-    """
-    import os
-
-    from repro.owl.replay import _spec_scheduler, _spec_world, log_path
-    from repro.runtime.record import ScheduleLog, record_seed
-
-    module = spec.build()
-    path = (log_path(record_dir, spec.name, seed)
-            if record_dir is not None else None)
-    if log is None and path is not None and os.path.exists(path):
-        log = ScheduleLog.load(path)
-    if log is None:
-        scheduler, label = _spec_scheduler(spec, seed)
-        log, _result, _ = record_seed(
-            module, seed, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps, scheduler=scheduler,
-            scheduler_label=label, world=_spec_world(spec),
-            program=spec.name,
-        )
-        if path is not None:
-            log.save(path)
-    return predict_from_log(
-        module, log, annotations=annotations, inputs=spec.workload_inputs,
-        world_factory=lambda: _spec_world(spec), policy=policy,
-    )

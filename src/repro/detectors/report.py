@@ -9,7 +9,7 @@ starts Algorithm 1 from the racy load and its call stack (section 6.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.ir.instructions import Instruction, Load
 
@@ -190,3 +190,63 @@ class ReportSet:
 
     def tagged(self, tag: str) -> List[RaceReport]:
         return [report for report in self if tag in report.tags]
+
+
+# ---------------------------------------------------------------------------
+# payloads: plain tuples/dicts for process boundaries and cache entries.
+# Instruction identity travels as the module uid; rehydrating against the
+# same (deterministically built) module restores it.
+
+
+def access_to_payload(record: AccessRecord) -> Tuple:
+    return (
+        record.instruction.uid or 0, record.thread_id, record.is_write,
+        record.value, tuple(record.call_stack), record.address, record.step,
+        record.size,
+    )
+
+
+def access_from_payload(module, payload: Tuple) -> AccessRecord:
+    uid, thread_id, is_write, value, call_stack, address, step, size = payload
+    # Frames arrive as tuples from pickled payloads but as lists from
+    # JSON-round-tripped cache entries; normalize so both rehydrate to the
+    # same CallStack shape.
+    return AccessRecord(
+        module.instruction_by_uid(uid), thread_id, is_write, value,
+        tuple(tuple(frame) for frame in call_stack), address,
+        step=step, size=size,
+    )
+
+
+def report_to_payload(report: RaceReport) -> Dict:
+    return {
+        "first": access_to_payload(report.first),
+        "second": access_to_payload(report.second),
+        "variable": report.variable,
+        "detector": report.detector,
+        "subsequent": [access_to_payload(a) for a in report.subsequent_reads],
+    }
+
+
+def report_from_payload(module, payload: Dict) -> RaceReport:
+    report = RaceReport(
+        access_from_payload(module, payload["first"]),
+        access_from_payload(module, payload["second"]),
+        variable=payload["variable"],
+        detector=payload["detector"],
+    )
+    report.subsequent_reads.extend(
+        access_from_payload(module, a) for a in payload["subsequent"]
+    )
+    return report
+
+
+def reports_to_payloads(reports: Iterable[RaceReport]) -> List[Dict]:
+    return [report_to_payload(report) for report in reports]
+
+
+def reports_from_payloads(module, payloads: List[Dict]) -> ReportSet:
+    reports = ReportSet()
+    for payload in payloads:
+        reports.add(report_from_payload(module, payload))
+    return reports

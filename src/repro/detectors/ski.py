@@ -23,99 +23,19 @@ paper's CONFIG_FRAME_POINTER workaround).
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.annotations import AnnotationSet
 from repro.detectors.report import ReportSet
 from repro.detectors.tsan import TSanDetector
 from repro.ir.module import Module
-from repro.runtime.interpreter import VM, ExecutionResult
-from repro.runtime.scheduler import PCTScheduler
+from repro.runtime.metrics import RunStats
 
 
 class SkiDetector(TSanDetector):
     """The happens-before engine with SKI's report labelling."""
 
     name = "ski"
-
-
-def run_ski_seed(
-    module: Module,
-    seed: int,
-    entry: str = "main",
-    inputs: Optional[Dict] = None,
-    annotations: Optional[AnnotationSet] = None,
-    max_steps: int = 200_000,
-    depth: int = 3,
-    tracer=None,
-    coverage_out: Optional[List] = None,
-    record_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    fuse=False,
-) -> Tuple[ReportSet, ExecutionResult, SkiDetector]:
-    """One kernel execution under one PCT schedule, into a fresh report set.
-
-    ``coverage_out``, when given a list, receives one
-    :class:`repro.runtime.coverage.SeedCoverage` for the execution; the
-    switch tracker delegates every decision, so the schedule is unchanged.
-    ``record_out`` likewise receives one
-    :class:`repro.runtime.record.ScheduleLog` without perturbing the
-    schedule, and ``profile_out`` one
-    :class:`repro.runtime.profiler.SeedProfile` sampled every
-    ``profile_interval`` decisions.  ``fuse`` (bool or a shared
-    :class:`repro.runtime.fuse.FuseEngine`) turns on superinstruction
-    fusion; the detector sees bit-identical events either way.
-    """
-    from repro.runtime.spans import maybe_span
-
-    scheduler = PCTScheduler(seed=seed, depth=depth)
-    recorder = None
-    if record_out is not None:
-        from repro.runtime.record import ScheduleRecorder
-
-        recorder = ScheduleRecorder(scheduler)
-        scheduler = recorder
-    tracker = None
-    if coverage_out is not None:
-        from repro.runtime.coverage import SwitchTracker
-
-        tracker = SwitchTracker(scheduler)
-        scheduler = tracker
-    profiler = None
-    if profile_out is not None:
-        from repro.runtime.profiler import (
-            DEFAULT_SAMPLE_INTERVAL, SamplingProfiler)
-
-        profiler = SamplingProfiler(
-            scheduler, interval=profile_interval or DEFAULT_SAMPLE_INTERVAL,
-            observed=True)
-        scheduler = profiler
-    vm = VM(module, scheduler=scheduler, inputs=inputs, max_steps=max_steps,
-            seed=seed, fuse=fuse)
-    detector = SkiDetector(annotations=annotations, reports=ReportSet())
-    vm.add_observer(detector)
-    if recorder is not None:
-        vm.add_observer(recorder)
-    with maybe_span(tracer, "detect_seed", seed=seed, detector="ski") as span:
-        vm.start(entry)
-        result = vm.run()
-        if span is not None:
-            span.attrs.update(steps=result.steps, reason=result.reason,
-                              reports=len(detector.reports))
-    if coverage_out is not None:
-        from repro.runtime.coverage import SeedCoverage
-
-        coverage_out.append(
-            SeedCoverage.from_run(seed, detector.reports, tracker))
-    if record_out is not None:
-        record_out.append(recorder.to_log(
-            module, seed, entry=entry, max_steps=max_steps, result=result,
-        ))
-    if profiler is not None:
-        profile_out.append(profiler.data)
-    return detector.reports, result, detector
 
 
 def run_ski(
@@ -126,81 +46,18 @@ def run_ski(
     annotations: Optional[AnnotationSet] = None,
     max_steps: int = 200_000,
     depth: int = 3,
-    jobs: int = 1,
-    module_source: Optional[Callable[[], Module]] = None,
-    stats_out: Optional[List] = None,
-    tracer=None,
-    cache=None,
-    policy=None,
-    explore=None,
-    coverage_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    fuse: bool = False,
-) -> Tuple[ReportSet, List[ExecutionResult]]:
+) -> Tuple[ReportSet, List[RunStats]]:
     """Systematically explore schedules of a kernel program.
 
     Each seed yields one PCT schedule (random priorities with ``depth - 1``
     change points), SKI's published exploration strategy class.  Reports are
-    merged across seeds with static deduplication.
-
-    ``jobs``/``module_source``/``stats_out``/``cache``/``policy``/
-    ``explore``/``coverage_out`` behave exactly as in
-    :func:`repro.detectors.tsan.run_tsan`; with ``explore`` the dry-wave
-    escalation raises the PCT ``depth`` instead of switching scheduler
-    family.
+    merged across seeds with static deduplication.  Pools, caching and
+    exploration work as for :func:`repro.detectors.tsan.run_tsan`.
     """
-    if explore is not None:
-        from repro.owl.explore import explore_seeds
+    from repro.detectors.annotations import annotations_to_payload
+    from repro.detectors.seed import SeedJob, run_seeds
 
-        return explore_seeds(
-            "ski", module, module_source=module_source, entry=entry,
-            inputs=inputs, annotations=annotations, max_steps=max_steps,
-            depth=depth, jobs=jobs, stats_out=stats_out, tracer=tracer,
-            cache=cache, policy=policy, explore=explore,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=bool(fuse),
-        )
-    if ((jobs and jobs > 1) or cache is not None) \
-            and module_source is not None:
-        from repro.owl.batch import run_seeds_parallel
-
-        return run_seeds_parallel(
-            "ski", module, module_source, entry=entry, inputs=inputs,
-            seeds=seeds, annotations=annotations, max_steps=max_steps,
-            depth=depth, jobs=jobs, stats_out=stats_out, tracer=tracer,
-            cache=cache, policy=policy, coverage_out=coverage_out,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=bool(fuse),
-        )
-    if fuse:
-        # Shared across the sweep: compiles amortize over every seed.
-        from repro.runtime.fuse import FuseEngine
-
-        fuse = fuse if isinstance(fuse, FuseEngine) else FuseEngine()
-    reports = ReportSet()
-    results: List[ExecutionResult] = []
-    for seed in seeds:
-        started = time.perf_counter()
-        seed_reports, result, detector = run_ski_seed(
-            module, seed, entry=entry, inputs=inputs, annotations=annotations,
-            max_steps=max_steps, depth=depth, tracer=tracer,
-            coverage_out=coverage_out, profile_out=profile_out,
-            profile_interval=profile_interval, fuse=fuse,
-        )
-        reports.merge(seed_reports)
-        results.append(result)
-        if stats_out is not None:
-            from repro.runtime.metrics import RunStats
-
-            stats_out.append(RunStats(
-                seed=seed, reason=result.reason, steps=result.steps,
-                accesses=detector.access_count, reports=len(seed_reports),
-                wall_seconds=time.perf_counter() - started,
-            ))
-        if feed is not None:
-            feed.seed_done(stage="detect", seed=seed, detector="ski",
-                           steps=result.steps, reports=len(seed_reports),
-                           cached=False)
-    return reports, results
+    job = SeedJob(kind="ski", depth=depth, entry=entry, inputs=inputs,
+                  max_steps=max_steps,
+                  annotations=annotations_to_payload(annotations))
+    return run_seeds(module, job, seeds)

@@ -19,8 +19,7 @@ acquire, and the annotated pair itself is not reported.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.detectors.annotations import AnnotationSet
 from repro.detectors.report import AccessRecord, RaceReport, ReportSet
@@ -32,8 +31,7 @@ from repro.runtime.events import (
     ThreadLifecycleEvent,
     TraceObserver,
 )
-from repro.runtime.interpreter import VM, ExecutionResult
-from repro.runtime.scheduler import RandomScheduler, Scheduler
+from repro.runtime.metrics import RunStats
 
 
 class _ByteShadow:
@@ -236,99 +234,6 @@ class TSanDetector(TraceObserver):
                     report.subsequent_reads.append(record)
 
 
-def run_tsan_seed(
-    module: Module,
-    seed: int,
-    entry: str = "main",
-    inputs: Optional[Dict] = None,
-    annotations: Optional[AnnotationSet] = None,
-    max_steps: int = 200_000,
-    scheduler_factory=None,
-    entry_args: Sequence[int] = (),
-    tracer=None,
-    coverage_out: Optional[List] = None,
-    record_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    fuse=False,
-) -> Tuple[ReportSet, ExecutionResult, TSanDetector]:
-    """One program execution under one schedule, into a fresh report set.
-
-    The unit of work for both the serial driver and the parallel batch
-    engine: per-seed report sets merged in seed order are bit-identical to
-    one report set shared across all seeds (dedup keeps the first static
-    occurrence and appends later watch data either way).  ``tracer``
-    (a :class:`repro.runtime.spans.SpanTracer`) records the execution as a
-    ``detect_seed`` span.  ``coverage_out``, when given a list, receives
-    one :class:`repro.runtime.coverage.SeedCoverage` for the execution
-    (racy pair set plus context-switch signature); tracking never perturbs
-    the schedule itself.  ``record_out``, when given a list, receives one
-    :class:`repro.runtime.record.ScheduleLog` of the execution — the
-    recorder delegates every decision unchanged too, so a recorded seed
-    finds exactly the races an unrecorded one would.  ``profile_out``,
-    when given a list, receives one
-    :class:`repro.runtime.profiler.SeedProfile` sampled every
-    ``profile_interval`` scheduler decisions (same pure-delegation
-    wrapper; deterministic given seed + interval).  ``fuse`` (a bool, or
-    a shared :class:`repro.runtime.fuse.FuseEngine` to amortize compiles
-    across a sweep) turns on superinstruction fusion — detectors observe
-    bit-identical events either way, so the reports cannot change.
-    """
-    from repro.runtime.spans import maybe_span
-
-    scheduler: Scheduler = (
-        scheduler_factory(seed) if scheduler_factory is not None
-        else RandomScheduler(seed)
-    )
-    recorder = None
-    if record_out is not None:
-        from repro.runtime.record import ScheduleRecorder
-
-        recorder = ScheduleRecorder(scheduler)
-        scheduler = recorder
-    tracker = None
-    if coverage_out is not None:
-        from repro.runtime.coverage import SwitchTracker
-
-        tracker = SwitchTracker(scheduler)
-        scheduler = tracker
-    profiler = None
-    if profile_out is not None:
-        from repro.runtime.profiler import (
-            DEFAULT_SAMPLE_INTERVAL, SamplingProfiler)
-
-        profiler = SamplingProfiler(
-            scheduler, interval=profile_interval or DEFAULT_SAMPLE_INTERVAL,
-            observed=True)
-        scheduler = profiler
-    vm = VM(module, scheduler=scheduler, inputs=inputs, max_steps=max_steps,
-            seed=seed, fuse=fuse)
-    detector = TSanDetector(annotations=annotations, reports=ReportSet())
-    vm.add_observer(detector)
-    if recorder is not None:
-        vm.add_observer(recorder)
-    with maybe_span(tracer, "detect_seed", seed=seed,
-                    detector="tsan") as span:
-        vm.start(entry, entry_args)
-        result = vm.run()
-        if span is not None:
-            span.attrs.update(steps=result.steps, reason=result.reason,
-                              reports=len(detector.reports))
-    if coverage_out is not None:
-        from repro.runtime.coverage import SeedCoverage
-
-        coverage_out.append(
-            SeedCoverage.from_run(seed, detector.reports, tracker))
-    if record_out is not None:
-        record_out.append(recorder.to_log(
-            module, seed, entry=entry, entry_args=entry_args,
-            max_steps=max_steps, result=result,
-        ))
-    if profiler is not None:
-        profile_out.append(profiler.data)
-    return detector.reports, result, detector
-
-
 def run_tsan(
     module: Module,
     entry: str = "main",
@@ -336,98 +241,20 @@ def run_tsan(
     seeds: Sequence[int] = range(10),
     annotations: Optional[AnnotationSet] = None,
     max_steps: int = 200_000,
-    scheduler_factory=None,
     entry_args: Sequence[int] = (),
-    jobs: int = 1,
-    module_source: Optional[Callable[[], Module]] = None,
-    stats_out: Optional[List] = None,
-    tracer=None,
-    cache=None,
-    policy=None,
-    explore=None,
-    coverage_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    fuse: bool = False,
-) -> Tuple[ReportSet, List[ExecutionResult]]:
+) -> Tuple[ReportSet, List[RunStats]]:
     """Run the detector over several schedules and merge the reports.
 
     Each seed is one program execution under a random schedule — the
     equivalent of repeatedly running a TSan-instrumented binary on the same
-    testing workload.
-
-    With ``jobs > 1`` and a picklable zero-argument ``module_source`` (a
-    module-level factory function), seeds fan out across a process pool via
-    :mod:`repro.owl.batch`; the merge stays in seed order, so the result is
-    identical to the serial run.  ``stats_out``, when given a list, receives
-    one :class:`repro.runtime.metrics.RunStats` per seed.  A ``cache``
-    (:class:`repro.owl.cache.ResultCache`) also routes through the batch
-    path — already-computed seeds are answered from disk, even at
-    ``jobs=1`` — and ``policy`` (:class:`repro.owl.batch.BatchPolicy`)
-    bounds each pooled item's wait/retry budget.
-
-    An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
-    replaces the blind sweep over ``seeds`` with coverage-guided adaptive
-    budgeting: seeds run in waves, exploration stops early once coverage
-    saturates, and the schedule family escalates when a wave goes dry (see
-    :mod:`repro.owl.explore`).  ``coverage_out``, when given a list,
-    receives one :class:`repro.runtime.coverage.SeedCoverage` per seed in
-    seed order (serial path only; the batch/explore paths collect coverage
-    themselves).
+    testing workload.  This is the plain serial sweep; process pools, the
+    result cache, exploration and the per-seed options belong to the OWL
+    pipeline's sweep driver over :class:`repro.detectors.seed.SeedJob`.
     """
-    if explore is not None:
-        from repro.owl.explore import explore_seeds
+    from repro.detectors.annotations import annotations_to_payload
+    from repro.detectors.seed import SeedJob, run_seeds
 
-        return explore_seeds(
-            "tsan", module, module_source=module_source, entry=entry,
-            inputs=inputs, annotations=annotations, max_steps=max_steps,
-            entry_args=entry_args, jobs=jobs, stats_out=stats_out,
-            tracer=tracer, cache=cache, policy=policy, explore=explore,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=bool(fuse),
-        )
-    if ((jobs and jobs > 1) or cache is not None) \
-            and module_source is not None:
-        from repro.owl.batch import run_seeds_parallel
-
-        return run_seeds_parallel(
-            "tsan", module, module_source, entry=entry, inputs=inputs,
-            seeds=seeds, annotations=annotations, max_steps=max_steps,
-            entry_args=entry_args, jobs=jobs, stats_out=stats_out,
-            tracer=tracer, cache=cache, policy=policy,
-            coverage_out=coverage_out, profile_out=profile_out,
-            profile_interval=profile_interval, feed=feed, fuse=bool(fuse),
-        )
-    if fuse:
-        # One engine for the whole sweep: every seed runs the same module,
-        # so compiled superinstructions amortize across executions.
-        from repro.runtime.fuse import FuseEngine
-
-        fuse = fuse if isinstance(fuse, FuseEngine) else FuseEngine()
-    reports = ReportSet()
-    results: List[ExecutionResult] = []
-    for seed in seeds:
-        started = time.perf_counter()
-        seed_reports, result, detector = run_tsan_seed(
-            module, seed, entry=entry, inputs=inputs, annotations=annotations,
-            max_steps=max_steps, scheduler_factory=scheduler_factory,
-            entry_args=entry_args, tracer=tracer, coverage_out=coverage_out,
-            profile_out=profile_out, profile_interval=profile_interval,
-            fuse=fuse,
-        )
-        reports.merge(seed_reports)
-        results.append(result)
-        if stats_out is not None:
-            from repro.runtime.metrics import RunStats
-
-            stats_out.append(RunStats(
-                seed=seed, reason=result.reason, steps=result.steps,
-                accesses=detector.access_count, reports=len(seed_reports),
-                wall_seconds=time.perf_counter() - started,
-            ))
-        if feed is not None:
-            feed.seed_done(stage="detect", seed=seed, detector="tsan",
-                           steps=result.steps, reports=len(seed_reports),
-                           cached=False)
-    return reports, results
+    job = SeedJob(kind="tsan", entry=entry, inputs=inputs,
+                  entry_args=tuple(entry_args), max_steps=max_steps,
+                  annotations=annotations_to_payload(annotations))
+    return run_seeds(module, job, seeds)

@@ -44,12 +44,10 @@ from repro.owl.audit import AuditingObserver, AuditScope
 from repro.owl.batch import (
     can_parallelize,
     make_executor,
-    run_detector_batch,
-    run_detectors_batch,
-    run_seeds_parallel,
     verify_races_batch,
     verify_vulns_batch,
 )
+from repro.owl.sweep import Sweep, run_sweep
 
 __all__ = [
     "VulnSiteType",
@@ -78,9 +76,8 @@ __all__ = [
     "AuditScope",
     "can_parallelize",
     "make_executor",
-    "run_detector_batch",
-    "run_detectors_batch",
-    "run_seeds_parallel",
+    "Sweep",
+    "run_sweep",
     "verify_races_batch",
     "verify_vulns_batch",
 ]

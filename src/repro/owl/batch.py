@@ -10,11 +10,12 @@ stage of Figure 3 is embarrassingly parallel at some granularity:
 - **vulnerability verification** — each vulnerable-input hint likewise.
 
 This module fans those units out over a ``concurrent.futures`` process pool
-and merges results *deterministically*, so pipeline counters are
-bit-identical to the serial run: per-seed report sets are merged in seed
-order (static dedup keeps the first occurrence and appends later watch data,
-exactly like a shared report set would), and per-item verification outcomes
-are reassembled by index.
+(:func:`run_tasks`, :func:`run_cached_tasks`) and merges results
+*deterministically*, so pipeline counters are bit-identical to the serial
+run: per-seed report sets are merged in seed order by the sweep driver
+(:mod:`repro.owl.sweep`, whose worker payload is a
+:class:`repro.detectors.seed.SeedJob`), and per-item verification outcomes
+are reassembled by index here.
 
 Worker processes cannot receive VMs, modules or IR instructions (they are
 not picklable, and identity matters to the debugger's breakpoints), so the
@@ -26,8 +27,8 @@ rehydrates results against the original module.  Each worker process caches
 the built spec/module, amortizing the rebuild across all its tasks.
 
 Parallel execution therefore requires the :class:`ProgramSpec` to be
-resolvable by name through :mod:`repro.apps.registry` (or an explicit
-picklable ``module_source``); anything else silently falls back to the
+resolvable by name through :mod:`repro.apps.registry` (or a picklable
+module factory as the job's ``source``); anything else silently falls back to the
 serial path with identical results.
 
 **Determinism and parity invariants** (the contract every function here
@@ -62,17 +63,17 @@ shutdown is bounded.
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
-from repro.detectors.report import AccessRecord, RaceReport, ReportSet
+from repro.detectors.report import (
+    RaceReport,
+    report_from_payload,
+    report_to_payload,
+)
+from repro.detectors.seed import cached_spec as _cached_spec
 from repro.ir.module import Module
 from repro.owl.race_verifier import (
     DynamicRaceVerifier,
@@ -81,89 +82,11 @@ from repro.owl.race_verifier import (
 )
 from repro.owl.vuln_verifier import DynamicVulnerabilityVerifier, VulnVerification
 from repro.runtime.errors import FaultKind
-from repro.runtime.metrics import RunStats
 from repro.runtime.spans import SpanTracer
 from repro.spec import AttackGroundTruth, ProgramSpec
 
 # ---------------------------------------------------------------------------
 # payload (de)hydration — instruction identity travels as the module uid
-
-
-def access_to_payload(record: AccessRecord) -> Tuple:
-    return (
-        record.instruction.uid or 0, record.thread_id, record.is_write,
-        record.value, tuple(record.call_stack), record.address, record.step,
-        record.size,
-    )
-
-
-def access_from_payload(module: Module, payload: Tuple) -> AccessRecord:
-    uid, thread_id, is_write, value, call_stack, address, step, size = payload
-    # Frames arrive as tuples from pickled payloads but as lists from
-    # JSON-round-tripped cache entries; normalize so both rehydrate to the
-    # same CallStack shape.
-    return AccessRecord(
-        module.instruction_by_uid(uid), thread_id, is_write, value,
-        tuple(tuple(frame) for frame in call_stack), address,
-        step=step, size=size,
-    )
-
-
-def report_to_payload(report: RaceReport) -> Dict:
-    return {
-        "first": access_to_payload(report.first),
-        "second": access_to_payload(report.second),
-        "variable": report.variable,
-        "detector": report.detector,
-        "subsequent": [access_to_payload(a) for a in report.subsequent_reads],
-    }
-
-
-def report_from_payload(module: Module, payload: Dict) -> RaceReport:
-    report = RaceReport(
-        access_from_payload(module, payload["first"]),
-        access_from_payload(module, payload["second"]),
-        variable=payload["variable"],
-        detector=payload["detector"],
-    )
-    report.subsequent_reads.extend(
-        access_from_payload(module, a) for a in payload["subsequent"]
-    )
-    return report
-
-
-def reports_to_payloads(reports: Iterable[RaceReport]) -> List[Dict]:
-    return [report_to_payload(report) for report in reports]
-
-
-def reports_from_payloads(module: Module, payloads: List[Dict]) -> ReportSet:
-    reports = ReportSet()
-    for payload in payloads:
-        reports.add(report_from_payload(module, payload))
-    return reports
-
-
-def annotations_to_payload(annotations: Optional[AnnotationSet]) -> Optional[List]:
-    if annotations is None:
-        return None
-    return [
-        (a.read_instruction.uid or 0, a.write_instruction.uid or 0, a.variable)
-        for a in annotations
-    ]
-
-
-def annotations_from_payload(module: Module,
-                             payload: Optional[List]) -> Optional[AnnotationSet]:
-    if payload is None:
-        return None
-    return AnnotationSet(
-        AdhocSyncAnnotation(
-            module.instruction_by_uid(read_uid),
-            module.instruction_by_uid(write_uid),
-            variable,
-        )
-        for read_uid, write_uid, variable in payload
-    )
 
 
 def vuln_to_payload(vulnerability) -> Dict:
@@ -197,35 +120,6 @@ def vuln_from_payload(module: Module, payload: Dict):
             if payload["source"] is not None else None
         ),
     )
-
-
-# ---------------------------------------------------------------------------
-# per-worker caches: specs and modules rebuilt once per process, not per task
-
-_SPEC_CACHE: Dict[str, ProgramSpec] = {}
-_MODULE_CACHE: Dict[object, Module] = {}
-
-
-def _cached_spec(name: str) -> ProgramSpec:
-    spec = _SPEC_CACHE.get(name)
-    if spec is None:
-        from repro.apps.registry import spec_by_name
-
-        spec = spec_by_name(name)
-        _SPEC_CACHE[name] = spec
-    return spec
-
-
-def _resolve_module(source) -> Module:
-    """A module from a registry spec name or a picklable factory function."""
-    module = _MODULE_CACHE.get(source)
-    if module is None:
-        if isinstance(source, str):
-            module = _cached_spec(source).build()
-        else:
-            module = source()
-        _MODULE_CACHE[source] = module
-    return module
 
 
 def can_parallelize(spec: ProgramSpec) -> bool:
@@ -446,377 +340,55 @@ def run_cached_tasks(
     return results
 
 
-# ---------------------------------------------------------------------------
-# stage 1/2: detector fan-out across seeds (and programs)
+def adopt_spans(tracer: Optional[SpanTracer], output: Dict, name: str,
+                **attrs) -> None:
+    """Fold one item's spans into ``tracer`` in merge order.
 
-
-def _detect_worker(payload: Dict) -> Dict:
-    """Run one detector seed; return reports, stats and spans as payloads.
-
-    Every run also reports its interleaving coverage
-    (:class:`repro.runtime.coverage.SeedCoverage` payload) — the signal
-    the exploration driver budgets on; collecting it never perturbs the
-    schedule.  ``payload["scheduler"]`` optionally overrides the TSan
-    schedule family (``"pct"`` swaps the uniform random scheduler for a
-    PCT one at ``payload["depth"]`` — the explore driver's escalation).
+    A live output's worker spans are adopted; a cache hit gets a single
+    ``name`` marker span with ``attrs`` instead.
     """
-    from repro.detectors.ski import run_ski_seed
-    from repro.detectors.tsan import run_tsan_seed
-
-    module = _resolve_module(payload["source"])
-    annotations = annotations_from_payload(module, payload["annotations"])
-    tracer = SpanTracer()
-    coverage: List = []
-    logs: Optional[List] = [] if payload.get("record") else None
-    profiles: Optional[List] = [] if payload.get("profile") else None
-    profile_interval = payload.get("profile")
-    started = time.perf_counter()
-    fuse = bool(payload.get("fuse"))
-    if payload["kind"] == "ski":
-        reports, result, detector = run_ski_seed(
-            module, payload["seed"], entry=payload["entry"],
-            inputs=payload["inputs"], annotations=annotations,
-            max_steps=payload["max_steps"], depth=payload["depth"],
-            tracer=tracer, coverage_out=coverage, record_out=logs,
-            profile_out=profiles, profile_interval=profile_interval,
-            fuse=fuse,
-        )
-    else:
-        scheduler_factory = None
-        if payload.get("scheduler") == "pct":
-            from repro.runtime.scheduler import PCTScheduler
-
-            depth = payload["depth"]
-            scheduler_factory = (
-                lambda seed: PCTScheduler(seed=seed, depth=depth))
-        reports, result, detector = run_tsan_seed(
-            module, payload["seed"], entry=payload["entry"],
-            inputs=payload["inputs"], annotations=annotations,
-            max_steps=payload["max_steps"], entry_args=payload["entry_args"],
-            scheduler_factory=scheduler_factory, tracer=tracer,
-            coverage_out=coverage, record_out=logs,
-            profile_out=profiles, profile_interval=profile_interval,
-            fuse=fuse,
-        )
-    output = {
-        "seed": payload["seed"],
-        "reports": reports_to_payloads(reports),
-        "stats": (payload["seed"], result.reason, result.steps,
-                  detector.access_count, len(reports),
-                  time.perf_counter() - started),
-        "coverage": coverage[0].to_payload(),
-        "spans": tracer.export_payload(),
-    }
-    if logs:
-        output["log"] = logs[0].to_payload()
-    if profiles:
-        output["profile"] = profiles[0].to_payload()
-    return output
+    if tracer is None:
+        return
+    if output.get("cached"):
+        with tracer.span(name, **attrs):
+            pass
+    elif output["spans"]:
+        tracer.adopt(output["spans"])
 
 
-def _detect_payload(kind: str, source, seed: int, entry: str, inputs,
-                    annotations_payload, max_steps: int, depth: int,
-                    entry_args: Sequence[int],
-                    scheduler: Optional[str] = None,
-                    record: bool = False,
-                    profile: Optional[int] = None,
-                    fuse: bool = False) -> Dict:
-    payload = {
-        "kind": kind,
-        "source": source,
-        "seed": seed,
-        "entry": entry,
-        "inputs": inputs,
-        "annotations": annotations_payload,
-        "max_steps": max_steps,
-        "depth": depth,
-        "entry_args": tuple(entry_args),
-        "scheduler": scheduler,
-    }
-    if record:
-        payload["record"] = True
-    if profile:
-        # Part of the cache key on purpose: a profiled run's output
-        # carries the sample aggregate, so it must not be answered from
-        # (or overwrite) an unprofiled seed's entry.
-        payload["profile"] = int(profile)
-    if fuse:
-        # Also part of the cache key on purpose: fused results are
-        # bit-identical by construction (the diff oracle enforces it),
-        # but keeping the entries separate means a divergence hunt can
-        # compare cold fused vs cold stepwise runs instead of silently
-        # reading one mode's cache from the other's sweep.
-        payload["fuse"] = True
-    return payload
+def _verify_items(worker, stage: str, spec: ProgramSpec, field: str,
+                  items: Sequence[Dict], jobs, executor, cache,
+                  policy) -> List[Dict]:
+    """Fan one verification stage's item payloads out; outputs in order.
 
-
-#: payload keys excluded from cache keys: the module source (the module
-#: digest already keys the build) and the record flag (recording never
-#: changes the detector's results, so recorded and plain runs share the
-#: same detect entries; logs key the separate ``record`` stage).
-_NON_KEY_FIELDS = ("source", "record")
-
-
-def _detect_item_key(cache, module: Module, payload: Dict) -> str:
-    """Cache key of one detector seed: everything but the module source."""
-    parts = {key: value for key, value in payload.items()
-             if key not in _NON_KEY_FIELDS}
-    return cache.key("detect", module=module, **parts)
-
-
-def _record_item_key(cache, module: Module, payload: Dict) -> str:
-    """Cache key of one seed's schedule log (same parts, own stage)."""
-    parts = {key: value for key, value in payload.items()
-             if key not in _NON_KEY_FIELDS}
-    return cache.key("record", module=module, **parts)
-
-
-def run_seeds_parallel(
-    kind: str,
-    module: Module,
-    module_source,
-    entry: str = "main",
-    inputs: Optional[Dict] = None,
-    seeds: Sequence[int] = range(10),
-    annotations: Optional[AnnotationSet] = None,
-    max_steps: int = 200_000,
-    entry_args: Sequence[int] = (),
-    depth: int = 3,
-    jobs: int = 2,
-    stats_out: Optional[List] = None,
-    executor: Optional[ProcessPoolExecutor] = None,
-    tracer: Optional[SpanTracer] = None,
-    cache=None,
-    policy: Optional[BatchPolicy] = None,
-    scheduler: Optional[str] = None,
-    coverage_out: Optional[List] = None,
-    record: bool = False,
-    logs_out: Optional[List] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    fuse: bool = False,
-) -> Tuple[ReportSet, List[RunStats]]:
-    """Fan one program's seeds out over worker processes.
-
-    ``module_source`` is either a registry spec name (str) or a picklable
-    zero-argument module factory; ``module`` is the parent's copy, against
-    which the merged reports are rehydrated.  The merge happens in seed
-    order regardless of completion order, so the returned
-    :class:`ReportSet` is identical to the serial run's — and so is the
-    span tree adopted into ``tracer``.
-
-    With a ``cache`` (:class:`repro.owl.cache.ResultCache`), seeds whose
-    results are already on disk are not re-executed — including at
-    ``jobs=1``, where misses run in-process; ``policy`` adds per-item
-    timeout/retry fault tolerance to the pooled path.
-
-    ``scheduler`` overrides the TSan schedule family per seed (``"pct"``;
-    part of every cache key, so escalated re-runs of a seed never collide
-    with its base-family entry).  ``coverage_out``, when given a list,
-    receives one :class:`repro.runtime.coverage.SeedCoverage` per seed
-    **in seed order** — the deterministic merge input the exploration
-    driver's budgeting (and its jobs=1 vs jobs=2 parity) relies on.
-
-    ``record=True`` additionally records every execution as a
-    :class:`repro.runtime.record.ScheduleLog` (delivered in seed order via
-    ``logs_out``).  Logs land in the cache under their own ``record``
-    stage — far smaller entries than the detect payloads — keyed by the
-    same parts as the detect entry, which itself stays byte-identical to a
-    plain run's.  A seed is only answered from the cache when *both*
-    stages hit; a seed whose log is missing re-executes (re-warming both),
-    so record mode always returns a complete log set.
-
-    ``profile_out``, when given a list, receives one
-    :class:`repro.runtime.profiler.SeedProfile` per seed in seed order
-    (sampled every ``profile_interval`` decisions); profiles are part of
-    the worker output and the cache entry, so warm profiled runs return
-    the same samples the cold run took.  ``feed``, when given an
-    :class:`repro.owl.stream.EventFeed`, receives one ``seed_done`` event
-    per seed at merge time — in seed order, with the cache disposition.
+    Each payload is the spec's verification config plus the item under
+    ``field``; everything but the item's index keys its cache entry.
     """
-    seeds = list(seeds)
-    annotations_payload = annotations_to_payload(annotations)
-    profile = None
-    if profile_out is not None:
-        from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
-
-        profile = int(profile_interval or DEFAULT_SAMPLE_INTERVAL)
     payloads = [
-        _detect_payload(kind, module_source, seed, entry, inputs,
-                        annotations_payload, max_steps, depth, entry_args,
-                        scheduler=scheduler, record=record, profile=profile,
-                        fuse=fuse)
-        for seed in seeds
+        {
+            "spec": spec.name,
+            "entry": spec.entry,
+            "inputs": spec.workload_inputs,
+            "seeds": list(spec.verify_seeds),
+            "max_steps": spec.max_steps,
+            "index": index,
+            field: item,
+        }
+        for index, item in enumerate(items)
     ]
-    keys = (
-        [_detect_item_key(cache, module, payload) for payload in payloads]
-        if cache is not None else None
-    )
-    if record and cache is not None:
-        record_keys = [_record_item_key(cache, module, payload)
-                       for payload in payloads]
-        cached_logs = [cache.get("record", key) for key in record_keys]
-        hit_indices = [i for i, log in enumerate(cached_logs)
-                       if log is not None]
-        live_indices = [i for i, log in enumerate(cached_logs) if log is None]
-        outputs: List[Optional[Dict]] = [None] * len(payloads)
-        if hit_indices:
-            # The log is on disk; the detect entry may be answered from the
-            # cache as usual (and is re-stored on a miss).
-            hit_outputs = run_cached_tasks(
-                _detect_worker, [payloads[i] for i in hit_indices],
-                cache=cache, stage="detect",
-                keys=[keys[i] for i in hit_indices],
-                jobs=jobs, executor=executor, policy=policy,
-            )
-            for index, output in zip(hit_indices, hit_outputs):
-                if "log" not in output:
-                    output["log"] = cached_logs[index]
-                outputs[index] = output
-        if live_indices:
-            # No log on disk: force a live run even if the detect entry is
-            # warm, then store both stages.
-            live_outputs = run_cached_tasks(
-                _detect_worker, [payloads[i] for i in live_indices],
-                cache=None, jobs=jobs, executor=executor, policy=policy,
-            )
-            for index, output in zip(live_indices, live_outputs):
-                outputs[index] = output
-                cache.put("detect", keys[index], _cacheable(output))
-                cache.put("record", record_keys[index], output["log"])
-    else:
-        outputs = run_cached_tasks(
-            _detect_worker, payloads, cache=cache, stage="detect", keys=keys,
-            jobs=jobs, executor=executor, policy=policy,
-        )
-    merged = ReportSet()
-    stats: List[RunStats] = []
-    for seed, output in zip(seeds, outputs):  # seed order, always
-        merged.merge(reports_from_payloads(module, output["reports"]))
-        stats.append(RunStats(*output["stats"]))
-        if coverage_out is not None and output.get("coverage") is not None:
-            from repro.runtime.coverage import SeedCoverage
-
-            coverage_out.append(SeedCoverage.from_payload(output["coverage"]))
-        if logs_out is not None and output.get("log") is not None:
-            from repro.runtime.record import ScheduleLog
-
-            logs_out.append(ScheduleLog.from_payload(output["log"]))
-        if profile_out is not None and output.get("profile") is not None:
-            from repro.runtime.profiler import SeedProfile
-
-            profile_out.append(SeedProfile.from_payload(output["profile"]))
-        if feed is not None:
-            feed.seed_done(stage="detect", seed=seed, detector=kind,
-                           steps=output["stats"][2],
-                           reports=output["stats"][4],
-                           cached=bool(output.get("cached")))
-        if tracer is not None:
-            if output.get("cached"):
-                with tracer.span("detect_seed", seed=seed, detector=kind,
-                                 cached=True, reports=output["stats"][4]):
-                    pass
-            else:
-                tracer.adopt(output["spans"])
-    if stats_out is not None:
-        stats_out.extend(stats)
-    return merged, stats
-
-
-def run_detector_batch(
-    spec: ProgramSpec,
-    annotations: Optional[AnnotationSet] = None,
-    jobs: int = 1,
-    executor: Optional[ProcessPoolExecutor] = None,
-    stats_out: Optional[List] = None,
-    tracer: Optional[SpanTracer] = None,
-    cache=None,
-    policy: Optional[BatchPolicy] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    fuse: bool = False,
-) -> Tuple[ReportSet, List[RunStats]]:
-    """The spec's front-end detector over its seeds, parallel when possible.
-
-    Caching, like parallelism, requires the spec to be resolvable by name
-    through the registry; for anything else ``cache`` is ignored and the
-    serial path runs as before.
-    """
-    if not can_parallelize(spec):
-        cache = None  # keys need the registry-rebuilt module
-    if ((jobs <= 1 and executor is None) and cache is None) \
-            or not can_parallelize(spec):
-        from repro.owl.integration import run_detector
-
-        stats: List[RunStats] = []
-        reports, _ = run_detector(spec, annotations=annotations,
-                                  stats_out=stats, tracer=tracer,
-                                  profile_out=profile_out,
-                                  profile_interval=profile_interval,
-                                  feed=feed, fuse=fuse)
-        if stats_out is not None:
-            stats_out.extend(stats)
-        return reports, stats
-    return run_seeds_parallel(
-        spec.detector, spec.build(), spec.name, entry=spec.entry,
-        inputs=spec.workload_inputs, seeds=spec.detect_seeds,
-        annotations=annotations, max_steps=spec.max_steps, jobs=jobs,
-        stats_out=stats_out, executor=executor, tracer=tracer,
-        cache=cache, policy=policy, profile_out=profile_out,
-        profile_interval=profile_interval, feed=feed, fuse=fuse,
-    )
-
-
-def run_detectors_batch(
-    specs: Sequence[ProgramSpec],
-    jobs: int = 2,
-    executor: Optional[ProcessPoolExecutor] = None,
-    cache=None,
-    policy: Optional[BatchPolicy] = None,
-) -> Dict[str, Tuple[ReportSet, List[RunStats]]]:
-    """Fan *all* ``(program × seed)`` detector runs out over one pool.
-
-    Seeds of every program interleave freely across workers; each program's
-    reports are still merged in its own seed order.  Programs that cannot be
-    rebuilt in a worker run serially, after the parallel ones complete.
-    """
-    parallel = [spec for spec in specs if can_parallelize(spec)]
-    serial = [spec for spec in specs if not can_parallelize(spec)]
-    payloads: List[Dict] = []
-    owners: List[ProgramSpec] = []
-    for spec in parallel:
-        for seed in spec.detect_seeds:
-            payloads.append(_detect_payload(
-                spec.detector, spec.name, seed, spec.entry,
-                spec.workload_inputs, None, spec.max_steps, 3, (),
-            ))
-            owners.append(spec)
-    keys = (
-        [_detect_item_key(cache, spec.build(), payload)
-         for spec, payload in zip(owners, payloads)]
-        if cache is not None else None
-    )
-    outputs = run_cached_tasks(
-        _detect_worker, payloads, cache=cache, stage="detect", keys=keys,
-        jobs=jobs, executor=executor, policy=policy,
-    )
-    grouped: Dict[str, Dict[int, Dict]] = {spec.name: {} for spec in parallel}
-    for spec, output in zip(owners, outputs):
-        grouped[spec.name][output["seed"]] = output
-    results: Dict[str, Tuple[ReportSet, List[RunStats]]] = {}
-    for spec in parallel:
-        merged = ReportSet()
-        stats: List[RunStats] = []
-        for seed in spec.detect_seeds:
-            output = grouped[spec.name][seed]
-            merged.merge(reports_from_payloads(spec.build(), output["reports"]))
-            stats.append(RunStats(*output["stats"]))
-        results[spec.name] = (merged, stats)
-    for spec in serial:
-        results[spec.name] = run_detector_batch(spec, jobs=1)
-    return results
+    keys = None
+    if cache is not None:
+        module = spec.build()
+        keys = [
+            cache.key(stage, module=module, **{
+                key: value for key, value in payload.items()
+                if key != "index"
+            })
+            for payload in payloads
+        ]
+    return run_cached_tasks(worker, payloads, cache=cache, stage=stage,
+                            keys=keys, jobs=jobs, executor=executor,
+                            policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -875,10 +447,8 @@ def verify_races_batch(
     reports = list(reports)
     if not reports:
         return []
-    if not can_parallelize(spec):
-        cache = None
-    if ((jobs <= 1 and executor is None) and cache is None) \
-            or not can_parallelize(spec):
+    if not can_parallelize(spec) or (
+            jobs <= 1 and executor is None and cache is None):
         verifier = DynamicRaceVerifier(
             spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
             seeds=spec.verify_seeds, max_steps=spec.max_steps,
@@ -886,31 +456,10 @@ def verify_races_batch(
             tracer=tracer,
         )
         return verifier.verify_all(reports)
-    payloads = [
-        {
-            "spec": spec.name,
-            "entry": spec.entry,
-            "inputs": spec.workload_inputs,
-            "seeds": list(spec.verify_seeds),
-            "max_steps": spec.max_steps,
-            "index": index,
-            "report": report_to_payload(report),
-        }
-        for index, report in enumerate(reports)
-    ]
-    keys = None
-    if cache is not None:
-        module = spec.build()
-        keys = [
-            cache.key("race_verify", module=module, **{
-                key: value for key, value in payload.items()
-                if key != "index"
-            })
-            for payload in payloads
-        ]
-    outputs = run_cached_tasks(
-        _race_verify_worker, payloads, cache=cache, stage="race_verify",
-        keys=keys, jobs=jobs, executor=executor, policy=policy,
+    outputs = _verify_items(
+        _race_verify_worker, "race_verify", spec, "report",
+        [report_to_payload(report) for report in reports],
+        jobs, executor, cache, policy,
     )
     outcomes: List[RaceVerification] = []
     for index, output in enumerate(outputs):  # report order, always
@@ -929,13 +478,8 @@ def verify_races_batch(
             feed.item_done(stage="race_verification", index=index,
                            item=report.uid, verified=output["verified"],
                            cached=bool(output.get("cached")))
-        if tracer is not None:
-            if output.get("cached"):
-                with tracer.span("verify_report", report=report.uid,
-                                 cached=True, verified=output["verified"]):
-                    pass
-            elif output["spans"]:
-                tracer.adopt(output["spans"])
+        adopt_spans(tracer, output, "verify_report", report=report.uid,
+                    cached=True, verified=output["verified"])
     return outcomes
 
 
@@ -1000,39 +544,17 @@ def verify_vulns_batch(
     vulnerabilities = list(vulnerabilities)
     if not vulnerabilities:
         return []
-    if not can_parallelize(spec):
-        cache = None
-    if ((jobs <= 1 and executor is None) and cache is None) \
-            or not can_parallelize(spec):
+    if not can_parallelize(spec) or (
+            jobs <= 1 and executor is None and cache is None):
         return [
             _verify_vuln_serial(spec, vulnerability, tracer=tracer)
             for vulnerability in vulnerabilities
         ]
     module = spec.build()
-    payloads = [
-        {
-            "spec": spec.name,
-            "entry": spec.entry,
-            "inputs": spec.workload_inputs,
-            "seeds": list(spec.verify_seeds),
-            "max_steps": spec.max_steps,
-            "index": index,
-            "vuln": vuln_to_payload(vulnerability),
-        }
-        for index, vulnerability in enumerate(vulnerabilities)
-    ]
-    keys = None
-    if cache is not None:
-        keys = [
-            cache.key("vuln_verify", module=module, **{
-                key: value for key, value in payload.items()
-                if key != "index"
-            })
-            for payload in payloads
-        ]
-    outputs = run_cached_tasks(
-        _vuln_verify_worker, payloads, cache=cache, stage="vuln_verify",
-        keys=keys, jobs=jobs, executor=executor, policy=policy,
+    outputs = _verify_items(
+        _vuln_verify_worker, "vuln_verify", spec, "vuln",
+        [vuln_to_payload(vulnerability) for vulnerability in vulnerabilities],
+        jobs, executor, cache, policy,
     )
     outcomes: List[Tuple[VulnVerification, Optional[AttackGroundTruth]]] = []
     for index, output in enumerate(outputs):  # vulnerability order, always
@@ -1052,16 +574,9 @@ def verify_vulns_batch(
                            item=str(vulnerability.site.location),
                            realized=output["attack_realized"],
                            cached=bool(output.get("cached")))
-        if tracer is not None:
-            if output.get("cached"):
-                with tracer.span(
-                    "verify_vulnerability",
-                    site=str(vulnerability.site.location),
-                    cached=True, realized=output["attack_realized"],
-                ):
-                    pass
-            elif output["spans"]:
-                tracer.adopt(output["spans"])
+        adopt_spans(tracer, output, "verify_vulnerability",
+                    site=str(vulnerability.site.location), cached=True,
+                    realized=output["attack_realized"])
     return outcomes
 
 

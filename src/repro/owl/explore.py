@@ -8,8 +8,9 @@ as RaceFixer observes for triage, duplicate observations dominate cost.
 This driver replaces the blind sweep with a measured, early-stopping
 exploration loop:
 
-1. seeds run in **waves** (fanned out over the existing
-   :mod:`repro.owl.batch` process pool when ``jobs > 1``);
+1. seeds run in **waves**, each one call into the sweep driver
+   (:class:`repro.owl.sweep.Sweep`: in-process, or fanned out over the
+   process pool when ``jobs > 1``);
 2. after each wave the per-seed :class:`repro.runtime.coverage.SeedCoverage`
    is merged — in seed order, deterministically — into a
    :class:`repro.runtime.coverage.CoverageMap`, yielding the wave's
@@ -36,9 +37,11 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.detectors.annotations import annotations_from_payload
 from repro.detectors.report import ReportSet
+from repro.detectors.seed import SeedRun, run_seed
+from repro.owl.sweep import merge_runs
 from repro.runtime.coverage import CoverageMap, SeedCoverage
-from repro.runtime.metrics import RunStats
 
 #: Schedule-family ladders: the base rung first, then each escalation.
 #: TSan escalates from uniform random into PCT (a stronger bug-finding
@@ -223,310 +226,123 @@ class ExplorationResult:
 # wave execution
 
 
-def _scheduler_factory(family: str, depth: int):
-    """TSan scheduler factory for one ladder rung (None = default random)."""
-    if family == "pct":
-        from repro.runtime.scheduler import PCTScheduler
-
-        return lambda seed: PCTScheduler(seed=seed, depth=depth)
-    return None
-
-
-def _run_wave_serial(
-    kind: str, module, seeds: Sequence[int], family: str, depth: int,
-    entry: str, inputs, annotations, max_steps: int, entry_args,
-    tracer, profile_out=None, profile_interval=None, feed=None,
-) -> Tuple[ReportSet, List[RunStats], List[SeedCoverage]]:
-    """One wave without a registry spec: plain in-process seed runs."""
-    from repro.detectors.ski import run_ski_seed
-    from repro.detectors.tsan import run_tsan_seed
-
-    merged = ReportSet()
-    stats: List[RunStats] = []
-    coverage: List[SeedCoverage] = []
-    for seed in seeds:
-        started = time.perf_counter()
-        if kind == "ski":
-            seed_reports, result, detector = run_ski_seed(
-                module, seed, entry=entry, inputs=inputs,
-                annotations=annotations, max_steps=max_steps, depth=depth,
-                tracer=tracer, coverage_out=coverage,
-                profile_out=profile_out, profile_interval=profile_interval,
-            )
-        else:
-            seed_reports, result, detector = run_tsan_seed(
-                module, seed, entry=entry, inputs=inputs,
-                annotations=annotations, max_steps=max_steps,
-                scheduler_factory=_scheduler_factory(family, depth),
-                entry_args=entry_args, tracer=tracer,
-                coverage_out=coverage,
-                profile_out=profile_out, profile_interval=profile_interval,
-            )
-        merged.merge(seed_reports)
-        stats.append(RunStats(
-            seed=seed, reason=result.reason, steps=result.steps,
-            accesses=detector.access_count, reports=len(seed_reports),
-            wall_seconds=time.perf_counter() - started,
-        ))
-        if feed is not None:
-            feed.seed_done(stage="detect", seed=seed, detector=kind,
-                           steps=result.steps, reports=len(seed_reports),
-                           cached=False)
-    return merged, stats, coverage
-
-
-def _run_predict_wave(
-    kind: str, module, entry: str, inputs, annotations, max_steps: int,
-    entry_args, family: str, depth: int, predict_policy, tracer=None,
-    world_factory=None, cache=None, feed=None,
-    profile_out=None, profile_interval=None,
-):
+def _run_predict_wave(module, job, sweep, predict_policy, world_factory=None):
     """Wave 0 of a predicting exploration: one recorded run + closure.
 
-    Runs seed 0 once under the base schedule family with the recorder
-    attached, then predicts the feasible race set from that single log
-    (:func:`repro.detectors.predict.predict_from_log`).  Returns
-    ``(reports, stats, coverage, prediction)`` where ``reports`` merges
-    the live seed-0 reports with the predicted ones, and ``coverage`` is
-    the seed-0 coverage *pre-seeded* with every predicted static pair —
-    the delta that makes later waves dry when they only rediscover what
-    prediction already decided.  Serial and deterministic at any job
-    count; cacheable as one ``predict`` stage entry.
+    Runs ``job`` (seed 0, the base schedule family, recorder attached)
+    once in-process, then predicts the feasible race set from that single
+    log (:func:`repro.detectors.predict.predict_from_log`).  Returns
+    ``(reports, run, prediction)``: ``reports`` merges the live seed-0
+    reports with the predicted ones, and ``run.coverage`` is the seed-0
+    coverage *pre-seeded* with every predicted static pair — the delta
+    that makes later waves dry when they only rediscover what prediction
+    already decided.  Serial and deterministic at any job count; cached
+    as one ``predict`` entry keyed by the job and the policy.
     """
     from repro.detectors.predict import PredictionResult, predict_from_log
-    from repro.owl.batch import (
-        annotations_to_payload,
-        report_from_payload,
-        report_to_payload,
-    )
 
-    key = None
+    cache = sweep.cache_for(job)
+    key = hit = None
     if cache is not None:
-        key = cache.key(
-            "predict", module=module, kind=kind, seed=0, entry=entry,
-            inputs=inputs, annotations=annotations_to_payload(annotations),
-            max_steps=max_steps, entry_args=tuple(entry_args),
-            scheduler=family, depth=depth,
-            predict=predict_policy.as_dict(),
-        )
+        key = sweep.key("predict", module, job,
+                        predict=predict_policy.as_dict())
         hit = cache.get("predict", key)
-        if hit is not None:
-            prediction = PredictionResult.from_payload(
-                module, hit["prediction"])
-            reports = ReportSet()
-            for payload in hit["reports"]:
-                reports.add(report_from_payload(module, payload))
-            for item in prediction.predictions:
-                reports.add(item.report)
-            stats = [RunStats(*hit["stats"])]
-            coverage = SeedCoverage.from_payload(hit["coverage"])
-            if feed is not None:
-                feed.seed_done(stage="detect", seed=0, detector=kind,
-                               steps=stats[0].steps,
-                               reports=stats[0].reports, cached=True)
-            return reports, stats, coverage, prediction
-
-    from repro.detectors.ski import run_ski_seed
-    from repro.detectors.tsan import run_tsan_seed
-
-    started = time.perf_counter()
-    record_out: List = []
-    coverage_out: List[SeedCoverage] = []
-    if kind == "ski":
-        seed_reports, result, detector = run_ski_seed(
-            module, 0, entry=entry, inputs=inputs, annotations=annotations,
-            max_steps=max_steps, depth=depth, tracer=tracer,
-            coverage_out=coverage_out, record_out=record_out,
-            profile_out=profile_out, profile_interval=profile_interval,
-        )
+    if hit is not None:
+        prediction = PredictionResult.from_payload(module, hit["prediction"])
+        run = SeedRun.from_payload(module, job, hit, cached=True)
     else:
-        seed_reports, result, detector = run_tsan_seed(
-            module, 0, entry=entry, inputs=inputs, annotations=annotations,
-            max_steps=max_steps,
-            scheduler_factory=_scheduler_factory(family, depth),
-            entry_args=entry_args, tracer=tracer,
-            coverage_out=coverage_out, record_out=record_out,
-            profile_out=profile_out, profile_interval=profile_interval,
+        run = run_seed(job, module=module, tracer=sweep.tracer)
+        prediction = predict_from_log(
+            module, run.log,
+            annotations=annotations_from_payload(module, job.annotations),
+            inputs=job.inputs, world_factory=world_factory,
+            policy=predict_policy,
+            observed_keys={report.static_key for report in run.reports},
         )
-    log = record_out[0]
-    prediction = predict_from_log(
-        module, log, annotations=annotations, inputs=inputs,
-        world_factory=world_factory, policy=predict_policy,
-        observed_keys={report.static_key for report in seed_reports},
-    )
-    stats = [RunStats(
-        seed=0, reason=result.reason, steps=result.steps,
-        accesses=detector.access_count, reports=len(seed_reports),
-        wall_seconds=time.perf_counter() - started,
-    )]
-    seed0 = coverage_out[0]
-    coverage = SeedCoverage(
-        seed=0, pairs=seed0.pairs | prediction.predicted_keys,
-        signature=seed0.signature, switches=seed0.switches,
-    )
+        seed0 = run.coverage
+        run.coverage = SeedCoverage(
+            seed=0, pairs=seed0.pairs | prediction.predicted_keys,
+            signature=seed0.signature, switches=seed0.switches,
+        )
+        if cache is not None:
+            entry = run.to_payload()
+            del entry["log"]  # the prediction already consumed it
+            entry["prediction"] = prediction.to_payload()
+            cache.put("predict", key, entry)
+    sweep.announce(run)
     reports = ReportSet()
-    reports.merge(seed_reports)
+    reports.merge(run.reports)
     for item in prediction.predictions:
         reports.add(item.report)
-    if cache is not None and key is not None:
-        cache.put("predict", key, {
-            "reports": [report_to_payload(r) for r in seed_reports],
-            "stats": (0, result.reason, result.steps,
-                      detector.access_count, len(seed_reports),
-                      stats[0].wall_seconds),
-            "coverage": coverage.to_payload(),
-            "prediction": prediction.to_payload(),
-        })
-    if feed is not None:
-        feed.seed_done(stage="detect", seed=0, detector=kind,
-                       steps=result.steps, reports=len(seed_reports),
-                       cached=False)
-    return reports, stats, coverage, prediction
+    return reports, run, prediction
 
 
 # ---------------------------------------------------------------------------
 # the exploration loop
 
 
-def explore_seeds(
-    kind: str,
-    module,
-    module_source=None,
-    entry: str = "main",
-    inputs: Optional[Dict] = None,
-    annotations=None,
-    max_steps: int = 200_000,
-    entry_args: Sequence[int] = (),
-    depth: int = 3,
-    jobs: int = 1,
-    executor=None,
-    stats_out: Optional[List] = None,
-    tracer=None,
-    cache=None,
-    policy=None,
-    explore: Optional[ExplorePolicy] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    world_factory=None,
-    fuse: bool = False,
-) -> Tuple[ReportSet, List[RunStats]]:
+def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
+                  world_factory=None):
     """Coverage-guided exploration over seeds ``0 .. max_seeds - 1``.
 
-    Drop-in replacement for the fixed sweep of
-    :func:`repro.detectors.tsan.run_tsan` /
-    :func:`repro.detectors.ski.run_ski` (same ``(reports, stats)`` return
-    contract; ``policy`` is the batch fault-tolerance policy, ``explore``
-    the exploration policy).  The seed values are the prefix of the same
-    ``range()`` the blind sweep uses, under the same base schedule family,
-    so a run that saturates before escalating has — by construction —
-    found exactly the races of the fixed sweep's prefix.  The full
-    :class:`ExplorationResult` (waves, saturation, coverage) is appended
-    to ``explore.history``.
+    The explore strategy of :func:`repro.owl.sweep.run_sweep` (same
+    ``(reports, runs)`` return contract): each wave runs ``base`` over the
+    next seeds under the current ladder rung through ``sweep``.  The seeds
+    are the prefix of the blind sweep's ``range()`` under the same base
+    family, so a run that saturates before escalating finds exactly the
+    fixed prefix's races.  The :class:`ExplorationResult` is appended to
+    ``explore.history``; ``sweep.feed`` gets one ``wave_done`` per wave.
 
-    ``profile_out``/``profile_interval`` sample every executed seed's VM
-    (see :mod:`repro.runtime.profiler`); ``feed`` (an
-    :class:`repro.owl.stream.EventFeed`) receives one ``seed_done`` per
-    seed and one ``wave_done`` per wave — the live per-wave progress
-    ``owl watch`` renders.
-
-    When ``explore.predict`` is set (a
-    :class:`repro.detectors.predict.PredictPolicy`), wave 0 becomes a
-    **predict wave**: seed 0 runs once with the schedule recorder
-    attached, the sync-preserving closure predicts every race feasible
-    from that single trace, and the predicted static pairs pre-seed the
-    coverage map — so a later wave that only rediscovers predicted races
-    is dry, and the seed budget goes to interleavings prediction could
-    not decide.  ``world_factory`` builds a fresh OS-world for each
-    witness replay of that wave (specs with an ``initial_world``).
-
-    ``fuse`` is accepted for interface symmetry with the fixed sweeps
-    but is deliberately not applied: every exploration wave tracks
-    interleaving coverage through the :class:`SwitchTracker` scheduler
-    wrapper, which forces stepwise execution (``run_length == 1``) so
-    context-switch signatures stay byte-identical — fusing here would
-    only add plan-compilation overhead with no fused runs.
+    Every job tracks coverage through the
+    :class:`repro.runtime.coverage.SwitchTracker` wrapper, which forces
+    stepwise execution, so fusion is switched off (it would only add
+    plan-compilation overhead).  With ``explore.predict`` set, wave 0 is
+    the predict wave (:func:`_run_predict_wave`); ``world_factory`` builds
+    the OS world for its witness replays.
     """
-    del fuse  # see docstring: coverage tracking forces stepwise execution
     explore = explore if explore is not None else ExplorePolicy()
-    ladder = explore.ladder_for(kind, depth)
-    result = ExplorationResult(kind, explore)
+    base = base.replace(coverage=True, fuse=False)
+    ladder = explore.ladder_for(base.kind, base.depth)
+    result = ExplorationResult(base.kind, explore)
     merged = ReportSet()
-    stats: List[RunStats] = []
+    runs: List = []
     started = time.perf_counter()
     rung = 0
     dry = 0
-    cursor = 0
-    if explore.predict is not None:
-        family, wave_depth = ladder[0]
-        wave_reports, wave_stats, coverage, prediction = _run_predict_wave(
-            kind, module, entry, inputs, annotations, max_steps,
-            entry_args, family, wave_depth, explore.predict, tracer=tracer,
-            world_factory=world_factory, cache=cache, feed=feed,
-            profile_out=profile_out, profile_interval=profile_interval,
-        )
-        result.predict = prediction
-        new_pairs = result.coverage.merge(coverage)
-        merged.merge(wave_reports)
-        stats.extend(wave_stats)
-        result.seeds_executed += 1
-        cursor = 1
-        if new_pairs == 0:
-            dry += 1
-            if dry >= explore.saturation_k:
-                result.saturated = True
-                result.saturation_wave = 0
-        result.waves.append(WaveRecord(
-            0, [0], "predict", wave_depth, new_pairs,
-            result.coverage.distinct_schedules,
-            result.coverage.total_pairs,
-        ))
-        if feed is not None:
-            feed.wave_done(index=0, seeds=[0], scheduler="predict",
-                           depth=wave_depth, new_pairs=new_pairs,
-                           total_pairs=result.coverage.total_pairs,
-                           dry=new_pairs == 0, escalated=False,
-                           saturated=result.saturated)
-    while not result.saturated and cursor < explore.max_seeds:
-        wave_seeds = list(range(
-            cursor, min(cursor + explore.wave_size, explore.max_seeds)))
-        cursor += len(wave_seeds)
+    while not result.saturated and result.seeds_executed < explore.max_seeds:
         family, wave_depth = ladder[rung]
-        if module_source is not None:
-            from repro.owl.batch import run_seeds_parallel
-
-            wave_coverage: List[SeedCoverage] = []
-            wave_stats: List[RunStats] = []
-            wave_reports, _ = run_seeds_parallel(
-                kind, module, module_source, entry=entry, inputs=inputs,
-                seeds=wave_seeds, annotations=annotations,
-                max_steps=max_steps, entry_args=entry_args, depth=wave_depth,
-                jobs=jobs, stats_out=wave_stats, executor=executor,
-                tracer=tracer, cache=cache, policy=policy,
-                scheduler=family, coverage_out=wave_coverage,
-                profile_out=profile_out, profile_interval=profile_interval,
-                feed=feed,
+        cursor = result.seeds_executed
+        if cursor == 0 and explore.predict is not None:
+            scheduler = "predict"
+            wave_reports, run, result.predict = _run_predict_wave(
+                module, base.replace(seed=0, scheduler=family,
+                                     depth=wave_depth, record=True),
+                sweep, explore.predict, world_factory=world_factory,
             )
+            wave_runs = [run]
         else:
-            wave_reports, wave_stats, wave_coverage = _run_wave_serial(
-                kind, module, wave_seeds, family, wave_depth, entry, inputs,
-                annotations, max_steps, entry_args, tracer,
-                profile_out=profile_out, profile_interval=profile_interval,
-                feed=feed,
-            )
+            scheduler = family
+            wave_runs = sweep.run(module, [
+                base.replace(seed=seed, scheduler=family, depth=wave_depth)
+                for seed in range(cursor, min(cursor + explore.wave_size,
+                                              explore.max_seeds))
+            ])
+            wave_reports = merge_runs(wave_runs)
+        wave_seeds = [run.job.seed for run in wave_runs]
         signatures_before = result.coverage.distinct_schedules
-        deltas = result.coverage.merge_all(wave_coverage)  # seed order
+        new_pairs = sum(result.coverage.merge_all(  # seed order
+            [run.coverage for run in wave_runs]))
         merged.merge(wave_reports)
-        stats.extend(wave_stats)
-        result.seeds_executed += len(wave_seeds)
-        new_pairs = sum(deltas)
+        runs.extend(wave_runs)
+        result.seeds_executed += len(wave_runs)
         escalated = False
         if new_pairs == 0:
             dry += 1
             if dry >= explore.saturation_k:
                 result.saturated = True
                 result.saturation_wave = len(result.waves)
-            elif explore.escalate and rung + 1 < len(ladder):
+            elif (scheduler != "predict" and explore.escalate
+                  and rung + 1 < len(ladder)):
                 # A wave of this family stopped paying while budget
                 # remains: climb the ladder before giving up.
                 rung += 1
@@ -534,63 +350,17 @@ def explore_seeds(
         else:
             dry = 0
         result.waves.append(WaveRecord(
-            len(result.waves), wave_seeds, family, wave_depth, new_pairs,
+            len(result.waves), wave_seeds, scheduler, wave_depth, new_pairs,
             result.coverage.distinct_schedules - signatures_before,
             result.coverage.total_pairs, escalated=escalated,
         ))
-        if feed is not None:
-            feed.wave_done(index=len(result.waves) - 1, seeds=wave_seeds,
-                           scheduler=family, depth=wave_depth,
-                           new_pairs=new_pairs,
-                           total_pairs=result.coverage.total_pairs,
-                           dry=new_pairs == 0, escalated=escalated,
-                           saturated=result.saturated)
-        if result.saturated:
-            break
+        if sweep.feed is not None:
+            sweep.feed.wave_done(
+                index=len(result.waves) - 1, seeds=wave_seeds,
+                scheduler=scheduler, depth=wave_depth, new_pairs=new_pairs,
+                total_pairs=result.coverage.total_pairs,
+                dry=new_pairs == 0, escalated=escalated,
+                saturated=result.saturated)
     result.wall_seconds = time.perf_counter() - started
     explore.history.append(result)
-    if stats_out is not None:
-        stats_out.extend(stats)
-    return merged, stats
-
-
-def explore_program(
-    spec,
-    annotations=None,
-    jobs: int = 1,
-    executor=None,
-    stats_out: Optional[List] = None,
-    tracer=None,
-    cache=None,
-    policy=None,
-    explore: Optional[ExplorePolicy] = None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    fuse: bool = False,
-) -> Tuple[ReportSet, List[RunStats]]:
-    """Exploration over one :class:`repro.spec.ProgramSpec`'s detector.
-
-    The spec-level analogue of :func:`repro.owl.integration.run_detector`:
-    registry-resolvable specs fan waves out over the process pool (and
-    through the result cache); anything else explores serially with
-    identical results.
-    """
-    from repro.owl.batch import can_parallelize
-
-    parallel = can_parallelize(spec)
-    if not parallel:
-        cache = None  # keys need the registry-rebuilt module
-    world_factory = None
-    if spec.initial_world is not None:
-        world_factory = spec.initial_world
-    return explore_seeds(
-        spec.detector, spec.build(),
-        module_source=spec.name if parallel else None,
-        entry=spec.entry, inputs=spec.workload_inputs,
-        annotations=annotations, max_steps=spec.max_steps,
-        jobs=jobs, executor=executor, stats_out=stats_out, tracer=tracer,
-        cache=cache, policy=policy, explore=explore,
-        profile_out=profile_out, profile_interval=profile_interval,
-        feed=feed, world_factory=world_factory, fuse=fuse,
-    )
+    return merged, runs

@@ -16,107 +16,68 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.detectors.annotations import AnnotationSet
+from repro.detectors.annotations import AnnotationSet, annotations_to_payload
 from repro.detectors.report import RaceReport, ReportSet
-from repro.detectors.ski import run_ski
-from repro.detectors.tsan import run_tsan
-from repro.runtime.interpreter import ExecutionResult
+from repro.detectors.seed import SeedJob
+from repro.owl.sweep import Sweep, run_sweep
 from repro.spec import ProgramSpec
+
+
+def spec_job(spec: ProgramSpec, annotations: Optional[AnnotationSet] = None,
+             options: Optional[SeedJob] = None) -> SeedJob:
+    """The base :class:`SeedJob` of a spec's detector sweep.
+
+    ``options`` carries the per-seed options (record, coverage, profile,
+    fuse); the spec supplies everything else.  The job's source is the
+    spec's registry name when workers can rebuild it (otherwise the sweep
+    stays serial and uncached).
+    """
+    from repro.owl.batch import can_parallelize
+
+    return (options or SeedJob()).replace(
+        source=spec.name if can_parallelize(spec) else None,
+        kind=spec.detector, entry=spec.entry, inputs=spec.workload_inputs,
+        max_steps=spec.max_steps,
+        annotations=annotations_to_payload(annotations),
+    )
 
 
 def run_detector(
     spec: ProgramSpec,
     annotations: Optional[AnnotationSet] = None,
-    jobs: int = 1,
-    executor=None,
-    stats_out: Optional[List] = None,
-    tracer=None,
-    cache=None,
-    policy=None,
+    options: Optional[SeedJob] = None,
+    sweep: Optional[Sweep] = None,
     explore=None,
-    replay=None,
-    profile_out: Optional[List] = None,
-    profile_interval: Optional[int] = None,
-    feed=None,
-    fuse: bool = False,
+    stats_out: Optional[List] = None,
+    runs_out: Optional[List] = None,
 ) -> Tuple[ReportSet, List]:
     """Run the spec's front-end detector over its configured schedules.
 
-    With ``jobs > 1`` (or an explicit process-pool ``executor``) the seeds
-    fan out via :mod:`repro.owl.batch`; reports are merged in seed order so
-    the result is identical to the serial run.  In the parallel case the
-    second element of the returned tuple holds per-seed
-    :class:`repro.runtime.metrics.RunStats` instead of
-    :class:`ExecutionResult` objects (which cannot cross process
-    boundaries); ``stats_out`` receives the stats in both modes.  ``tracer``
-    (a :class:`repro.runtime.spans.SpanTracer`) collects one ``detect_seed``
-    span per execution, adopted in seed order in the parallel case.
+    The seed jobs come from :func:`spec_job` (``options`` holds the
+    per-seed options) and run through the sweep driver
+    (:func:`repro.owl.sweep.run_sweep`): ``sweep`` says where — serial by
+    default, pooled and/or cached per its settings — and reports merge in
+    seed order, so the result is identical at any job count.  An
+    ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`) replaces
+    the spec's fixed ``detect_seeds`` with coverage-guided exploration;
+    its :class:`ExplorationResult` lands in ``explore.history``.
 
-    A ``cache`` (:class:`repro.owl.cache.ResultCache`) also routes through
-    the batch path — even at ``jobs=1``, where cache misses execute
-    in-process — so already-computed seeds are never re-executed; the
-    per-seed stats then come back as :class:`RunStats` as in the parallel
-    case.  ``policy`` (:class:`repro.owl.batch.BatchPolicy`) supplies the
-    pooled path's timeout/retry budgets.
-
-    An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
-    replaces the spec's fixed ``detect_seeds`` sweep with coverage-guided
-    adaptive budgeting; the run's :class:`ExplorationResult` lands in
-    ``explore.history``.
-
-    A ``replay`` source (:class:`repro.owl.replay.ReplaySource`) replaces
-    live execution entirely: every recorded log is deterministically
-    re-executed with the detector attached (see :mod:`repro.owl.replay`);
-    profiling and feed events apply to live paths only.
-
-    ``profile_out``/``profile_interval`` sample the VM every K scheduler
-    decisions into per-seed :class:`repro.runtime.profiler.SeedProfile`
-    aggregates; ``feed`` (an :class:`repro.owl.stream.EventFeed`)
-    receives one ``seed_done`` progress event per executed seed.
-
-    ``fuse=True`` executes the sweep with superinstruction fusion
-    (:mod:`repro.runtime.fuse`); the detector observes bit-identical
-    events, faults and steps, so reports, coverage and logs are
-    unchanged — only steps/s moves.  Replay sources ignore the flag
-    (replayed decisions are scripted, which forces stepwise execution).
+    Returns ``(reports, stats)`` with one
+    :class:`repro.runtime.metrics.RunStats` per executed seed, whatever
+    the strategy; ``stats_out`` receives the same stats and ``runs_out``
+    the full :class:`repro.detectors.seed.SeedRun` of each seed (coverage,
+    logs, profiles).
     """
-    if replay is not None:
-        return replay.run_detector(
-            annotations=annotations, stats_out=stats_out, tracer=tracer,
-        )
-    if explore is not None:
-        from repro.owl.explore import explore_program
-
-        return explore_program(
-            spec, annotations=annotations, jobs=jobs, executor=executor,
-            stats_out=stats_out, tracer=tracer, cache=cache, policy=policy,
-            explore=explore, profile_out=profile_out,
-            profile_interval=profile_interval, feed=feed, fuse=fuse,
-        )
-    if (jobs and jobs > 1) or executor is not None or cache is not None:
-        from repro.owl.batch import run_detector_batch
-
-        return run_detector_batch(
-            spec, annotations=annotations, jobs=jobs, executor=executor,
-            stats_out=stats_out, tracer=tracer, cache=cache, policy=policy,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=fuse,
-        )
-    if spec.detector == "ski":
-        return run_ski(
-            spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=spec.detect_seeds, annotations=annotations,
-            max_steps=spec.max_steps, stats_out=stats_out, tracer=tracer,
-            profile_out=profile_out, profile_interval=profile_interval,
-            feed=feed, fuse=fuse,
-        )
-    return run_tsan(
-        spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
-        seeds=spec.detect_seeds, annotations=annotations,
-        max_steps=spec.max_steps, stats_out=stats_out, tracer=tracer,
-        profile_out=profile_out, profile_interval=profile_interval,
-        feed=feed, fuse=fuse,
+    reports, runs = run_sweep(
+        spec.build(), spec_job(spec, annotations, options), spec.detect_seeds,
+        sweep=sweep, explore=explore, world_factory=spec.initial_world,
     )
+    stats = [run.stats for run in runs]
+    if stats_out is not None:
+        stats_out.extend(stats)
+    if runs_out is not None:
+        runs_out.extend(runs)
+    return reports, stats
 
 
 def usable_reports(reports) -> List[RaceReport]:

@@ -23,13 +23,17 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
-from repro.detectors.report import RaceReport, ReportSet
+from repro.detectors.report import (
+    RaceReport,
+    ReportSet,
+    report_to_payload,
+    reports_to_payloads,
+)
+from repro.detectors.seed import SeedJob
 from repro.owl.adhoc import AdhocSyncDetector
 from repro.owl.batch import (
     can_parallelize,
     make_executor,
-    report_to_payload,
-    reports_to_payloads,
     verify_races_batch,
     verify_vulns_batch,
     vuln_from_payload,
@@ -37,6 +41,7 @@ from repro.owl.batch import (
 )
 from repro.owl.integration import run_detector, usable_reports
 from repro.owl.race_verifier import RaceVerification
+from repro.owl.sweep import Sweep
 from repro.owl.vuln_analysis import (
     AnalysisOptions,
     VulnerabilityAnalyzer,
@@ -209,20 +214,16 @@ class OwlPipeline:
     lands in the schema-5 metrics JSON (``"replay"`` block); replay is
     mutually exclusive with ``explore``.
 
-    A ``predict`` policy (:class:`repro.detectors.predict.PredictPolicy`)
-    turns the exploration loop's wave 0 into a predict wave: seed 0 runs
-    once with the schedule recorder attached and the sync-preserving
-    closure (:mod:`repro.detectors.predict`) infers every race feasible
-    from that single trace, pre-seeding the coverage map so later waves
-    only spend budget on interleavings prediction could not decide.  The
-    prediction's counters and per-pair evidence land in the schema-7
-    metrics JSON (``"predict"`` block) and on ``result.predict``;
-    predicted-only reports carry the ``predicted`` provenance
-    disposition.  Mutually exclusive with ``replay``; composes with an
-    explicit ``explore`` policy (or creates a default one).
+    An ``explore`` policy with a ``predict`` policy
+    (:class:`repro.detectors.predict.PredictPolicy`) makes wave 0 a
+    predict wave (see :mod:`repro.owl.explore`); the prediction lands in
+    the schema-7 metrics ``"predict"`` block and on ``result.predict``,
+    and predicted-only reports carry the ``predicted`` disposition.
 
-    ``fuse=True`` runs both detector stages with superinstruction fusion
-    (:mod:`repro.runtime.fuse`): one in-process
+    Both detector stages run through one :class:`repro.owl.sweep.Sweep`
+    per run, whose seed jobs carry the per-seed options
+    (:class:`repro.detectors.seed.SeedJob`).  ``fuse=True`` runs them with
+    superinstruction fusion (:mod:`repro.runtime.fuse`): one in-process
     :class:`~repro.runtime.fuse.FuseEngine` is shared by every serial
     detector execution of the run, so compiled blocks amortize across
     seeds and stages.  Fusion never changes results — schedules, events,
@@ -259,7 +260,6 @@ class OwlPipeline:
         journal_config: Optional[Dict] = None,
         explore=None,
         replay=None,
-        predict=None,
         profile: Optional[int] = None,
         feed=None,
         fuse: bool = False,
@@ -269,18 +269,6 @@ class OwlPipeline:
                 "explore and replay are mutually exclusive: exploration "
                 "chooses schedules adaptively, replay re-executes a "
                 "recorded sweep verbatim")
-        if predict is not None and replay is not None:
-            raise ValueError(
-                "predict and replay are mutually exclusive: prediction "
-                "records and reorders a live execution, replay re-executes "
-                "a recorded sweep verbatim")
-        if predict is not None:
-            # Prediction rides on the exploration loop as its wave 0.
-            from repro.owl.explore import ExplorePolicy
-
-            if explore is None:
-                explore = ExplorePolicy()
-            explore.predict = predict
         self.spec = spec
         self.analysis_options = analysis_options or AnalysisOptions()
         self.verify_vulnerabilities = verify_vulnerabilities
@@ -297,11 +285,13 @@ class OwlPipeline:
         self.fuse = bool(fuse)
         #: Per-run telemetry registry (rebuilt at the top of :meth:`run`).
         self._registry = None
-        self._profiles: Optional[List] = None
-        #: Per-run fuse engine (rebuilt at the top of :meth:`run`): shared
-        #: across every in-process detector execution so compiled
-        #: superinstructions amortize over the whole run; pooled workers
-        #: fuse with their own per-seed engines.
+        self._profiles: List = []
+        #: Per-run sweep context of both detector stages (rebuilt at the
+        #: top of :meth:`run`).
+        self._sweep: Optional[Sweep] = None
+        #: Per-run fuse engine: shared across every in-process detector
+        #: execution so compiled superinstructions amortize over the whole
+        #: run; pooled workers fuse with their own per-seed engines.
         self._fuse_engine = None
 
     # ------------------------------------------------------------------
@@ -328,13 +318,14 @@ class OwlPipeline:
         from repro.runtime.telemetry import MetricsRegistry
 
         self._registry = MetricsRegistry()
-        self._profiles = [] if self.profile and self.replay is None else None
+        self._profiles = []
         self._fuse_engine = None
         if self.fuse and self.replay is None:
             from repro.runtime.fuse import FuseEngine
 
             self._fuse_engine = FuseEngine()
         self._fuse_stages = 0
+        self._options = SeedJob(profile=self.profile, fuse=self.fuse)
         if self.feed is not None:
             self.feed.run_begin(
                 self.spec.name, jobs,
@@ -343,16 +334,17 @@ class OwlPipeline:
                 replay=self.replay is not None,
             )
         executor = make_executor(jobs) if jobs > 1 else None
+        self._sweep = Sweep(jobs=jobs, executor=executor, cache=self.cache,
+                            policy=self.policy, tracer=result.spans,
+                            feed=self.feed, engine=self._fuse_engine)
         started = time.perf_counter()
         try:
             with result.spans.span("pipeline", program=self.spec.name,
                                    jobs=jobs):
                 stages = [
-                    ("detect", lambda: self._stage_detect(
-                        result, jobs, executor)),
+                    ("detect", lambda: self._stage_detect(result)),
                     ("schedule_reduction",
-                     lambda: self._stage_schedule_reduction(
-                         result, jobs, executor)),
+                     lambda: self._stage_schedule_reduction(result)),
                     ("race_verification",
                      lambda: self._stage_race_verification(
                          result, jobs, executor)),
@@ -423,16 +415,9 @@ class OwlPipeline:
             registry.counter(prefix + ".runs").inc(stage.runs)
             registry.counter(prefix + ".vm_steps").inc(stage.vm_steps)
             registry.counter(prefix + ".accesses").inc(stage.accesses)
-        counters = result.counters
-        registry.counter("pipeline.raw_reports").inc(counters.raw_reports)
-        registry.counter("pipeline.adhoc_syncs").inc(counters.adhoc_syncs)
-        registry.counter("pipeline.after_annotation").inc(
-            counters.after_annotation)
-        registry.counter("pipeline.verifier_eliminated").inc(
-            counters.verifier_eliminated)
-        registry.counter("pipeline.remaining").inc(counters.remaining)
-        registry.counter("pipeline.vulnerability_reports").inc(
-            counters.vulnerability_reports)
+        for name, value in result.counters.parity_dict().items():
+            if name != "reduction_ratio":
+                registry.counter("pipeline." + name).inc(value)
         registry.counter("pipeline.attacks").inc(len(result.attacks))
         registry.counter("pipeline.attacks_realized").inc(
             len(result.realized_attacks()))
@@ -443,14 +428,10 @@ class OwlPipeline:
             registry.gauge("explore.total_pairs").set(
                 result.explore.coverage.total_pairs)
         if result.predict is not None:
-            counters = result.predict.counters
-            registry.counter("predict.candidate_pairs").inc(
-                counters["candidate_pairs"])
-            registry.counter("predict.predicted").inc(counters["predicted"])
-            registry.counter("predict.observed").inc(counters["observed"])
-            registry.counter("predict.witnessed").inc(counters["witnessed"])
-            registry.counter("predict.unwitnessed").inc(
-                counters["unwitnessed"])
+            for name in ("candidate_pairs", "predicted", "observed",
+                         "witnessed", "unwitnessed"):
+                registry.counter("predict." + name).inc(
+                    result.predict.counters[name])
         if self._fuse_engine is not None:
             # Only job-count-invariant facts go in the registry: the
             # engine's execution counters depend on whether seeds shared
@@ -519,26 +500,12 @@ class OwlPipeline:
     # ------------------------------------------------------------------
     # stage 1: concurrency error detection
 
-    def _stage_detect(self, result: PipelineResult, jobs: int,
-                      executor) -> None:
+    def _stage_detect(self, result: PipelineResult) -> None:
         with result.metrics.stage("detect", unit="reports") as stage, \
                 result.spans.span("stage:detect") as span:
             marks = self._cache_marks()
             stats: List = []
-            if self.replay is not None:
-                reports, _ = self.replay.run_detector(
-                    stats_out=stats, tracer=result.spans,
-                )
-            else:
-                if self._fuse_engine is not None:
-                    self._fuse_stages += 1
-                reports, _ = run_detector(
-                    self.spec, jobs=jobs, executor=executor, stats_out=stats,
-                    tracer=result.spans, cache=self.cache, policy=self.policy,
-                    explore=self.explore, profile_out=self._profiles,
-                    profile_interval=self.profile, feed=self.feed,
-                    fuse=self._fuse_engine or False,
-                )
+            reports = self._run_detector(result, stats)
             stage.absorb_run_stats(stats)
             self._observe_seed_stats(stats)
             stage.items = len(reports)
@@ -563,6 +530,30 @@ class OwlPipeline:
                 # status — replay-witnessed or explicitly unwitnessed.
                 result.provenance.record(
                     report, "predict", "predicted", **predicted)
+
+    def _run_detector(self, result: PipelineResult, stats: List,
+                      annotations: Optional[AnnotationSet] = None):
+        """One detector stage's sweep: live, or replayed from ``replay``.
+
+        Replay re-runs the same logs with an annotation-aware detector:
+        annotations only change what the observer reports, never the
+        schedule.
+        """
+        if self.replay is not None:
+            reports, _ = self.replay.run_detector(
+                annotations=annotations, stats_out=stats, tracer=result.spans)
+            return reports
+        if self._fuse_engine is not None:
+            self._fuse_stages += 1
+        runs: List = []
+        reports, _ = run_detector(
+            self.spec, annotations=annotations, options=self._options,
+            sweep=self._sweep, explore=self.explore, stats_out=stats,
+            runs_out=runs,
+        )
+        self._profiles.extend(
+            run.profile for run in runs if run.profile is not None)
+        return reports
 
     def _observe_seed_stats(self, stats) -> None:
         """Per-seed step/report histograms (deterministic: seed order)."""
@@ -605,8 +596,7 @@ class OwlPipeline:
     # ------------------------------------------------------------------
     # stage 2: schedule reduction (section 5.1)
 
-    def _stage_schedule_reduction(self, result: PipelineResult, jobs: int,
-                                  executor) -> None:
+    def _stage_schedule_reduction(self, result: PipelineResult) -> None:
         with result.metrics.stage("schedule_reduction",
                                   unit="reports") as stage, \
                 result.spans.span("stage:schedule_reduction") as span:
@@ -616,25 +606,7 @@ class OwlPipeline:
             result.counters.adhoc_syncs = annotations.unique_static_count()
             if len(annotations):
                 stats: List = []
-                if self.replay is not None:
-                    # Same logs, annotation-aware detector: annotations only
-                    # change what the observer reports, never the schedule.
-                    reports, _ = self.replay.run_detector(
-                        annotations=annotations, stats_out=stats,
-                        tracer=result.spans,
-                    )
-                else:
-                    if self._fuse_engine is not None:
-                        self._fuse_stages += 1
-                    reports, _ = run_detector(
-                        self.spec, annotations=annotations, jobs=jobs,
-                        executor=executor, stats_out=stats,
-                        tracer=result.spans, cache=self.cache,
-                        policy=self.policy, explore=self.explore,
-                        profile_out=self._profiles,
-                        profile_interval=self.profile, feed=self.feed,
-                        fuse=self._fuse_engine or False,
-                    )
+                reports = self._run_detector(result, stats, annotations)
                 stage.absorb_run_stats(stats)
                 self._observe_seed_stats(stats)
                 self._record_explore(result, stage, span)

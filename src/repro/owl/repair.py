@@ -246,26 +246,10 @@ def gate_oracle(spec, original: Module, patched: Module,
 
 
 def _front_detector_reports(spec, module: Module):
-    if spec.detector == "ski":
-        from repro.detectors.ski import run_ski
+    from repro.detectors.seed import run_seeds
+    from repro.owl.integration import spec_job
 
-        reports, _ = run_ski(
-            module,
-            entry=spec.entry,
-            inputs=spec.workload_inputs,
-            seeds=spec.detect_seeds,
-            max_steps=spec.max_steps,
-        )
-        return reports
-    from repro.detectors.tsan import run_tsan
-
-    reports, _ = run_tsan(
-        module,
-        entry=spec.entry,
-        inputs=spec.workload_inputs,
-        seeds=spec.detect_seeds,
-        max_steps=spec.max_steps,
-    )
+    reports, _ = run_seeds(module, spec_job(spec), spec.detect_seeds)
     return reports
 
 

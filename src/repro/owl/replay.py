@@ -26,14 +26,20 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.detectors.annotations import AnnotationSet
+from repro.detectors.predict import (
+    PredictionResult,
+    PredictPolicy,
+    predict_from_log,
+)
 from repro.detectors.report import ReportSet
+from repro.detectors.seed import DETECTORS, SeedJob, make_scheduler
 from repro.runtime.metrics import RunStats
 from repro.runtime.record import (
     ScheduleLog,
     record_seed,
     replay_log,
 )
-from repro.runtime.scheduler import PCTScheduler, RandomScheduler
 from repro.spec import ProgramSpec
 
 DEFAULT_RECORD_DIR = os.path.join("benchmarks", "out", "records")
@@ -62,15 +68,26 @@ def discover_seeds(record_dir: str, program: str) -> List[int]:
     return sorted(seeds)
 
 
-def _spec_scheduler(spec: ProgramSpec, seed: int, depth: int = 3):
-    """The scheduler a live detector run of this spec would use."""
-    if spec.detector == "ski":
-        return PCTScheduler(seed=seed, depth=depth), "PCTScheduler"
-    return RandomScheduler(seed), "RandomScheduler"
-
-
 def _spec_world(spec: ProgramSpec):
     return spec.initial_world() if spec.initial_world is not None else None
+
+
+def record_spec_seed(spec: ProgramSpec, module, seed: int,
+                     fingerprint: bool = False):
+    """Record one bare (detector-free) execution of ``spec``.
+
+    Runs under the schedule family the spec's live detector uses, so a
+    replay with the detector attached observes exactly the event stream
+    the live detect stage would; returns ``record_seed``'s
+    ``(log, result, fingerprint)``.
+    """
+    scheduler = make_scheduler(SeedJob(kind=spec.detector, seed=seed))
+    return record_seed(
+        module, seed, entry=spec.entry, inputs=spec.workload_inputs,
+        max_steps=spec.max_steps, scheduler=scheduler,
+        scheduler_label=type(scheduler).__name__, world=_spec_world(spec),
+        program=spec.name, fingerprint=fingerprint,
+    )
 
 
 def record_program(
@@ -95,14 +112,9 @@ def record_program(
     fingerprints: List = []
     record_stats: List[RunStats] = []
     for seed in seeds:
-        scheduler, label = _spec_scheduler(spec, seed)
         started = time.perf_counter()
-        log, result, recorded = record_seed(
-            module, seed, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps, scheduler=scheduler,
-            scheduler_label=label, world=_spec_world(spec),
-            program=spec.name, fingerprint=fingerprint,
-        )
+        log, result, recorded = record_spec_seed(
+            spec, module, seed, fingerprint=fingerprint)
         logs.append(log)
         record_stats.append(RunStats(
             seed=seed, reason=result.reason, steps=result.steps,
@@ -177,10 +189,7 @@ class ReplaySource:
         """
         from repro.runtime.spans import maybe_span
 
-        if self.spec.detector == "ski":
-            from repro.detectors.ski import SkiDetector as detector_cls
-        else:
-            from repro.detectors.tsan import TSanDetector as detector_cls
+        detector_cls = DETECTORS[self.spec.detector]
         module = self.spec.build()
         merged = ReportSet()
         stats: List[RunStats] = []
@@ -241,3 +250,33 @@ class ReplaySource:
             self.spec.name, len(self.logs), self.replays,
             self.total_divergences,
         )
+
+
+def predict_program(
+    spec,
+    seed: int = 0,
+    annotations: Optional[AnnotationSet] = None,
+    policy: Optional[PredictPolicy] = None,
+    log=None,
+    record_dir: Optional[str] = None,
+) -> PredictionResult:
+    """Predict from one recorded execution of a :class:`ProgramSpec`.
+
+    Loads the seed's log from ``record_dir`` when one exists (``owl
+    record`` output), otherwise records a fresh execution under the
+    schedule family the spec's live detector would use — and saves it to
+    ``record_dir`` when given, so the next prediction is replay-only.
+    """
+    module = spec.build()
+    path = (log_path(record_dir, spec.name, seed)
+            if record_dir is not None else None)
+    if log is None and path is not None and os.path.exists(path):
+        log = ScheduleLog.load(path)
+    if log is None:
+        log, _result, _ = record_spec_seed(spec, module, seed)
+        if path is not None:
+            log.save(path)
+    return predict_from_log(
+        module, log, annotations=annotations, inputs=spec.workload_inputs,
+        world_factory=lambda: _spec_world(spec), policy=policy,
+    )

@@ -390,6 +390,7 @@ def _report_keys(reports) -> List[Tuple[int, int]]:
 def diff_reports(spec, diff: Optional[ProgramDiff] = None,
                  fuse: bool = False) -> ProgramDiff:
     """Compare the race-report sets the spec's detector derives per mode."""
+    from repro.detectors.seed import SeedJob
     from repro.owl.integration import run_detector
 
     if diff is None:
@@ -406,7 +407,7 @@ def diff_reports(spec, diff: Optional[ProgramDiff] = None,
         ))
     if fuse:
         diff.fused = True
-        fused_reports, _ = run_detector(spec, fuse=True)
+        fused_reports, _ = run_detector(spec, options=SeedJob(fuse=True))
         diff.fused_report_keys = _report_keys(fused_reports)
         if diff.optimized_report_keys != diff.fused_report_keys:
             diff.divergences.append(Divergence(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.detectors.predict import (
     PredictPolicy,
@@ -176,12 +176,14 @@ class TestPredictFromLog:
 class TestExplorerPredictWave:
     def _explore(self, jobs):
         from repro.apps.registry import spec_by_name
-        from repro.owl.explore import ExplorePolicy, explore_program
+        from repro.owl.explore import ExplorePolicy
+        from repro.owl.integration import run_detector
+        from repro.owl.sweep import Sweep
 
         policy = ExplorePolicy(max_seeds=12, wave_size=4, saturation_k=2,
                                predict=PredictPolicy())
-        reports, _ = explore_program(
-            spec_by_name("memcached"), jobs=jobs, explore=policy)
+        reports, _ = run_detector(
+            spec_by_name("memcached"), sweep=Sweep(jobs=jobs), explore=policy)
         return reports, policy.last
 
     def test_wave0_is_the_predict_wave(self):
@@ -204,10 +206,12 @@ class TestExplorerPredictWave:
 
     def test_pipeline_lands_predict_block(self):
         from repro.apps.registry import spec_by_name
+        from repro.owl.explore import ExplorePolicy
         from repro.owl.pipeline import OwlPipeline
 
         result = OwlPipeline(spec_by_name("memcached"),
-                             predict=PredictPolicy()).run()
+                             explore=ExplorePolicy(predict=PredictPolicy())
+                             ).run()
         assert result.predict is not None
         data = result.metrics.as_dict()
         assert data["schema"] == 9
@@ -221,11 +225,13 @@ class TestExplorerPredictWave:
         import pytest
 
         from repro.apps.registry import spec_by_name
+        from repro.owl.explore import ExplorePolicy
         from repro.owl.pipeline import OwlPipeline
 
         with pytest.raises(ValueError):
             OwlPipeline(spec_by_name("memcached"),
-                        predict=PredictPolicy(), replay=object())
+                        explore=ExplorePolicy(predict=PredictPolicy()),
+                        replay=object())
 
     def test_predicted_verdict_resolves_disposition(self):
         from repro.owl.provenance import (
@@ -260,11 +266,15 @@ class TestPredictedSupersetProperty:
         min_size=1, max_size=8,
     )
 
-    @given(op_lists, st.integers(min_value=1, max_value=3),
-           st.integers(min_value=0, max_value=500))
-    @settings(max_examples=15, deadline=None)
-    def test_predicted_contains_observed_on_random_ir(self, ops, workers,
-                                                      seed):
+    #: three workers give six cross-thread instances of one static pair,
+    #: more than ``max_pairs_per_static``; the observed one came last
+    COUNTEREXAMPLE = dict(
+        ops=[("locked_inc", 0, 0), ("locked_inc", 0, 0), ("inc", 0, 0)],
+        workers=3, seed=3,
+    )
+
+    @staticmethod
+    def _observed_and_predicted(ops, workers, seed):
         from repro.detectors.tsan import TSanDetector
         from repro.runtime.record import record_seed, replay_log
         from repro.runtime.scheduler import RandomScheduler
@@ -279,4 +289,21 @@ class TestPredictedSupersetProperty:
         observed = {report.static_key for report in detector.reports}
         prediction = predict_from_log(
             module, log, policy=PredictPolicy(witness=False))
+        return observed, prediction
+
+    @given(op_lists, st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=500))
+    @example(**COUNTEREXAMPLE)
+    @settings(max_examples=15, deadline=None)
+    def test_predicted_contains_observed_on_random_ir(self, ops, workers,
+                                                      seed):
+        observed, prediction = self._observed_and_predicted(
+            ops, workers, seed)
         assert observed <= prediction.predicted_keys
+
+    def test_observed_pairs_are_exempt_from_the_per_static_cap(self):
+        observed, prediction = self._observed_and_predicted(
+            **self.COUNTEREXAMPLE)
+        assert len(observed) >= 2
+        assert observed <= prediction.predicted_keys
+        assert prediction.counters["observed"] == len(observed)

@@ -14,12 +14,11 @@ from repro.owl.batch import (
     make_executor,
     report_from_payload,
     report_to_payload,
-    run_detector_batch,
-    run_detectors_batch,
     verify_races_batch,
 )
 from repro.owl.integration import run_detector
 from repro.owl.pipeline import OwlPipeline
+from repro.owl.sweep import Sweep
 from repro.runtime.metrics import (
     PipelineMetrics,
     RunStats,
@@ -63,8 +62,8 @@ class TestPayloads:
 class TestDetectorParity:
     def test_parallel_detect_matches_serial(self):
         spec = spec_by_name("libsafe")
-        serial, serial_stats = run_detector_batch(spec)
-        parallel, parallel_stats = run_detector_batch(spec, jobs=2)
+        serial, serial_stats = run_detector(spec)
+        parallel, parallel_stats = run_detector(spec, sweep=Sweep(jobs=2))
         assert _fingerprints(parallel) == _fingerprints(serial)
         assert [s.seed for s in parallel_stats] == [s.seed for s in serial_stats]
         assert [s.steps for s in parallel_stats] == [s.steps for s in serial_stats]
@@ -72,10 +71,17 @@ class TestDetectorParity:
             s.reports for s in serial_stats]
 
     def test_multi_program_batch(self):
+        # one pool serves several programs' sweeps
         specs = [spec_by_name("libsafe"), spec_by_name("ssdb")]
-        results = run_detectors_batch(specs, jobs=2)
+        executor = make_executor(2)
+        try:
+            sweep = Sweep(executor=executor)
+            results = {spec.name: run_detector(spec, sweep=sweep)
+                       for spec in specs}
+        finally:
+            executor.shutdown()
         for spec in specs:
-            serial, _ = run_detector_batch(spec)
+            serial, _ = run_detector(spec_by_name(spec.name))
             reports, stats = results[spec.name]
             assert _fingerprints(reports) == _fingerprints(serial)
             assert len(stats) == len(list(spec.detect_seeds))
@@ -131,8 +137,9 @@ class TestPipelineParity:
         spec = spec_by_name("libsafe")
         executor = make_executor(2)
         try:
-            first, _ = run_detector_batch(spec, executor=executor)
-            second, _ = run_detector_batch(spec, executor=executor)
+            sweep = Sweep(executor=executor)
+            first, _ = run_detector(spec, sweep=sweep)
+            second, _ = run_detector(spec, sweep=sweep)
         finally:
             executor.shutdown()
         assert _fingerprints(first) == _fingerprints(second)

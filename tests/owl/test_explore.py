@@ -5,8 +5,11 @@ import json
 import pytest
 
 from repro import OwlPipeline, spec_by_name
+from repro.detectors.seed import SeedJob
 from repro.detectors.tsan import run_tsan
-from repro.owl.explore import ExplorePolicy, explore_program, explore_seeds
+from repro.owl.explore import ExplorePolicy
+from repro.owl.integration import run_detector
+from repro.owl.sweep import Sweep, run_sweep
 from tests.helpers import build_counter_race
 
 
@@ -36,19 +39,19 @@ class TestExplorationLoop:
     def test_saturates_and_skips_budget(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=20, wave_size=4, saturation_k=2)
-        reports, stats = explore_seeds("tsan", module, explore=policy)
+        reports, runs = run_sweep(module, SeedJob(), explore=policy)
         result = policy.last
         assert result.saturated
         assert result.saturation_wave == result.waves[-1].index
         assert result.seeds_executed < policy.max_seeds
         assert result.seeds_skipped == policy.max_seeds - result.seeds_executed
-        assert len(stats) == result.seeds_executed
+        assert len(runs) == result.seeds_executed
         assert len(reports) > 0
 
     def test_dry_wave_escalates_before_saturation(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=40, wave_size=4, saturation_k=3)
-        explore_seeds("tsan", module, explore=policy)
+        run_sweep(module, SeedJob(), explore=policy)
         result = policy.last
         escalations = [wave for wave in result.waves if wave.escalated]
         assert escalations, "a dry wave should climb the ladder"
@@ -61,21 +64,21 @@ class TestExplorationLoop:
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=16, wave_size=4, saturation_k=2,
                                escalate=False)
-        explore_seeds("tsan", module, explore=policy)
+        run_sweep(module, SeedJob(), explore=policy)
         assert {wave.scheduler for wave in policy.last.waves} == {"random"}
         assert not any(wave.escalated for wave in policy.last.waves)
 
     def test_wave_seeds_are_the_fixed_sweep_prefix(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=10, wave_size=3, saturation_k=4)
-        explore_seeds("tsan", module, explore=policy)
+        run_sweep(module, SeedJob(), explore=policy)
         flattened = [seed for wave in policy.last.waves for seed in wave.seeds]
         assert flattened == list(range(policy.last.seeds_executed))
 
     def test_metrics_block_shape(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=8, wave_size=4)
-        explore_seeds("tsan", module, explore=policy)
+        run_sweep(module, SeedJob(), explore=policy)
         block = policy.last.metrics_block()
         assert block["detector"] == "tsan"
         assert block["policy"]["max_seeds"] == 8
@@ -95,7 +98,7 @@ class TestMatchesFixedSweep:
     def test_explore_matches_fixed_sweep_with_fewer_seeds(self, program):
         spec = spec_by_name(program)
         policy = ExplorePolicy(max_seeds=20, wave_size=4, saturation_k=2)
-        reports, _ = explore_program(spec, explore=policy)
+        reports, _ = run_detector(spec, explore=policy)
         fixed, _ = run_tsan(
             spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(20), max_steps=spec.max_steps)
@@ -108,8 +111,9 @@ class TestJobParity:
     def test_jobs1_vs_jobs2_identical_exploration(self):
         def run(jobs):
             policy = ExplorePolicy(max_seeds=12, wave_size=4, saturation_k=2)
-            reports, _ = explore_program(
-                spec_by_name("memcached"), explore=policy, jobs=jobs)
+            reports, _ = run_detector(
+                spec_by_name("memcached"), explore=policy,
+                sweep=Sweep(jobs=jobs))
             return (
                 sorted(report.uid for report in reports),
                 json.dumps(policy.last.metrics_block(), sort_keys=True),

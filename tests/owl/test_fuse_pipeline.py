@@ -11,8 +11,10 @@ import json
 import pytest
 
 from repro.apps.registry import spec_by_name
+from repro.detectors.seed import SeedJob
 from repro.owl.integration import run_detector
 from repro.owl.pipeline import OwlPipeline
+from repro.owl.sweep import Sweep
 from repro.runtime.metrics import load_metrics
 
 
@@ -90,38 +92,32 @@ class TestSchema8FuseBlock:
 
 class TestFuseCacheKeys:
     def test_payload_carries_fuse_only_when_on(self):
-        from repro.owl.batch import _detect_payload
-
-        on = _detect_payload("tsan", None, 0, "main", {}, None, 1000, 3, ())
-        assert "fuse" not in on
-        off = _detect_payload("tsan", None, 0, "main", {}, None, 1000, 3, (),
-                              fuse=True)
-        assert off["fuse"] is True
+        assert SeedJob().key_parts()["fuse"] is False
+        assert SeedJob(fuse=True).key_parts()["fuse"] is True
 
     def test_fused_and_stepwise_seeds_cache_separately(self, tmp_path):
-        from repro.owl.batch import _detect_item_key, _detect_payload
         from repro.owl.cache import ResultCache
 
-        cache = ResultCache(str(tmp_path))
+        sweep = Sweep(cache=ResultCache(str(tmp_path)))
         module = spec_by_name("memcached").build()
-        plain = _detect_payload("tsan", None, 0, "main", {}, None, 1000, 3, ())
-        fused = _detect_payload("tsan", None, 0, "main", {}, None, 1000, 3, (),
-                                fuse=True)
-        assert (_detect_item_key(cache, module, plain)
-                != _detect_item_key(cache, module, fused))
+        plain = SeedJob(inputs={}, max_steps=1000)
+        fused = plain.replace(fuse=True)
+        assert (sweep.key("detect", module, plain)
+                != sweep.key("detect", module, fused))
 
 
 class TestFusedDetectorSweeps:
     def test_serial_fused_reports_identical(self):
         spec = spec_by_name("memcached")
         plain, _ = run_detector(spec)
-        fused, _ = run_detector(spec, fuse=True)
+        fused, _ = run_detector(spec, options=SeedJob(fuse=True))
         assert (sorted(r.static_key for r in fused)
                 == sorted(r.static_key for r in plain))
 
     def test_pooled_fused_reports_identical(self):
         spec = spec_by_name("memcached")
-        serial, _ = run_detector(spec, fuse=True)
-        pooled, _ = run_detector(spec, fuse=True, jobs=2)
+        serial, _ = run_detector(spec, options=SeedJob(fuse=True))
+        pooled, _ = run_detector(spec, options=SeedJob(fuse=True),
+                                 sweep=Sweep(jobs=2))
         assert (sorted(r.static_key for r in pooled)
                 == sorted(r.static_key for r in serial))

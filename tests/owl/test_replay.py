@@ -10,7 +10,7 @@ import os
 
 from repro.apps.registry import spec_by_name
 from repro.owl.cache import ResultCache
-from repro.owl.integration import run_detector
+from repro.owl.integration import run_detector, spec_job
 from repro.owl.pipeline import OwlPipeline
 from repro.owl.replay import (
     ReplaySource,
@@ -20,9 +20,16 @@ from repro.owl.replay import (
     log_path,
     record_program,
 )
+from repro.owl.sweep import Sweep, run_sweep
 from repro.runtime.diffcheck import compare_fingerprints
 
 from tests.owl.test_batch import _fingerprints
+
+
+def _record_sweep(spec, cache, seeds, record=False):
+    """The spec's detector over ``range(seeds)`` through ``cache``."""
+    job = spec_job(spec).replace(source=spec.module_factory, record=record)
+    return run_sweep(spec.build(), job, range(seeds), sweep=Sweep(cache=cache))
 
 
 class TestRecordProgram:
@@ -135,30 +142,18 @@ class TestPipelineReplay:
 
 class TestRecordModeCaching:
     def test_record_mode_returns_logs_and_warms_both_stages(self, tmp_path):
-        from repro.owl.batch import run_seeds_parallel
-
         spec = spec_by_name("libsafe")
         cache = ResultCache(str(tmp_path / "cache"))
-        logs = []
-        reports, stats = run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(4), max_steps=spec.max_steps, jobs=1,
-            cache=cache, record=True, logs_out=logs,
-        )
+        reports, runs = _record_sweep(spec, cache, 4, record=True)
+        logs = [run.log for run in runs]
         assert [log.seed for log in logs] == [0, 1, 2, 3]
         assert cache.stage_counters("detect")["stores"] == 4
         assert cache.stage_counters("record")["stores"] == 4
 
         # a warm re-run answers every seed from the cache, logs included
         cache2 = ResultCache(str(tmp_path / "cache"))
-        logs2 = []
-        reports2, _ = run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(4), max_steps=spec.max_steps, jobs=1,
-            cache=cache2, record=True, logs_out=logs2,
-        )
+        reports2, runs = _record_sweep(spec, cache2, 4, record=True)
+        logs2 = [run.log for run in runs]
         assert cache2.stage_counters("detect")["misses"] == 0
         assert cache2.stage_counters("record")["misses"] == 0
         assert [log.to_payload() for log in logs2] == \
@@ -167,50 +162,26 @@ class TestRecordModeCaching:
 
     def test_missing_log_entry_forces_live_rerun(self, tmp_path):
         """Warm detect entry + cold record entry must still yield a log."""
-        from repro.owl.batch import run_seeds_parallel
-
         spec = spec_by_name("libsafe")
         root = str(tmp_path / "cache")
         cache = ResultCache(root)
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=cache, record=True, logs_out=[],
-        )
+        _record_sweep(spec, cache, 2, record=True)
         # drop the record stage entirely; detect entries stay warm
         import shutil
         shutil.rmtree(os.path.join(root, "record"))
         cache2 = ResultCache(root)
-        logs = []
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=cache2, record=True, logs_out=logs,
-        )
+        _, runs = _record_sweep(spec, cache2, 2, record=True)
+        logs = [run.log for run in runs]
         assert [log.seed for log in logs] == [0, 1]
         assert cache2.stage_counters("record")["stores"] == 2
 
     def test_detect_entries_identical_with_and_without_record(self, tmp_path):
         """Recording must not perturb the detect stage's cache content."""
-        from repro.owl.batch import run_seeds_parallel
-
         spec = spec_by_name("libsafe")
         plain_root = str(tmp_path / "plain")
         record_root = str(tmp_path / "record")
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(plain_root),
-        )
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(record_root), record=True, logs_out=[],
-        )
+        _record_sweep(spec, ResultCache(plain_root), 2)
+        _record_sweep(spec, ResultCache(record_root), 2, record=True)
 
         def entries(root, stage):
             import json
@@ -228,16 +199,9 @@ class TestRecordModeCaching:
         assert entries(plain_root, "detect") == entries(record_root, "detect")
 
     def test_log_entries_smaller_than_detect_entries(self, tmp_path):
-        from repro.owl.batch import run_seeds_parallel
-
         spec = spec_by_name("memcached")
         root = str(tmp_path / "cache")
-        run_seeds_parallel(
-            spec.detector, spec.build(), spec.module_factory,
-            entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=range(2), max_steps=spec.max_steps, jobs=1,
-            cache=ResultCache(root), record=True, logs_out=[],
-        )
+        _record_sweep(spec, ResultCache(root), 2, record=True)
 
         def sizes(stage):
             stage_dir = os.path.join(root, stage)

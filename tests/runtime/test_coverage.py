@@ -1,6 +1,6 @@
 """Tests for interleaving-coverage tracking (repro.runtime.coverage)."""
 
-from repro.detectors.tsan import run_tsan_seed
+from repro.detectors.seed import SeedJob, run_seed
 from repro.runtime import RandomScheduler
 from repro.runtime.coverage import CoverageMap, SeedCoverage, SwitchTracker
 from tests.helpers import build_counter_race
@@ -80,10 +80,8 @@ class TestSeedCoverage:
 
     def test_from_run_collects_report_pairs_and_schedule(self):
         module = build_counter_race(iterations=3)
-        collected = []
-        reports, _, _ = run_tsan_seed(module, 1, coverage_out=collected)
-        assert len(collected) == 1
-        coverage = collected[0]
+        run = run_seed(SeedJob(seed=1, coverage=True), module=module)
+        reports, coverage = run.reports, run.coverage
         assert coverage.seed == 1
         assert coverage.pairs == {report.static_key for report in reports}
         assert coverage.signature  # a real schedule always switched
@@ -91,9 +89,8 @@ class TestSeedCoverage:
 
     def test_coverage_collection_does_not_change_reports(self):
         module = build_counter_race(iterations=3)
-        plain, _, _ = run_tsan_seed(module, 2)
-        collected = []
-        tracked, _, _ = run_tsan_seed(module, 2, coverage_out=collected)
+        plain = run_seed(SeedJob(seed=2), module=module).reports
+        tracked = run_seed(SeedJob(seed=2, coverage=True), module=module).reports
         assert [r.uid for r in plain] == [r.uid for r in tracked]
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.registry import spec_by_name
-from repro.detectors.tsan import run_tsan_seed
+from repro.detectors.seed import SeedJob, run_seed
 from repro.runtime.profiler import (
     DEFAULT_SAMPLE_INTERVAL,
     SamplingProfiler,
@@ -12,15 +12,16 @@ from repro.runtime.profiler import (
 )
 
 
+def _job(spec, seed=0, profile=None):
+    return SeedJob(seed=seed, entry=spec.entry, inputs=spec.workload_inputs,
+                   max_steps=spec.max_steps, profile=profile)
+
+
 def profile_seed(seed=0, interval=97, program="memcached"):
     spec = spec_by_name(program)
-    out = []
-    _, result, _ = run_tsan_seed(
-        spec.build(), seed, entry=spec.entry, inputs=spec.workload_inputs,
-        max_steps=spec.max_steps, profile_out=out, profile_interval=interval,
-    )
-    assert len(out) == 1
-    return out[0], result
+    run = run_seed(_job(spec, seed, profile=interval), module=spec.build())
+    assert run.profile is not None
+    return run.profile, run.stats
 
 
 class TestSeedProfile:
@@ -98,13 +99,10 @@ class TestSamplingProfiler:
 
     def test_profiling_leaves_schedule_and_reports_unchanged(self):
         spec = spec_by_name("memcached")
-        plain_reports, plain, _ = run_tsan_seed(
-            spec.build(), 0, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps)
-        sampled_reports, sampled, _ = run_tsan_seed(
-            spec.build(), 0, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps, profile_out=[], profile_interval=97)
-        assert sampled.steps == plain.steps
+        plain = run_seed(_job(spec), module=spec.build())
+        sampled = run_seed(_job(spec, profile=97), module=spec.build())
+        plain_reports, sampled_reports = plain.reports, sampled.reports
+        assert sampled.stats.steps == plain.stats.steps
         assert ([r.uid for r in sampled_reports.reports()]
                 == [r.uid for r in plain_reports.reports()])
 
@@ -114,10 +112,14 @@ class TestSamplingProfiler:
         assert len(profiles) >= 1  # all deterministic, possibly identical
 
     def test_default_interval_is_used_when_unspecified(self):
+        from repro.runtime.interpreter import VM
+        from repro.runtime.scheduler import RandomScheduler
+
         spec = spec_by_name("memcached")
-        out = []
-        _, result, _ = run_tsan_seed(
-            spec.build(), 0, entry=spec.entry, inputs=spec.workload_inputs,
-            max_steps=spec.max_steps, profile_out=out)
-        assert out[0].interval == DEFAULT_SAMPLE_INTERVAL
-        assert out[0].samples == result.steps // DEFAULT_SAMPLE_INTERVAL
+        profiler = SamplingProfiler(RandomScheduler(0))
+        vm = VM(spec.build(), scheduler=profiler, inputs=spec.workload_inputs,
+                max_steps=spec.max_steps, seed=0)
+        vm.start(spec.entry)
+        result = vm.run()
+        assert profiler.data.interval == DEFAULT_SAMPLE_INTERVAL
+        assert profiler.data.samples == result.steps // DEFAULT_SAMPLE_INTERVAL

@@ -115,18 +115,6 @@ class TestSnapshot:
 
 
 class TestObserverPublishing:
-    def test_trace_logger_publishes_record_and_drop_counts(self):
-        from repro.runtime.tracing import TraceLogger, TraceRecord
-
-        logger = TraceLogger(max_records=2)
-        for step in range(4):
-            logger._add(TraceRecord(step, 0, "read", "x = 1"))
-        registry = MetricsRegistry()
-        logger.publish(registry)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["tracing.records"] == 2
-        assert snapshot["counters"]["tracing.dropped_records"] == 2
-
     def test_span_tracer_publishes_record_count_as_gauge(self):
         from repro.runtime.spans import SpanTracer
 

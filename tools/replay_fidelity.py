@@ -36,10 +36,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro.apps.registry import all_specs, spec_by_name
-from repro.owl.batch import (
-    _detect_item_key, _detect_payload, _record_item_key, run_seeds_parallel,
-)
 from repro.owl.cache import ResultCache
+from repro.owl.integration import spec_job
+from repro.owl.sweep import Sweep, run_sweep
 from repro.owl.replay import _spec_world, record_program
 from repro.runtime.diffcheck import compare_fingerprints
 from repro.runtime.metrics import PipelineMetrics, RunStats
@@ -77,11 +76,10 @@ def check_fidelity(spec, seeds, record_dir):
     the :class:`ReplaySource` with its divergence counters filled in and
     ``mismatches`` the list of fingerprint :class:`Divergence` objects.
     """
-    if spec.detector == "ski":
-        from repro.detectors.ski import SkiDetector as detector_cls
-    else:
-        from repro.detectors.tsan import TSanDetector as detector_cls
     from repro.detectors.report import ReportSet
+    from repro.detectors.seed import DETECTORS
+
+    detector_cls = DETECTORS[spec.detector]
 
     out_dir = os.path.join(record_dir, spec.name)
     source = record_program(spec, seeds=seeds, out_dir=out_dir,
@@ -111,29 +109,23 @@ def check_fidelity(spec, seeds, record_dir):
 def check_entry_sizes(spec, seeds, cache_root):
     """Per-seed (record entry bytes, detect entry bytes) via the cache.
 
-    Runs the seed sweep once through :func:`run_seeds_parallel` in record
-    mode, warming both cache stages, then measures each pair of entries.
+    Runs the seed sweep once in record mode through the result cache,
+    warming both stages, then measures each pair of entries (both are
+    keyed by the same :class:`repro.detectors.seed.SeedJob`).
     """
-    cache = ResultCache(cache_root)
+    sweep = Sweep(cache=ResultCache(cache_root))
     module = spec.build()
-    logs = []
-    run_seeds_parallel(
-        spec.detector, module, spec.module_factory, entry=spec.entry,
-        inputs=spec.workload_inputs, seeds=seeds, max_steps=spec.max_steps,
-        jobs=1, cache=cache, record=True, logs_out=logs,
-    )
+    job = spec_job(spec).replace(source=spec.module_factory, record=True)
+    _, runs = run_sweep(module, job, seeds, sweep=sweep)
     pairs = []
-    for seed in seeds:
-        payload = _detect_payload(
-            spec.detector, spec.module_factory, seed, spec.entry,
-            spec.workload_inputs, None, spec.max_steps, 3, ())
-        detect_path = cache._path(
-            "detect", _detect_item_key(cache, module, payload))
-        record_path = cache._path(
-            "record", _record_item_key(cache, module, payload))
+    for run in runs:
+        detect_path = sweep.cache._path(
+            "detect", sweep.key("detect", module, run.job))
+        record_path = sweep.cache._path(
+            "record", sweep.key("record", module, run.job))
         pairs.append((os.path.getsize(record_path),
                       os.path.getsize(detect_path)))
-    return pairs, len(logs)
+    return pairs, sum(1 for run in runs if run.log is not None)
 
 
 def save_metrics(spec, source, replay_seconds, out_dir):
