@@ -46,8 +46,9 @@ class _PipelineCache:
 
     def result(self, name: str):
         if name not in self._results:
+            from repro import jsonl
             from repro.owl.history import (
-                append_record, default_history_path, record_from_metrics,
+                default_history_path, record_from_metrics,
             )
             from repro.owl.pipeline import OwlPipeline
             from repro.owl.provenance import provenance_path
@@ -56,8 +57,9 @@ class _PipelineCache:
             result = OwlPipeline(self.spec(name), jobs=self.jobs).run()
             result.metrics.save(metrics_path(OUT_DIR, name))
             result.provenance.save(provenance_path(OUT_DIR, name))
-            append_record(record_from_metrics(result.metrics.as_dict()),
-                          default_history_path(OUT_DIR))
+            jsonl.write(default_history_path(OUT_DIR),
+                        [record_from_metrics(result.metrics.as_dict())],
+                        append=True)
             self._results[name] = result
         return self._results[name]
 

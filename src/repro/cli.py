@@ -27,12 +27,12 @@ Commands:
   patch is emitted only when the diff oracle, the detector re-run, and
   the scheduler sweep all pass; ``--out DIR`` writes one patch+evidence
   JSON artifact per repaired race.
-- ``owl resume <program>`` — finish an interrupted ``--cache`` run from
-  its journal (completed work is answered from the result cache).
-- ``owl watch <feed>`` — follow a run's live event feed (``tail -f`` for
-  the pipeline); attach before or during the run.
-- ``owl status <out-dir>`` — one-line summary per feed found under a
-  directory: which runs completed, which are mid-stage.
+- ``owl resume <program>`` — finish an interrupted run from its run log
+  (completed work is answered from the result cache).
+- ``owl watch <log>`` — follow a run's log live (``tail -f`` for the
+  pipeline); attach before or during the run.
+- ``owl status <dir>`` — one-line summary per run log found under a
+  directory: which runs completed, which stopped mid-stage.
 - ``owl study`` — print the section-3 study findings.
 - ``owl list`` — list available targets and attack ids.
 
@@ -46,7 +46,8 @@ coverage-guided exploration, ``--predict`` (with ``--optimistic``/
 only spend budget on interleavings prediction could not decide,
 ``--profile`` (with ``--profile-interval``/
 ``--profile-out``) to sample the VM call stack during detection,
-``--feed PATH`` to stream progress events for ``owl watch``, and
+``--log PATH`` to write the run log (``--cache`` runs log to
+``<cache-dir>/run_<program>.jsonl`` by default), and
 ``--history [PATH]`` to append the run's trajectory record for
 ``tools/bench_regress.py`` (see ``docs/OPERATIONS.md`` for the runbook).
 """
@@ -58,25 +59,29 @@ import sys
 from typing import List, Optional
 
 
-def _make_pipeline(spec, args, journal_config=None):
+def _make_pipeline(spec, args, export_path=None):
     """An :class:`OwlPipeline` configured from the shared CLI flags.
 
-    Returns ``(pipeline, cache, journal)``; ``cache``/``journal`` are None
-    unless ``--cache`` was given.
+    Returns ``(pipeline, cache, log)``; ``cache`` is None unless
+    ``--cache`` was given, ``log`` unless ``--log`` or ``--cache`` was.
     """
     from repro import OwlPipeline
     from repro.owl.batch import BatchPolicy
     from repro.owl.cache import ResultCache
-    from repro.owl.journal import BatchJournal, journal_path
+    from repro.owl.runlog import RunLog, runlog_path
 
     policy = BatchPolicy(
         timeout=getattr(args, "item_timeout", None),
         retries=getattr(args, "retries", 2),
     )
-    cache = journal = None
+    cache = log = None
+    log_path = getattr(args, "log", None)
     if getattr(args, "cache", False):
         cache = ResultCache(args.cache_dir)
-        journal = BatchJournal(journal_path(args.cache_dir, spec.name))
+        log_path = log_path or runlog_path(args.cache_dir, spec.name)
+    if log_path:
+        log = RunLog(log_path, export_path=export_path,
+                     metrics_path=args.metrics)
     explore = None
     if getattr(args, "explore", False) or getattr(args, "predict", False):
         from repro.detectors.predict import PredictPolicy
@@ -97,25 +102,22 @@ def _make_pipeline(spec, args, journal_config=None):
 
         profile = (getattr(args, "profile_interval", None)
                    or DEFAULT_SAMPLE_INTERVAL)
-    feed = None
-    if getattr(args, "feed", None):
-        from repro.owl.stream import EventFeed
-
-        feed = EventFeed(args.feed)
     pipeline = OwlPipeline(
-        spec, jobs=args.jobs, cache=cache, policy=policy,
-        journal=journal, journal_config=journal_config or {},
-        explore=explore, profile=profile, feed=feed,
+        spec, jobs=args.jobs, cache=cache, policy=policy, log=log,
+        explore=explore, profile=profile,
         fuse=getattr(args, "fuse", False),
     )
-    return pipeline, cache, journal
+    return pipeline, cache, log
 
 
-def _finish_cached_run(cache, journal) -> None:
+def _finish_cached_run(cache, log) -> None:
     if cache is not None:
         print(cache.describe())
-    if journal is not None:
-        journal.close()
+    if log is not None:
+        log.close()
+        if log.write_errors:
+            print("run log %s: %d write error(s); logging stopped at the "
+                  "first" % (log.path, log.write_errors), file=sys.stderr)
 
 
 def _finish_telemetry(result, args) -> None:
@@ -135,10 +137,11 @@ def _finish_telemetry(result, args) -> None:
                   "or speedscope)" % out)
     history = getattr(args, "history", None)
     if history:
-        from repro.owl.history import append_record, record_from_metrics
+        from repro import jsonl
+        from repro.owl.history import record_from_metrics
 
         record = record_from_metrics(result.metrics.as_dict())
-        append_record(record, history)
+        jsonl.write(history, [record], append=True)
         print("history record appended to %s (steps/s: %s)" % (
             history, record["steps_per_second"]))
 
@@ -170,8 +173,7 @@ def _cmd_detect(args) -> int:
     from repro.owl.hints import format_full_report
 
     spec = spec_by_name(args.program)
-    pipeline, cache, journal = _make_pipeline(
-        spec, args, journal_config={"metrics_path": args.metrics})
+    pipeline, cache, log = _make_pipeline(spec, args)
     result = pipeline.run()
     counters = result.counters
     print("== OWL pipeline: %s ==" % spec.name)
@@ -204,7 +206,7 @@ def _cmd_detect(args) -> int:
     if args.trace:
         _save_trace(result, args.trace)
     _finish_telemetry(result, args)
-    _finish_cached_run(cache, journal)
+    _finish_cached_run(cache, log)
     print()
     print(result.metrics.describe())
     return 0
@@ -239,10 +241,7 @@ def _cmd_export(args) -> int:
     from repro.owl.export import save_result
 
     spec = spec_by_name(args.program)
-    pipeline, cache, journal = _make_pipeline(
-        spec, args,
-        journal_config={"export_path": args.path,
-                        "metrics_path": args.metrics})
+    pipeline, cache, log = _make_pipeline(spec, args, export_path=args.path)
     result = pipeline.run()
     save_result(result, args.path)
     print("wrote %s (%d vulnerability reports, %d realized attacks)" % (
@@ -255,7 +254,7 @@ def _cmd_export(args) -> int:
     if args.trace:
         _save_trace(result, args.trace)
     _finish_telemetry(result, args)
-    _finish_cached_run(cache, journal)
+    _finish_cached_run(cache, log)
     return 0
 
 
@@ -267,8 +266,7 @@ def _cmd_fix(args) -> int:
     from repro.owl.repair import merge_repair_telemetry, repair_program
 
     spec = spec_by_name(args.program)
-    pipeline, cache, journal = _make_pipeline(
-        spec, args, journal_config={"metrics_path": args.metrics})
+    pipeline, cache, log = _make_pipeline(spec, args)
     result = pipeline.run()
     repair = repair_program(
         spec, result=result,
@@ -277,7 +275,7 @@ def _cmd_fix(args) -> int:
         include_adhoc=args.include_adhoc,
         cache=cache,
     )
-    result.metrics.repair = repair.metrics_block()
+    result.metrics.blocks["repair"] = repair.metrics_block()
     merge_repair_telemetry(result, repair)
     print("== OWL fix: %s ==" % spec.name)
     print(repair.describe())
@@ -293,7 +291,7 @@ def _cmd_fix(args) -> int:
     if args.metrics:
         result.metrics.save(args.metrics)
         print("metrics written to %s" % args.metrics)
-    _finish_cached_run(cache, journal)
+    _finish_cached_run(cache, log)
     if repair.targets and not repair.emitted:
         print("no candidate survived all three gates", file=sys.stderr)
         return 1
@@ -302,30 +300,32 @@ def _cmd_fix(args) -> int:
 
 def _cmd_resume(args) -> int:
     from repro.owl.cache import DEFAULT_CACHE_DIR
-    from repro.owl.journal import journal_path, load_journal, resume
+    from repro.owl.runlog import load_run, resume, runlog_path
 
-    cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    path = args.journal or journal_path(cache_dir, args.program)
+    path = args.log or runlog_path(args.cache_dir or DEFAULT_CACHE_DIR,
+                                   args.program)
     try:
-        state = load_journal(path)
-    except FileNotFoundError:
-        print("no journal at %s — nothing to resume (run with --cache "
-              "first)" % path, file=sys.stderr)
+        state = load_run(path)
+    except ValueError as error:
+        print("owl resume: %s" % error, file=sys.stderr)
         return 1
+    if not state.begun:
+        print("no run at %s — nothing to resume (run with --cache or "
+              "--log first)" % path, file=sys.stderr)
+        return 1
+    print("%s:\n  %s" % (path, state.summary()))
     if state.completed:
-        print(state.describe())
         print("run already completed; nothing to resume")
         return 0
-    result, state = resume(path, jobs=args.jobs)
-    print(state.describe())
+    result, _ = resume(path, jobs=args.jobs)
     print()
     counters = result.counters
     print("resumed run finished: %d raw reports, %d remaining, "
           "%d realized attacks" % (
               counters.raw_reports, counters.remaining,
               len(result.realized_attacks())))
-    if result.metrics is not None and result.metrics.cache is not None:
-        block = result.metrics.cache
+    block = result.metrics.blocks.get("cache")
+    if block is not None:
         print("cache: %d hits, %d misses, %d stored" % (
             block["hits"], block["misses"], block["stores"]))
     return 0
@@ -410,61 +410,51 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_watch(args) -> int:
-    from repro.owl.stream import follow_feed, render_event
+    from repro import jsonl
+    from repro.owl.runlog import RunState, render_event
 
-    print("watching %s (ctrl-c to stop)" % args.feed)
-    saw_end = False
+    print("watching %s (ctrl-c to stop)" % args.log)
+    state = RunState(args.log)
     try:
-        for event in follow_feed(args.feed, poll=args.poll,
-                                 timeout=args.timeout):
+        for event in jsonl.follow(args.log, poll=args.poll,
+                                  timeout=args.timeout):
+            state.absorb(event)
             line = render_event(event)
             if line is not None:
                 print(line, flush=True)
-            saw_end = saw_end or event.get("event") == "run_end"
+            if state.completed:
+                return 0
+    except ValueError as error:
+        print("owl watch: %s" % error, file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         return 130
     except BrokenPipeError:  # `owl watch ... | head` is a normal usage
         return 0
-    if not saw_end:
-        print("feed went quiet without a run_end event (timeout %ss)"
-              % args.timeout, file=sys.stderr)
-        return 1
-    return 0
+    print("run log went quiet without a run_end event (timeout %ss)"
+          % args.timeout, file=sys.stderr)
+    return 1
 
 
 def _cmd_status(args) -> int:
     import glob
     import os
 
-    from repro.owl.stream import read_feed
+    from repro.owl.runlog import load_run
 
-    paths = sorted(glob.glob(os.path.join(args.out_dir, "feed_*.jsonl")))
+    paths = sorted(glob.glob(os.path.join(args.out_dir, "run_*.jsonl")))
     if not paths:
-        print("no feeds under %s (run with --feed to stream progress)"
+        print("no run logs under %s (run with --log or --cache)"
               % args.out_dir, file=sys.stderr)
         return 1
+    failed = 0
     for path in paths:
-        events = read_feed(path)
-        if not events:
-            print("%-36s empty feed" % os.path.basename(path))
-            continue
-        begin = events[0] if events[0].get("event") == "run_begin" else {}
-        last = events[-1]
-        program = begin.get("program") or os.path.basename(path)
-        seeds = sum(1 for e in events if e.get("event") == "seed_done")
-        waves = sum(1 for e in events if e.get("event") == "wave_done")
-        if last.get("event") == "run_end":
-            state = "complete: %s raw -> %s remaining, %s attacks" % (
-                last.get("raw_reports"), last.get("remaining"),
-                last.get("attacks"))
-        else:
-            stages = [e["stage"] for e in events
-                      if e.get("event") == "stage_begin"]
-            state = "running (stage %s)" % (stages[-1] if stages else "?")
-        extras = "  seeds=%d" % seeds + ("  waves=%d" % waves if waves else "")
-        print("%-14s jobs=%-3s %s%s" % (
-            program, begin.get("jobs", "?"), state, extras))
-    return 0
+        try:
+            print(load_run(path).summary())
+        except ValueError as error:
+            print("owl status: %s" % error, file=sys.stderr)
+            failed = 1
+    return failed
 
 
 def _cmd_predict(args) -> int:
@@ -661,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--cache", dest="cache", action="store_true", default=False,
             help="reuse stage results from the on-disk result cache and "
-                 "journal progress for `owl resume`")
+                 "log progress to <cache-dir>/run_<program>.jsonl for "
+                 "`owl resume`")
         command.add_argument(
             "--no-cache", dest="cache", action="store_false",
             help="run everything fresh (the default)")
@@ -715,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--fuse", dest="fuse", action="store_true", default=False,
             help="compile hot basic blocks into fused superinstructions "
                  "for the detector stages (same events, faults and "
-                 "schedules — only steps/s changes; see the schema-8 "
+                 "schedules — only steps/s changes; see the "
                  "metrics `fuse` block)")
         command.add_argument(
             "--no-fuse", dest="fuse", action="store_false",
@@ -743,9 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile-top", type=int, default=10, metavar="N",
             help="rows in the printed hot-function table (default: 10)")
         command.add_argument(
-            "--feed", metavar="PATH", default=None,
-            help="stream progress events to a JSON-lines feed at PATH "
-                 "(follow with `owl watch PATH`)")
+            "--log", metavar="PATH", default=None,
+            help="write the run log (progress events) to PATH; follow it "
+                 "with `owl watch PATH`")
         command.add_argument(
             "--history", metavar="PATH", nargs="?", default=None,
             const=default_history_path(),
@@ -804,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write one patch+evidence JSON artifact per "
                           "repaired race under DIR")
     fix.add_argument("--metrics", metavar="PATH", default=None,
-                     help="write the run's metrics JSON (schema 9, with "
+                     help="write the run's metrics JSON (with "
                           "the `repair` block) to PATH")
     fix.add_argument("--sweep-seeds", type=int, default=3, metavar="N",
                      help="seeds 0..N-1 for the gate (c) scheduler sweep "
@@ -819,15 +810,15 @@ def build_parser() -> argparse.ArgumentParser:
     fix.set_defaults(func=_cmd_fix)
     resume = sub.add_parser(
         "resume",
-        help="finish an interrupted --cache run from its journal")
+        help="finish an interrupted run from its run log")
     resume.add_argument("program")
-    resume.add_argument("--journal", metavar="PATH", default=None,
-                        help="journal file (default: "
-                             "<cache-dir>/journal_<program>.jsonl)")
+    resume.add_argument("--log", metavar="PATH", default=None,
+                        help="run log (default: "
+                             "<cache-dir>/run_<program>.jsonl)")
     resume.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="cache root the interrupted run used")
     resume.add_argument("--jobs", type=int, default=None,
-                        help="override the journaled job count")
+                        help="override the logged job count")
     resume.set_defaults(func=_cmd_resume)
     trace = sub.add_parser(
         "trace", help="run the pipeline with span tracing, save trace files")
@@ -846,8 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "race_verification)")
     trace.set_defaults(func=_cmd_trace)
     watch = sub.add_parser(
-        "watch", help="follow a run's live event feed (tail -f)")
-    watch.add_argument("feed", help="feed path (the run's --feed PATH)")
+        "watch", help="follow a run's log live (tail -f)")
+    watch.add_argument("log", help="run log path (the run's --log PATH)")
     watch.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
                        help="poll interval (default: 0.2)")
     watch.add_argument("--timeout", type=float, default=None,
@@ -856,8 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: wait forever)")
     watch.set_defaults(func=_cmd_watch)
     status = sub.add_parser(
-        "status", help="summarize the run feeds under a directory")
-    status.add_argument("out_dir", help="directory holding feed_*.jsonl")
+        "status", help="summarize the run logs under a directory")
+    status.add_argument("out_dir", help="directory holding run_*.jsonl")
     status.set_defaults(func=_cmd_status)
     explain = sub.add_parser(
         "explain",
@@ -920,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "benchmarks/out/records/<program>; the "
                               "seed is recorded there if absent)")
     predict.add_argument("--metrics", metavar="PATH", default=None,
-                         help="write the prediction's schema-7 predict "
+                         help="write the prediction's predict "
                               "block as JSON to PATH")
     predict.set_defaults(func=_cmd_predict)
     sub.add_parser("study", help="print the study findings").set_defaults(

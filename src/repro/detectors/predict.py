@@ -549,7 +549,7 @@ class PredictionResult:
         return reports
 
     def metrics_block(self) -> Dict:
-        """The metrics-JSON ``"predict"`` block (schema 7).
+        """The metrics-JSON ``"predict"`` block.
 
         Deterministic given the log — no wall clock — so jobs=1 and
         jobs=N runs serialize bit-identically.

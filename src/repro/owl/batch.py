@@ -169,7 +169,7 @@ class BatchPolicy:
     supervises (one policy serves a whole pipeline run); they live in a
     :class:`repro.runtime.telemetry.MetricsRegistry` (``batch.*`` names,
     an injected pipeline-wide registry or a private one) and surface in
-    the metrics JSON as the ``"batch"`` block (schema 2).
+    the metrics JSON as the ``"batch"`` block.
     """
 
     def __init__(self, timeout: Optional[float] = None, retries: int = 2,
@@ -205,7 +205,7 @@ class BatchPolicy:
         return self._serial_fallbacks.value
 
     def counters(self) -> Dict:
-        """The metrics-JSON ``"batch"`` block (schema 2)."""
+        """The metrics-JSON ``"batch"`` block."""
         return {
             "timeout_seconds": self.timeout,
             "retry_budget": self.retries,
@@ -437,12 +437,12 @@ def verify_races_batch(
     tracer: Optional[SpanTracer] = None,
     cache=None,
     policy: Optional[BatchPolicy] = None,
-    feed=None,
+    log=None,
 ) -> List[RaceVerification]:
     """Verify each report in its own worker; results keep report order.
 
-    ``feed``, when given an :class:`repro.owl.stream.EventFeed`, receives
-    one ``item_done`` event per report in report order (batch path only).
+    ``log`` (:class:`repro.owl.runlog.RunLog`) receives one ``item_done``
+    event per report, in report order, on every path.
     """
     reports = list(reports)
     if not reports:
@@ -455,31 +455,34 @@ def verify_races_batch(
             vm_factory=lambda seed: spec.make_vm(seed),
             tracer=tracer,
         )
-        return verifier.verify_all(reports)
-    outputs = _verify_items(
-        _race_verify_worker, "race_verify", spec, "report",
-        [report_to_payload(report) for report in reports],
-        jobs, executor, cache, policy,
-    )
-    outcomes: List[RaceVerification] = []
-    for index, output in enumerate(outputs):  # report order, always
-        report = reports[index]
-        hints = (
-            SecurityHints(**output["hints"])
-            if output["hints"] is not None else None
+        outcomes = verifier.verify_all(reports)
+        cached = [False] * len(outcomes)
+    else:
+        outputs = _verify_items(
+            _race_verify_worker, "race_verify", spec, "report",
+            [report_to_payload(report) for report in reports],
+            jobs, executor, cache, policy,
         )
-        if output["verified"]:
-            report.tags[DynamicRaceVerifier.TAG] = hints
-        outcomes.append(RaceVerification(
-            report, output["verified"], hints, output["runs_used"],
-            output["livelocks_resolved"],
-        ))
-        if feed is not None:
-            feed.item_done(stage="race_verification", index=index,
-                           item=report.uid, verified=output["verified"],
-                           cached=bool(output.get("cached")))
-        adopt_spans(tracer, output, "verify_report", report=report.uid,
-                    cached=True, verified=output["verified"])
+        outcomes = []
+        for report, output in zip(reports, outputs):  # report order, always
+            hints = (
+                SecurityHints(**output["hints"])
+                if output["hints"] is not None else None
+            )
+            if output["verified"]:
+                report.tags[DynamicRaceVerifier.TAG] = hints
+            outcomes.append(RaceVerification(
+                report, output["verified"], hints, output["runs_used"],
+                output["livelocks_resolved"],
+            ))
+            adopt_spans(tracer, output, "verify_report", report=report.uid,
+                        cached=True, verified=output["verified"])
+        cached = [bool(output.get("cached")) for output in outputs]
+    if log is not None:
+        for index, outcome in enumerate(outcomes):
+            log.emit("item_done", stage="race_verification", index=index,
+                     item=outcome.report.uid, verified=outcome.verified,
+                     cached=cached[index])
     return outcomes
 
 
@@ -532,7 +535,7 @@ def verify_vulns_batch(
     tracer: Optional[SpanTracer] = None,
     cache=None,
     policy: Optional[BatchPolicy] = None,
-    feed=None,
+    log=None,
 ) -> List[Tuple[VulnVerification, Optional[AttackGroundTruth]]]:
     """Verify each vulnerability in its own worker; results keep input order.
 
@@ -540,43 +543,52 @@ def verify_vulns_batch(
     the registry spec's attacks — deterministic), so subtle inputs, racing
     order and attack predicates never cross the process boundary; the
     parent re-matches against its own spec for the returned pairing.
+    ``log`` receives one ``item_done`` event per vulnerability, in input
+    order, on every path.
     """
     vulnerabilities = list(vulnerabilities)
     if not vulnerabilities:
         return []
     if not can_parallelize(spec) or (
             jobs <= 1 and executor is None and cache is None):
-        return [
+        outcomes = [
             _verify_vuln_serial(spec, vulnerability, tracer=tracer)
             for vulnerability in vulnerabilities
         ]
-    module = spec.build()
-    outputs = _verify_items(
-        _vuln_verify_worker, "vuln_verify", spec, "vuln",
-        [vuln_to_payload(vulnerability) for vulnerability in vulnerabilities],
-        jobs, executor, cache, policy,
-    )
-    outcomes: List[Tuple[VulnVerification, Optional[AttackGroundTruth]]] = []
-    for index, output in enumerate(outputs):  # vulnerability order, always
-        vulnerability = vulnerabilities[index]
-        ground_truth = spec.attack_for_site(vulnerability.site.location)
-        verification = VulnVerification(
-            vulnerability,
-            output["site_reached"],
-            output["attack_realized"],
-            [module.instruction_by_uid(uid) for uid in output["diverged"]],
-            [FaultKind(value) for value in output["faults"]],
-            output["runs_used"],
+        cached = [False] * len(outcomes)
+    else:
+        module = spec.build()
+        outputs = _verify_items(
+            _vuln_verify_worker, "vuln_verify", spec, "vuln",
+            [vuln_to_payload(vulnerability)
+             for vulnerability in vulnerabilities],
+            jobs, executor, cache, policy,
         )
-        outcomes.append((verification, ground_truth))
-        if feed is not None:
-            feed.item_done(stage="vulnerability_verification", index=index,
-                           item=str(vulnerability.site.location),
-                           realized=output["attack_realized"],
-                           cached=bool(output.get("cached")))
-        adopt_spans(tracer, output, "verify_vulnerability",
-                    site=str(vulnerability.site.location), cached=True,
-                    realized=output["attack_realized"])
+        outcomes = []
+        # vulnerability order, always
+        for vulnerability, output in zip(vulnerabilities, outputs):
+            ground_truth = spec.attack_for_site(vulnerability.site.location)
+            verification = VulnVerification(
+                vulnerability,
+                output["site_reached"],
+                output["attack_realized"],
+                [module.instruction_by_uid(uid)
+                 for uid in output["diverged"]],
+                [FaultKind(value) for value in output["faults"]],
+                output["runs_used"],
+            )
+            outcomes.append((verification, ground_truth))
+            adopt_spans(tracer, output, "verify_vulnerability",
+                        site=str(vulnerability.site.location), cached=True,
+                        realized=output["attack_realized"])
+        cached = [bool(output.get("cached")) for output in outputs]
+    if log is not None:
+        for index, (verification, _) in enumerate(outcomes):
+            log.emit("item_done", stage="vulnerability_verification",
+                     index=index,
+                     item=str(verification.vulnerability.site.location),
+                     realized=verification.attack_realized,
+                     cached=cached[index])
     return outcomes
 
 

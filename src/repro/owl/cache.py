@@ -124,11 +124,7 @@ class ResultCache:
 
     One instance serves a whole pipeline run (or many); per-stage hit,
     miss and store counters accumulate for the metrics JSON
-    (``"cache"`` block, schema 2).  An optional
-    :class:`repro.owl.journal.BatchJournal` attached via
-    :attr:`journal` receives one completion record per item that lands in
-    the cache (fresh store or warm hit) — the breadcrumbs ``owl resume``
-    follows.
+    (``"cache"`` block).
     """
 
     def __init__(self, root: str = DEFAULT_CACHE_DIR,
@@ -137,7 +133,6 @@ class ResultCache:
 
         self.root = root
         self.version = version if version is not None else code_version()
-        self.journal = None
         #: Hit/miss/store counters live in a telemetry registry
         #: (``cache.<stage>.<what>`` names) — an injected pipeline-wide
         #: one, or a private one — so snapshots carry them for free.
@@ -202,8 +197,6 @@ class ResultCache:
             self._count(stage, "misses")
             return None
         self._count(stage, "hits")
-        if self.journal is not None:
-            self.journal.record(stage, key, "hit")
         return envelope["value"]
 
     def put(self, stage: str, key: str, value) -> Optional[str]:
@@ -247,8 +240,6 @@ class ResultCache:
             self._count(stage, "store_errors")
             return None
         self._count(stage, "stores")
-        if self.journal is not None:
-            self.journal.record(stage, key, "done")
         return path
 
     @staticmethod
@@ -294,7 +285,7 @@ class ResultCache:
                 for what in ("hits", "misses", "stores", "store_errors")}
 
     def counters(self) -> Dict:
-        """The metrics-JSON ``"cache"`` block (schema 2)."""
+        """The metrics-JSON ``"cache"`` block."""
         return {
             "root": self.root,
             "code_version": self.version,

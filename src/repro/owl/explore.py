@@ -184,7 +184,7 @@ class ExplorationResult:
         return self.policy.max_seeds - self.seeds_executed
 
     def metrics_block(self) -> Dict:
-        """The metrics-JSON ``"explore"`` block (schema 3)."""
+        """The metrics-JSON ``"explore"`` block."""
         return {
             "detector": self.kind,
             "policy": self.policy.as_dict(),
@@ -291,7 +291,7 @@ def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
     are the prefix of the blind sweep's ``range()`` under the same base
     family, so a run that saturates before escalating finds exactly the
     fixed prefix's races.  The :class:`ExplorationResult` is appended to
-    ``explore.history``; ``sweep.feed`` gets one ``wave_done`` per wave.
+    ``explore.history``; ``sweep.log`` gets one ``wave_done`` per wave.
 
     Every job tracks coverage through the
     :class:`repro.runtime.coverage.SwitchTracker` wrapper, which forces
@@ -354,9 +354,9 @@ def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
             result.coverage.distinct_schedules - signatures_before,
             result.coverage.total_pairs, escalated=escalated,
         ))
-        if sweep.feed is not None:
-            sweep.feed.wave_done(
-                index=len(result.waves) - 1, seeds=wave_seeds,
+        if sweep.log is not None:
+            sweep.log.emit(
+                "wave_done", index=len(result.waves) - 1, seeds=wave_seeds,
                 scheduler=scheduler, depth=wave_depth, new_pairs=new_pairs,
                 total_pairs=result.coverage.total_pairs,
                 dry=new_pairs == 0, escalated=escalated,

@@ -87,7 +87,7 @@ def result_to_dict(result: PipelineResult) -> Dict:
             result.provenance.as_dict() if result.provenance else None
         ),
         "cache": (
-            result.metrics.cache
+            result.metrics.blocks.get("cache")
             if result.metrics is not None else None
         ),
     }

@@ -4,10 +4,10 @@ A single metrics file (:mod:`repro.runtime.metrics`) is a snapshot; the
 questions that matter across PRs — "is the VM getting faster?", "did the
 cache hit rate fall off a cliff?", "are the Table 3 counters drifting?" —
 need a *trajectory*.  Every pipeline/benchmark run appends one compact
-record to ``benchmarks/out/history.jsonl``: program, throughput, per-stage
-wall time, cache hit rate, the parity counters, and the git revision that
-produced it.  ``tools/bench_regress.py`` reads the tail of this file and
-gates CI on it.
+record to ``benchmarks/out/history.jsonl`` (through :mod:`repro.jsonl`):
+program, throughput, per-stage wall time, cache hit rate, the parity
+counters, and the git revision that produced it.  ``tools/bench_regress.py``
+reads the tail of this file and gates CI on it.
 
 Records derive from the metrics JSON (any supported schema), so old
 metrics files can be backfilled with :func:`record_from_metrics`.  Wall
@@ -18,19 +18,16 @@ same revision must agree on it bit-for-bit regardless of job count.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "HISTORY_SCHEMA",
     "default_history_path",
     "git_revision",
     "record_from_metrics",
-    "append_record",
-    "load_history",
 ]
 
 #: Version stamped into every history record.
@@ -110,29 +107,3 @@ def record_from_metrics(data: Dict, timestamp: Optional[float] = None,
     }
     return record
 
-
-def append_record(record: Dict, path: str) -> str:
-    """Append one record to the history file (created on first use)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-    return path
-
-
-def load_history(path: str) -> List[Dict]:
-    """All records in a history file; torn/blank lines are skipped."""
-    records: List[Dict] = []
-    try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue
-    except FileNotFoundError:
-        pass
-    return records

@@ -141,7 +141,7 @@ class PipelineResult:
         #: :class:`repro.detectors.predict.PredictionResult` when
         #: exploration ran with a predict policy.
         self.predict = None
-        #: The run's deterministic telemetry snapshot (schema-6
+        #: The run's deterministic telemetry snapshot (the metrics
         #: ``"telemetry"`` block): job-count-invariant counters, gauges
         #: and histograms assembled from every layer.
         self.telemetry: Optional[Dict] = None
@@ -191,17 +191,14 @@ class OwlPipeline:
     previous run — bit-identical counters and provenance, zero VM
     re-execution for unchanged work.  ``policy``
     (:class:`repro.owl.batch.BatchPolicy`) adds per-item timeout/retry
-    fault tolerance to the pooled stages, and ``journal``
-    (:class:`repro.owl.journal.BatchJournal`) records progress so
-    ``owl resume`` can finish an interrupted run; both contribute blocks
-    to the schema-2 metrics JSON.
+    fault tolerance to the pooled stages; both contribute metrics blocks.
 
     An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
     replaces the detect stages' blind ``detect_seeds`` sweep with
     coverage-guided adaptive budgeting: seeds run in waves until
     interleaving coverage saturates, escalating the schedule family when a
     wave goes dry.  The detect stage's saturation curve lands in the
-    schema-3 metrics JSON (``"explore"`` block) and on
+    metrics JSON (``"explore"`` block) and on
     ``result.explore``; exploration decisions depend only on seed-ordered
     coverage merges, so counters stay job-count invariant.
 
@@ -211,13 +208,13 @@ class OwlPipeline:
     the spec's detector attached, and the annotated re-run replays the
     *same* logs with an annotation-aware detector (annotations only change
     what the observer reports, never the schedule).  Replay bookkeeping
-    lands in the schema-5 metrics JSON (``"replay"`` block); replay is
+    lands in the metrics JSON (``"replay"`` block); replay is
     mutually exclusive with ``explore``.
 
     An ``explore`` policy with a ``predict`` policy
     (:class:`repro.detectors.predict.PredictPolicy`) makes wave 0 a
     predict wave (see :mod:`repro.owl.explore`); the prediction lands in
-    the schema-7 metrics ``"predict"`` block and on ``result.predict``,
+    the metrics ``"predict"`` block and on ``result.predict``,
     and predicted-only reports carry the ``predicted`` disposition.
 
     Both detector stages run through one :class:`repro.owl.sweep.Sweep`
@@ -229,22 +226,22 @@ class OwlPipeline:
     seeds and stages.  Fusion never changes results — schedules, events,
     reports, coverage, logs and the Table-3 ``parity_dict`` are
     bit-identical with it on or off, at any job count — so only steps/s
-    moves; the engine's counters land in the schema-8 metrics ``fuse``
+    moves; the engine's counters land in the metrics ``fuse``
     block and a ``fuse.enabled`` telemetry counter.  Ignored under
     ``replay`` (scripted decisions force stepwise execution anyway).
 
     Every run assembles a deterministic **telemetry snapshot**
     (:mod:`repro.runtime.telemetry`): stage/work counters, per-seed step
     and report histograms, the cache's and batch policy's registries, the
-    span count — everything job-count invariant — into the schema-6
+    span count — everything job-count invariant — into the
     metrics JSON ``"telemetry"`` block and ``result.telemetry``.
     ``profile=K`` additionally samples the detector stages' VMs every K
     scheduler decisions (:mod:`repro.runtime.profiler`; live runs only —
     off by default, zero overhead when off), merging per-seed profiles in
-    seed order into ``result.profile``.  ``feed``
-    (:class:`repro.owl.stream.EventFeed`) streams structured progress
-    events — stages, seeds, waves, verification items — as the run
-    executes, for ``owl watch``.
+    seed order into ``result.profile``.  ``log``
+    (:class:`repro.owl.runlog.RunLog`) records the run's progress events —
+    stages, seeds, waves, verification items — as it executes, for ``owl
+    watch``, ``owl status`` and ``owl resume``.
     """
 
     def __init__(
@@ -255,13 +252,10 @@ class OwlPipeline:
         jobs: int = 1,
         cache=None,
         policy=None,
-        journal=None,
-        journal_fresh: bool = True,
-        journal_config: Optional[Dict] = None,
+        log=None,
         explore=None,
         replay=None,
         profile: Optional[int] = None,
-        feed=None,
         fuse: bool = False,
     ):
         if explore is not None and replay is not None:
@@ -275,13 +269,10 @@ class OwlPipeline:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.policy = policy
-        self.journal = journal
-        self.journal_fresh = journal_fresh
-        self.journal_config = journal_config
+        self.log = log
         self.explore = explore
         self.replay = replay
         self.profile = int(profile) if profile else None
-        self.feed = feed
         self.fuse = bool(fuse)
         #: Per-run telemetry registry (rebuilt at the top of :meth:`run`).
         self._registry = None
@@ -304,17 +295,6 @@ class OwlPipeline:
         result.metrics = PipelineMetrics(self.spec.name, jobs=jobs)
         result.spans = SpanTracer()
         result.provenance = ProvenanceLog(self.spec.name)
-        if self.journal is not None:
-            if self.cache is not None:
-                self.cache.journal = self.journal
-            if self.journal_fresh:
-                self.journal.begin(
-                    self.spec.name, jobs=jobs,
-                    cache_dir=(
-                        self.cache.root if self.cache is not None else None
-                    ),
-                    config=self.journal_config or {},
-                )
         from repro.runtime.telemetry import MetricsRegistry
 
         self._registry = MetricsRegistry()
@@ -326,9 +306,11 @@ class OwlPipeline:
             self._fuse_engine = FuseEngine()
         self._fuse_stages = 0
         self._options = SeedJob(profile=self.profile, fuse=self.fuse)
-        if self.feed is not None:
-            self.feed.run_begin(
-                self.spec.name, jobs,
+        log = self.log
+        if log is not None:
+            log.emit(
+                "run_begin", program=self.spec.name, jobs=jobs,
+                cache_dir=self.cache.root if self.cache is not None else None,
                 explore=self.explore is not None,
                 cache=self.cache is not None,
                 replay=self.replay is not None,
@@ -336,7 +318,7 @@ class OwlPipeline:
         executor = make_executor(jobs) if jobs > 1 else None
         self._sweep = Sweep(jobs=jobs, executor=executor, cache=self.cache,
                             policy=self.policy, tracer=result.spans,
-                            feed=self.feed, engine=self._fuse_engine)
+                            log=log, engine=self._fuse_engine)
         started = time.perf_counter()
         try:
             with result.spans.span("pipeline", program=self.spec.name,
@@ -357,13 +339,14 @@ class OwlPipeline:
                         lambda: self._stage_vulnerability_verification(
                             result, jobs, executor)))
                 for name, run_stage in stages:
-                    if self.feed is not None:
-                        self.feed.stage_begin(name)
+                    if log is not None:
+                        log.emit("stage_begin", stage=name)
                     run_stage()
-                    if self.feed is not None:
+                    if log is not None:
                         stage = result.metrics.stages[-1]
-                        self.feed.stage_end(
-                            name, items=stage.items, runs=stage.runs,
+                        log.emit(
+                            "stage_end", stage=name, items=stage.items,
+                            runs=stage.runs,
                             cache_hits=stage.extra.get("cache_hits"),
                             cache_misses=stage.extra.get("cache_misses"),
                         )
@@ -372,32 +355,26 @@ class OwlPipeline:
                 executor.shutdown()
         result.counters.total_seconds = time.perf_counter() - started
         result.metrics.total_seconds = result.counters.total_seconds
+        blocks = result.metrics.blocks
         if self.cache is not None:
-            result.metrics.cache = self.cache.counters()
+            blocks["cache"] = self.cache.counters()
         if self.policy is not None:
-            result.metrics.batch = self.policy.counters()
+            blocks["batch"] = self.policy.counters()
         if self.replay is not None:
-            result.metrics.replay = self.replay.metrics_block()
+            blocks["replay"] = self.replay.metrics_block()
         if self._fuse_engine is not None:
-            result.metrics.fuse = self._fuse_block(result)
+            blocks["fuse"] = self._fuse_block(result)
         self._assemble_telemetry(result)
-        if self.journal is not None:
-            self.journal.complete(
-                status="completed",
-                raw_reports=result.counters.raw_reports,
-                remaining=result.counters.remaining,
-                attacks=len(result.realized_attacks()),
-            )
-        if self.feed is not None:
-            self.feed.run_end(
-                raw_reports=result.counters.raw_reports,
+        if log is not None:
+            log.emit(
+                "run_end", raw_reports=result.counters.raw_reports,
                 remaining=result.counters.remaining,
                 attacks=len(result.realized_attacks()),
             )
         return result
 
     # ------------------------------------------------------------------
-    # telemetry assembly (schema 6)
+    # telemetry assembly
 
     def _assemble_telemetry(self, result: PipelineResult) -> None:
         """Fold every layer's deterministic counters into one snapshot.
@@ -436,7 +413,7 @@ class OwlPipeline:
             # Only job-count-invariant facts go in the registry: the
             # engine's execution counters depend on whether seeds shared
             # one in-process engine (jobs=1) or per-worker ones (jobs=N),
-            # so they live in the schema-8 metrics ``fuse`` block, which
+            # so they live in the metrics ``fuse`` block, which
             # is observational like steps/s.
             registry.counter("fuse.enabled").inc(1)
             registry.counter("fuse.stages_requested").inc(self._fuse_stages)
@@ -453,10 +430,10 @@ class OwlPipeline:
             if result.profile is not None:
                 snapshot["profile"] = result.profile.summary()
         result.telemetry = snapshot
-        result.metrics.telemetry = snapshot
+        result.metrics.blocks["telemetry"] = snapshot
 
     def _fuse_block(self, result: PipelineResult) -> Dict:
-        """The schema-8 metrics ``fuse`` block.
+        """The metrics ``fuse`` block.
 
         Observational, like steps/s: the counters describe the pipeline's
         in-process engine, which every serial detector execution shared.
@@ -571,7 +548,7 @@ class OwlPipeline:
         """Fold the latest exploration run into stage extras and metrics.
 
         ``primary`` marks the raw detect stage, whose saturation curve
-        becomes the metrics JSON's top-level ``"explore"`` block (schema 3)
+        becomes the metrics JSON's top-level ``"explore"`` block
         and ``result.explore``; the annotated re-run only contributes its
         per-stage extras.
         """
@@ -588,10 +565,11 @@ class OwlPipeline:
         )
         if primary:
             result.explore = exploration
-            result.metrics.explore = exploration.metrics_block()
+            result.metrics.blocks["explore"] = exploration.metrics_block()
             if exploration.predict is not None:
                 result.predict = exploration.predict
-                result.metrics.predict = exploration.predict.metrics_block()
+                result.metrics.blocks["predict"] = (
+                    exploration.predict.metrics_block())
 
     # ------------------------------------------------------------------
     # stage 2: schedule reduction (section 5.1)
@@ -698,7 +676,7 @@ class OwlPipeline:
             result.verifications = verify_races_batch(
                 self.spec, list(result.annotated_reports), jobs=jobs,
                 executor=executor, tracer=result.spans,
-                cache=self.cache, policy=self.policy, feed=self.feed,
+                cache=self.cache, policy=self.policy, log=self.log,
             )
             stage.items = len(result.verifications)
             stage.runs = sum(v.runs_used for v in result.verifications)
@@ -841,7 +819,7 @@ class OwlPipeline:
             pairs = verify_vulns_batch(
                 self.spec, result.vulnerabilities, jobs=jobs,
                 executor=executor, tracer=result.spans,
-                cache=self.cache, policy=self.policy, feed=self.feed,
+                cache=self.cache, policy=self.policy, log=self.log,
             )
             for vulnerability, (verification, ground_truth) in zip(
                     result.vulnerabilities, pairs):

@@ -24,7 +24,7 @@ repair gates) — and ``owl explain <program> <report-uid>`` renders the
 whole record as a narrative.
 
 **Determinism and parity invariants** (what makes provenance comparable
-across runs, and what the cache/journal layer relies on):
+across runs, and what the result cache relies on):
 
 1. *Stable keys* — reports are keyed by
    :attr:`repro.detectors.report.RaceReport.uid`, derived from the static

@@ -54,7 +54,7 @@ Three candidate strategies, tried in deterministic order per target:
 
 Everything here is deterministic (no wall clock, no unseeded randomness),
 runs serially regardless of the pipeline's ``jobs``, and orders targets by
-static key — the schema-9 ``repair`` metrics block is bit-identical at
+static key — the ``repair`` metrics block is bit-identical at
 ``jobs=1`` vs ``jobs=N``.  Patched modules hash to different
 :func:`repro.owl.cache.module_digest` values than their originals, so gate
 results cached under a ``repair`` stage can never collide with the
@@ -624,7 +624,7 @@ class RepairResult:
                 for target in self.emitted]
 
     def metrics_block(self) -> Dict:
-        """The metrics-JSON ``"repair"`` block (schema 9).
+        """The metrics-JSON ``"repair"`` block.
 
         Deterministic given the spec — targets are processed in static-key
         order and nothing here reads a clock — so jobs=1 and jobs=N runs
@@ -870,5 +870,5 @@ def merge_repair_telemetry(result, repair: RepairResult) -> None:
     if getattr(result, "telemetry", None) is not None:
         result.telemetry = merge_snapshots(result.telemetry, snapshot)
     metrics = getattr(result, "metrics", None)
-    if metrics is not None and getattr(metrics, "telemetry", None) is not None:
-        metrics.telemetry = result.telemetry
+    if metrics is not None and "telemetry" in metrics.blocks:
+        metrics.blocks["telemetry"] = result.telemetry

@@ -16,8 +16,8 @@ Logs live one JSON-lines file per seed under a record directory
 :func:`load_recorded_logs` / ``owl replay`` / ``owl explain --replay``.
 Replay bookkeeping (how many replays ran, how many decisions they
 consumed, every divergence counter) is exposed by
-:meth:`ReplaySource.metrics_block` as the metrics JSON's ``replay`` block
-(schema 5).
+:meth:`ReplaySource.metrics_block` as the metrics JSON's ``replay``
+block.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class ReplaySource:
 
     Accumulates replay bookkeeping across every :meth:`run_detector` call
     (the pipeline replays the sweep twice: raw detect plus the annotated
-    re-run), surfaced as the schema-5 metrics ``replay`` block.
+    re-run), surfaced as the metrics ``replay`` block.
     """
 
     def __init__(self, spec: ProgramSpec, logs: Sequence[ScheduleLog],
@@ -233,7 +233,7 @@ class ReplaySource:
                 + self.thread_divergences)
 
     def metrics_block(self) -> Dict:
-        """The metrics JSON ``replay`` block (schema 5)."""
+        """The metrics JSON ``replay`` block."""
         return {
             "logs": len(self.logs),
             "decisions": sum(log.decisions for log in self.logs),

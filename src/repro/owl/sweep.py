@@ -11,8 +11,8 @@ many seeds; the :class:`Sweep` context picks the strategy:
 - **explore** — coverage-guided waves (:mod:`repro.owl.explore`), each run
   by one of the above.
 
-Runs come back in seed order, so reports, stats, coverage, spans and feed
-events are identical at any job count.  Cache keys are
+Runs come back in seed order, so reports, stats, coverage, spans and
+run-log events are identical at any job count.  Cache keys are
 :meth:`SeedJob.key_parts`, so no seed option can be left out of one.
 Pooling and caching need a job ``source`` workers can rebuild the module
 from; jobs without one run serially, uncached.
@@ -35,20 +35,20 @@ class Sweep:
     (:class:`repro.owl.cache.ResultCache`) answers already-computed jobs
     from disk, ``policy`` (:class:`repro.owl.batch.BatchPolicy`) bounds
     each pooled item's wait and retries, ``tracer`` collects one
-    ``detect_seed`` span per execution, ``feed``
-    (:class:`repro.owl.stream.EventFeed`) receives one ``seed_done`` event
+    ``detect_seed`` span per execution, ``log``
+    (:class:`repro.owl.runlog.RunLog`) receives one ``seed_done`` event
     per job, and ``engine`` is the :class:`repro.runtime.fuse.FuseEngine`
     every serial fused job shares.
     """
 
     def __init__(self, jobs: int = 1, executor=None, cache=None, policy=None,
-                 tracer: Optional[SpanTracer] = None, feed=None, engine=None):
+                 tracer: Optional[SpanTracer] = None, log=None, engine=None):
         self.jobs = max(1, int(jobs or 1))
         self.executor = executor
         self.cache = cache
         self.policy = policy
         self.tracer = tracer
-        self.feed = feed
+        self.log = log
         self.engine = engine
 
     def cache_for(self, job: SeedJob):
@@ -86,11 +86,11 @@ class Sweep:
         return runs
 
     def announce(self, run: SeedRun) -> None:
-        """The feed's ``seed_done`` event for one finished job."""
-        if self.feed is not None:
-            self.feed.seed_done(stage="detect", seed=run.job.seed,
-                                detector=run.job.kind, steps=run.stats.steps,
-                                reports=run.stats.reports, cached=run.cached)
+        """The log's ``seed_done`` event for one finished job."""
+        if self.log is not None:
+            self.log.emit("seed_done", stage="detect", seed=run.job.seed,
+                          detector=run.job.kind, steps=run.stats.steps,
+                          reports=run.stats.reports, cached=run.cached)
 
     # ------------------------------------------------------------------
     # the pool strategy

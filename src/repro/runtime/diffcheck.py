@@ -21,7 +21,7 @@ Both configurations share seeds and schedulers, so any semantic drift in an
 optimization shows up as a first-divergence record rather than a silently
 different race report three stages later.  ``tools/diff_oracle.py`` drives
 this over all registered apps and a seed sweep, and records the reference
-vs optimized steps/s in the metrics JSON (schema 4's ``diff_oracle`` block).
+vs optimized steps/s in the metrics JSON's ``diff_oracle`` block.
 """
 
 from __future__ import annotations

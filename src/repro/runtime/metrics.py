@@ -8,13 +8,15 @@ item throughput (reports verified per second, seeds explored per second,
 ...), and exports the lot as JSON next to the benchmark tables under
 ``benchmarks/out/``.
 
-Schema of the exported JSON (one file per program run)::
+The exported JSON (one file per program run) is a frozen envelope::
 
     {
-      "schema": 3,                  # bump on incompatible layout changes
+      "schema": 9,
       "program": "apache",          # ProgramSpec name
       "jobs": 4,                    # worker processes (1 = serial)
       "total_seconds": 12.3,
+      "vm_steps": 2400000,
+      "accesses": 310000,
       "stages": [
         {
           "name": "detect",
@@ -26,121 +28,39 @@ Schema of the exported JSON (one file per program run)::
           "accesses": 310000,       # shared accesses the detector shadowed
           "steps_per_second": 296296.3,
           "items_per_second": 88.3,
-          "cache_hits": 12,         # cache-enabled runs only (schema 2)
+          "cache_hits": 12,         # stage extras, e.g. of cached runs
           "cache_misses": 0
         },
         ...
       ],
-      # schema 2, present when the run used a ResultCache / BatchPolicy:
-      "cache": {
-        "root": "benchmarks/out/cache",
-        "code_version": "2f7a...",  # digest of the repro package source
-        "hits": 34, "misses": 2, "stores": 2,
-        "stages": {"detect": {"hits": 12, "misses": 0, "stores": 0}, ...}
-      },
-      "batch": {
-        "timeout_seconds": null,    # per-item result-wait budget
-        "retry_budget": 2,
-        "backoff_seconds": 0.1,
-        "timeouts": 0,              # items that exceeded the budget
-        "retries": 0,               # items re-submitted to the pool
-        "worker_failures": 0,       # exceptions / dead worker processes
-        "serial_fallbacks": 0       # items re-run in-process after retries
-      },
-      # schema 4, present when the run came from the differential-execution
-      # oracle (tools/diff_oracle.py; see repro.runtime.diffcheck):
-      "diff_oracle": {
-        "seeds": 10,                # seeds swept per program
-        "divergences": 0,           # first-divergence records (0 = identical)
-        "reference_steps_per_second": 120000.0,
-        "optimized_steps_per_second": 260000.0,
-        "speedup": 2.167,           # optimized / reference steps/s
-        "report_sets_identical": true,
-        "counters_identical": true
-      },
-      # schema 3, present when the run used coverage-guided exploration
-      # (the detect stage's saturation curve; see repro.owl.explore):
-      "explore": {
-        "detector": "tsan",
-        "policy": {"max_seeds": 20, "wave_size": 4, "saturation_k": 2,
-                   "escalate": true},
-        "seeds_executed": 12,       # seeds actually run
-        "seeds_skipped": 8,         # budget the early stop never spent
-        "saturated": true,
-        "saturation_wave": 2,       # wave that sealed saturation (or null)
-        "total_pairs": 23,          # racy access pairs covered
-        "distinct_schedules": 12,   # context-switch signatures seen
-        "waves": [
-          {"index": 0, "seeds": [0, 1, 2, 3], "scheduler": "random",
-           "depth": 3, "new_pairs": 21, "new_signatures": 4,
-           "total_pairs": 21, "dry": false, "escalated": false},
-          ...
-        ]
-      },
-      # schema 5, present when the detector stages replayed recorded
-      # schedule logs instead of executing live (repro.owl.replay):
-      "replay": {
-        "logs": 20,                 # recorded logs in the sweep
-        "decisions": 61234,         # schedule decisions across those logs
-        "record_dir": "benchmarks/out/records/apache",
-        "replays": 40,              # log re-executions (detect + annotated)
-        "schedule_divergences": 0,  # any non-zero means unfaithful replay
-        "sync_divergences": 0,
-        "thread_divergences": 0,
-        "unfaithful_replays": 0
-      },
-      # schema 7, present when exploration ran a predict wave
-      # (repro.detectors.predict): the wave-0 closure/witness counters
-      # and the per-pair evidence status:
-      "predict": {
-        "detector": "predict",
-        "program": "memcached",
-        "seed": 0,
-        "mode": "sync-preserving",  # or "optimistic" (sync-reversal)
-        "policy": {"optimistic": false, "witness": true,
-                   "max_pairs_per_static": 4, "max_closures": 20000},
-        "counters": {"events": 5120, "accesses": 4010,
-                     "candidate_pairs": 30, "closures": 30,
-                     "predicted": 16, "rejected": 14, "observed": 15,
-                     "witnessed": 1, "unwitnessed": 0, ...},
-        "pairs": [[[411, 873], "observed"], ...]
-      },
-      # schema 8, only when the run fused hot blocks into
-      # superinstructions (repro.runtime.fuse).  Observational, like
-      # steps/s: pooled workers fuse with their own engines, so only the
-      # in-process engine's counters appear here:
-      "fuse": {
-        "enabled": true, "compiled_blocks": 305, "fused_runs": 13793,
-        "fused_steps": 183937, "fused_step_share": 0.6551,
-        "bailouts": 0, "invalidations": 0
-      },
-      # schema 6, always present on pipeline runs: the deterministic
-      # telemetry snapshot (repro.runtime.telemetry) plus the optional
-      # profiler summary (repro.runtime.profiler):
-      "telemetry": {
-        "counters": {"cache.detect.hits": 30, "vm.steps": 123456, ...},
-        "gauges": {"spans.records": 412, ...},
-        "histograms": {"vm.steps_per_seed": {"bounds": [...],
-                       "counts": [...], "sum": 123456, "count": 10}},
-        "profile": {                # only when --profile was on
-          "interval": 251, "samples": 480, "observer_samples": 210,
-          "top_functions": [["main", 140], ...],
-          "top_opcodes": [["Load", 180], ...]
-        }
-      }
+      "<block>": {...},             # optional blocks, sorted by name
+      ...
     }
 
-Schema 8 files are identical minus the ``repair`` block
-(:meth:`repro.owl.repair.RepairResult.metrics_block` of an ``owl fix``
-run); schema 7 files additionally lack the ``fuse`` block (and the
-``diff_oracle`` block's ``fused_*`` fields); schema 6 files additionally
-lack the ``predict`` block; schema 5 files additionally lack the
-``telemetry`` block; schema 4 files further lack the ``replay`` block;
-schema 3 files further lack the ``diff_oracle`` block; schema 2 files
-further lack the ``explore`` block; schema 1 files lack the
-``cache``/``batch`` blocks and the per-stage
-``cache_hits``/``cache_misses`` extras as well.  The loader accepts all
-nine.
+Optional blocks and their producers:
+
+==============  =====================================================
+block           producer
+==============  =====================================================
+``batch``       :meth:`repro.owl.batch.BatchPolicy.counters`
+``cache``       :meth:`repro.owl.cache.ResultCache.counters`
+``diff_oracle`` :meth:`repro.runtime.diffcheck.ProgramDiff.as_dict`
+                (``tools/diff_oracle.py``)
+``explore``     :meth:`repro.owl.explore.ExplorationResult.metrics_block`
+``fuse``        ``OwlPipeline._fuse_block`` (:mod:`repro.owl.pipeline`)
+``predict``     :meth:`repro.detectors.predict.PredictionResult.metrics_block`
+``repair``      :meth:`repro.owl.repair.RepairResult.metrics_block`
+``replay``      :meth:`repro.owl.replay.ReplaySource.metrics_block`
+``telemetry``   :meth:`repro.runtime.telemetry.MetricsRegistry.snapshot`
+                (plus the optional profiler summary)
+==============  =====================================================
+
+**The envelope rule.**  ``"schema"`` stays 9.  A new optional block
+bumps nothing: it is one more name in :attr:`PipelineMetrics.blocks`.  A
+block whose layout changes incompatibly takes a new name, so no reader
+ever has to check a per-block version.  Files from schemas 1–8 are the
+same envelope with fewer blocks, so :func:`load_metrics` reads every
+integer schema from 1 to 9.
 
 Counters (:class:`repro.owl.pipeline.StageCounters`) stay byte-identical
 between serial and parallel runs; metrics are *observations* and naturally
@@ -155,15 +75,8 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional
 
-#: Version of the metrics JSON layout.  ``benchmarks/out/metrics_*.json``
-#: files are compared across PRs; the loader refuses files whose schema it
-#: does not understand rather than silently mis-reading them.
+#: The frozen envelope version (see the module docstring's rule).
 SCHEMA_VERSION = 9
-
-#: Versions :func:`load_metrics` can still read.  Schemas 1–8 are strict
-#: subsets of schema 9 (fewer optional blocks), so old files remain
-#: loadable.
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
 class MetricsSchemaError(ValueError):
@@ -269,39 +182,8 @@ class PipelineMetrics:
         self.jobs = jobs
         self.stages: List[StageMetrics] = []
         self.total_seconds = 0.0
-        #: ``ResultCache.counters()`` of a cache-enabled run (schema 2).
-        self.cache: Optional[Dict] = None
-        #: ``BatchPolicy.counters()`` of a fault-tolerant run (schema 2).
-        self.batch: Optional[Dict] = None
-        #: ``ExplorationResult.metrics_block()`` of a coverage-guided run
-        #: (schema 3): the detect stage's per-wave saturation curve.
-        self.explore: Optional[Dict] = None
-        #: ``ProgramDiff.as_dict()`` of a differential-oracle run (schema 4):
-        #: reference vs optimized steps/s and the divergence count.
-        self.diff_oracle: Optional[Dict] = None
-        #: ``ReplaySource.metrics_block()`` of a replayed run (schema 5):
-        #: log/decision counts and every divergence counter.
-        self.replay: Optional[Dict] = None
-        #: ``MetricsRegistry.snapshot()`` of the run (schema 6), with an
-        #: optional ``profile`` summary — deterministic content only, so
-        #: jobs=1 and jobs=N emit bit-identical blocks.
-        self.telemetry: Optional[Dict] = None
-        #: ``PredictionResult.metrics_block()`` of a predicting run
-        #: (schema 7): the wave-0 trace/closure/witness counters and the
-        #: per-pair evidence status — deterministic given the recorded
-        #: log, so jobs=1 and jobs=N emit bit-identical blocks.
-        self.predict: Optional[Dict] = None
-        #: ``OwlPipeline._fuse_block()`` of a superinstruction-fused run
-        #: (schema 8): compiled blocks, fused-step share and bailouts of
-        #: the in-process engine.  Observational — pooled workers fuse
-        #: with per-seed engines invisible to this block.
-        self.fuse: Optional[Dict] = None
-        #: ``RepairResult.metrics_block()`` of an ``owl fix`` run
-        #: (schema 9): per-target candidate/gate outcomes, emitted patch
-        #: digests and the ground-truth comparison — deterministic given
-        #: the spec (repair runs serially, targets in static-key order),
-        #: so jobs=1 and jobs=N emit bit-identical blocks.
-        self.repair: Optional[Dict] = None
+        #: Optional blocks by name (see the module docstring's table).
+        self.blocks: Dict[str, Dict] = {}
 
     # ------------------------------------------------------------------
 
@@ -340,24 +222,8 @@ class PipelineMetrics:
             "accesses": self.accesses,
             "stages": [stage.as_dict() for stage in self.stages],
         }
-        if self.cache is not None:
-            data["cache"] = self.cache
-        if self.batch is not None:
-            data["batch"] = self.batch
-        if self.explore is not None:
-            data["explore"] = self.explore
-        if self.diff_oracle is not None:
-            data["diff_oracle"] = self.diff_oracle
-        if self.replay is not None:
-            data["replay"] = self.replay
-        if self.telemetry is not None:
-            data["telemetry"] = self.telemetry
-        if self.predict is not None:
-            data["predict"] = self.predict
-        if self.fuse is not None:
-            data["fuse"] = self.fuse
-        if self.repair is not None:
-            data["repair"] = self.repair
+        for name in sorted(self.blocks):
+            data[name] = self.blocks[name]
         return data
 
     def save(self, path: str) -> str:
@@ -405,11 +271,8 @@ def load_metrics(path: str) -> Dict:
     with open(path) as handle:
         data = json.load(handle)
     version = data.get("schema")
-    if version not in SUPPORTED_SCHEMAS:
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         raise MetricsSchemaError(
             "metrics file %s declares unsupported schema version %r "
-            "(supported: %s)"
-            % (path, version,
-               ", ".join(str(v) for v in SUPPORTED_SCHEMAS))
-        )
+            "(supported: 1-%d)" % (path, version, SCHEMA_VERSION))
     return data

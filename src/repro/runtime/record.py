@@ -36,12 +36,11 @@ bit-identical or loudly divergent** — never silently different.
 from __future__ import annotations
 
 import base64
-import json
-import os
 import time
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import jsonl
 from repro.runtime.events import (
     SyncEvent,
     ThreadLifecycleEvent,
@@ -234,38 +233,26 @@ class ScheduleLog:
 
     def save(self, path: str) -> None:
         """Write the log as JSON lines: one header line, one per section."""
-        payload = self.to_payload()
-        sections = {key: payload.pop(key)
-                    for key in ("schedule", "syncs", "threads")}
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as handle:
-            header = {"kind": "header"}
-            header.update(payload)
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for name in ("schedule", "syncs", "threads"):
-                handle.write(json.dumps(
-                    {"kind": name, "data": sections[name]}) + "\n")
+        header = self.to_payload()
+        sections = [{"kind": name, "data": header.pop(name)}
+                    for name in ("schedule", "syncs", "threads")]
+        header["kind"] = "header"
+        jsonl.write(path, [header] + sections)
 
     @classmethod
     def load(cls, path: str) -> "ScheduleLog":
+        """The whole log, or ``ValueError`` naming ``path``.
+
+        :meth:`save` writes the ``threads`` section last, so a log cut
+        anywhere — a torn tail included — lacks a section and raises."""
+        records, _ = jsonl.read(path)
         payload: Dict = {}
-        with open(path) as handle:
-            for number, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    raise ValueError(
-                        "schedule log %s: corrupt record on line %d"
-                        % (path, number))
-                kind = record.pop("kind", None)
-                if kind == "header":
-                    payload.update(record)
-                elif kind in ("schedule", "syncs", "threads"):
-                    payload[kind] = record["data"]
+        for record in records:
+            kind = record.pop("kind", None)
+            if kind == "header":
+                payload.update(record)
+            elif kind in ("schedule", "syncs", "threads"):
+                payload[kind] = record["data"]
         for required in ("schedule", "syncs", "threads"):
             if required not in payload:
                 raise ValueError(

@@ -7,7 +7,8 @@ root, one span per stage, one per VM execution (detector seeds, race-verifier
 attempts, vulnerability re-runs), one per Algorithm-1 propagation frame — and
 exports the tree two ways:
 
-- **JSON lines** (:meth:`SpanTracer.to_jsonl`): one object per span, with
+- **JSON lines** (:meth:`SpanTracer.to_jsonl`, written through
+  :mod:`repro.jsonl`): one object per span, with
   ``id``/``parent`` links, microsecond timestamps relative to the trace
   origin, and the span's attributes — easy to grep and diff;
 - **Chrome ``trace_event`` format** (:meth:`SpanTracer.chrome_trace`):
@@ -46,6 +47,8 @@ import os
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro import jsonl
 
 
 class Span:
@@ -248,12 +251,12 @@ class SpanTracer:
     def _ts(self, value: float) -> float:
         return (value - self.origin) * 1e6  # microseconds
 
-    def to_jsonl(self) -> str:
-        """One JSON object per span, in record order."""
-        lines = []
+    def records(self) -> List[Dict]:
+        """One JSON-lines record per span, in record order."""
+        records = []
         for span in self.spans:
             end = span.end if span.end is not None else span.start
-            lines.append(json.dumps({
+            records.append({
                 "name": span.name,
                 "id": span.sid,
                 "parent": span.parent,
@@ -261,8 +264,12 @@ class SpanTracer:
                 "ts_us": round(self._ts(span.start), 3),
                 "dur_us": round((end - span.start) * 1e6, 3),
                 "attrs": span.attrs,
-            }, sort_keys=True, default=str))
-        return "\n".join(lines) + ("\n" if lines else "")
+            })
+        return records
+
+    def to_jsonl(self) -> str:
+        """The :meth:`records` as JSON-lines text."""
+        return "".join(jsonl.encode(record) for record in self.records())
 
     def chrome_trace(self) -> Dict:
         """The run as Chrome ``trace_event`` JSON (B/E duration events).
@@ -314,13 +321,11 @@ class SpanTracer:
         }
 
     def save_jsonl(self, path: str) -> str:
-        _ensure_dir(path)
-        with open(path, "w") as handle:
-            handle.write(self.to_jsonl())
+        jsonl.write(path, self.records())
         return path
 
     def save_chrome(self, path: str) -> str:
-        _ensure_dir(path)
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w") as handle:
             json.dump(self.chrome_trace(), handle, indent=1)
             handle.write("\n")
@@ -336,11 +341,6 @@ def _json_safe(value):
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
     return str(value)
-
-
-def _ensure_dir(path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
 
 
 @contextmanager

@@ -71,7 +71,7 @@ class TestFusedPipelineParity:
 
 class TestSchema8FuseBlock:
     def test_block_shape(self, fused_result):
-        block = fused_result.metrics.fuse
+        block = fused_result.metrics.blocks["fuse"]
         assert block["enabled"] is True
         assert block["compiled_blocks"] > 0
         assert block["fused_steps"] >= block["fused_runs"] > 0
@@ -80,14 +80,14 @@ class TestSchema8FuseBlock:
         assert block["invalidations"] == 0
 
     def test_unfused_run_has_no_block(self, baseline_result):
-        assert baseline_result.metrics.fuse is None
+        assert "fuse" not in baseline_result.metrics.blocks
         assert "fuse" not in baseline_result.metrics.as_dict()
 
     def test_save_load_round_trip(self, fused_result, tmp_path):
         path = fused_result.metrics.save(str(tmp_path / "metrics.json"))
         data = load_metrics(path)
         assert data["schema"] == 9
-        assert data["fuse"] == fused_result.metrics.fuse
+        assert data["fuse"] == fused_result.metrics.blocks["fuse"]
 
 
 class TestFuseCacheKeys:

@@ -1,16 +1,14 @@
 """Tests for the benchmark trajectory store and its regression gate."""
 
-import json
 import os
 import subprocess
 import sys
 
+from repro import jsonl
 from repro.owl.history import (
     HISTORY_SCHEMA,
-    append_record,
     default_history_path,
     git_revision,
-    load_history,
     record_from_metrics,
 )
 
@@ -75,11 +73,23 @@ class TestHistoryRecord:
         path = str(tmp_path / "history.jsonl")
         record = record_from_metrics(sample_metrics(), timestamp=1.0,
                                      git_rev="abc")
-        append_record(record, path)
-        append_record(record, path)
+        jsonl.write(path, [record], append=True)
+        jsonl.write(path, [record], append=True)
         with open(path, "a") as handle:
             handle.write("{torn")  # a crash mid-append must not poison reads
-        assert load_history(path) == [record, record]
+        assert jsonl.read(path) == ([record, record], 1)
+
+    def test_append_after_a_torn_append_keeps_the_next_record(self, tmp_path):
+        path = str(tmp_path / "history.jsonl")
+        first = record_from_metrics(sample_metrics(), timestamp=1.0,
+                                    git_rev="a")
+        last = record_from_metrics(sample_metrics(), timestamp=3.0,
+                                   git_rev="c")
+        jsonl.write(path, [first], append=True)
+        with open(path, "a") as handle:
+            handle.write('{"program": "b", "n')  # a killed writer
+        assert jsonl.write(path, [last], append=True) == 1
+        assert jsonl.read(path) == ([first, last], 0)
 
     def test_default_path_is_under_out_dir(self):
         assert default_history_path("benchmarks/out").endswith(
@@ -95,7 +105,7 @@ class TestBenchRegressGate:
             record = record_from_metrics(
                 metrics, timestamp=float(index),
                 git_rev=(revs[index] if revs else "abc1234"))
-            append_record(record, str(path))
+            jsonl.write(str(path), [record], append=True)
 
     def test_exit_1_on_thirty_percent_regression(self, tmp_path):
         path = tmp_path / "history.jsonl"
@@ -133,6 +143,16 @@ class TestBenchRegressGate:
         completed = run_gate(path)
         assert completed.returncode == 0
         assert "review" in completed.stdout
+
+    def test_damaged_history_line_fails_with_file_and_line(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        self.write_history(path, [1000.0, 1000.0, 1000.0])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = '{"program": "memc\n'
+        path.write_text("".join(lines))
+        completed = run_gate(path, "--report-only")
+        assert completed.returncode == 1
+        assert "%s: corrupt record on line 2" % path in completed.stderr
 
     def test_missing_history_is_not_an_error(self, tmp_path):
         completed = run_gate(tmp_path / "absent.jsonl")

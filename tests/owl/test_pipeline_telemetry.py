@@ -29,7 +29,7 @@ class TestSnapshotParity:
             len(serial_result.spans)
         assert snapshot["histograms"]["vm.steps_per_seed"]["count"] == \
             counters["stage.detect.runs"]
-        assert serial_result.metrics.telemetry == snapshot
+        assert serial_result.metrics.blocks["telemetry"] == snapshot
 
     def test_jobs2_snapshot_bit_identical_to_serial(self, serial_result):
         parallel = OwlPipeline(spec_by_name("memcached"), jobs=2).run()

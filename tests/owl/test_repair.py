@@ -107,7 +107,7 @@ class TestRepairMemcached:
         merge_repair_telemetry(result, repair)
         counters = result.telemetry["counters"]
         assert counters["repair.emitted"] == 4
-        assert result.metrics.telemetry is result.telemetry
+        assert result.metrics.blocks["telemetry"] is result.telemetry
 
 
 class TestDetectorGateTeeth:

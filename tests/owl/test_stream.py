@@ -1,95 +1,113 @@
-"""Tests for the live run feed (repro.owl.stream) and its CLI surface."""
+"""Tests for the run log as a live stream (repro.owl.runlog) and its
+``owl watch``/``owl status`` views."""
 
-import json
 import threading
 import time
 
-from repro.owl.stream import (
-    EventFeed,
-    feed_path,
-    follow_feed,
-    read_feed,
-    render_event,
-)
+from repro import jsonl
+from repro.owl.runlog import RunLog, render_event, runlog_path
+
+
+def read_events(path):
+    return jsonl.read(path)[0]
 
 
 class TestEventFeed:
     def test_events_are_sequenced_json_lines(self, tmp_path):
-        path = str(tmp_path / "feed.jsonl")
-        feed = EventFeed(path)
-        feed.run_begin("memcached", 2, explore=True)
-        feed.seed_done(stage="detect", seed=0, steps=1551, reports=16)
-        feed.run_end(raw_reports=16, remaining=4, attacks=0)
-        events = read_feed(path)
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        log.emit("run_begin", program="memcached", jobs=2, explore=True)
+        log.emit("seed_done", stage="detect", seed=0, steps=1551, reports=16)
+        log.emit("run_end", raw_reports=16, remaining=4, attacks=0)
+        log.close()
+        events = read_events(path)
         assert [e["event"] for e in events] == [
             "run_begin", "seed_done", "run_end"]
         assert [e["seq"] for e in events] == [0, 1, 2]
         assert events[0]["program"] == "memcached"
+        assert events[0]["resumed"] is False and events[0]["torn"] == 0
         assert all("wall" in e for e in events)
 
     def test_open_truncates_stale_feed(self, tmp_path):
-        path = str(tmp_path / "feed.jsonl")
-        EventFeed(path).run_begin("old", 1)
-        feed = EventFeed(path)
-        feed.run_begin("new", 1)
-        feed.close()
-        events = read_feed(path)
+        path = str(tmp_path / "run.jsonl")
+        stale = RunLog(path)
+        stale.emit("run_begin", program="old", jobs=1)
+        stale.close()
+        log = RunLog(path)
+        log.emit("run_begin", program="new", jobs=1)
+        log.close()
+        events = read_events(path)
         assert len(events) == 1
         assert events[0]["program"] == "new"
 
     def test_emit_after_close_is_a_no_op(self, tmp_path):
-        path = str(tmp_path / "feed.jsonl")
-        feed = EventFeed(path)
-        feed.run_begin("demo", 1)
-        feed.close()
-        feed.seed_done(seed=0)  # must not raise or write
-        assert len(read_feed(path)) == 1
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        log.emit("run_begin", program="demo", jobs=1)
+        log.close()
+        log.emit("seed_done", seed=0)  # must not raise or write
+        assert len(read_events(path)) == 1
 
     def test_read_feed_skips_torn_final_line(self, tmp_path):
-        path = str(tmp_path / "feed.jsonl")
-        feed = EventFeed(path)
-        feed.run_begin("demo", 1)
-        feed.close()
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        log.emit("run_begin", program="demo", jobs=1)
+        log.close()
         with open(path, "a") as handle:
             handle.write('{"event": "seed_done", "se')  # writer died here
-        events = read_feed(path)
+        events, torn = jsonl.read(path)
         assert [e["event"] for e in events] == ["run_begin"]
+        assert torn == 1
 
     def test_read_feed_missing_file_is_empty(self, tmp_path):
-        assert read_feed(str(tmp_path / "absent.jsonl")) == []
+        assert jsonl.read(str(tmp_path / "absent.jsonl")) == ([], 0)
 
     def test_feed_path_is_per_program(self, tmp_path):
-        assert feed_path(str(tmp_path), "apache").endswith(
-            "feed_apache.jsonl")
+        assert runlog_path(str(tmp_path), "apache").endswith(
+            "run_apache.jsonl")
+
+    def test_first_write_error_stops_the_log(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        log = RunLog(str(blocker / "run.jsonl"))  # parent is a file
+        log.emit("run_begin", program="demo", jobs=1)
+        log.emit("seed_done", seed=0)
+        assert log.write_errors == 1
 
 
 class TestFollowFeed:
     def test_follow_sees_events_written_after_attach(self, tmp_path):
-        path = str(tmp_path / "feed.jsonl")
+        path = str(tmp_path / "run.jsonl")
 
         def writer():
             time.sleep(0.05)
-            feed = EventFeed(path)
-            feed.run_begin("demo", 1)
-            feed.seed_done(seed=0)
+            log = RunLog(path)
+            log.emit("run_begin", program="demo", jobs=1)
+            log.emit("seed_done", seed=0)
             time.sleep(0.05)
-            feed.run_end(raw_reports=1, remaining=0, attacks=0)
+            log.emit("run_end", raw_reports=1, remaining=0, attacks=0)
+            log.close()
 
         thread = threading.Thread(target=writer)
         thread.start()
+        events = []
         try:
-            events = list(follow_feed(path, poll=0.01, timeout=5.0))
+            for event in jsonl.follow(path, poll=0.01, timeout=5.0):
+                events.append(event)
+                if event["event"] == "run_end":
+                    break
         finally:
-            thread.join()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
         assert [e["event"] for e in events] == [
             "run_begin", "seed_done", "run_end"]
 
     def test_follow_times_out_on_quiet_feed(self, tmp_path):
-        path = str(tmp_path / "feed.jsonl")
-        feed = EventFeed(path)
-        feed.run_begin("demo", 1)
-        feed.close()
-        events = list(follow_feed(path, poll=0.01, timeout=0.1))
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        log.emit("run_begin", program="demo", jobs=1)
+        log.close()
+        events = list(jsonl.follow(path, poll=0.01, timeout=0.1))
         assert [e["event"] for e in events] == ["run_begin"]
 
 
@@ -122,9 +140,11 @@ class TestPipelineFeed:
         from repro.apps.registry import spec_by_name
         from repro.owl.pipeline import OwlPipeline
 
-        path = str(tmp_path / "feed.jsonl")
-        OwlPipeline(spec_by_name("memcached"), feed=EventFeed(path)).run()
-        events = read_feed(path)
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        OwlPipeline(spec_by_name("memcached"), log=log).run()
+        log.close()
+        events = read_events(path)
         kinds = [e["event"] for e in events]
         assert kinds[0] == "run_begin" and kinds[-1] == "run_end"
         assert kinds.count("stage_begin") == kinds.count("stage_end") == 5
@@ -135,13 +155,45 @@ class TestPipelineFeed:
         # every line is valid JSON with a seq gap-free ordering
         assert [e["seq"] for e in events] == list(range(len(events)))
 
+    def test_events_match_across_jobs_and_cache(self, tmp_path):
+        """Serial uncached, serial cold-cache and pooled runs log the same
+        events once observations and configuration are dropped."""
+        from repro.apps.registry import spec_by_name
+        from repro.owl.cache import ResultCache
+        from repro.owl.pipeline import OwlPipeline
+
+        dropped = {"wall", "pid", "seq", "cached", "cache_hits",
+                   "cache_misses"}
+        configuration = {"schema", "jobs", "cache_dir", "export_path",
+                         "metrics_path", "resumed", "torn", "explore",
+                         "cache", "replay"}
+
+        def events(name, **options):
+            path = str(tmp_path / ("%s.jsonl" % name))
+            log = RunLog(path)
+            OwlPipeline(spec_by_name("libsafe"), log=log, **options).run()
+            log.close()
+            return [{key: value for key, value in event.items()
+                     if key not in dropped and not (
+                         event["event"] == "run_begin"
+                         and key in configuration)}
+                    for event in read_events(path)]
+
+        serial = events("serial")
+        assert sum(e["event"] == "item_done" for e in serial) == 6
+        assert events("cold", cache=ResultCache(str(tmp_path / "c"))) \
+            == serial
+        assert events("pooled", jobs=2) == serial
+
     def test_watch_cli_renders_completed_feed(self, tmp_path, capsys):
         from repro.apps.registry import spec_by_name
         from repro.cli import main
         from repro.owl.pipeline import OwlPipeline
 
-        path = str(tmp_path / "feed.jsonl")
-        OwlPipeline(spec_by_name("memcached"), feed=EventFeed(path)).run()
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        OwlPipeline(spec_by_name("memcached"), log=log).run()
+        log.close()
         assert main(["watch", path, "--timeout", "2"]) == 0
         out = capsys.readouterr().out
         assert "run memcached" in out
@@ -153,11 +205,22 @@ class TestPipelineFeed:
         from repro.owl.pipeline import OwlPipeline
 
         spec = spec_by_name("memcached")
-        OwlPipeline(spec, feed=EventFeed(
-            feed_path(str(tmp_path), spec.name))).run()
+        log = RunLog(runlog_path(str(tmp_path), spec.name))
+        OwlPipeline(spec, log=log).run()
+        log.close()
         assert main(["status", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "memcached" in out and "complete" in out
+
+    def test_detect_cli_reports_log_write_errors(self, tmp_path, capsys):
+        from repro.cli import main
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = str(blocker / "run.jsonl")  # parent is a file
+        assert main(["detect", "libsafe", "--log", path]) == 0
+        err = capsys.readouterr().err
+        assert "run log %s: 1 write error(s)" % path in err
 
     def test_status_cli_fails_without_feeds(self, tmp_path):
         from repro.cli import main

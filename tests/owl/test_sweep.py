@@ -132,5 +132,5 @@ class TestPredictWaveCache:
 
         cold = run()
         warm = run()
-        assert warm.metrics.cache["misses"] == 0
+        assert warm.metrics.blocks["cache"]["misses"] == 0
         assert warm.profile.summary() == cold.profile.summary()

@@ -1,16 +1,20 @@
-"""Tests for the metrics JSON schema version and its loader."""
+"""Tests for the metrics JSON envelope and its loader."""
 
 import json
+import os
 
 import pytest
 
 from repro.runtime.metrics import (
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
     MetricsSchemaError,
     PipelineMetrics,
     load_metrics,
 )
+
+
+OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "benchmarks", "out")
 
 
 def saved_metrics(tmp_path):
@@ -27,12 +31,20 @@ class TestMetricsSchema:
         assert PipelineMetrics("demo").as_dict()["schema"] == SCHEMA_VERSION
 
     def test_current_schema_is_nine_and_supports_ancestors(self):
+        """The envelope is frozen at 9: a new block bumps nothing."""
         assert SCHEMA_VERSION == 9
-        assert SUPPORTED_SCHEMAS == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+
+    def test_committed_metrics_artifacts_load(self):
+        """Old files are the same envelope with fewer blocks."""
+        schemas = set()
+        for name in sorted(os.listdir(OUT_DIR)):
+            if name.startswith("metrics_") and name.endswith(".json"):
+                schemas.add(load_metrics(os.path.join(OUT_DIR, name))["schema"])
+        assert schemas and schemas <= set(range(1, SCHEMA_VERSION + 1))
 
     def test_loader_accepts_all_supported_versions(self, tmp_path):
         path = saved_metrics(tmp_path)
-        for version in SUPPORTED_SCHEMAS:
+        for version in range(1, SCHEMA_VERSION + 1):
             with open(path) as handle:
                 data = json.load(handle)
             data["schema"] = version
@@ -42,7 +54,7 @@ class TestMetricsSchema:
 
     def test_explore_block_round_trips(self, tmp_path):
         metrics = PipelineMetrics("demo", jobs=1)
-        metrics.explore = {"detector": "tsan", "saturation_wave": 2,
+        metrics.blocks["explore"] = {"detector": "tsan", "saturation_wave": 2,
                            "seeds_executed": 12, "waves": []}
         path = str(tmp_path / "metrics_explore.json")
         metrics.save(path)
@@ -56,7 +68,7 @@ class TestMetricsSchema:
 
     def test_diff_oracle_block_round_trips(self, tmp_path):
         metrics = PipelineMetrics("demo", jobs=1)
-        metrics.diff_oracle = {"seeds": 10, "divergences": 0,
+        metrics.blocks["diff_oracle"] = {"seeds": 10, "divergences": 0,
                                "reference_steps_per_second": 100000.0,
                                "optimized_steps_per_second": 200000.0,
                                "speedup": 2.0,
@@ -75,7 +87,7 @@ class TestMetricsSchema:
 
     def test_replay_block_round_trips(self, tmp_path):
         metrics = PipelineMetrics("demo", jobs=1)
-        metrics.replay = {"logs": 20, "decisions": 61234,
+        metrics.blocks["replay"] = {"logs": 20, "decisions": 61234,
                           "record_dir": "benchmarks/out/records/demo",
                           "replays": 40, "schedule_divergences": 0,
                           "sync_divergences": 0, "thread_divergences": 0,
@@ -93,7 +105,7 @@ class TestMetricsSchema:
 
     def test_repair_block_round_trips(self, tmp_path):
         metrics = PipelineMetrics("demo", jobs=1)
-        metrics.repair = {"program": "demo", "original_digest": "ab12",
+        metrics.blocks["repair"] = {"program": "demo", "original_digest": "ab12",
                           "targets": 4, "candidates": 12, "emitted": 4,
                           "ground_truth": {"spec": "demo_fixed",
                                            "checked": 4, "matched": 4},
@@ -111,7 +123,7 @@ class TestMetricsSchema:
 
     def test_telemetry_block_round_trips(self, tmp_path):
         metrics = PipelineMetrics("demo", jobs=1)
-        metrics.telemetry = {
+        metrics.blocks["telemetry"] = {
             "counters": {"pipeline.raw_reports": 16, "cache.detect.hits": 3},
             "gauges": {"spans.records": 412},
             "histograms": {"vm.steps_per_seed": {
@@ -152,7 +164,7 @@ class TestMetricsSchema:
     def test_unknown_version_error_names_schema_and_supported_list(
             self, tmp_path):
         """The rejection message must carry everything needed to act on it:
-        the file, the offending version, and every supported version."""
+        the file, the offending version, and the supported range."""
         path = saved_metrics(tmp_path)
         with open(path) as handle:
             data = json.load(handle)
@@ -164,8 +176,7 @@ class TestMetricsSchema:
         message = str(excinfo.value)
         assert path in message
         assert "99" in message
-        for version in SUPPORTED_SCHEMAS:
-            assert str(version) in message
+        assert "supported: 1-9" in message
 
     def test_load_rejects_missing_schema_field(self, tmp_path):
         path = saved_metrics(tmp_path)

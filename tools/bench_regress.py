@@ -31,7 +31,8 @@ from statistics import median
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from repro.owl.history import default_history_path, load_history
+from repro import jsonl
+from repro.owl.history import default_history_path
 
 
 def parse_args(argv):
@@ -105,7 +106,14 @@ def check_parity(latest, previous):
 
 def main(argv=None):
     args = parse_args(argv if argv is not None else sys.argv[1:])
-    records = load_history(args.history)
+    try:
+        records, torn = jsonl.read(args.history)
+    except ValueError as error:  # a damaged line: nothing here is trustworthy
+        print("bench_regress: %s" % error, file=sys.stderr)
+        return 1
+    if torn:
+        print("bench_regress: dropped the torn final line of %s"
+              % args.history)
     if not records:
         print("bench_regress: no history at %s (nothing to gate)"
               % args.history)

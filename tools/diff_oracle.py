@@ -8,7 +8,7 @@ stream (thread/step/address/size/value/call stack/variable), same fault
 lists, same race-report sets and, with ``--counters``, same
 ``StageCounters.parity_dict()`` from a full pipeline run.  While doing so
 it measures reference vs optimized interpreter throughput and writes the
-comparison into the schema-4 ``diff_oracle`` metrics block.
+comparison into the ``diff_oracle`` metrics block.
 
 With ``--fuse`` a third, fused execution (superinstructions on — see
 :mod:`repro.runtime.fuse`) joins every sweep and must be bit-identical to
@@ -65,7 +65,7 @@ def parse_args(argv):
              "StageCounters.parity_dict() (slower)")
     parser.add_argument(
         "--metrics-out", default=None, metavar="DIR",
-        help="write metrics_diffcheck_<program>.json (schema 4, with the "
+        help="write metrics_diffcheck_<program>.json (with the "
              "diff_oracle block) under DIR")
     parser.add_argument(
         "--stop-on-divergence", action="store_true",
@@ -118,9 +118,9 @@ def save_metrics(diff, out_dir, bench=None):
     metrics.stages[0].wall_seconds = diff.reference_seconds
     metrics.stages[1].wall_seconds = diff.optimized_seconds
     metrics.total_seconds = diff.reference_seconds + diff.optimized_seconds
-    metrics.diff_oracle = diff.as_dict()
+    metrics.blocks["diff_oracle"] = diff.as_dict()
     if bench is not None:
-        metrics.diff_oracle["fused_bench"] = bench
+        metrics.blocks["diff_oracle"]["fused_bench"] = bench
     path = os.path.join(out_dir, "metrics_diffcheck_%s.json" % diff.program)
     return metrics.save(path)
 

@@ -61,7 +61,7 @@ def parse_args(argv):
              "temporary directory, deleted afterwards)")
     parser.add_argument(
         "--metrics-out", default=None, metavar="DIR",
-        help="write metrics_replay_<program>.json (schema 5, with the "
+        help="write metrics_replay_<program>.json (with the "
              "replay block) under DIR")
     parser.add_argument(
         "--skip-size-check", action="store_true",
@@ -143,7 +143,7 @@ def save_metrics(spec, source, replay_seconds, out_dir):
     metrics.stages[1].wall_seconds = replay_seconds
     metrics.total_seconds = (
         metrics.stages[0].wall_seconds + metrics.stages[1].wall_seconds)
-    metrics.replay = source.metrics_block()
+    metrics.blocks["replay"] = source.metrics_block()
     path = os.path.join(out_dir, "metrics_replay_%s.json" % spec.name)
     return metrics.save(path)
 
