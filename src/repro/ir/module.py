@@ -27,6 +27,8 @@ class Module:
         self.structs: Dict[str, StructType] = {}
         self._next_uid = 1
         self._instructions_by_uid: Dict[int, Instruction] = {}
+        #: memo of :func:`repro.ir.reach.reach_analysis`
+        self.reach_analysis = None
 
     # ------------------------------------------------------------------
     # registration

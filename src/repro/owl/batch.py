@@ -417,6 +417,8 @@ def _race_verify_worker(payload: Dict) -> Dict:
         "verified": verification.verified,
         "runs_used": verification.runs_used,
         "livelocks_resolved": verification.livelocks_resolved,
+        "vm_steps": verification.vm_steps,
+        "runs_stopped_early": verification.runs_stopped_early,
         "spans": tracer.export_payload(),
         "hints": None if hints is None else {
             "variable": hints.variable,
@@ -427,6 +429,18 @@ def _race_verify_worker(payload: Dict) -> Dict:
             "address": hints.address,
         },
     }
+
+
+def race_verifier_for(spec: ProgramSpec,
+                      tracer: Optional[SpanTracer] = None
+                      ) -> DynamicRaceVerifier:
+    """The serial path's race verifier for ``spec`` (mirrors the worker)."""
+    return DynamicRaceVerifier(
+        spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
+        seeds=spec.verify_seeds, max_steps=spec.max_steps,
+        vm_factory=lambda seed: spec.make_vm(seed),
+        tracer=tracer,
+    )
 
 
 def verify_races_batch(
@@ -449,13 +463,7 @@ def verify_races_batch(
         return []
     if not can_parallelize(spec) or (
             jobs <= 1 and executor is None and cache is None):
-        verifier = DynamicRaceVerifier(
-            spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
-            seeds=spec.verify_seeds, max_steps=spec.max_steps,
-            vm_factory=lambda seed: spec.make_vm(seed),
-            tracer=tracer,
-        )
-        outcomes = verifier.verify_all(reports)
+        outcomes = race_verifier_for(spec, tracer).verify_all(reports)
         cached = [False] * len(outcomes)
     else:
         outputs = _verify_items(
@@ -471,10 +479,13 @@ def verify_races_batch(
             )
             if output["verified"]:
                 report.tags[DynamicRaceVerifier.TAG] = hints
-            outcomes.append(RaceVerification(
+            verification = RaceVerification(
                 report, output["verified"], hints, output["runs_used"],
                 output["livelocks_resolved"],
-            ))
+            )
+            verification.vm_steps = output["vm_steps"]
+            verification.runs_stopped_early = output["runs_stopped_early"]
+            outcomes.append(verification)
             adopt_spans(tracer, output, "verify_report", report=report.uid,
                         cached=True, verified=output["verified"])
         cached = [bool(output.get("cached")) for output in outputs]
@@ -523,6 +534,7 @@ def _vuln_verify_worker(payload: Dict) -> Dict:
         "diverged": [branch.uid or 0 for branch in verification.diverged_branches],
         "faults": [kind.value for kind in verification.fault_kinds],
         "runs_used": verification.runs_used,
+        "vm_steps": verification.vm_steps,
         "spans": tracer.export_payload(),
     }
 
@@ -577,6 +589,7 @@ def verify_vulns_batch(
                 [FaultKind(value) for value in output["faults"]],
                 output["runs_used"],
             )
+            verification.vm_steps = output["vm_steps"]
             outcomes.append((verification, ground_truth))
             adopt_spans(tracer, output, "verify_vulnerability",
                         site=str(vulnerability.site.location), cached=True,
@@ -592,10 +605,11 @@ def verify_vulns_batch(
     return outcomes
 
 
-def _verify_vuln_serial(
+def vuln_verifier_for(
     spec: ProgramSpec, vulnerability, tracer: Optional[SpanTracer] = None,
-) -> Tuple[VulnVerification, Optional[AttackGroundTruth]]:
-    """One vulnerability through the serial path (mirrors the worker)."""
+) -> Tuple[DynamicVulnerabilityVerifier, Optional[AttackGroundTruth]]:
+    """The serial path's verifier for one vulnerability (mirrors the
+    worker), with the ground truth it was configured from."""
     ground_truth = spec.attack_for_site(vulnerability.site.location)
     inputs = (
         ground_truth.subtle_inputs if ground_truth is not None
@@ -616,4 +630,12 @@ def _verify_vuln_serial(
         ),
         tracer=tracer,
     )
+    return verifier, ground_truth
+
+
+def _verify_vuln_serial(
+    spec: ProgramSpec, vulnerability, tracer: Optional[SpanTracer] = None,
+) -> Tuple[VulnVerification, Optional[AttackGroundTruth]]:
+    """One vulnerability through the serial path."""
+    verifier, ground_truth = vuln_verifier_for(spec, vulnerability, tracer)
     return verifier.verify(vulnerability), ground_truth

@@ -680,6 +680,9 @@ class OwlPipeline:
             )
             stage.items = len(result.verifications)
             stage.runs = sum(v.runs_used for v in result.verifications)
+            stage.vm_steps = sum(v.vm_steps for v in result.verifications)
+            self._registry.counter("race_verify.runs_stopped_early").inc(
+                sum(v.runs_stopped_early for v in result.verifications))
             self._record_cache_delta(stage, marks)
             span.attrs.update(
                 reports=len(result.verifications), runs=stage.runs,
@@ -847,6 +850,9 @@ class OwlPipeline:
             stage.items = len(pairs)
             stage.runs = sum(
                 verification.runs_used for verification, _ in pairs
+            )
+            stage.vm_steps = sum(
+                verification.vm_steps for verification, _ in pairs
             )
             self._record_cache_delta(stage, marks)
             span.attrs.update(

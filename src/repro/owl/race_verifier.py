@@ -14,6 +14,12 @@ temporarily releasing one of the triggered breakpoints, exactly as the paper
 describes.  Races that never co-halt across the retry budget are eliminated
 (the R.V.E. column of Table 3); as the paper notes, this can miss races that
 "can't be reliably reproduced with 100% success rate".
+
+A run that can no longer catch its race ends early: the debugger is armed
+with the report's static may-reach summary (:mod:`repro.ir.reach`), and
+``VM.run`` returns ``OUT_OF_REACH`` once no two live threads can ever again
+be at the racing pair.  That run was a miss already, so outcomes are those
+of running it to the end; reference-mode VMs run every execution to the end.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.report import RaceReport
 from repro.ir.module import Module
+from repro.ir.reach import reach_analysis
 from repro.runtime.debugger import Debugger, PendingAccess
 from repro.runtime.interpreter import VM, ExecutionResult
 from repro.runtime.scheduler import RandomScheduler
@@ -65,7 +72,11 @@ class SecurityHints:
 
 
 class RaceVerification:
-    """Outcome of verifying one race report."""
+    """Outcome of verifying one race report.
+
+    ``vm_steps`` (the steps of every run, sleep fast-forwards included) and
+    ``runs_stopped_early`` are work counters the verifier fills in.
+    """
 
     def __init__(self, report: RaceReport, verified: bool,
                  hints: Optional[SecurityHints] = None, runs_used: int = 0,
@@ -75,6 +86,8 @@ class RaceVerification:
         self.hints = hints
         self.runs_used = runs_used
         self.livelocks_resolved = livelocks_resolved
+        self.vm_steps = 0
+        self.runs_stopped_early = 0
 
     def __repr__(self) -> str:
         return "<RaceVerification %s runs=%d>" % (
@@ -121,23 +134,45 @@ class DynamicRaceVerifier:
         return verification
 
     def _verify(self, report: RaceReport) -> RaceVerification:
-        livelocks = 0
+        targets = (report.first.instruction, report.second.instruction)
+        reach = None
+        livelocks = vm_steps = stopped = 0
+        verification = None
         for attempt, seed in enumerate(self.seeds, start=1):
             vm = self._make_vm(seed)
             debugger = Debugger(vm)
-            first = debugger.add_breakpoint(report.first.instruction)
-            second = debugger.add_breakpoint(report.second.instruction)
+            for instruction in targets:
+                debugger.add_breakpoint(instruction)
+            if not vm.reference:
+                if reach is None or reach.module is not vm.module:
+                    reach = reach_analysis(vm.module).for_targets(targets)
+                debugger.stop_when_out_of_reach(reach)
             with maybe_span(self.tracer, "verify_attempt",
                             seed=seed, attempt=attempt) as span:
                 vm.start(self.entry)
-                hints = self._drive(vm, debugger, report)
+                hints, released, reason = self._drive(vm, debugger, report)
+                stopped_early = reason == ExecutionResult.OUT_OF_REACH
                 if span is not None:
-                    span.attrs["caught"] = isinstance(hints, SecurityHints)
-            if isinstance(hints, SecurityHints):
+                    span.attrs.update(caught=hints is not None,
+                                      stopped_early=stopped_early)
+                    if stopped_early:
+                        span.attrs["stop_step"] = vm.step
+            vm_steps += vm.step
+            if hints is not None:
+                # livelocks_resolved counts the releases of the runs that
+                # missed; the catching run's releases are not part of it
                 report.tags[self.TAG] = hints
-                return RaceVerification(report, True, hints, attempt, livelocks)
-            livelocks += hints  # int: livelocks resolved this run
-        return RaceVerification(report, False, None, len(self.seeds), livelocks)
+                verification = RaceVerification(report, True, hints, attempt,
+                                                livelocks)
+                break
+            livelocks += released
+            stopped += stopped_early
+        if verification is None:
+            verification = RaceVerification(report, False, None,
+                                            len(self.seeds), livelocks)
+        verification.vm_steps = vm_steps
+        verification.runs_stopped_early = stopped
+        return verification
 
     def verify_all(self, reports) -> List[RaceVerification]:
         return [self.verify(report) for report in reports]
@@ -150,23 +185,25 @@ class DynamicRaceVerifier:
         return VM(self.module, scheduler=RandomScheduler(seed), inputs=self.inputs,
                   max_steps=self.max_steps, seed=seed)
 
-    def _drive(self, vm: VM, debugger: Debugger, report: RaceReport):
-        """Run one execution; SecurityHints when caught, else livelock count."""
+    def _drive(self, vm: VM, debugger: Debugger, report: RaceReport
+               ) -> Tuple[Optional[SecurityHints], int, str]:
+        """Run one execution: (hints when caught, livelocks resolved, the
+        last ``VM.run`` reason)."""
         livelocks_resolved = 0
         race_instructions = {report.first.instruction, report.second.instruction}
         while True:
             result = vm.run()
             if result.reason != ExecutionResult.BREAKPOINT:
-                return livelocks_resolved
+                return None, livelocks_resolved, result.reason
             halted = debugger.halted_threads()
             caught = self._racing_moment(vm, debugger, halted, race_instructions)
             if caught is not None:
                 self._resume_all(debugger, halted)
-                return caught
+                return caught, livelocks_resolved, result.reason
             if not vm.runnable_threads():
                 released = debugger.release_one()
                 if released is None:
-                    return livelocks_resolved
+                    return None, livelocks_resolved, result.reason
                 livelocks_resolved += 1
                 if self.tracer is not None:
                     self.tracer.instant("livelock_release",

@@ -56,6 +56,9 @@ class VulnVerification:
         self.diverged_branches = list(diverged_branches)
         self.fault_kinds = list(fault_kinds)
         self.runs_used = runs_used
+        #: VM steps of every run behind this outcome (filled in by the
+        #: verifier), sleep fast-forwards included
+        self.vm_steps = 0
 
     def describe(self) -> str:
         if self.attack_realized:
@@ -117,6 +120,7 @@ class DynamicVulnerabilityVerifier:
 
     def _verify(self, vulnerability: VulnerabilityReport) -> VulnVerification:
         best: Optional[VulnVerification] = None
+        vm_steps = 0
         for attempt, seed in enumerate(self.seeds, start=1):
             with maybe_span(self.tracer, "vuln_attempt",
                             seed=seed, attempt=attempt) as span:
@@ -124,13 +128,17 @@ class DynamicVulnerabilityVerifier:
                 if span is not None:
                     span.attrs.update(site_reached=outcome.site_reached,
                                       attack_realized=outcome.attack_realized)
+            vm_steps += outcome.vm_steps
             if outcome.attack_realized:
-                return outcome
+                best = outcome
+                break
             if best is None or (outcome.site_reached and not best.site_reached):
                 best = outcome
-        return best if best is not None else VulnVerification(
-            vulnerability, False, False, runs_used=len(self.seeds),
-        )
+        if best is None:
+            best = VulnVerification(vulnerability, False, False,
+                                    runs_used=len(self.seeds))
+        best.vm_steps = vm_steps
+        return best
 
     # ------------------------------------------------------------------
 
@@ -183,9 +191,11 @@ class DynamicVulnerabilityVerifier:
             if not site_reached and outcomes
         ]
         faults = sorted({f.kind for f in vm.faults}, key=lambda k: k.value)
-        return VulnVerification(
+        outcome = VulnVerification(
             vulnerability, site_reached, realized, diverged, faults, attempt,
         )
+        outcome.vm_steps = vm.step
+        return outcome
 
     def _make_vm(self, seed: int) -> VM:
         if self.vm_factory is not None:

@@ -13,7 +13,7 @@ vulnerability verifier drive it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.ir.instructions import (
     AtomicRMW,
@@ -93,6 +93,10 @@ class Debugger:
         self.vm = vm
         self.breakpoints: List[Breakpoint] = []
         self.last_hit: Optional[Tuple[ThreadContext, Breakpoint]] = None
+        #: the armed early stop (:meth:`stop_when_out_of_reach`), if any
+        self.reach = None
+        #: instructions after which the VM re-checks the early stop
+        self.watch: FrozenSet[Instruction] = frozenset()
         vm.debugger = self
 
     # ------------------------------------------------------------------
@@ -119,6 +123,25 @@ class Debugger:
                 self.last_hit = (thread, breakpoint)
                 return True
         return False
+
+    # ------------------------------------------------------------------
+    # early stop
+
+    def stop_when_out_of_reach(self, reach) -> None:
+        """Arm the early stop for a :class:`repro.ir.reach.TargetReach`.
+
+        ``VM.run`` then returns ``ExecutionResult.OUT_OF_REACH`` once no
+        two live threads can ever again be at the reach's targets together.
+        It checks on entry and after each instruction in ``reach.watch``;
+        reference-mode VMs never check.
+        """
+        self.reach = reach
+        self.watch = reach.watch
+
+    def targets_out_of_reach(self) -> bool:
+        """Whether the armed early stop's rule holds now."""
+        return self.reach is not None and self.reach.out_of_reach(
+            thread.frames for thread in self.vm._alive)
 
     # ------------------------------------------------------------------
     # halted-thread control

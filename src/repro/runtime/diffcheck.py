@@ -17,6 +17,13 @@ in everything the rest of OWL can observe:
 - the race-report sets a detector derives from the trace, and
 - the pipeline's Table-3 counters (``StageCounters.parity_dict()``).
 
+:func:`diff_debugger` covers debugger-driven execution: it runs the race
+and vulnerability verifiers on every report of a pipeline run, once in
+reference mode and once as shipped, and holds their outcomes and the
+breakpoint halts of every run equal.  The shipped race verifier may end a
+run early (:mod:`repro.ir.reach`), so its halts need only be a prefix of
+the reference run's.
+
 Both configurations share seeds and schedulers, so any semantic drift in an
 optimization shows up as a first-divergence record rather than a silently
 different race report three stages later.  ``tools/diff_oracle.py`` drives
@@ -38,7 +45,7 @@ from repro.runtime.events import (
     ThreadLifecycleEvent,
     TraceObserver,
 )
-from repro.runtime.interpreter import VM, reference_execution
+from repro.runtime.interpreter import VM, ExecutionResult, reference_execution
 from repro.runtime.scheduler import RandomScheduler
 
 
@@ -264,6 +271,12 @@ class ProgramDiff:
         self.reference_counters: Optional[Dict] = None
         self.optimized_counters: Optional[Dict] = None
         self.fused_counters: Optional[Dict] = None
+        #: the debugger-driven leg (populated only by diff_debugger)
+        self.debugger = False
+        self.debugger_items = 0
+        self.debugger_runs = 0
+        self.debugger_reference_steps = 0
+        self.debugger_shipped_steps = 0
 
     @property
     def identical(self) -> bool:
@@ -323,6 +336,12 @@ class ProgramDiff:
             "counters_identical":
                 self.reference_counters == self.optimized_counters,
         }
+        if self.debugger:
+            payload["debugger_items"] = self.debugger_items
+            payload["debugger_runs"] = self.debugger_runs
+            payload["debugger_reference_steps"] = \
+                self.debugger_reference_steps
+            payload["debugger_shipped_steps"] = self.debugger_shipped_steps
         if self.fused:
             payload["fused_steps_per_second"] = round(
                 self.fused_steps_per_second, 1)
@@ -443,6 +462,153 @@ def diff_counters(spec, diff: Optional[ProgramDiff] = None,
                 spec.name, None, "fused_stage_counters", None,
                 diff.optimized_counters, diff.fused_counters,
             ))
+    return diff
+
+
+class _RunRecorder:
+    """Wraps a verifier's ``vm_factory`` to record each run it creates.
+
+    Per run: every breakpoint return of ``VM.run`` as ``(step, ((thread id,
+    pending access), ...))`` for the halted threads, and the last reason.
+    """
+
+    def __init__(self, factory):
+        self.factory = factory
+        self.vms: List[VM] = []
+        self.halts: List[List[Tuple]] = []
+        self.reasons: List[str] = []
+
+    def __call__(self, seed: int) -> VM:
+        vm = self.factory(seed)
+        index = len(self.vms)
+        self.vms.append(vm)
+        self.halts.append([])
+        self.reasons.append("")
+        run = vm.run
+
+        def recording_run(*args, **kwargs):
+            result = run(*args, **kwargs)
+            self.reasons[index] = result.reason
+            if result.reason == ExecutionResult.BREAKPOINT:
+                self.halts[index].append((vm.step, tuple(
+                    (thread.thread_id, _pending(vm, thread))
+                    for thread in vm.debugger.halted_threads())))
+            return result
+
+        vm.run = recording_run
+        return vm
+
+    @property
+    def steps(self) -> int:
+        return sum(vm.step for vm in self.vms)
+
+
+def _pending(vm: VM, thread) -> Optional[Tuple]:
+    access = vm.debugger.pending_access(thread)
+    if access is None:
+        return None
+    return (access.instruction.uid, access.address, access.is_write,
+            access.value, access.value_type)
+
+
+def _compare_runs(program: str, label: str, reference: _RunRecorder,
+                  shipped: _RunRecorder, outcomes: Tuple[List, List]
+                  ) -> Optional[Divergence]:
+    """Per run: equal outcomes, shipped halts a prefix of the reference's
+    (equal when the run caught its race)."""
+    if len(reference.halts) != len(shipped.halts):
+        return Divergence(program, None, label + ".runs", None,
+                          len(reference.halts), len(shipped.halts))
+    for run, (ref_halts, opt_halts, ref_outcome, opt_outcome) in enumerate(
+            zip(reference.halts, shipped.halts, *outcomes)):
+        if ref_outcome != opt_outcome:
+            return Divergence(program, None, label + ".run_outcome", run,
+                              ref_outcome, opt_outcome)
+        if ref_outcome == "caught" or len(opt_halts) > len(ref_halts):
+            expected = ref_halts
+        else:
+            expected = ref_halts[:len(opt_halts)]
+        divergence = _first_list_divergence(
+            program, None, "%s.halts[run %d]" % (label, run),
+            expected, opt_halts)
+        if divergence is not None:
+            return divergence
+    return None
+
+
+def _race_outcome(verification) -> Tuple:
+    hints = verification.hints
+    return (verification.verified, verification.runs_used, None if hints is None
+            else (hints.variable, hints.value_type, hints.read_value,
+                  hints.write_value, hints.null_write, hints.address))
+
+
+def _race_run_outcomes(verification, recorder: _RunRecorder) -> List[str]:
+    runs = len(recorder.vms)
+    return ["caught" if verification.verified and run == runs - 1
+            else "missed" for run in range(runs)]
+
+
+def _vuln_run_outcomes(verification, recorder: _RunRecorder) -> List[Tuple]:
+    return [(reason, tuple(sorted(fault.kind.value for fault in vm.faults)))
+            for vm, reason in zip(recorder.vms, recorder.reasons)]
+
+
+def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
+    """The debugger-driven oracle over every report of one pipeline run.
+
+    Each race report the pipeline verified goes through the serial path's
+    race verifier twice, under :func:`reference_execution` and as
+    shipped; so does each vulnerability through its vulnerability
+    verifier.  Outcomes (verified, runs used, security hints; the realized
+    verdict) must be equal, and so must each run's breakpoint halts, up to
+    the point where the shipped run ended early.
+    """
+    from repro.owl.batch import race_verifier_for, vuln_verifier_for
+    from repro.owl.pipeline import OwlPipeline
+
+    if diff is None:
+        diff = ProgramDiff(spec.name, [])
+    diff.debugger = True
+    result = OwlPipeline(spec).run()
+
+    def both(make_verifier, item, outcome, run_outcomes, label):
+        sides = []
+        for reference in (True, False):
+            verifier = make_verifier()
+            recorder = _RunRecorder(verifier.vm_factory)
+            verifier.vm_factory = recorder
+            if reference:
+                with reference_execution():
+                    verification = verifier.verify(item)
+            else:
+                verification = verifier.verify(item)
+            sides.append((verification, recorder))
+        (ref, ref_runs), (opt, opt_runs) = sides
+        diff.debugger_items += 1
+        diff.debugger_runs += len(opt_runs.vms)
+        diff.debugger_reference_steps += ref_runs.steps
+        diff.debugger_shipped_steps += opt_runs.steps
+        if outcome(ref) != outcome(opt):
+            diff.divergences.append(Divergence(
+                spec.name, None, label + ".outcome", None,
+                outcome(ref), outcome(opt)))
+            return
+        divergence = _compare_runs(
+            spec.name, label, ref_runs, opt_runs,
+            (run_outcomes(ref, ref_runs), run_outcomes(opt, opt_runs)))
+        if divergence is not None:
+            diff.divergences.append(divergence)
+
+    for report in result.annotated_reports:
+        both(lambda: race_verifier_for(spec), report, _race_outcome,
+             _race_run_outcomes, "race[%s]" % report.uid)
+    for vulnerability in result.vulnerabilities:
+        both(lambda: vuln_verifier_for(spec, vulnerability)[0],
+             vulnerability,
+             lambda v: (v.attack_realized, v.site_reached, v.runs_used),
+             _vuln_run_outcomes,
+             "vuln[%s]" % vulnerability.site.location)
     return diff
 
 

@@ -94,6 +94,9 @@ class ExecutionResult:
     FAULT = "fault"
     EXITED = "exited"
     KILLED = "killed"
+    #: a debugger's armed early stop fired: no two live threads can ever
+    #: again be at its targets together (:mod:`repro.ir.reach`)
+    OUT_OF_REACH = "out-of-reach"
 
     def __init__(self, reason: str, vm: "VM"):
         self.reason = reason
@@ -473,7 +476,16 @@ class VM:
         runnable list preserves creation order — but the common case (no
         thread blocked or halted) schedules directly off ``_alive`` without
         rescanning or re-filtering anything.
+
+        A debugger's armed early stop
+        (:meth:`repro.runtime.debugger.Debugger.stop_when_out_of_reach`) is
+        checked on entry and after each instruction in its watch set; when
+        its rule holds the run returns ``OUT_OF_REACH``.
         """
+        debugger = self.debugger
+        if (debugger is not None and not self._finished
+                and debugger.targets_out_of_reach()):
+            return ExecutionResult(ExecutionResult.OUT_OF_REACH, self)
         alive = self._alive
         blocked = self._blocked
         threads = self.threads
@@ -525,12 +537,20 @@ class VM:
                     return outcome
                 continue
             thread = scheduler_choose(runnable, step)
-            if self.debugger is not None:
+            debugger = self.debugger
+            if debugger is not None:
                 instruction = thread.current_instruction()
-                if instruction is not None and self.debugger.check(thread, instruction):
+                if instruction is not None and debugger.check(thread, instruction):
                     self._halt_thread(thread)
                     return ExecutionResult(ExecutionResult.BREAKPOINT, self)
-            elif (
+                outcome = step_thread(thread)
+                if outcome is not None:
+                    return outcome
+                if (instruction in debugger.watch
+                        and debugger.targets_out_of_reach()):
+                    return ExecutionResult(ExecutionResult.OUT_OF_REACH, self)
+                continue
+            if (
                 fuse_engine is not None
                 and not self._halted_count
                 and limit - step > 1

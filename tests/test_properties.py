@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.detectors.vectorclock import VectorClock
 from repro.ir.types import ArrayType, IntType, StructType, I8, I64
@@ -201,15 +201,22 @@ class TestDetectorProperties:
         assert len(reports) == 0
 
 
+#: op kinds that shape control flow rather than touch memory in place
+CONTROL_KINDS = ("loop", "branch", "helper", "spawn", "indirect", "exit")
+
+
 def build_random_module(ops, n_workers):
     """A random multithreaded module from a hypothesis-drawn op list.
 
     Each op touches shared globals, a mutex, the heap (malloc/realloc/free)
     or the sleep queue, so random programs cover every scheduler block kind
-    and every hot-path memo invalidation point.
+    and every hot-path memo invalidation point.  The :data:`CONTROL_KINDS`
+    add a counted loop around an access, a conditional branch, an access
+    in a directly called helper, a nested ``thread_create``, an indirect
+    call through a global function pointer and ``thread_exit``.
     """
     from repro.ir import IRBuilder, Module, verify_module
-    from repro.ir.types import I32, ptr
+    from repro.ir.types import FunctionType, I32, ptr
 
     b = IRBuilder(Module("rand"))
     shared = [b.global_var("g%d" % i, I64, 0) for i in range(4)]
@@ -221,8 +228,23 @@ def build_random_module(ops, n_workers):
         return line[0]
 
     b.set_location("rand.c", 1)
+    # What the helper/spawn/indirect ops run: one access to their global.
+    callees, pointers = {}, {}
+    for position, (kind, idx, val) in enumerate(ops):
+        if kind not in ("helper", "spawn", "indirect"):
+            continue
+        callee = b.begin_function("%s%d" % (kind, position), I32,
+                                  [("arg", ptr(I8))], source_file="rand.c")
+        b.store(b.add(b.load(shared[idx], line=nl()), val, line=line[0]),
+                shared[idx], line=line[0])
+        b.ret(b.i32(0), line=nl())
+        b.end_function()
+        callees[position] = callee
+        if kind == "indirect":
+            pointers[position] = b.global_var("fp%d" % position, I64, 0)
+
     b.begin_function("worker", I32, [("arg", ptr(I8))], source_file="rand.c")
-    for kind, idx, val in ops:
+    for position, (kind, idx, val) in enumerate(ops):
         g = shared[idx]
         if kind == "inc":
             b.store(b.add(b.load(g, line=nl()), 1, line=line[0]), g,
@@ -247,10 +269,55 @@ def build_random_module(ops, n_workers):
             tq = b.cast("bitcast", q, ptr(I64), line=nl())
             b.load(tq, line=line[0])
             b.call("free", [q], line=nl())
+        elif kind == "loop":
+            head, body, done = ("%s%d" % (name, position)
+                                for name in ("head", "body", "done"))
+            for name in (head, body, done):
+                b.add_block(name)
+            count = b.local(I64, "n%d" % position, 0, line=nl())
+            b.br(head, line=line[0])
+            b.at(head)
+            n = b.load(count, line=nl())
+            b.cond_br(b.icmp("slt", n, 1 + val % 3, line=line[0]), body,
+                      done, line=line[0])
+            b.at(body)
+            b.store(b.add(b.load(g, line=nl()), 1, line=line[0]), g,
+                    line=line[0])
+            b.store(b.add(n, 1, line=line[0]), count, line=line[0])
+            b.br(head, line=line[0])
+            b.at(done)
+        elif kind == "branch":
+            then, join = ("%s%d" % (name, position)
+                          for name in ("then", "join"))
+            b.add_block(then)
+            b.add_block(join)
+            seen = b.load(g, line=nl())
+            b.cond_br(b.icmp("ne", seen, val % 2, line=line[0]), then, join,
+                      line=line[0])
+            b.at(then)
+            b.store(val, g, line=nl())
+            b.br(join, line=line[0])
+            b.at(join)
+        elif kind == "helper":
+            b.call(callees[position], [b.null()], line=nl())
+        elif kind == "spawn":
+            child = b.call("thread_create", [callees[position], b.null()],
+                           line=nl())
+            b.call("thread_join", [child], line=nl())
+        elif kind == "indirect":
+            address = b.load(pointers[position], line=nl())
+            target = b.cast("inttoptr", address,
+                            ptr(FunctionType(I32, [ptr(I8)])), line=line[0])
+            b.call(target, [b.null()], line=line[0])
+        elif kind == "exit":
+            b.call("thread_exit", [], line=nl())
     b.ret(b.i32(0), line=nl())
     b.end_function()
 
     b.begin_function("main", I32, [], source_file="rand.c")
+    for position, pointer in pointers.items():
+        b.store(b.cast("ptrtoint", callees[position], I64, line=nl()),
+                pointer, line=line[0])
     worker = b.module.get_function("worker")
     tids = [b.call("thread_create", [worker, b.null()], line=nl())
             for _ in range(n_workers)]
@@ -350,3 +417,83 @@ class TestRecordReplayProperties:
         outcome = replay_log(module, log)
         assert outcome.schedule_divergences >= 1
         assert not outcome.faithful
+
+
+class TestEarlyStopProperties:
+    """The race verifier's early stop on arbitrary IR, control flow
+    included: outcomes equal reference mode's, and along a full run the
+    stop rule, once it holds, holds at every later step."""
+
+    op_lists = st.lists(
+        st.tuples(
+            st.sampled_from(["inc", "store", "load", "heap", "locked_inc",
+                             "sleep", *CONTROL_KINDS]),
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=255),
+        ),
+        min_size=1, max_size=8,
+    )
+
+    @staticmethod
+    def _shared_accesses(module):
+        from repro.ir.instructions import Alloca, Load, Store
+
+        return [instruction for instruction in module.instructions()
+                if isinstance(instruction, (Load, Store))
+                and not isinstance(instruction.pointer, Alloca)]
+
+    @given(op_lists, st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=500), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_early_stop_is_sound_on_random_ir(self, ops, workers, seed,
+                                               data):
+        from repro.detectors.report import AccessRecord, RaceReport
+        from repro.ir.reach import reach_analysis
+        from repro.owl.race_verifier import DynamicRaceVerifier
+        from repro.runtime.interpreter import (
+            VM, ExecutionResult, reference_execution,
+        )
+        from repro.runtime.scheduler import RandomScheduler
+
+        module = build_random_module(ops, workers)
+        accesses = self._shared_accesses(module)
+        assume(accesses)
+        first = data.draw(st.sampled_from(accesses))
+        second = data.draw(st.sampled_from(accesses))
+        report = RaceReport(AccessRecord(first, 1, True, 0, (), 0),
+                            AccessRecord(second, 2, True, 0, (), 0))
+
+        outcomes = []
+        for reference in (True, False):
+            verifier = DynamicRaceVerifier(module, seeds=[seed, seed + 1],
+                                           max_steps=20_000)
+            if reference:
+                with reference_execution():
+                    verification = verifier.verify(report)
+            else:
+                verification = verifier.verify(report)
+            hints = verification.hints
+            outcomes.append((
+                verification.verified, verification.runs_used,
+                None if hints is None else (
+                    hints.address, hints.read_value, hints.write_value,
+                    hints.null_write)))
+        assert outcomes[0] == outcomes[1]
+
+        reach = reach_analysis(module).for_targets((first, second))
+        vm = VM(module, scheduler=RandomScheduler(seed), max_steps=20_000,
+                seed=seed, reference=True)
+        vm.start("main")
+        held = False
+        while True:
+            holds = reach.out_of_reach(t.frames for t in vm._alive)
+            assert holds or not held, "the rule stopped holding"
+            held = holds
+            if held:
+                at_targets = [t for t in vm._alive
+                              if t.current_instruction() in reach.targets]
+                assert len(at_targets) < 2
+            result = vm.run(max_steps=1)
+            if (result.reason != ExecutionResult.STEP_LIMIT
+                    or vm.step >= vm.max_steps):
+                break

@@ -19,6 +19,14 @@ the fused-vs-optimized steps/s ratio under a round-robin scheduler (where
 preempts geometrically, so its ``fused_speedup`` proves parity, not
 performance) and ``--fuse-floor`` turns that into a gate.
 
+With ``--debugger`` every race report and vulnerability of a pipeline run
+also goes through its verifier twice, in reference mode and as shipped:
+outcomes (verified, runs used, security hints; the realized verdict) must
+be equal, and each run's breakpoint halts (step, halted threads, pending
+accesses) as shipped must be a prefix of the reference run's — the
+shipped race verifier ends a run once it can no longer catch its race.
+Both sides' VM steps go into the ``diff_oracle`` block.
+
 Usage::
 
     PYTHONPATH=src python tools/diff_oracle.py                # all apps, 10 seeds
@@ -26,6 +34,7 @@ Usage::
         --seeds 10 --counters --fuse --metrics-out benchmarks/out
     PYTHONPATH=src python tools/diff_oracle.py --programs memcached \\
         --fuse-bench --fuse-floor 1.3
+    PYTHONPATH=src python tools/diff_oracle.py --programs ssdb --debugger
 
 Exit status 0 when every program is divergence-free, 1 otherwise (the
 first divergence per program is printed with both sides of the mismatch).
@@ -42,6 +51,7 @@ from repro.apps.registry import all_specs, spec_by_name
 from repro.runtime.diffcheck import (
     benchmark_fused,
     diff_counters,
+    diff_debugger,
     diff_program,
     diff_record_replay,
     diff_reports,
@@ -77,6 +87,11 @@ def parse_args(argv):
              "and assert record/replay logs and fingerprints are identical "
              "with the flag on and off")
     parser.add_argument(
+        "--debugger", action="store_true",
+        help="also verify every race report and vulnerability of a "
+             "pipeline run in reference mode and as shipped, and assert "
+             "equal outcomes and breakpoint halts")
+    parser.add_argument(
         "--fuse-bench", action="store_true",
         help="measure fused vs optimized steps/s under a round-robin "
              "scheduler with a shared fuse engine (the configuration "
@@ -98,6 +113,8 @@ def check_program(spec, args):
     if args.fuse:
         diff.divergences.extend(diff_record_replay(
             spec, seeds=range(min(args.seeds, 3))))
+    if args.debugger:
+        diff = diff_debugger(spec, diff)
     return diff
 
 
@@ -145,6 +162,12 @@ def main(argv=None):
                   diff.reference_steps_per_second,
                   diff.optimized_steps_per_second, fused_note,
                   diff.speedup, verdict))
+        if args.debugger:
+            print("  debugger: %d items, %d runs, %d reference steps, "
+                  "%d shipped steps" % (
+                      diff.debugger_items, diff.debugger_runs,
+                      diff.debugger_reference_steps,
+                      diff.debugger_shipped_steps))
         for divergence in diff.divergences:
             print("  " + divergence.describe().replace("\n", "\n  "))
         if not diff.identical:
