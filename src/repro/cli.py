@@ -105,7 +105,6 @@ def _make_pipeline(spec, args, export_path=None):
     pipeline = OwlPipeline(
         spec, jobs=args.jobs, cache=cache, policy=policy, log=log,
         explore=explore, profile=profile,
-        fuse=getattr(args, "fuse", False),
     )
     return pipeline, cache, log
 
@@ -701,18 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="with --predict: skip witness replay; non-observed "
                  "predictions stay marked unwitnessed")
 
-    def add_fuse_arguments(command):
-        command.add_argument(
-            "--fuse", dest="fuse", action="store_true", default=False,
-            help="compile hot basic blocks into fused superinstructions "
-                 "for the detector stages (same events, faults and "
-                 "schedules — only steps/s changes; see the "
-                 "metrics `fuse` block)")
-        command.add_argument(
-            "--no-fuse", dest="fuse", action="store_false",
-            help="execute strictly one instruction per scheduler decision "
-                 "(the default)")
-
     def add_telemetry_arguments(command):
         from repro.owl.history import default_history_path
         from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
@@ -757,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "lines otherwise)")
     add_cache_arguments(detect)
     add_explore_arguments(detect)
-    add_fuse_arguments(detect)
     add_telemetry_arguments(detect)
     detect.set_defaults(func=_cmd_detect)
     exploit = sub.add_parser("exploit", help="run one exploit script")
@@ -781,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "lines otherwise)")
     add_cache_arguments(export)
     add_explore_arguments(export)
-    add_fuse_arguments(export)
     add_telemetry_arguments(export)
     export.set_defaults(func=_cmd_export)
     fix = sub.add_parser(

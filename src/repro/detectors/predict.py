@@ -76,6 +76,7 @@ from repro.runtime.events import (
     ThreadLifecycleEvent,
     TraceObserver,
 )
+from repro.runtime.scheduler import Scheduler
 
 #: Event kinds of the predictive trace.
 READ, WRITE, ACQUIRE, RELEASE, FORK, JOIN = range(6)
@@ -465,7 +466,7 @@ class _TraceCollector(TraceObserver):
                             step=event.step)
 
 
-class _DecisionTracker:
+class _DecisionTracker(Scheduler):
     """Scheduler wrapper recording the VM step of every decision.
 
     The VM's step counter can jump forward over sleeping threads, so the

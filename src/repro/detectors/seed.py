@@ -56,7 +56,6 @@ class _SeedJobFields(NamedTuple):
     record: bool = False
     coverage: bool = False
     profile: Optional[int] = None
-    fuse: bool = False
 
 
 class SeedJob(_SeedJobFields):
@@ -77,11 +76,11 @@ class SeedJob(_SeedJobFields):
     - ``coverage`` — also track a :class:`repro.runtime.coverage.SeedCoverage`.
     - ``profile`` — sample the VM every ``profile`` scheduler decisions
       into a :class:`repro.runtime.profiler.SeedProfile` (``None``: off).
-    - ``fuse`` — run with superinstruction fusion (:mod:`repro.runtime.fuse`).
 
     None of the options can change the detector's results: every wrapper
-    delegates each scheduling decision unchanged, and fused execution is
-    bit-identical by construction.
+    delegates each scheduling decision unchanged.  Fusion is not an
+    option: the VM fuses wherever its scheduler commits a run
+    (:mod:`repro.runtime.fuse`), bit-identically by construction.
     """
 
     __slots__ = ()
@@ -245,16 +244,14 @@ def make_scheduler(job: SeedJob):
     return RandomScheduler(job.seed)
 
 
-def run_seed(job: SeedJob, module: Optional[Module] = None, tracer=None,
-             engine=None) -> SeedRun:
+def run_seed(job: SeedJob, module: Optional[Module] = None,
+             tracer=None) -> SeedRun:
     """Execute one job into a fresh report set.
 
     ``module`` defaults to the one ``job.source`` resolves to; pass the
     caller's own copy to keep instruction identity (the serial sweep does).
     ``tracer`` (a :class:`repro.runtime.spans.SpanTracer`) records the
-    execution as a ``detect_seed`` span.  ``engine`` is a shared
-    :class:`repro.runtime.fuse.FuseEngine` that amortizes compiles across
-    a sweep; it is used only when ``job.fuse`` is set.
+    execution as a ``detect_seed`` span.
 
     Per-seed report sets merged in seed order are bit-identical to one
     report set shared across all seeds (dedup keeps the first static
@@ -269,11 +266,8 @@ def run_seed(job: SeedJob, module: Optional[Module] = None, tracer=None,
         if getattr(job, option):
             scheduler = wrap(job, scheduler)
             wrappers[option] = scheduler
-    fuse = False
-    if job.fuse:
-        fuse = engine if engine is not None else True
     vm = VM(module, scheduler=scheduler, inputs=job.inputs,
-            max_steps=job.max_steps, seed=job.seed, fuse=fuse)
+            max_steps=job.max_steps, seed=job.seed)
     detector = DETECTORS[job.kind](
         annotations=annotations_from_payload(module, job.annotations),
         reports=ReportSet(),

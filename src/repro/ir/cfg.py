@@ -256,19 +256,16 @@ class ControlFlowInfo:
                     stack.append(predecessor)
 
 
-_CFG_CACHE: Dict[int, ControlFlowInfo] = {}
-
-
 def cfg_for(function: Function) -> ControlFlowInfo:
-    """Cached :class:`ControlFlowInfo` for a function.
+    """The function's :class:`ControlFlowInfo`, computed once.
 
-    Functions are immutable once their module is under analysis, so caching by
-    identity is safe and keeps Algorithm 1's repeated control-dependence
-    queries cheap.
+    Functions are immutable once their module is under analysis, so the
+    memo keeps Algorithm 1's repeated control-dependence queries cheap.
+    It is kept on the function itself, so it lives exactly as long as the
+    function (and its module) does.
     """
-    key = id(function)
-    info = _CFG_CACHE.get(key)
-    if info is None or info.function is not function:
+    info = function.cfg_info
+    if info is None:
         info = ControlFlowInfo(function)
-        _CFG_CACHE[key] = info
+        function.cfg_info = info
     return info

@@ -72,6 +72,8 @@ class Function(Value):
         self.module = None
         self.source_file = source_file
         self.blocks: List[BasicBlock] = []
+        #: memo of :func:`repro.ir.cfg.cfg_for`
+        self.cfg_info = None
         names = list(param_names) if param_names else [
             "arg%d" % i for i in range(len(ftype.param_types))
         ]

@@ -27,8 +27,12 @@ class Module:
         self.structs: Dict[str, StructType] = {}
         self._next_uid = 1
         self._instructions_by_uid: Dict[int, Instruction] = {}
+        #: instructions registered or unregistered so far (see version())
+        self._edits = 0
         #: memo of :func:`repro.ir.reach.reach_analysis`
         self.reach_analysis = None
+        #: memo of :func:`repro.runtime.fuse.fuse_engine`
+        self.fuse_engine = None
 
     # ------------------------------------------------------------------
     # registration
@@ -69,6 +73,7 @@ class Module:
         return struct
 
     def register_instruction(self, instruction: Instruction) -> None:
+        self._edits += 1
         if instruction.uid is not None:
             # Adopt a pre-assigned uid (module cloning relies on this: a
             # clone's instructions must keep the original uids so race-report
@@ -79,6 +84,11 @@ class Module:
         instruction.uid = self._next_uid
         self._next_uid += 1
         self._instructions_by_uid[instruction.uid] = instruction
+
+    def unregister_instruction(self, instruction: Instruction) -> None:
+        """Forget an instruction removed from its block (patch revert)."""
+        self._instructions_by_uid.pop(instruction.uid, None)
+        self._edits += 1
 
     # ------------------------------------------------------------------
     # lookup
@@ -129,6 +139,14 @@ class Module:
 
     def instruction_count(self) -> int:
         return len(self._instructions_by_uid)
+
+    def version(self) -> int:
+        """Changes whenever an instruction is added to or removed from the
+        module (module patches do both), so the memos built from it
+        (reach analysis, fuse engine) know to rebuild.  It never repeats:
+        reverting a patch and applying another of the same size yields a
+        new version."""
+        return self._edits
 
     def __repr__(self) -> str:
         return "<Module %s: %d functions, %d globals>" % (

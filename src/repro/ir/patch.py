@@ -233,7 +233,7 @@ class ModulePatcher:
             if kind == "insert":
                 _, block, instruction = entry
                 block.instructions.remove(instruction)
-                self.module._instructions_by_uid.pop(instruction.uid, None)
+                self.module.unregister_instruction(instruction)
                 instruction.block = None
             elif kind == "global":
                 del self.module.globals[entry[1]]

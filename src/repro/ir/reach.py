@@ -129,7 +129,7 @@ class ReachAnalysis:
         #: every reachable thread_exit call: a thread's summary drops to
         #: nothing there, whatever its outer frames still cover
         self.exits: FrozenSet[Instruction] = frozenset(exits)
-        self._version = _version(module)
+        self._version = module.version()
 
     def _postorder(self, entry: BasicBlock) -> List[BasicBlock]:
         order: List[BasicBlock] = []
@@ -311,12 +311,6 @@ def _union(values: Iterable[int]) -> int:
     return bits
 
 
-def _version(module: Module) -> Tuple[int, int]:
-    """Changes whenever an instruction is added to or removed from the
-    module (module patches do both), so a stale analysis is rebuilt."""
-    return module._next_uid, module.instruction_count()
-
-
 def reach_analysis(module: Module) -> ReachAnalysis:
     """The module's :class:`ReachAnalysis`, built once and reused by every
     verifier (serial, pooled or cached) that executes the module.
@@ -325,7 +319,7 @@ def reach_analysis(module: Module) -> ReachAnalysis:
     module does.
     """
     analysis = module.reach_analysis
-    if analysis is None or analysis._version != _version(module):
+    if analysis is None or analysis._version != module.version():
         analysis = ReachAnalysis(module)
         module.reach_analysis = analysis
     return analysis

@@ -294,14 +294,14 @@ def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
     ``explore.history``; ``sweep.log`` gets one ``wave_done`` per wave.
 
     Every job tracks coverage through the
-    :class:`repro.runtime.coverage.SwitchTracker` wrapper, which forces
-    stepwise execution, so fusion is switched off (it would only add
-    plan-compilation overhead).  With ``explore.predict`` set, wave 0 is
-    the predict wave (:func:`_run_predict_wave`); ``world_factory`` builds
+    :class:`repro.runtime.coverage.SwitchTracker` wrapper, which observes
+    every decision, so explored seeds execute stepwise.  With
+    ``explore.predict`` set, wave 0 is the predict wave
+    (:func:`_run_predict_wave`); ``world_factory`` builds
     the OS world for its witness replays.
     """
     explore = explore if explore is not None else ExplorePolicy()
-    base = base.replace(coverage=True, fuse=False)
+    base = base.replace(coverage=True)
     ladder = explore.ladder_for(base.kind, base.depth)
     result = ExplorationResult(base.kind, explore)
     merged = ReportSet()

@@ -27,8 +27,8 @@ def spec_job(spec: ProgramSpec, annotations: Optional[AnnotationSet] = None,
              options: Optional[SeedJob] = None) -> SeedJob:
     """The base :class:`SeedJob` of a spec's detector sweep.
 
-    ``options`` carries the per-seed options (record, coverage, profile,
-    fuse); the spec supplies everything else.  The job's source is the
+    ``options`` carries the per-seed options (record, coverage,
+    profile); the spec supplies everything else.  The job's source is the
     spec's registry name when workers can rebuild it (otherwise the sweep
     stays serial and uncached).
     """

@@ -49,6 +49,8 @@ from repro.owl.vuln_analysis import (
 )
 from repro.owl.vuln_verifier import VulnVerification
 from repro.owl.provenance import ProvenanceLog
+from repro.runtime.fuse import fuse_engine
+from repro.runtime.interpreter import fusion_enabled
 from repro.runtime.metrics import PipelineMetrics
 from repro.runtime.spans import SpanTracer
 from repro.spec import AttackGroundTruth, ProgramSpec
@@ -219,16 +221,14 @@ class OwlPipeline:
 
     Both detector stages run through one :class:`repro.owl.sweep.Sweep`
     per run, whose seed jobs carry the per-seed options
-    (:class:`repro.detectors.seed.SeedJob`).  ``fuse=True`` runs them with
-    superinstruction fusion (:mod:`repro.runtime.fuse`): one in-process
-    :class:`~repro.runtime.fuse.FuseEngine` is shared by every serial
-    detector execution of the run, so compiled blocks amortize across
-    seeds and stages.  Fusion never changes results — schedules, events,
-    reports, coverage, logs and the Table-3 ``parity_dict`` are
-    bit-identical with it on or off, at any job count — so only steps/s
-    moves; the engine's counters land in the metrics ``fuse``
-    block and a ``fuse.enabled`` telemetry counter.  Ignored under
-    ``replay`` (scripted decisions force stepwise execution anyway).
+    (:class:`repro.detectors.seed.SeedJob`).  Every VM fuses wherever its
+    scheduler commits a run (:mod:`repro.runtime.fuse`), through the one
+    engine kept on the program's module, so compiled superinstructions
+    amortize across seeds, stages and verifiers.  Fusion never changes
+    results — schedules, events, reports and the Table-3 ``parity_dict``
+    are bit-identical to stepwise execution — so only steps/s moves; this
+    run's share of the module engine's counters lands in the metrics
+    ``fuse`` block.
 
     Every run assembles a deterministic **telemetry snapshot**
     (:mod:`repro.runtime.telemetry`): stage/work counters, per-seed step
@@ -256,7 +256,6 @@ class OwlPipeline:
         explore=None,
         replay=None,
         profile: Optional[int] = None,
-        fuse: bool = False,
     ):
         if explore is not None and replay is not None:
             raise ValueError(
@@ -273,17 +272,12 @@ class OwlPipeline:
         self.explore = explore
         self.replay = replay
         self.profile = int(profile) if profile else None
-        self.fuse = bool(fuse)
         #: Per-run telemetry registry (rebuilt at the top of :meth:`run`).
         self._registry = None
         self._profiles: List = []
         #: Per-run sweep context of both detector stages (rebuilt at the
         #: top of :meth:`run`).
         self._sweep: Optional[Sweep] = None
-        #: Per-run fuse engine: shared across every in-process detector
-        #: execution so compiled superinstructions amortize over the whole
-        #: run; pooled workers fuse with their own per-seed engines.
-        self._fuse_engine = None
 
     # ------------------------------------------------------------------
 
@@ -299,13 +293,9 @@ class OwlPipeline:
 
         self._registry = MetricsRegistry()
         self._profiles = []
-        self._fuse_engine = None
-        if self.fuse and self.replay is None:
-            from repro.runtime.fuse import FuseEngine
-
-            self._fuse_engine = FuseEngine()
-        self._fuse_stages = 0
-        self._options = SeedJob(profile=self.profile, fuse=self.fuse)
+        self._options = SeedJob(profile=self.profile)
+        engine = fuse_engine(self.spec.build())
+        fuse_marks = engine.counters()
         log = self.log
         if log is not None:
             log.emit(
@@ -318,7 +308,7 @@ class OwlPipeline:
         executor = make_executor(jobs) if jobs > 1 else None
         self._sweep = Sweep(jobs=jobs, executor=executor, cache=self.cache,
                             policy=self.policy, tracer=result.spans,
-                            log=log, engine=self._fuse_engine)
+                            log=log)
         started = time.perf_counter()
         try:
             with result.spans.span("pipeline", program=self.spec.name,
@@ -362,8 +352,7 @@ class OwlPipeline:
             blocks["batch"] = self.policy.counters()
         if self.replay is not None:
             blocks["replay"] = self.replay.metrics_block()
-        if self._fuse_engine is not None:
-            blocks["fuse"] = self._fuse_block(result)
+        blocks["fuse"] = self._fuse_block(result, engine, fuse_marks)
         self._assemble_telemetry(result)
         if log is not None:
             log.emit(
@@ -409,14 +398,6 @@ class OwlPipeline:
                          "witnessed", "unwitnessed"):
                 registry.counter("predict." + name).inc(
                     result.predict.counters[name])
-        if self._fuse_engine is not None:
-            # Only job-count-invariant facts go in the registry: the
-            # engine's execution counters depend on whether seeds shared
-            # one in-process engine (jobs=1) or per-worker ones (jobs=N),
-            # so they live in the metrics ``fuse`` block, which
-            # is observational like steps/s.
-            registry.counter("fuse.enabled").inc(1)
-            registry.counter("fuse.stages_requested").inc(self._fuse_stages)
         if self.cache is not None:
             registry.merge_snapshot(self.cache.registry.snapshot())
         if self.policy is not None:
@@ -432,25 +413,29 @@ class OwlPipeline:
         result.telemetry = snapshot
         result.metrics.blocks["telemetry"] = snapshot
 
-    def _fuse_block(self, result: PipelineResult) -> Dict:
-        """The metrics ``fuse`` block.
+    @staticmethod
+    def _fuse_block(result: PipelineResult, engine, marks: Dict) -> Dict:
+        """The metrics ``fuse`` block: this run's deltas of the module
+        engine's counters (``marks`` holds them at the start of the run).
 
-        Observational, like steps/s: the counters describe the pipeline's
-        in-process engine, which every serial detector execution shared.
-        Pooled workers (jobs > 1) fuse with their own per-seed engines, so
-        their compiles and fused steps are not visible here — the share
-        then under-reports, which is fine for a perf observation (the
+        Observational, like steps/s, and job-count dependent — which is
+        why these counters stay out of the telemetry registry.  Pooled
+        workers fuse through their own process's module, so their compiles
+        and fused steps are not visible here; the share then
+        under-reports, which is fine for a perf observation (the
         correctness story is the diff oracle's, not this block's).
+        ``enabled`` is False under the oracle's stepwise or reference
+        switch.
         """
-        engine = self._fuse_engine
-        counters = engine.counters()
+        counters = {name: value - marks[name]
+                    for name, value in engine.counters().items()}
         fused_steps = counters["fused_steps"]
         detect_steps = sum(
             stage.vm_steps for stage in result.metrics.stages
             if stage.name in ("detect", "schedule_reduction")
         )
         return {
-            "enabled": True,
+            "enabled": fusion_enabled(),
             "compiled_blocks": counters["compiled"],
             "fused_runs": counters["fused_runs"],
             "fused_steps": fused_steps,
@@ -520,8 +505,6 @@ class OwlPipeline:
             reports, _ = self.replay.run_detector(
                 annotations=annotations, stats_out=stats, tracer=result.spans)
             return reports
-        if self._fuse_engine is not None:
-            self._fuse_stages += 1
         runs: List = []
         reports, _ = run_detector(
             self.spec, annotations=annotations, options=self._options,

@@ -801,10 +801,14 @@ def repair_program(spec, result=None,
             attempt.ops = list(patcher.ops)
             attempt.diff = ir_diff(original, patched)
             attempt.patched_digest = module_digest(patched)
-            if _gate_candidate(spec, original, patched, report.static_key,
-                               attempt, registry, sweep_seeds, cache=cache,
-                               variable=report.variable,
-                               attack_probes=attack_probes):
+            passed = _gate_candidate(
+                spec, original, patched, report.static_key, attempt,
+                registry, sweep_seeds, cache=cache,
+                variable=report.variable, attack_probes=attack_probes)
+            # The clone is done executing.  IR graphs are cyclic, so it
+            # waits for the cyclic collector; its compiled plans need not.
+            patched.fuse_engine = None
+            if passed:
                 attempt.passed = True
                 target.emitted = attempt
                 registry.counter("repair.emitted").inc()

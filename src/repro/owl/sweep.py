@@ -3,8 +3,7 @@
 :func:`run_sweep` runs a base :class:`repro.detectors.seed.SeedJob` over
 many seeds; the :class:`Sweep` context picks the strategy:
 
-- **serial** — in-process on the caller's module, one shared fuse engine,
-  no payload round trip;
+- **serial** — in-process on the caller's module, no payload round trip;
 - **pool** — jobs are the worker payloads of
   :func:`repro.owl.batch.run_cached_tasks` (a pool when ``jobs > 1`` or an
   executor is given; the result cache at any job count);
@@ -35,21 +34,19 @@ class Sweep:
     (:class:`repro.owl.cache.ResultCache`) answers already-computed jobs
     from disk, ``policy`` (:class:`repro.owl.batch.BatchPolicy`) bounds
     each pooled item's wait and retries, ``tracer`` collects one
-    ``detect_seed`` span per execution, ``log``
+    ``detect_seed`` span per execution, and ``log``
     (:class:`repro.owl.runlog.RunLog`) receives one ``seed_done`` event
-    per job, and ``engine`` is the :class:`repro.runtime.fuse.FuseEngine`
-    every serial fused job shares.
+    per job.
     """
 
     def __init__(self, jobs: int = 1, executor=None, cache=None, policy=None,
-                 tracer: Optional[SpanTracer] = None, log=None, engine=None):
+                 tracer: Optional[SpanTracer] = None, log=None):
         self.jobs = max(1, int(jobs or 1))
         self.executor = executor
         self.cache = cache
         self.policy = policy
         self.tracer = tracer
         self.log = log
-        self.engine = engine
 
     def cache_for(self, job: SeedJob):
         """The cache, when ``job`` can be keyed (it has a rebuildable source)."""
@@ -71,16 +68,9 @@ class Sweep:
             return []
         if self.pooled(seed_jobs[0]):
             return self._run_pooled(module, seed_jobs)
-        if seed_jobs[0].fuse and self.engine is None:
-            # One engine for the whole sweep: every job runs the same
-            # module, so compiled superinstructions amortize across seeds.
-            from repro.runtime.fuse import FuseEngine
-
-            self.engine = FuseEngine()
         runs = []
         for job in seed_jobs:
-            run = run_seed(job, module=module, tracer=self.tracer,
-                           engine=self.engine)
+            run = run_seed(job, module=module, tracer=self.tracer)
             self.announce(run)
             runs.append(run)
         return runs

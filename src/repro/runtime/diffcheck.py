@@ -24,6 +24,12 @@ breakpoint halts of every run equal.  The shipped race verifier may end a
 run early (:mod:`repro.ir.reach`), so its halts need only be a prefix of
 the reference run's.
 
+The optimized VM fuses superinstructions wherever its scheduler commits a
+run (:mod:`repro.runtime.fuse`).  With ``fuse=True`` a third, stepwise
+leg (:func:`~repro.runtime.interpreter.stepwise_execution`) runs beside
+it, under the random scheduler and under the spec's own detector family,
+and must be bit-identical to it.
+
 Both configurations share seeds and schedulers, so any semantic drift in an
 optimization shows up as a first-divergence record rather than a silently
 different race report three stages later.  ``tools/diff_oracle.py`` drives
@@ -34,6 +40,7 @@ vs optimized steps/s in the metrics JSON's ``diff_oracle`` block.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.events import (
@@ -45,8 +52,12 @@ from repro.runtime.events import (
     ThreadLifecycleEvent,
     TraceObserver,
 )
-from repro.runtime.interpreter import VM, ExecutionResult, reference_execution
-from repro.runtime.scheduler import RandomScheduler
+from repro.runtime.interpreter import (
+    VM,
+    ExecutionResult,
+    reference_execution,
+    stepwise_execution,
+)
 
 
 class TraceRecorder(TraceObserver):
@@ -123,6 +134,8 @@ class ExecutionFingerprint:
         self.steps = steps
         self.exit_code = exit_code
         self.wall_seconds = wall_seconds
+        #: steps that ran fused (observational, not compared)
+        self.fused_steps = 0
 
     def __repr__(self) -> str:
         return "<ExecutionFingerprint %s seed=%d %s %d events %d steps>" % (
@@ -188,38 +201,47 @@ def compare_fingerprints(reference: ExecutionFingerprint,
     return None
 
 
-def fingerprint_run(spec, seed: int, reference: bool,
-                    max_steps: Optional[int] = None,
-                    fuse=False) -> ExecutionFingerprint:
-    """Execute ``spec`` once under ``RandomScheduler(seed)`` and record it.
+def fingerprint_run(spec, seed: int, reference: bool = False,
+                    max_steps: Optional[int] = None, stepwise: bool = False,
+                    family: str = "random") -> ExecutionFingerprint:
+    """Execute ``spec`` once under ``family``'s scheduler and record it.
 
-    ``fuse`` truthy runs the optimized VM with superinstruction fusion
-    (:mod:`repro.runtime.fuse`) — the oracle's third mode; ``reference``
-    and ``fuse`` are mutually exclusive.  Pass a shared
-    :class:`~repro.runtime.fuse.FuseEngine` instead of ``True`` to amortize
-    block compiles across a seed sweep (what ``diff_program`` does).
+    ``reference`` runs under :func:`reference_execution`, ``stepwise``
+    under :func:`stepwise_execution`; with neither the VM runs as shipped,
+    fusing wherever its scheduler commits a run, and the fingerprint's
+    ``fused_steps`` counts the steps that ran fused.  ``family`` is a
+    schedule family (``"random"`` or ``"pct"``), built exactly as the
+    spec's detector sweep builds its schedulers.
     """
-    vm = VM(
-        spec.build(),
-        scheduler=RandomScheduler(seed),
-        world=spec.initial_world() if spec.initial_world is not None else None,
-        inputs=spec.workload_inputs,
-        max_steps=max_steps or spec.max_steps,
-        seed=seed,
-        reference=reference,
-        fuse=fuse,
-    )
+    from repro.detectors.seed import make_scheduler
+    from repro.owl.integration import spec_job
+
+    mode = ("reference" if reference else
+            "stepwise" if stepwise else "optimized")
+    job = spec_job(spec).replace(seed=seed, scheduler=family)
+    with (reference_execution() if reference else
+          stepwise_execution() if stepwise else nullcontext()):
+        vm = VM(
+            spec.build(),
+            scheduler=make_scheduler(job),
+            world=(spec.initial_world()
+                   if spec.initial_world is not None else None),
+            inputs=spec.workload_inputs,
+            max_steps=max_steps or spec.max_steps,
+            seed=seed,
+        )
+    engine = vm.fuse_engine
+    fused_before = engine.fused_steps if engine is not None else 0
     recorder = TraceRecorder()
     vm.add_observer(recorder)
     started = time.perf_counter()
     vm.start(spec.entry)
     result = vm.run()
     wall = time.perf_counter() - started
-    return ExecutionFingerprint(
+    fingerprint = ExecutionFingerprint(
         program=spec.name,
         seed=seed,
-        mode=("reference" if reference else
-              "fused" if fuse else "optimized"),
+        mode=mode,
         events=recorder.records,
         faults=[_normalize_fault(fault) for fault in vm.faults],
         recorded_faults=[_normalize_fault(fault)
@@ -229,6 +251,9 @@ def fingerprint_run(spec, seed: int, reference: bool,
         exit_code=result.exit_code,
         wall_seconds=wall,
     )
+    if engine is not None:
+        fingerprint.fused_steps = engine.fused_steps - fused_before
+    return fingerprint
 
 
 def diff_seed(spec, seed: int,
@@ -246,9 +271,12 @@ def diff_seed(spec, seed: int,
 class ProgramDiff:
     """Oracle outcome for one program over a seed sweep.
 
-    The sweep always compares reference vs optimized; with ``fuse=True``
-    (``diff_program``/``diff_reports``/``diff_counters``) a third, fused
-    leg runs per seed and is held bit-identical to the optimized one.
+    The sweep always compares reference vs optimized (as shipped, which
+    fuses wherever its scheduler commits a run).  With ``fuse=True``
+    (``diff_program``/``diff_reports``/``diff_counters``) a stepwise leg
+    runs beside every optimized one and is held bit-identical to it —
+    under the random scheduler and under the spec's own detector family —
+    and each fused family must actually have fused.
     """
 
     def __init__(self, program: str, seeds: Sequence[int]):
@@ -259,18 +287,21 @@ class ProgramDiff:
         self.reference_seconds = 0.0
         self.optimized_steps = 0
         self.optimized_seconds = 0.0
-        #: fused-mode leg (populated only when the sweep ran with fuse)
+        #: fused-vs-stepwise legs (populated only when the sweep ran with
+        #: fuse): the stepwise random leg's cost, and the steps each
+        #: family's optimized leg ran fused
         self.fused = False
-        self.fused_steps = 0
-        self.fused_seconds = 0.0
+        self.stepwise_steps = 0
+        self.stepwise_seconds = 0.0
+        self.fused_steps: Dict[str, int] = {}
         #: sorted race-report static keys per mode (diff_reports)
         self.reference_report_keys: Optional[List[Tuple[int, int]]] = None
         self.optimized_report_keys: Optional[List[Tuple[int, int]]] = None
-        self.fused_report_keys: Optional[List[Tuple[int, int]]] = None
+        self.stepwise_report_keys: Optional[List[Tuple[int, int]]] = None
         #: StageCounters.parity_dict() per mode (diff_counters)
         self.reference_counters: Optional[Dict] = None
         self.optimized_counters: Optional[Dict] = None
-        self.fused_counters: Optional[Dict] = None
+        self.stepwise_counters: Optional[Dict] = None
         #: the debugger-driven leg (populated only by diff_debugger)
         self.debugger = False
         self.debugger_items = 0
@@ -285,8 +316,8 @@ class ProgramDiff:
             and self.reference_report_keys == self.optimized_report_keys
             and self.reference_counters == self.optimized_counters
             and (not self.fused or (
-                self.optimized_report_keys == self.fused_report_keys
-                and self.optimized_counters == self.fused_counters
+                self.optimized_report_keys == self.stepwise_report_keys
+                and self.optimized_counters == self.stepwise_counters
             ))
         )
 
@@ -309,17 +340,17 @@ class ProgramDiff:
         return self.optimized_steps_per_second / self.reference_steps_per_second
 
     @property
-    def fused_steps_per_second(self) -> float:
-        if self.fused_seconds <= 0.0:
+    def stepwise_steps_per_second(self) -> float:
+        if self.stepwise_seconds <= 0.0:
             return 0.0
-        return self.fused_steps / self.fused_seconds
+        return self.stepwise_steps / self.stepwise_seconds
 
     @property
     def fused_speedup(self) -> float:
-        """Fused over *optimized* steps/s — the superinstruction win."""
-        if self.optimized_steps_per_second <= 0.0:
+        """Optimized over stepwise steps/s — the superinstruction win."""
+        if self.stepwise_steps_per_second <= 0.0:
             return 0.0
-        return self.fused_steps_per_second / self.optimized_steps_per_second
+        return self.optimized_steps_per_second / self.stepwise_steps_per_second
 
     def as_dict(self) -> Dict:
         payload = {
@@ -343,13 +374,14 @@ class ProgramDiff:
                 self.debugger_reference_steps
             payload["debugger_shipped_steps"] = self.debugger_shipped_steps
         if self.fused:
-            payload["fused_steps_per_second"] = round(
-                self.fused_steps_per_second, 1)
+            payload["stepwise_steps_per_second"] = round(
+                self.stepwise_steps_per_second, 1)
             payload["fused_speedup"] = round(self.fused_speedup, 3)
+            payload["fused_steps"] = dict(sorted(self.fused_steps.items()))
             payload["fused_report_sets_identical"] = (
-                self.optimized_report_keys == self.fused_report_keys)
+                self.optimized_report_keys == self.stepwise_report_keys)
             payload["fused_counters_identical"] = (
-                self.optimized_counters == self.fused_counters)
+                self.optimized_counters == self.stepwise_counters)
         return payload
 
     def __repr__(self) -> str:
@@ -364,20 +396,19 @@ def diff_program(spec, seeds: Sequence[int] = range(10),
                  fuse: bool = False) -> ProgramDiff:
     """Run the event-stream oracle for one program over a seed sweep.
 
-    With ``fuse=True`` each seed additionally runs a third, fused
-    execution (superinstructions on), which must be bit-identical to the
-    optimized one; fused divergences carry mode "fused" fingerprints.
+    With ``fuse=True`` each seed additionally runs stepwise, and the
+    optimized (fused) run must be bit-identical to it; then both run
+    again under the spec's own detector family (PCT for SKI specs) when
+    that is not random.  Every family's optimized runs must have fused at
+    least one step over the sweep, or the comparison proved nothing and
+    counts as a ``fused_steps`` divergence.
     """
+    from repro.owl.integration import spec_job
+
     diff = ProgramDiff(spec.name, seeds)
     diff.fused = bool(fuse)
-    engine = None
     if fuse:
-        # One engine across the sweep: block compiles amortize exactly as
-        # they do in run_tsan/run_ski's serial paths, so the fused steps/s
-        # reflect steady-state fusion rather than per-seed warmup.
-        from repro.runtime.fuse import FuseEngine
-
-        engine = FuseEngine()
+        diff.fused_steps = {"random": 0, spec_job(spec).family: 0}
     for seed in diff.seeds:
         divergence, reference, optimized = diff_seed(
             spec, seed, max_steps=max_steps)
@@ -385,20 +416,29 @@ def diff_program(spec, seeds: Sequence[int] = range(10),
         diff.reference_seconds += reference.wall_seconds
         diff.optimized_steps += optimized.steps
         diff.optimized_seconds += optimized.wall_seconds
-        if divergence is not None:
-            diff.divergences.append(divergence)
-            if stop_on_divergence:
-                break
-        if fuse:
-            fused = fingerprint_run(spec, seed, reference=False,
-                                    max_steps=max_steps, fuse=engine)
-            diff.fused_steps += fused.steps
-            diff.fused_seconds += fused.wall_seconds
-            fused_divergence = compare_fingerprints(optimized, fused)
-            if fused_divergence is not None:
-                diff.divergences.append(fused_divergence)
-                if stop_on_divergence:
-                    break
+        found = [divergence] if divergence is not None else []
+        for family in diff.fused_steps:
+            if family != "random":
+                optimized = fingerprint_run(spec, seed, max_steps=max_steps,
+                                            family=family)
+            stepwise = fingerprint_run(spec, seed, max_steps=max_steps,
+                                       stepwise=True, family=family)
+            if family == "random":
+                diff.stepwise_steps += stepwise.steps
+                diff.stepwise_seconds += stepwise.wall_seconds
+            diff.fused_steps[family] += optimized.fused_steps
+            divergence = compare_fingerprints(stepwise, optimized)
+            if divergence is not None:
+                divergence.field = "%s.%s" % (family, divergence.field)
+                found.append(divergence)
+        diff.divergences.extend(found)
+        if found and stop_on_divergence:
+            break
+    for family, steps in diff.fused_steps.items():
+        if not steps:
+            diff.divergences.append(Divergence(
+                spec.name, None, "fused_steps[%s]" % family, None,
+                "at least one fused step", steps))
     return diff
 
 
@@ -408,8 +448,8 @@ def _report_keys(reports) -> List[Tuple[int, int]]:
 
 def diff_reports(spec, diff: Optional[ProgramDiff] = None,
                  fuse: bool = False) -> ProgramDiff:
-    """Compare the race-report sets the spec's detector derives per mode."""
-    from repro.detectors.seed import SeedJob
+    """Compare the race-report sets the spec's detector derives per mode
+    (with ``fuse``, stepwise too)."""
     from repro.owl.integration import run_detector
 
     if diff is None:
@@ -426,19 +466,21 @@ def diff_reports(spec, diff: Optional[ProgramDiff] = None,
         ))
     if fuse:
         diff.fused = True
-        fused_reports, _ = run_detector(spec, options=SeedJob(fuse=True))
-        diff.fused_report_keys = _report_keys(fused_reports)
-        if diff.optimized_report_keys != diff.fused_report_keys:
+        with stepwise_execution():
+            stepwise_reports, _ = run_detector(spec)
+        diff.stepwise_report_keys = _report_keys(stepwise_reports)
+        if diff.stepwise_report_keys != diff.optimized_report_keys:
             diff.divergences.append(Divergence(
                 spec.name, None, "fused_report_set", None,
-                diff.optimized_report_keys, diff.fused_report_keys,
+                diff.stepwise_report_keys, diff.optimized_report_keys,
             ))
     return diff
 
 
 def diff_counters(spec, diff: Optional[ProgramDiff] = None,
                   fuse: bool = False) -> ProgramDiff:
-    """Compare ``StageCounters.parity_dict()`` of a full pipeline run."""
+    """Compare ``StageCounters.parity_dict()`` of a full pipeline run per
+    mode (with ``fuse``, stepwise too)."""
     from repro.owl.pipeline import OwlPipeline
 
     if diff is None:
@@ -455,12 +497,13 @@ def diff_counters(spec, diff: Optional[ProgramDiff] = None,
         ))
     if fuse:
         diff.fused = True
-        fused_result = OwlPipeline(spec, fuse=True).run()
-        diff.fused_counters = fused_result.counters.parity_dict()
-        if diff.optimized_counters != diff.fused_counters:
+        with stepwise_execution():
+            stepwise_result = OwlPipeline(spec).run()
+        diff.stepwise_counters = stepwise_result.counters.parity_dict()
+        if diff.stepwise_counters != diff.optimized_counters:
             diff.divergences.append(Divergence(
                 spec.name, None, "fused_stage_counters", None,
-                diff.optimized_counters, diff.fused_counters,
+                diff.stepwise_counters, diff.optimized_counters,
             ))
     return diff
 
@@ -612,122 +655,62 @@ def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
     return diff
 
 
-def diff_record_replay(spec, seeds: Sequence[int] = range(3),
-                       max_steps: Optional[int] = None) -> List[Divergence]:
-    """Assert the fuse flag is inert through the record/replay backbone.
-
-    Recording and replay schedulers force ``run_length`` to 1 (recording
-    must log one entry per decision; replay consumes one recorded decision
-    per step), so requesting fusion there must change nothing.  Each seed
-    is recorded twice — fuse off and fuse on — and the two
-    :class:`~repro.runtime.record.ScheduleLog` payloads plus recorded
-    fingerprints must match; the fuse-off log is then replayed both ways
-    and the replayed fingerprints must match too.  Returns every
-    divergence found (empty list = identical).
-    """
-    from repro.runtime.record import record_seed, replay_log
-
-    module = spec.build()
-    world = spec.initial_world
-    divergences: List[Divergence] = []
-    for seed in seeds:
-        runs = {}
-        for fuse in (False, True):
-            log, _result, fingerprint = record_seed(
-                module, seed, entry=spec.entry, inputs=spec.workload_inputs,
-                max_steps=max_steps or spec.max_steps,
-                scheduler=RandomScheduler(seed),
-                world=world() if world is not None else None,
-                program=spec.name, fingerprint=True, fuse=fuse,
-            )
-            runs[fuse] = (log, fingerprint)
-        log_off, recorded_off = runs[False]
-        log_on, recorded_on = runs[True]
-        if log_off.to_payload() != log_on.to_payload():
-            divergences.append(Divergence(
-                spec.name, seed, "recorded_schedule_log", None,
-                log_off.to_payload(), log_on.to_payload()))
-        divergence = compare_fingerprints(recorded_off, recorded_on)
-        if divergence is not None:
-            divergence.field = "recorded_" + divergence.field
-            divergences.append(divergence)
-        replayed = {}
-        for fuse in (False, True):
-            outcome = replay_log(
-                module, log_off, inputs=spec.workload_inputs,
-                world=world() if world is not None else None,
-                fingerprint=True, fuse=fuse,
-            )
-            if outcome.total_divergences or not outcome.faithful:
-                divergences.append(Divergence(
-                    spec.name, seed, "replay_faithfulness", None,
-                    "faithful replay",
-                    "fuse=%s: %d divergences" % (
-                        fuse, outcome.total_divergences)))
-            replayed[fuse] = outcome.fingerprint
-        divergence = compare_fingerprints(replayed[False], replayed[True])
-        if divergence is not None:
-            divergence.field = "replayed_" + divergence.field
-            divergences.append(divergence)
-    return divergences
-
-
 def benchmark_fused(spec, seeds: Sequence[int] = range(10),
                     max_steps: Optional[int] = None,
                     quantum: int = 50) -> Dict:
-    """Measure the fused-vs-optimized steps/s ratio where fusion can act.
+    """Measure the fused-vs-stepwise steps/s ratio where fusion can act.
 
-    ``RandomScheduler`` preempts geometrically (expected no-preempt run of
-    ``n/(n-1)`` with ``n`` runnable threads), so the oracle sweep's
-    ``fused_speedup`` is ~1.0x by construction — it proves parity, not
-    performance.  The speedup floor is therefore measured under
+    ``RandomScheduler`` fuses only while one thread is runnable, so the
+    oracle sweep's ``fused_speedup`` proves parity, not performance.  The
+    speedup floor is therefore measured under
     :class:`~repro.runtime.scheduler.RoundRobinScheduler`, whose quantum
-    gives ``run_length`` real no-preempt windows, with one shared
-    :class:`~repro.runtime.fuse.FuseEngine` so compiles amortize across
-    seeds exactly as they do in a detector sweep.
+    gives ``run_length`` real no-preempt windows.  Every VM runs the one
+    module, so plans amortize across seeds exactly as they do in a
+    detector sweep; ``compiled_blocks`` and ``fused_step_share`` are this
+    benchmark's deltas of the module engine's counters.
     """
-    from repro.runtime.fuse import FuseEngine
+    from repro.runtime.fuse import fuse_engine
     from repro.runtime.scheduler import RoundRobinScheduler
 
     seeds = list(seeds)
-    engine = FuseEngine()
-    # One module for every VM, exactly like run_tsan/run_ski sweeps: a
-    # fresh build per seed would re-randomize addresses and invalidate the
-    # shared engine's plans on every attach.
     module = spec.build()
-    totals = {"optimized": [0, 0.0], "fused": [0, 0.0]}
-    for mode, fuse in (("optimized", False), ("fused", True)):
+    engine = fuse_engine(module)
+    marks = engine.counters()
+    totals = {"stepwise": [0, 0.0], "fused": [0, 0.0]}
+    for mode, context in (("stepwise", stepwise_execution),
+                          ("fused", nullcontext)):
         for seed in seeds:
-            vm = VM(
-                module,
-                scheduler=RoundRobinScheduler(quantum=quantum),
-                world=(spec.initial_world()
-                       if spec.initial_world is not None else None),
-                inputs=spec.workload_inputs,
-                max_steps=max_steps or spec.max_steps,
-                seed=seed,
-                fuse=engine if fuse else False,
-            )
+            with context():
+                vm = VM(
+                    module,
+                    scheduler=RoundRobinScheduler(quantum=quantum),
+                    world=(spec.initial_world()
+                           if spec.initial_world is not None else None),
+                    inputs=spec.workload_inputs,
+                    max_steps=max_steps or spec.max_steps,
+                    seed=seed,
+                )
             started = time.perf_counter()
             vm.start(spec.entry)
             result = vm.run()
             totals[mode][0] += result.steps
             totals[mode][1] += time.perf_counter() - started
-    optimized_sps = (totals["optimized"][0] / totals["optimized"][1]
-                     if totals["optimized"][1] > 0 else 0.0)
+    stepwise_sps = (totals["stepwise"][0] / totals["stepwise"][1]
+                    if totals["stepwise"][1] > 0 else 0.0)
     fused_sps = (totals["fused"][0] / totals["fused"][1]
                  if totals["fused"][1] > 0 else 0.0)
-    counters = engine.counters()
+    counters = {name: value - marks[name]
+                for name, value in engine.counters().items()}
     fused_steps = totals["fused"][0]
     return {
         "program": spec.name,
         "scheduler": "round_robin",
         "quantum": quantum,
         "seeds": len(seeds),
-        "optimized_steps_per_second": round(optimized_sps, 1),
+        "stepwise_steps_per_second": round(stepwise_sps, 1),
         "fused_steps_per_second": round(fused_sps, 1),
-        "fused_speedup": round(fused_sps / optimized_sps, 3)
-        if optimized_sps > 0 else 0.0,
+        "fused_speedup": round(fused_sps / stepwise_sps, 3)
+        if stepwise_sps > 0 else 0.0,
         "fused_step_share": round(
             counters["fused_steps"] / fused_steps, 4) if fused_steps else 0.0,
         "compiled_blocks": counters["compiled"],

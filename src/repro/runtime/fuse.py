@@ -4,18 +4,32 @@ The VM's remaining per-instruction overhead after PR 5's dispatch table is
 the run-loop itself: one scheduler decision, one runnable-list pass, one
 ``step_thread`` frame and one dispatch lookup *per instruction*.  This
 module compiles hot straight-line runs of load/store/arith/cast
-instructions inside a basic block into one fused Python closure — a
+instructions inside a basic block into a tuple of micro-ops — a
 "superinstruction" — that the VM executes in a single call while emitting
 exactly the same :class:`~repro.runtime.events.AccessEvent`s, faults and
 step increments as stepwise execution.
+
+Where fusion runs.  Fusion is a property of the VM and its scheduler, not
+an option:
+
+- Every VM fuses unless it runs in reference mode or under
+  :func:`repro.runtime.interpreter.stepwise_execution` (the oracle's
+  switch), and only under a scheduler that can commit runs
+  (``Scheduler.commits_runs``: round-robin, PCT and random).  The wrapper
+  schedulers — scripted, record, replay, switch tracking, profiling —
+  observe every decision, so a VM driven by one gets no engine at all.
+- A plan is looked up or compiled only at a scheduling decision where the
+  scheduler can grant a run of at least 2 (``Scheduler.can_commit``):
+  round-robin inside a quantum, PCT away from a change point, random
+  only while exactly one thread is runnable.
+- A VM with a debugger attached never fuses (breakpoints are
+  per-instruction).
 
 Soundness contract (see also ``Scheduler.run_length``):
 
 - Fusion only spans steps the scheduler has *committed* not to preempt:
   the VM asks ``scheduler.run_length(thread, step, max_len)`` for a
   guaranteed no-preempt run length and fuses at most that many steps.
-  Schedulers that must observe every decision (record, replay, scripted,
-  coverage tracking, profiling) answer 1, which disables fusion.
 - Only instructions that cannot block, spawn, exit or switch frames are
   fusible (no calls, no atomics — atomics emit SyncEvents that anchor
   happens-before edges and deserve their own step boundary anyway).
@@ -26,15 +40,21 @@ Soundness contract (see also ``Scheduler.run_length``):
 - A fault inside a fused run bails out through the exact same fault path
   as ``step_thread`` (recorded once, observers notified, FAULT result).
 
-Plans are keyed per ``(basic block, start offset)`` and bake in only
-static IR properties (operand kinds, type sizes, field offsets, masks)
-plus per-VM constants that never change after construction (global and
-function addresses).  Dynamic state — memory contents, block layouts
-re-typed by casts, realloc/free — is read through the live ``Memory`` on
-every execution, so plans cannot go stale the way offset-description
-memos can; :meth:`FuseEngine.invalidate` exists for the debugger-attach
-path and for tests.  Attaching a debugger disables fusion at the run-loop
-level (breakpoints are per-instruction), independent of invalidation.
+One engine per module.  :func:`fuse_engine` keeps the engine on the
+module (``Module.fuse_engine``, like ``Module.reach_analysis``) and
+rebuilds it whenever ``Module.version()`` changes, e.g. after a
+:class:`repro.ir.patch.ModulePatcher` edit; serial sweeps, pool workers,
+verifiers and repair gates all reach it the same way.  Each fusible
+instruction's micro-op is compiled once per engine, and a plan — keyed
+per ``(basic block, start offset)`` — is a tuple of those shared ops, so
+plans entering one block at different offsets cost a tuple each.  Ops
+bake in only static IR properties (operand kinds, type sizes, field
+offsets, masks) plus global and function addresses, which every VM of
+the module assigns identically (:meth:`FuseEngine.attach` checks).
+Dynamic state — memory contents, block layouts re-typed by casts,
+realloc/free, an access's atomic flag — is read on every execution, so
+plans cannot go stale the way offset-description memos can.  The engine
+holds no VM: the executing VM is passed to every lookup.
 """
 
 from __future__ import annotations
@@ -150,7 +170,6 @@ def _compile_load(vm, instruction: Load) -> Optional[Callable]:
     if read_pointer is None:
         return None
     size = max(1, instruction.type.size())
-    atomic = instruction.atomic
 
     def op(vm, thread, frame, instruction=instruction):
         memory = vm.memory
@@ -164,7 +183,7 @@ def _compile_load(vm, instruction: Load) -> Optional[Callable]:
         value = memory.read_int(address, size, signed=False)
         frame.registers[instruction] = value
         vm.emit_access(thread, instruction, address, size, False, value,
-                       is_atomic=atomic)
+                       is_atomic=instruction.atomic)
         frame.index += 1
 
     return op
@@ -176,7 +195,6 @@ def _compile_store(vm, instruction: Store) -> Optional[Callable]:
     if read_pointer is None or read_value is None:
         return None
     size = max(1, instruction.value.type.size())
-    atomic = instruction.atomic
 
     def op(vm, thread, frame, instruction=instruction):
         memory = vm.memory
@@ -190,7 +208,7 @@ def _compile_store(vm, instruction: Store) -> Optional[Callable]:
             vm.raise_fault(fault)
         memory.write_int(address, value, size)
         vm.emit_access(thread, instruction, address, size, True, value,
-                       is_atomic=atomic)
+                       is_atomic=instruction.atomic)
         frame.index += 1
 
     return op
@@ -416,26 +434,29 @@ def _compiler_for(instruction: Instruction) -> Optional[Callable]:
 
 
 class FuseEngine:
-    """Plan cache, hotness tracker and fusion counters.
+    """One module's micro-op cache, plan cache, hotness tracker and counters.
 
-    One engine can be shared by every VM executing the *same module
-    object* (the detector sweeps run many seeds over one build), so plans
-    compiled during seed 0 are reused by seed 19 — the compile cost
-    amortizes across the sweep.  Micro-ops read all dynamic state through
-    the executing VM, and the only per-VM values they bake in are global
-    and function addresses, which the VM assigns deterministically from
-    the module; :meth:`attach` verifies that and starts over if a VM with
-    a different address layout ever shows up.  (Sharing across *different*
-    builds of the same spec is safe but useless: plan keys are basic-block
-    objects, so foreign plans are simply never hit.)
+    Built by :func:`fuse_engine`, never directly by a VM.  Plans compiled
+    during seed 0 are reused by seed 19 and by every verifier or gate VM
+    of the module, so the compile cost amortizes across the whole run.
+    Micro-ops read all dynamic state through the executing VM, which every
+    lookup passes in; the only per-VM values they bake in are global and
+    function addresses, which VMs assign deterministically from the
+    module — :meth:`attach` verifies that and starts over if a VM with a
+    different address layout ever shows up (a patch that adds a global or
+    declares an external changes it without changing the version).
     """
 
-    def __init__(self, hot_threshold: int = HOT_THRESHOLD):
-        self._vm = None
+    def __init__(self, module, hot_threshold: int = HOT_THRESHOLD):
+        #: ``module.version()`` this engine was built for
+        self.version = module.version()
         self._signature: Optional[Tuple[Dict, Dict]] = None
         self.hot_threshold = hot_threshold
+        #: instruction -> its micro-op, or None when it cannot fuse; every
+        #: plan running through the instruction shares the op
+        self._ops: Dict[Instruction, Optional[Callable]] = {}
         #: (block, offset) -> FusePlan, or None once the site is known to
-        #: be unfusible (so the per-step probe stays one dict lookup).
+        #: be unfusible (so the per-decision probe stays one dict lookup).
         self._plans: Dict[tuple, Optional[FusePlan]] = {}
         self._heat: Dict[tuple, int] = {}
         self.compiled = 0
@@ -445,21 +466,20 @@ class FuseEngine:
         self.invalidations = 0
 
     def attach(self, vm) -> "FuseEngine":
-        """Bind the engine to a VM, validating the baked address layout."""
+        """Validate a VM's address layout against the baked one."""
         signature = (vm._global_addresses, vm._function_addresses)
         if self._signature is None:
             self._signature = (dict(signature[0]), dict(signature[1]))
         elif (self._signature[0] != signature[0]
               or self._signature[1] != signature[1]):
             # A VM with a different global/function address layout: every
-            # compiled reader is wrong for it.  Drop the plans and re-sign
-            # rather than execute against stale addresses.
+            # compiled reader is wrong for it.  Drop the ops and plans and
+            # re-sign rather than execute against stale addresses.
             self.invalidate()
             self._signature = (dict(signature[0]), dict(signature[1]))
-        self._vm = vm
         return self
 
-    def plan_for(self, thread) -> Optional[FusePlan]:
+    def plan_for(self, vm, thread) -> Optional[FusePlan]:
         """The compiled plan starting at the thread's program counter.
 
         Returns None while the site is cold or when it cannot be fused;
@@ -478,25 +498,32 @@ class FuseEngine:
             self._heat[key] = heat
             return None
         self._heat.pop(key, None)
-        plan = self._compile(frame)
+        plan = self._compile(vm, frame.block, frame.index)
         plans[key] = plan
         return plan
 
-    def _compile(self, frame) -> Optional[FusePlan]:
-        """Compile the trace starting at the frame's program counter.
+    def _op(self, vm, instruction: Instruction) -> Optional[Callable]:
+        """The instruction's shared micro-op (None: not fusible)."""
+        ops = self._ops
+        if instruction in ops:
+            return ops[instruction]
+        compiler = _compiler_for(instruction)
+        op = compiler(vm, instruction) if compiler is not None else None
+        ops[instruction] = op
+        return op
 
-        The trace is the longest run of fusible instructions from
-        ``(frame.block, frame.index)``: straight-line within a block, and
-        continuing into the successor block across *unconditional*
-        branches (the path is static).  A conditional branch fuses as the
-        trace's final op — its successor depends on a runtime value, so
-        the next plan takes over there.  Revisiting a block ends the
-        trace (loops re-enter the plan from the top instead of unrolling).
+    def _compile(self, vm, block, start: int) -> Optional[FusePlan]:
+        """Compile the trace starting at ``(block, start)``.
+
+        The trace is the longest run of fusible instructions from there:
+        straight-line within a block, and continuing into the successor
+        block across *unconditional* branches (the path is static).  A
+        conditional branch fuses as the trace's final op — its successor
+        depends on a runtime value, so the next plan takes over there.
+        Revisiting a block ends the trace (loops re-enter the plan from
+        the top instead of unrolling).
         """
-        block = frame.block
-        start = frame.index
         ops: List[Callable] = []
-        vm = self._vm
         index = start
         visited = {block}
         while len(ops) < MAX_TRACE:
@@ -504,10 +531,7 @@ class FuseEngine:
             if index >= len(instructions):
                 break
             instruction = instructions[index]
-            compiler = _compiler_for(instruction)
-            if compiler is None:
-                break
-            op = compiler(vm, instruction)
+            op = self._op(vm, instruction)
             if op is None:
                 break
             ops.append(op)
@@ -528,7 +552,8 @@ class FuseEngine:
         return FusePlan(tuple(ops), start)
 
     def invalidate(self) -> None:
-        """Drop every plan and heat counter (debugger attach, tests)."""
+        """Drop every op, plan and heat counter (address layout change)."""
+        self._ops.clear()
         self._plans.clear()
         self._heat.clear()
         self.invalidations += 1
@@ -541,3 +566,17 @@ class FuseEngine:
             "bailouts": self.bailouts,
             "invalidations": self.invalidations,
         }
+
+
+def fuse_engine(module) -> FuseEngine:
+    """The module's :class:`FuseEngine`, built on first use and rebuilt
+    whenever ``module.version()`` changes.
+
+    It is kept on the module itself, so it lives exactly as long as the
+    module does.
+    """
+    engine = module.fuse_engine
+    if engine is None or engine.version != module.version():
+        engine = FuseEngine(module)
+        module.fuse_engine = engine
+    return engine

@@ -55,6 +55,7 @@ from repro.runtime.events import (
     ThreadLifecycleEvent,
     TraceObserver,
 )
+from repro.runtime.fuse import FuseEngine, fuse_engine
 from repro.runtime.memory import Memory, MemoryBlock, store_initializer
 from repro.runtime.os_model import OSWorld
 from repro.runtime.scheduler import RoundRobinScheduler, Scheduler
@@ -71,6 +72,11 @@ NONFATAL_FAULTS = frozenset({FaultKind.FIELD_OVERFLOW})
 #: pipeline stages with the pre-optimization semantics.
 _REFERENCE_MODE = False
 
+#: When True, newly constructed VMs execute one instruction per scheduler
+#: decision (no superinstruction fusion) but keep every other
+#: optimization: the oracle's fused-vs-stepwise switch.
+_STEPWISE_MODE = False
+
 
 @contextmanager
 def reference_execution():
@@ -82,6 +88,23 @@ def reference_execution():
         yield
     finally:
         _REFERENCE_MODE = previous
+
+
+@contextmanager
+def stepwise_execution():
+    """Every VM constructed inside the block executes without fusion."""
+    global _STEPWISE_MODE
+    previous = _STEPWISE_MODE
+    _STEPWISE_MODE = True
+    try:
+        yield
+    finally:
+        _STEPWISE_MODE = previous
+
+
+def fusion_enabled() -> bool:
+    """Whether VMs constructed now may fuse (neither switch is on)."""
+    return not (_REFERENCE_MODE or _STEPWISE_MODE)
 
 
 class ExecutionResult:
@@ -123,7 +146,6 @@ class VM:
         seed: int = 0,
         nonfatal_faults: frozenset = NONFATAL_FAULTS,
         reference: Optional[bool] = None,
-        fuse: bool = False,
     ):
         self.module = module
         self.scheduler = scheduler or RoundRobinScheduler()
@@ -136,23 +158,12 @@ class VM:
         self.memory = Memory(memoize=not self.reference)
         if self.reference:
             self.execute = self._execute_reference  # type: ignore[assignment]
-        #: fuse=True compiles hot straight-line runs into superinstructions
-        #: (:mod:`repro.runtime.fuse`); bounded per run by the scheduler's
-        #: ``run_length`` no-preempt guarantee, so schedules and events are
-        #: bit-identical with fusion on or off.  Passing a ``FuseEngine``
-        #: instance shares its plan cache across VMs of the same module
-        #: (the seed sweeps), amortizing compiles.  Reference mode forces
-        #: fusion off — the oracle's reference leg must stay the plain
-        #: loop.
-        self.fuse = bool(fuse) and not self.reference
-        if self.fuse:
-            from repro.runtime.fuse import FuseEngine
-
-            engine = fuse if isinstance(fuse, FuseEngine) else FuseEngine()
-            self.fuse_engine: Optional["FuseEngine"] = None
-        else:
-            engine = None
-            self.fuse_engine = None
+        #: The module's superinstruction engine (:mod:`repro.runtime.fuse`)
+        #: when this VM fuses: under a scheduler that can commit runs, and
+        #: outside reference and stepwise mode.  Fused runs are bounded by
+        #: the scheduler's ``run_length`` no-preempt guarantee, so
+        #: schedules and events are bit-identical to stepwise execution.
+        self.fuse_engine: Optional[FuseEngine] = None
         self.inputs: Dict = dict(inputs or {})
         self._input_cursors: Dict = {}
         self.max_steps = max_steps
@@ -182,10 +193,11 @@ class VM:
         self._global_addresses: Dict[str, int] = {}
         self._setup_code_addresses()
         self._setup_globals()
-        if engine is not None:
+        if (self.scheduler.commits_runs and not self.reference
+                and not _STEPWISE_MODE):
             # Attach after address setup: plans bake global/function
             # addresses and the engine validates them on every attach.
-            self.fuse_engine = engine.attach(self)
+            self.fuse_engine = fuse_engine(module).attach(self)
 
     # ------------------------------------------------------------------
     # setup
@@ -494,9 +506,10 @@ class VM:
         step_thread = self.step_thread
         RUNNABLE = ThreadState.RUNNABLE
         FINISHED = ThreadState.FINISHED
-        fuse_engine = self.fuse_engine
-        if fuse_engine is not None:
-            plan_for = fuse_engine.plan_for
+        engine = self.fuse_engine
+        if engine is not None:
+            can_commit = self.scheduler.can_commit
+            plan_for = engine.plan_for
             run_length = self.scheduler.run_length
             step_fused = self._step_fused
         while True:
@@ -551,7 +564,8 @@ class VM:
                     return ExecutionResult(ExecutionResult.OUT_OF_REACH, self)
                 continue
             if (
-                fuse_engine is not None
+                engine is not None
+                and can_commit(step)
                 and not self._halted_count
                 and limit - step > 1
             ):
@@ -563,8 +577,9 @@ class VM:
                 # is clamped to the earliest wake-up; with no halted
                 # threads and no per-instruction debugger checks, the
                 # scheduler's no-preempt guarantee then makes the fused
-                # run schedule-identical to stepwise execution.
-                plan = plan_for(thread)
+                # run schedule-identical to stepwise execution.  Plans
+                # are looked up only where the scheduler can grant a run.
+                plan = plan_for(self, thread)
                 if plan is not None:
                     max_len = plan.length
                     if limit - step < max_len:

@@ -362,7 +362,6 @@ def record_seed(
     program: Optional[str] = None,
     fingerprint: bool = False,
     observers: Sequence[TraceObserver] = (),
-    fuse=False,
 ):
     """Execute once and record it; ``(log, result, fingerprint_or_None)``.
 
@@ -372,16 +371,12 @@ def record_seed(
     rides along and the returned fingerprint (mode ``"recorded"``) is
     directly comparable against :func:`replay_log`'s.
 
-    ``fuse`` is accepted so sweeps that fuse elsewhere can pass their
-    engine through uniformly, but it is inert here by design:
-    :class:`ScheduleRecorder` keeps the base ``run_length`` of 1 (a fused
-    run would silently drop per-decision log entries), so the recorded
-    log and fingerprint are bit-identical with or without it — the
-    diff-oracle's ``--fuse`` mode asserts exactly that.
+    :class:`ScheduleRecorder` observes every decision, so a recording VM
+    never fuses (it gets no fuse engine).
     """
     recorder = ScheduleRecorder(scheduler or RandomScheduler(seed))
     vm = VM(module, scheduler=recorder, world=world, inputs=inputs,
-            max_steps=max_steps, seed=seed, fuse=fuse)
+            max_steps=max_steps, seed=seed)
     vm.add_observer(recorder)
     for observer in observers:
         vm.add_observer(observer)
@@ -544,7 +539,6 @@ def replay_log(
     strict: bool = True,
     fingerprint: bool = False,
     scheduler_wrapper=None,
-    fuse=False,
 ) -> ReplayResult:
     """Deterministically re-execute a recorded run, observers attached.
 
@@ -561,11 +555,9 @@ def replay_log(
     ``scheduler_wrapper``, when given, wraps the internal
     :class:`ReplayScheduler` with a pure-delegation observer of the
     decision stream (the predictive detector's decision-index tracker);
-    the wrapper must delegate every decision unchanged.  ``fuse`` is
-    accepted for uniformity with live sweeps and is inert:
-    :class:`~repro.runtime.scheduler.ReplayScheduler` forces
-    ``run_length`` to 1 (fusing would desynchronize the log cursor), so
-    replayed fingerprints are bit-identical with or without it.
+    the wrapper must delegate every decision unchanged.
+    :class:`~repro.runtime.scheduler.ReplayScheduler` consumes one
+    recorded decision per step, so a replaying VM never fuses.
     """
     digest = module_ir_digest(module)
     digest_match = digest == log.ir_digest
@@ -578,7 +570,7 @@ def replay_log(
                  if scheduler_wrapper is not None else replay_scheduler)
     verifier = _ReplayVerifier(log)
     vm = VM(module, scheduler=scheduler, world=world, inputs=inputs,
-            max_steps=log.max_steps or 200_000, seed=log.seed, fuse=fuse)
+            max_steps=log.max_steps or 200_000, seed=log.seed)
     vm.add_observer(verifier)
     for observer in observers:
         vm.add_observer(observer)

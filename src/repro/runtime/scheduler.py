@@ -27,8 +27,25 @@ from repro.runtime.thread import ThreadContext
 class Scheduler:
     """Chooses which runnable thread executes the next instruction."""
 
+    #: Whether :meth:`run_length` can ever return more than 1.  A VM gets
+    #: the module's fuse engine only under a scheduler that can; the
+    #: wrapping schedulers (recording, replay, scripted, coverage
+    #: tracking, the sampling profiler) keep False — they observe every
+    #: individual decision, so a VM driven by one never fuses.
+    commits_runs = False
+
     def choose(self, runnable: List[ThreadContext], step: int) -> ThreadContext:
         raise NotImplementedError
+
+    def can_commit(self, step: int) -> bool:
+        """Whether :meth:`run_length`, called now for decision ``step``,
+        could return more than 1.
+
+        Called by the VM right after :meth:`choose`, before it looks up a
+        fused plan: plans are looked up or compiled only where a run of at
+        least 2 can be granted.  Must not change any state.
+        """
+        return False
 
     def run_length(self, thread: ThreadContext, step: int,
                    max_len: int) -> int:
@@ -43,11 +60,7 @@ class Scheduler:
         internal state exactly as those ``k - 1`` calls would have — so
         the schedule is bit-identical whether the VM fuses or not.
 
-        The default of 1 disables fusion.  Wrapping schedulers
-        (recording, replay, scripted, coverage tracking, the sampling
-        profiler) deliberately keep this default: they observe every
-        individual decision, so their outputs stay byte-identical with
-        fusion on or off.
+        The default of 1 commits nothing.
         """
         return 1
 
@@ -60,6 +73,8 @@ class Scheduler:
 
 class RoundRobinScheduler(Scheduler):
     """Run each thread for ``quantum`` steps before switching."""
+
+    commits_runs = True
 
     def __init__(self, quantum: int = 50):
         if quantum <= 0:
@@ -94,6 +109,9 @@ class RoundRobinScheduler(Scheduler):
         self._remaining = self.quantum - 1
         return chosen
 
+    def can_commit(self, step: int) -> bool:
+        return self._remaining > 0
+
     def run_length(self, thread: ThreadContext, step: int,
                    max_len: int) -> int:
         # ``choose`` just returned ``thread`` leaving ``_remaining`` steps
@@ -115,83 +133,38 @@ class RoundRobinScheduler(Scheduler):
 class RandomScheduler(Scheduler):
     """Uniformly random choice each step, from a reproducible seed."""
 
+    commits_runs = True
+
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = random.Random(seed)
         self._last_n: Optional[int] = None
-        self._last_index = 0
-        self._pending: Optional[int] = None  # pre-drawn index (run_length)
-        self._pending_n = 0
 
     def choose(self, runnable: List[ThreadContext], step: int) -> ThreadContext:
         n = len(runnable)
-        pending = self._pending
-        if pending is None:
-            index = self._rng.randrange(n)
-        else:
-            # run_length already drew this decision while scanning ahead;
-            # serve it verbatim so the rng stream matches stepwise
-            # execution draw for draw.
-            self._pending = None
-            if self._pending_n != n:
-                raise RuntimeError(
-                    "run_length no-preempt contract violated: runnable set "
-                    "changed size (%d -> %d) under a pending draw"
-                    % (self._pending_n, n))
-            index = pending
         self._last_n = n
-        self._last_index = index
-        return runnable[index]
+        return runnable[self._rng.randrange(n)]
+
+    def can_commit(self, step: int) -> bool:
+        return self._last_n == 1
 
     def run_length(self, thread: ThreadContext, step: int,
                    max_len: int) -> int:
-        # Seeded lookahead on the *real* rng: each draw is exactly the
-        # draw the next ``choose`` would make (the runnable list — hence
-        # its length and the chosen thread's index — is invariant during
-        # a fused run), so a matching draw is simply committed.  The
-        # first differing draw ends the run and is cached in
-        # ``_pending`` for the next ``choose`` to serve verbatim: that
-        # next choose is guaranteed to happen with the same runnable set
-        # because a diverging lookahead always stops strictly inside the
-        # caller's window (length < max_len ≤ limit/sleeper clamps), and
-        # fused instructions make no calls, so nothing can finish,
-        # spawn, unlock or wake before the draw is consumed.  Note
-        # ``randrange(n)`` consumes entropy even for ``n == 1``
-        # (rejection sampling), so single-threaded runs must advance the
-        # rng draw by draw to stay bit-identical.
-        if max_len <= 1 or self._last_n is None:
-            return 1
-        n = self._last_n
-        if n > 3:
-            # Expected no-preempt run shrinks as n/(n-1): with four or
-            # more runnable threads the lookahead almost always stops at
-            # the first draw, so skip it (returning 1 commits nothing —
-            # the next choose simply draws for itself).
+        # Only a lone runnable thread is guaranteed to win the next
+        # draws; with two or more, any draw may preempt it.  Every skipped
+        # ``choose`` still consumes its entropy — ``randrange(1)`` draws
+        # too (rejection sampling) — so the rng stream stays bit-identical
+        # to stepwise execution.
+        if max_len <= 1 or self._last_n != 1:
             return 1
         draw = self._rng.randrange
-        if n == 1:
-            # Only one runnable thread: every draw picks it; just consume
-            # the entropy the skipped ``choose`` calls would have.
-            for _ in range(max_len - 1):
-                draw(1)
-            return max_len
-        index = self._last_index
-        length = 1
-        while length < max_len:
-            decision = draw(n)
-            if decision != index:
-                self._pending = decision
-                self._pending_n = n
-                break
-            length += 1
-        return length
+        for _ in range(max_len - 1):
+            draw(1)
+        return max_len
 
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
         self._last_n = None
-        self._last_index = 0
-        self._pending = None
-        self._pending_n = 0
 
 
 class PCTScheduler(Scheduler):
@@ -201,6 +174,8 @@ class PCTScheduler(Scheduler):
     the running thread's priority drops below all others.  Guarantees a
     lower-bound probability of hitting any bug of depth ``d``.
     """
+
+    commits_runs = True
 
     def __init__(self, seed: int = 0, depth: int = 3, expected_steps: int = 2000):
         self.seed = seed
@@ -249,6 +224,9 @@ class PCTScheduler(Scheduler):
             self._priorities[chosen.thread_id] = self._low_water
             chosen = max(runnable, key=self._priority)
         return chosen
+
+    def can_commit(self, step: int) -> bool:
+        return step + 1 not in self._change_points
 
     def run_length(self, thread: ThreadContext, step: int,
                    max_len: int) -> int:
@@ -332,12 +310,6 @@ class ScriptedScheduler(Scheduler):
             return min(runnable, key=lambda t: t.thread_id)
         return self.fallback.choose(runnable, step)
 
-    def run_length(self, thread: ThreadContext, step: int,
-                   max_len: int) -> int:
-        # Scripted schedules express per-instruction ordering for the
-        # verifiers; fusion must never skip a scripted decision.
-        return 1
-
     def on_thread_created(self, thread: ThreadContext) -> None:
         # The fallback takes over once the script is exhausted; it must
         # learn about every thread created while the script was running.
@@ -369,12 +341,6 @@ class RecordingScheduler(Scheduler):
         chosen = self.inner.choose(runnable, step)
         self.trace.append(chosen.thread_id)
         return chosen
-
-    def run_length(self, thread: ThreadContext, step: int,
-                   max_len: int) -> int:
-        # Recording must log one entry per scheduling decision; a fused
-        # run would silently drop trace entries.
-        return 1
 
     def on_thread_created(self, thread: ThreadContext) -> None:
         self.inner.on_thread_created(thread)
@@ -408,12 +374,6 @@ class ReplayScheduler(Scheduler):
             self.divergences += 1
             return min(runnable, key=lambda t: t.thread_id)
         return self.fallback.choose(runnable, step)
-
-    def run_length(self, thread: ThreadContext, step: int,
-                   max_len: int) -> int:
-        # Replay consumes exactly one recorded decision per step; fusing
-        # would desynchronize the cursor from the log.
-        return 1
 
     def on_thread_created(self, thread: ThreadContext) -> None:
         # The fallback takes over once the trace is exhausted; it must

@@ -8,7 +8,9 @@ is rejected because the recorded attack still realizes); and the
 schema-9 ``repair`` metrics block is bit-identical across job counts.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.owl.repair import (
     merge_repair_telemetry,
     repair_program,
 )
+from repro.runtime.interpreter import reference_execution
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +149,40 @@ class TestRepairApacheLog:
         assert len(repair.emitted) == len(repair.targets) == 4
         assert repair.ground_truth_spec == "apache_log_fixed"
         assert all(target.ground_truth_race_gone for target in repair.emitted)
+
+    def test_gates_match_reference_execution(self, apache_log_run):
+        """The gate VMs fuse under round-robin and PCT; the repair block
+        and the patch payloads must not notice."""
+        spec, result = apache_log_run
+        shipped = repair_program(spec, result=result)
+        with reference_execution():
+            reference = repair_program(spec, result=result)
+        assert (json.dumps(shipped.metrics_block(), sort_keys=True)
+                == json.dumps(reference.metrics_block(), sort_keys=True))
+        assert (json.dumps(shipped.patch_payloads(), sort_keys=True)
+                == json.dumps(reference.patch_payloads(), sort_keys=True))
+
+    def test_patched_clones_are_released(self, apache_log_run, monkeypatch):
+        from repro.owl import repair as repair_module
+
+        clones = []
+        clone = repair_module.clone_module
+
+        def tracked_clone(module):
+            copied = clone(module)
+            clones.append(weakref.ref(copied))
+            return copied
+
+        monkeypatch.setattr(repair_module, "clone_module", tracked_clone)
+        spec, result = apache_log_run
+        repair = repair_program(spec, result=result)
+        assert repair.emitted and clones
+        # a clone awaiting the cyclic collector holds no compiled plans
+        assert all(ref().fuse_engine is None
+                   for ref in clones if ref() is not None)
+        del repair
+        gc.collect()
+        assert [ref() for ref in clones] == [None] * len(clones)
 
     def test_metrics_block_identical_across_job_counts(self):
         blocks = []

@@ -84,8 +84,7 @@ class TestSeedJobKeys:
                         inputs=spec.workload_inputs,
                         max_steps=spec.max_steps)
         baseline = run_seed(plain, module=spec.build())
-        every = plain.replace(record=True, coverage=True, profile=97,
-                              fuse=True)
+        every = plain.replace(record=True, coverage=True, profile=97)
         run = run_seed(every, module=spec.build())
         assert run.stats.steps == baseline.stats.steps
         assert ([r.uid for r in run.reports]

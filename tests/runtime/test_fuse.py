@@ -1,31 +1,44 @@
 """Fusion soundness: run_length contracts, fused/stepwise parity, fixes.
 
-Four layers:
+Five layers:
 
 - unit tests for the two VM bugfixes (``_handle_idle`` clamping the sleeper
   fast-forward to the step budget; ``step_thread`` resetting ``blocked_arg``
   together with ``blocked_kind``),
 - unit tests for every scheduler's ``run_length`` no-preempt contract,
-  including the RandomScheduler's pending-draw and entropy-parity semantics,
+  including the RandomScheduler's entropy-parity semantics,
 - unit tests for :class:`repro.runtime.fuse.FuseEngine` (hotness, plan
-  caching, invalidation, attach signature validation, counters), and
+  caching, invalidation, attach signature validation, counters),
+- the engine rules: one engine per module, rebuilt after a patch; plans
+  sharing micro-ops; plans only where the scheduler can commit a run; no
+  VM kept alive by the engine, and
 - hypothesis differential tests pinning ``_run_fast_loop`` ≡
   ``_run_reference_loop`` ≡ fused execution across blocked/sleeper/halted
   transitions and fused-block boundaries (fault bailout mid-run, memo
   invalidation between runs, ``run_length`` shrinking at change points).
 """
 
+import copy
+import gc
+import weakref
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import IRBuilder, Module, verify_module
+from repro.ir.instructions import Call
+from repro.ir.patch import ModulePatcher
 from repro.ir.types import I32, I64, I8, ptr
 from repro.runtime.diffcheck import TraceRecorder, _normalize_fault
 from repro.runtime.errors import FaultKind
-from repro.runtime.fuse import FuseEngine
-from repro.runtime.interpreter import VM, ExecutionResult
+from repro.runtime.fuse import FuseEngine, _compiler_for, fuse_engine
+from repro.runtime.interpreter import (
+    VM,
+    ExecutionResult,
+    stepwise_execution,
+)
 from repro.runtime.scheduler import (
     PCTScheduler,
     RandomScheduler,
@@ -34,6 +47,7 @@ from repro.runtime.scheduler import (
     RoundRobinScheduler,
     ScriptedScheduler,
 )
+from repro.runtime.thread import ThreadState
 from tests.helpers import build_adhoc_sync_module, build_counter_race
 
 
@@ -139,10 +153,15 @@ def make_scheduler(kind: str, seed: int):
 
 
 def run_fingerprint(module: Module, scheduler, reference: bool = False,
-                    fuse=False, max_steps: int = 50_000):
-    """Everything observable about one run, in comparable form."""
-    vm = VM(module, scheduler=scheduler, max_steps=max_steps,
-            reference=reference, fuse=fuse)
+                    fuse: bool = False, max_steps: int = 50_000):
+    """Everything observable about one run, in comparable form.
+
+    ``fuse=False`` runs under :func:`stepwise_execution`; ``fuse=True``
+    runs as shipped, through the module's fuse engine.
+    """
+    with nullcontext() if fuse else stepwise_execution():
+        vm = VM(module, scheduler=scheduler, max_steps=max_steps,
+                reference=reference)
     recorder = TraceRecorder()
     vm.add_observer(recorder)
     vm.start("main")
@@ -280,7 +299,7 @@ class TestRunLengthContract:
         chosen = scheduler.choose(runnable, 0)
         assert scheduler.run_length(chosen, 0, 4) == 4
 
-    @given(st.integers(0, 10_000), st.integers(2, 3),
+    @given(st.integers(0, 10_000), st.integers(1, 3),
            st.lists(st.integers(2, 9), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_random_entropy_parity(self, seed, n, windows):
@@ -295,40 +314,35 @@ class TestRunLengthContract:
             decisions += fused.run_length(chosen, decisions, max_len)
         for s in range(decisions):
             stepwise.choose(runnable, s)
-        # drain any pending draw the way the VM would (the next choose)
-        if fused._pending is not None:
-            assert fused.choose(runnable, decisions) is not None
-            stepwise.choose(runnable, decisions)
         assert fused._rng.getstate() == stepwise._rng.getstate()
 
-    def test_random_pending_draw_served_verbatim(self):
-        runnable = _threads(2)
-        scheduler = RandomScheduler(7)
-        chosen = scheduler.choose(runnable, 0)
-        length = scheduler.run_length(chosen, 0, 50)
-        if scheduler._pending is None:
-            pytest.skip("lookahead ran the full window for this seed")
-        pending = scheduler._pending
-        after = scheduler.choose(runnable, length)
-        assert after is runnable[pending]
-
-    def test_random_pending_detects_contract_violation(self):
-        runnable = _threads(2)
-        scheduler = RandomScheduler(7)
-        chosen = scheduler.choose(runnable, 0)
-        scheduler.run_length(chosen, 0, 50)
-        if scheduler._pending is None:
-            pytest.skip("lookahead ran the full window for this seed")
-        with pytest.raises(RuntimeError, match="no-preempt contract"):
-            scheduler.choose(_threads(3), 1)
-
-    def test_random_skips_lookahead_when_crowded(self):
-        runnable = _threads(4)
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_commits_only_a_lone_thread(self, n):
         scheduler = RandomScheduler(0)
-        chosen = scheduler.choose(runnable, 0)
+        chosen = scheduler.choose(_threads(n), 0)
+        assert not scheduler.can_commit(0)
         state = scheduler._rng.getstate()
         assert scheduler.run_length(chosen, 0, 50) == 1
         assert scheduler._rng.getstate() == state  # committed nothing
+        chosen = scheduler.choose(_threads(1), 1)
+        assert scheduler.can_commit(1)
+        assert scheduler.run_length(chosen, 1, 50) == 50
+
+    @pytest.mark.parametrize("make", [
+        lambda: RoundRobinScheduler(quantum=4),
+        lambda: PCTScheduler(seed=5, depth=4, expected_steps=40),
+        lambda: RandomScheduler(3),
+    ], ids=["round_robin", "pct", "random"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_can_commit_matches_run_length(self, make, n):
+        """The gate says yes exactly where run_length would grant 2+."""
+        runnable = _threads(n)
+        scheduler = make()
+        for step in range(60):
+            chosen = scheduler.choose(runnable, step)
+            probe = copy.deepcopy(scheduler)
+            granted = probe.run_length(chosen, step, 2)
+            assert scheduler.can_commit(step) == (granted == 2)
 
     def test_random_single_thread_consumes_entropy(self):
         runnable = _threads(1)
@@ -357,7 +371,9 @@ class TestRunLengthContract:
             RecordingScheduler(RandomScheduler(0)),
             ReplayScheduler([1, 1, 2]),
         ):
+            assert not scheduler.commits_runs
             chosen = scheduler.choose(runnable, 0)
+            assert not scheduler.can_commit(0)
             assert scheduler.run_length(chosen, 0, 50) == 1
 
 
@@ -365,37 +381,43 @@ class TestRunLengthContract:
 # FuseEngine
 
 class TestFuseEngine:
-    def _vm(self, module=None, fuse=True):
+    def _vm(self, module=None):
         vm = VM(module or build_counter_race(iterations=4),
-                scheduler=RoundRobinScheduler(), max_steps=10_000, fuse=fuse)
+                scheduler=RoundRobinScheduler(), max_steps=10_000)
         return vm
 
     def test_vm_attaches_engine(self):
         vm = self._vm()
         assert isinstance(vm.fuse_engine, FuseEngine)
+        assert vm.fuse_engine is vm.module.fuse_engine
 
     def test_reference_mode_disables_fusion(self):
         vm = VM(build_counter_race(), scheduler=RoundRobinScheduler(),
-                max_steps=10_000, reference=True, fuse=True)
+                max_steps=10_000, reference=True)
+        assert vm.fuse_engine is None
+
+    def test_stepwise_mode_disables_fusion(self):
+        with stepwise_execution():
+            vm = self._vm()
         assert vm.fuse_engine is None
 
     def test_sites_warm_before_compiling(self):
         vm = self._vm(build_divider())
         engine = vm.fuse_engine
         thread = vm.start("main")  # entry block: unconditional br -> loop
-        assert engine.plan_for(thread) is None  # first sight: cold
-        plan = engine.plan_for(thread)  # second sight: compiled
+        assert engine.plan_for(vm, thread) is None  # first sight: cold
+        plan = engine.plan_for(vm, thread)  # second sight: compiled
         assert plan is not None and plan.length >= 2
         assert engine.compiled == 1
-        assert engine.plan_for(thread) is plan  # cached
+        assert engine.plan_for(vm, thread) is plan  # cached
 
     def test_unfusible_site_cached_as_none(self):
         # counter_race main starts with thread_create calls: never fusible
         vm = self._vm()
         engine = vm.fuse_engine
         thread = vm.start("main")
-        engine.plan_for(thread)
-        engine.plan_for(thread)
+        engine.plan_for(vm, thread)
+        engine.plan_for(vm, thread)
         key = (thread.top.block, thread.top.index)
         assert engine._plans[key] is None
         assert engine.compiled == 0
@@ -411,24 +433,25 @@ class TestFuseEngine:
         assert engine.invalidations == 1
 
     def test_attach_foreign_layout_invalidates(self):
-        engine = FuseEngine()
-        self._vm(build_counter_race(iterations=4), fuse=engine)
+        module = build_counter_race(iterations=4)
+        engine = FuseEngine(module)
+        engine.attach(self._vm(module))
         # a module with different globals -> different address layout
-        self._vm(build_sleeper_contention(), fuse=engine)
+        engine.attach(self._vm(build_sleeper_contention()))
         assert engine.invalidations == 1
 
     def test_shared_engine_amortizes_across_vms(self):
         module = build_counter_race(iterations=4)
-        engine = FuseEngine()
         for _ in range(2):
             vm = VM(module, scheduler=RoundRobinScheduler(),
-                    max_steps=10_000, fuse=engine)
+                    max_steps=10_000)
             vm.start("main")
             vm.run()
+        engine = module.fuse_engine
         assert engine.invalidations == 0
         first_sweep_compiles = engine.compiled
-        vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=10_000,
-                fuse=engine)
+        vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=10_000)
+        assert vm.fuse_engine is engine
         vm.start("main")
         vm.run()
         assert engine.compiled == first_sweep_compiles  # all plans reused
@@ -441,6 +464,143 @@ class TestFuseEngine:
         assert set(counters) == {"compiled", "fused_runs", "fused_steps",
                                  "bailouts", "invalidations"}
         assert counters["fused_steps"] >= counters["fused_runs"] >= 1
+
+
+# ----------------------------------------------------------------------
+# the engine rules
+
+
+def _fusible_instructions(module: Module):
+    return [instruction for instruction in module.instructions()
+            if _compiler_for(instruction) is not None]
+
+
+class TestEngineRules:
+    def test_one_engine_per_module(self):
+        module = build_counter_race(iterations=4)
+        engine = fuse_engine(module)
+        assert fuse_engine(module) is engine
+        for scheduler in (RoundRobinScheduler(), RandomScheduler(1),
+                          PCTScheduler(seed=1)):
+            assert VM(module, scheduler=scheduler).fuse_engine is engine
+
+    def test_engine_rebuilt_after_a_patch(self):
+        module = build_counter_race(iterations=4)
+        engine = VM(module, scheduler=RoundRobinScheduler()).fuse_engine
+        main = module.get_function("main")
+        ModulePatcher(module).insert_before(
+            main.entry.instructions[0],
+            Call(IRBuilder(module).extern("thread_yield"), []))
+        rebuilt = VM(module, scheduler=RoundRobinScheduler()).fuse_engine
+        assert rebuilt is not engine
+        assert module.fuse_engine is rebuilt
+        assert rebuilt.version == module.version()
+
+    def test_engine_rebuilt_after_revert_and_a_new_patch(self):
+        """Reverting a patch and applying another of the same size must
+        not hand the second patch the first one's plans."""
+        from repro.ir.instructions import Store
+        from repro.ir.values import ConstantInt
+
+        module = build_divider(start=40)
+        loop = module.get_function("main").get_block("cond")
+        out = module.get_global("out")
+        runs = []
+        for value in (1000, 2000):
+            patcher = ModulePatcher(module)
+            patcher.insert_before(loop.instructions[-1],
+                                  Store(ConstantInt(I64, value), out))
+            stepwise = run_fingerprint(module, RoundRobinScheduler())
+            fused = run_fingerprint(module, RoundRobinScheduler(),
+                                    fuse=True)
+            assert module.fuse_engine.fused_steps > 0
+            runs.append((stepwise, fused))
+            patcher.revert()
+        for stepwise, fused in runs:
+            assert fused == stepwise
+        assert runs[0][1] != runs[1][1]
+
+    def test_plans_at_two_offsets_share_ops(self):
+        module = build_divider()
+        vm = VM(module, scheduler=RoundRobinScheduler())
+        engine = vm.fuse_engine
+        block = module.get_function("main").get_block("cond")
+        whole = engine._compile(vm, block, 0)
+        tail = engine._compile(vm, block, 1)
+        assert whole.length == tail.length + 1
+        assert all(a is b for a, b in zip(whole.ops[1:], tail.ops))
+
+    def test_compiled_ops_bounded_by_fusible_instructions(self):
+        module = build_sleeper_contention()
+        for seed in range(8):
+            for scheduler in (RoundRobinScheduler(quantum=1 + seed),
+                              PCTScheduler(seed=seed, expected_steps=200)):
+                vm = VM(module, scheduler=scheduler, max_steps=10_000)
+                vm.start("main")
+                vm.run()
+        engine = module.fuse_engine
+        compiled = [op for op in engine._ops.values() if op is not None]
+        plans = [plan for plan in engine._plans.values() if plan is not None]
+        assert len(compiled) <= len(_fusible_instructions(module))
+        assert ({id(op) for plan in plans for op in plan.ops}
+                <= {id(op) for op in compiled})
+        # plans entering blocks mid-way reuse the ops instead of copying
+        assert sum(plan.length for plan in plans) > len(compiled)
+
+    def test_no_engine_under_wrapper_schedulers(self):
+        from repro.detectors.predict import _DecisionTracker
+        from repro.runtime.coverage import SwitchTracker
+        from repro.runtime.profiler import SamplingProfiler
+        from repro.runtime.record import ScheduleRecorder
+
+        module = build_counter_race(iterations=4)
+        for scheduler in (
+            ScriptedScheduler([(1, 5)]),
+            RecordingScheduler(RandomScheduler(0)),
+            ReplayScheduler([1, 1, 2]),
+            ScheduleRecorder(RoundRobinScheduler()),
+            _DecisionTracker(ReplayScheduler([1, 2])),
+            SwitchTracker(RoundRobinScheduler()),
+            SamplingProfiler(PCTScheduler(seed=0), interval=7),
+        ):
+            vm = VM(module, scheduler=scheduler, max_steps=10_000)
+            assert vm.fuse_engine is None
+            vm.start("main")
+            vm.run()
+        assert module.fuse_engine is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_looks_up_plans_only_for_a_lone_thread(self, seed):
+        module = build_counter_race(iterations=30)
+        vm = VM(module, scheduler=RandomScheduler(seed), max_steps=10_000)
+        engine = vm.fuse_engine
+        runnable_at_lookup = []
+        plan_for = engine.plan_for
+
+        def spy(vm, thread):
+            runnable_at_lookup.append(sum(
+                1 for other in vm.threads.values()
+                if other.state == ThreadState.RUNNABLE))
+            return plan_for(vm, thread)
+
+        engine.plan_for = spy
+        vm.start("main")
+        vm.run()
+        assert runnable_at_lookup
+        assert set(runnable_at_lookup) == {1}
+
+    def test_dropped_vm_is_collected(self):
+        module = build_counter_race(iterations=4)
+        vm = VM(module, scheduler=RoundRobinScheduler())
+        vm.start("main")
+        vm.run()
+        engine = module.fuse_engine
+        assert engine.fused_steps > 0
+        dropped = weakref.ref(vm)
+        del vm
+        gc.collect()
+        assert dropped() is None
+        assert module.fuse_engine is engine
 
 
 # ----------------------------------------------------------------------
@@ -493,8 +653,8 @@ class TestFusedBoundaries:
     def test_fault_bails_out_mid_run(self):
         module = build_divider(start=3)
         stepwise = run_fingerprint(module, RoundRobinScheduler())
-        engine = FuseEngine()
-        fused = run_fingerprint(module, RoundRobinScheduler(), fuse=engine)
+        fused = run_fingerprint(module, RoundRobinScheduler(), fuse=True)
+        engine = module.fuse_engine
         assert fused == stepwise
         assert stepwise["reason"] == ExecutionResult.FAULT
         assert stepwise["faults"][0][0] == FaultKind.DIVISION_BY_ZERO.value
@@ -503,13 +663,16 @@ class TestFusedBoundaries:
 
     def test_invalidation_between_runs_recompiles_identically(self):
         module = build_counter_race(iterations=4)
-        engine = FuseEngine()
-        first = run_fingerprint(module, RandomScheduler(5), fuse=engine)
+        first = run_fingerprint(module, RoundRobinScheduler(), fuse=True)
+        engine = module.fuse_engine
+        compiled = engine.compiled
+        assert compiled >= 1
         engine.invalidate()
-        second = run_fingerprint(module, RandomScheduler(5), fuse=engine)
+        second = run_fingerprint(module, RoundRobinScheduler(), fuse=True)
         assert first == second
+        assert module.fuse_engine is engine
         assert engine.invalidations == 1
-        assert engine.compiled >= 2  # recompiled after the flush
+        assert engine.compiled == 2 * compiled  # recompiled after the flush
 
     def test_sleeper_wakeup_shrinks_the_window(self):
         # a thread sleeping mid-run clamps max_len to its wake step; the
@@ -526,8 +689,7 @@ class TestFusedBoundaries:
         from repro.runtime.debugger import Debugger
 
         module = build_counter_race(iterations=4)
-        vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=10_000,
-                fuse=True)
+        vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=10_000)
         debugger = Debugger(vm)
         worker = module.get_function("worker")
         load = next(instruction for block in worker.blocks

@@ -10,14 +10,20 @@ lists, same race-report sets and, with ``--counters``, same
 it measures reference vs optimized interpreter throughput and writes the
 comparison into the ``diff_oracle`` metrics block.
 
-With ``--fuse`` a third, fused execution (superinstructions on — see
-:mod:`repro.runtime.fuse`) joins every sweep and must be bit-identical to
-the optimized one; the record/replay backbone is additionally checked to
-be byte-identical with the flag on and off.  ``--fuse-bench`` measures
-the fused-vs-optimized steps/s ratio under a round-robin scheduler (where
-``run_length`` has real no-preempt windows — the oracle's RandomScheduler
-preempts geometrically, so its ``fused_speedup`` proves parity, not
-performance) and ``--fuse-floor`` turns that into a gate.
+The optimized VM fuses superinstructions wherever its scheduler commits
+a run (:mod:`repro.runtime.fuse`).  With ``--fuse`` a third, stepwise
+execution (``stepwise_execution()``: optimized, but one instruction per
+decision) joins every sweep and must be bit-identical to the optimized
+one — per seed under the random scheduler and under the spec's own
+detector family (PCT for SKI specs), and for the report sets and
+counters — and each family's optimized runs must have fused at least one
+step.  (Recording and replaying VMs never fuse: their schedulers observe
+every decision, so they get no fuse engine.)  ``--fuse-bench`` measures
+the fused-vs-stepwise steps/s ratio under a round-robin scheduler (where
+``run_length`` has real no-preempt windows — the random scheduler fuses
+only while one thread is runnable, so the sweep's ``fused_speedup``
+proves parity, not performance) and ``--fuse-floor`` turns that into a
+gate.
 
 With ``--debugger`` every race report and vulnerability of a pipeline run
 also goes through its verifier twice, in reference mode and as shipped:
@@ -32,6 +38,7 @@ Usage::
     PYTHONPATH=src python tools/diff_oracle.py                # all apps, 10 seeds
     PYTHONPATH=src python tools/diff_oracle.py --programs memcached apache_log \\
         --seeds 10 --counters --fuse --metrics-out benchmarks/out
+    PYTHONPATH=src python tools/diff_oracle.py --programs linux --seeds 4 --fuse
     PYTHONPATH=src python tools/diff_oracle.py --programs memcached \\
         --fuse-bench --fuse-floor 1.3
     PYTHONPATH=src python tools/diff_oracle.py --programs ssdb --debugger
@@ -53,7 +60,6 @@ from repro.runtime.diffcheck import (
     diff_counters,
     diff_debugger,
     diff_program,
-    diff_record_replay,
     diff_reports,
 )
 from repro.runtime.metrics import PipelineMetrics, RunStats
@@ -82,10 +88,10 @@ def parse_args(argv):
         help="stop a program's seed sweep at its first divergence")
     parser.add_argument(
         "--fuse", action="store_true",
-        help="also run every sweep a third time with superinstruction "
-             "fusion on, assert it is bit-identical to the optimized run, "
-             "and assert record/replay logs and fingerprints are identical "
-             "with the flag on and off")
+        help="also run every sweep a third time stepwise (no "
+             "superinstruction fusion), under the random scheduler and the "
+             "spec's detector family, and assert the optimized (fused) run "
+             "is bit-identical to it and fused at least one step")
     parser.add_argument(
         "--debugger", action="store_true",
         help="also verify every race report and vulnerability of a "
@@ -93,9 +99,8 @@ def parse_args(argv):
              "equal outcomes and breakpoint halts")
     parser.add_argument(
         "--fuse-bench", action="store_true",
-        help="measure fused vs optimized steps/s under a round-robin "
-             "scheduler with a shared fuse engine (the configuration "
-             "fusion is designed for)")
+        help="measure fused vs stepwise steps/s under a round-robin "
+             "scheduler (the configuration fusion is designed for)")
     parser.add_argument(
         "--fuse-floor", type=float, default=None, metavar="X",
         help="with --fuse-bench, fail any program whose fused speedup "
@@ -110,9 +115,6 @@ def check_program(spec, args):
     diff = diff_reports(spec, diff, fuse=args.fuse)
     if args.counters:
         diff = diff_counters(spec, diff, fuse=args.fuse)
-    if args.fuse:
-        diff.divergences.extend(diff_record_replay(
-            spec, seeds=range(min(args.seeds, 3))))
     if args.debugger:
         diff = diff_debugger(spec, diff)
     return diff
@@ -152,16 +154,19 @@ def main(argv=None):
     for spec in specs:
         diff = check_program(spec, args)
         verdict = "identical" if diff.identical else "DIVERGED"
-        fused_note = ""
+        stepwise_note = ""
         if args.fuse:
-            fused_note = "  fused %10.0f steps/s" % (
-                diff.fused_steps_per_second)
+            stepwise_note = "  stepwise %10.0f steps/s" % (
+                diff.stepwise_steps_per_second)
         print("%-14s seeds=%d  ref %10.0f steps/s  opt %10.0f steps/s%s  "
               "speedup %.2fx  %s" % (
                   diff.program, len(diff.seeds),
                   diff.reference_steps_per_second,
-                  diff.optimized_steps_per_second, fused_note,
+                  diff.optimized_steps_per_second, stepwise_note,
                   diff.speedup, verdict))
+        if args.fuse:
+            print("  fused steps: %s" % ", ".join(
+                "%s %d" % item for item in sorted(diff.fused_steps.items())))
         if args.debugger:
             print("  debugger: %d items, %d runs, %d reference steps, "
                   "%d shipped steps" % (
@@ -175,7 +180,7 @@ def main(argv=None):
         bench = None
         if args.fuse_bench:
             bench = benchmark_fused(spec, seeds=range(args.seeds))
-            print("  fuse bench: %.2fx over optimized (round-robin, "
+            print("  fuse bench: %.2fx over stepwise (round-robin, "
                   "%d%% fused steps, %d blocks)" % (
                       bench["fused_speedup"],
                       round(bench["fused_step_share"] * 100),
