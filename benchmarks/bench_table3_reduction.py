@@ -94,7 +94,6 @@ def test_table3_stage_metrics(pipelines):
     """Every pipeline run exports per-stage metrics JSON next to the tables."""
     from repro.runtime.metrics import metrics_path
 
-    rows = []
     for name in PAPER_ROWS:
         pipelines.result(name)  # ensures the run happened and metrics saved
         path = metrics_path(OUT_DIR, name)
@@ -106,20 +105,3 @@ def test_table3_stage_metrics(pipelines):
         assert [stage["name"] for stage in data["stages"]] == STAGE_NAMES
         detect = data["stages"][0]
         assert detect["runs"] > 0 and detect["vm_steps"] > 0
-        rows.append({
-            "Name": name,
-            "jobs": data["jobs"],
-            "total (s)": "%.2f" % data["total_seconds"],
-            "VM steps": data["vm_steps"],
-            "accesses": data["accesses"],
-            "detect steps/s": "%.0f" % detect["steps_per_second"],
-            "verify reports/s": "%.1f" % data["stages"][2]["items_per_second"],
-        })
-    emit(
-        "table3_throughput", "Pipeline throughput (per-stage metrics)",
-        ["Name", "jobs", "total (s)", "VM steps", "accesses",
-         "detect steps/s", "verify reports/s"],
-        rows,
-        notes=("Full per-stage breakdown in benchmarks/out/metrics_<name>"
-               ".json; counters are identical at any OWL_JOBS setting."),
-    )

@@ -7,10 +7,10 @@ individual table/figure benchmarks read from the cache.
 Set ``OWL_JOBS=N`` in the environment to fan the parallel pipeline stages
 out over N worker processes (counters stay identical to the serial run —
 see :mod:`repro.owl.batch`).  Each program's per-stage metrics are written
-to ``benchmarks/out/metrics_<program>.json`` as the pipeline runs, its
-per-report decision record to ``benchmarks/out/provenance_<program>.json``,
-and one trajectory record per program to ``benchmarks/out/history.jsonl``
-(the input of ``tools/bench_regress.py``).
+to ``benchmarks/out/metrics_<program>.json`` as the pipeline runs (a
+regenerated output, not a committed one; ``benchmarks/perf`` is the
+harness for performance claims) and its per-report decision record to
+``benchmarks/out/provenance_<program>.json``.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class _PipelineCache:
 
     def result(self, name: str):
         if name not in self._results:
-            from repro import jsonl
-            from repro.owl.history import (
-                default_history_path, record_from_metrics,
-            )
             from repro.owl.pipeline import OwlPipeline
             from repro.owl.provenance import provenance_path
             from repro.runtime.metrics import metrics_path
@@ -57,9 +53,6 @@ class _PipelineCache:
             result = OwlPipeline(self.spec(name), jobs=self.jobs).run()
             result.metrics.save(metrics_path(OUT_DIR, name))
             result.provenance.save(provenance_path(OUT_DIR, name))
-            jsonl.write(default_history_path(OUT_DIR),
-                        [record_from_metrics(result.metrics.as_dict())],
-                        append=True)
             self._results[name] = result
         return self._results[name]
 

@@ -45,11 +45,10 @@ coverage-guided exploration, ``--predict`` (with ``--optimistic``/
 ``--no-witness``) to run a predict wave before exploring so later waves
 only spend budget on interleavings prediction could not decide,
 ``--profile`` (with ``--profile-interval``/
-``--profile-out``) to sample the VM call stack during detection,
+``--profile-out``) to sample the VM call stack during detection, and
 ``--log PATH`` to write the run log (``--cache`` runs log to
-``<cache-dir>/run_<program>.jsonl`` by default), and
-``--history [PATH]`` to append the run's trajectory record for
-``tools/bench_regress.py`` (see ``docs/OPERATIONS.md`` for the runbook).
+``<cache-dir>/run_<program>.jsonl`` by default); ``docs/OPERATIONS.md``
+is the runbook.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def _finish_cached_run(cache, log) -> None:
 
 
 def _finish_telemetry(result, args) -> None:
-    """Shared ``--profile``/``--history`` epilogue of detect/export."""
+    """Shared ``--profile`` epilogue of detect/export."""
     if result.profile is not None:
         print()
         print(result.profile.top_table(getattr(args, "profile_top", 10)))
@@ -134,15 +133,6 @@ def _finish_telemetry(result, args) -> None:
                 handle.write(result.profile.collapsed())
             print("collapsed stacks written to %s (feed to flamegraph.pl "
                   "or speedscope)" % out)
-    history = getattr(args, "history", None)
-    if history:
-        from repro import jsonl
-        from repro.owl.history import record_from_metrics
-
-        record = record_from_metrics(result.metrics.as_dict())
-        jsonl.write(history, [record], append=True)
-        print("history record appended to %s (steps/s: %s)" % (
-            history, record["steps_per_second"]))
 
 
 def _cmd_list(_args) -> int:
@@ -701,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "predictions stay marked unwitnessed")
 
     def add_telemetry_arguments(command):
-        from repro.owl.history import default_history_path
         from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
 
         command.add_argument(
@@ -724,12 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--log", metavar="PATH", default=None,
             help="write the run log (progress events) to PATH; follow it "
                  "with `owl watch PATH`")
-        command.add_argument(
-            "--history", metavar="PATH", nargs="?", default=None,
-            const=default_history_path(),
-            help="append this run's trajectory record (steps/s, stage "
-                 "walls, parity counters) to PATH (default when given "
-                 "without a value: %s)" % default_history_path())
 
     detect = sub.add_parser("detect", help="run the OWL pipeline on a target")
     detect.add_argument("program")

@@ -1,9 +1,8 @@
 """JSON-lines files: the one reader and appender every log in ``repro`` uses.
 
-Run logs (:mod:`repro.owl.runlog`), the benchmark history
-(:mod:`repro.owl.history`), schedule logs (:mod:`repro.runtime.record`)
-and span exports (:mod:`repro.runtime.spans`) all hold one JSON object per
-line, under one policy:
+Run logs (:mod:`repro.owl.runlog`), schedule logs
+(:mod:`repro.runtime.record`) and span exports (:mod:`repro.runtime.spans`)
+all hold one JSON object per line, under one policy:
 
 - **A record exists only if its line ends in a newline and parses** as a
   JSON object.  Blank lines are not records.
@@ -131,10 +130,8 @@ class Writer:
         self.close()
 
 
-def write(path, records, append=False) -> int:
-    """Write ``records`` to ``path`` (after its existing ones when
-    ``append``); returns the torn-tail count of the append."""
-    with Writer(path, append=append) as writer:
+def write(path, records) -> None:
+    """Write ``records`` to ``path`` as a fresh file."""
+    with Writer(path, append=False) as writer:
         for record in records:
             writer.write(record)
-    return writer.torn

@@ -34,9 +34,10 @@ Entries live under ``<root>/<stage>/<key[:2]>/<key>.json`` (default root
 version, stage and key.  :meth:`ResultCache.get` rejects — and deletes —
 entries that fail to parse, declare a different schema, or do not match
 the stage/key they are filed under; corruption therefore degrades to a
-cache miss, never to a wrong result.  Writes go through a same-directory
-temporary file and ``os.replace`` so a crash mid-write cannot leave a
-half-written entry behind.
+counted cache miss (``corrupt``), never to a wrong result.  Writes go
+through a same-directory temporary file and ``os.replace`` so a crash
+mid-write cannot leave a half-written entry behind; a value JSON cannot
+encode is a counted store error, never an entry.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class ResultCache:
         """The stored value, or None (counted as a miss).
 
         Unreadable, truncated, schema-mismatched or mis-filed entries are
-        deleted and treated as misses — a corrupted cache can cost time,
-        never correctness.
+        deleted and treated as misses, and also counted as ``corrupt`` —
+        a corrupted cache can cost time, never correctness.
         """
         path = self._path(stage, key)
         try:
@@ -183,9 +184,7 @@ class ResultCache:
             self._count(stage, "misses")
             return None
         except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            self._discard(path)
-            self._count(stage, "misses")
-            return None
+            envelope = None
         if (
             not isinstance(envelope, dict)
             or envelope.get("schema") != CACHE_SCHEMA
@@ -194,6 +193,7 @@ class ResultCache:
             or "value" not in envelope
         ):
             self._discard(path)
+            self._count(stage, "corrupt")
             self._count(stage, "misses")
             return None
         self._count(stage, "hits")
@@ -203,13 +203,13 @@ class ResultCache:
         """Persist one result atomically; returns the path written.
 
         A cache is an accelerator, never a correctness dependency: an
-        ordinary store failure (disk full, permissions yanked mid-run)
-        discards the partial temp file, counts a ``store_errors``, and
-        returns ``None`` — the caller keeps its in-memory result and the
-        run proceeds as if caching were off.  ``KeyboardInterrupt`` and
-        ``SystemExit`` are re-raised after the temp file is discarded:
-        Ctrl-C mid-store must stop the run, not vanish into a silently
-        degraded miss.
+        ordinary store failure (disk full, permissions yanked mid-run, a
+        value JSON cannot encode) discards the partial temp file, counts
+        a ``store_errors``, and returns ``None`` — the caller keeps its
+        in-memory result and the run proceeds as if caching were off.
+        ``KeyboardInterrupt`` and ``SystemExit`` are re-raised after the
+        temp file is discarded: Ctrl-C mid-store must stop the run, not
+        vanish into a silently degraded miss.
         """
         path = self._path(stage, key)
         directory = os.path.dirname(path)
@@ -230,7 +230,7 @@ class ResultCache:
             return None
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(envelope, handle, default=repr)
+                json.dump(envelope, handle)
             os.replace(temp_path, path)
         except (KeyboardInterrupt, SystemExit):
             self._discard(temp_path)
@@ -279,10 +279,16 @@ class ResultCache:
         return sum(self._stage_value(stage, "store_errors")
                    for stage in self._stages)
 
+    @property
+    def corrupt(self) -> int:
+        return sum(self._stage_value(stage, "corrupt")
+                   for stage in self._stages)
+
     def stage_counters(self, stage: str) -> Dict[str, int]:
         """A copy of one stage's counters (zeros if the stage never ran)."""
         return {what: self._stage_value(stage, what)
-                for what in ("hits", "misses", "stores", "store_errors")}
+                for what in ("hits", "misses", "stores", "store_errors",
+                             "corrupt")}
 
     def counters(self) -> Dict:
         """The metrics-JSON ``"cache"`` block."""
@@ -293,6 +299,7 @@ class ResultCache:
             "misses": self.misses,
             "stores": self.stores,
             "store_errors": self.store_errors,
+            "corrupt": self.corrupt,
             "stages": {
                 stage: self.stage_counters(stage)
                 for stage in sorted(self._stages)
@@ -300,8 +307,11 @@ class ResultCache:
         }
 
     def describe(self) -> str:
-        return "cache: %d hits, %d misses, %d stored (%s)" % (
-            self.hits, self.misses, self.stores, self.root,
+        misses = "%d misses" % self.misses
+        if self.corrupt:
+            misses += " (%d corrupt)" % self.corrupt
+        return "cache: %d hits, %s, %d stored (%s)" % (
+            self.hits, misses, self.stores, self.root,
         )
 
     def __repr__(self) -> str:

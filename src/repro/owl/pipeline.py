@@ -20,7 +20,8 @@ Stages, with the counters that reproduce Tables 2 and 3:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, List, Optional
 
 from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
 from repro.detectors.report import (
@@ -313,33 +314,13 @@ class OwlPipeline:
         try:
             with result.spans.span("pipeline", program=self.spec.name,
                                    jobs=jobs):
-                stages = [
-                    ("detect", lambda: self._stage_detect(result)),
-                    ("schedule_reduction",
-                     lambda: self._stage_schedule_reduction(result)),
-                    ("race_verification",
-                     lambda: self._stage_race_verification(
-                         result, jobs, executor)),
-                    ("vulnerability_analysis",
-                     lambda: self._stage_vulnerability_analysis(result)),
-                ]
+                self._stage_detect(result)
+                self._stage_schedule_reduction(result)
+                self._stage_race_verification(result, jobs, executor)
+                self._stage_vulnerability_analysis(result)
                 if self.verify_vulnerabilities:
-                    stages.append((
-                        "vulnerability_verification",
-                        lambda: self._stage_vulnerability_verification(
-                            result, jobs, executor)))
-                for name, run_stage in stages:
-                    if log is not None:
-                        log.emit("stage_begin", stage=name)
-                    run_stage()
-                    if log is not None:
-                        stage = result.metrics.stages[-1]
-                        log.emit(
-                            "stage_end", stage=name, items=stage.items,
-                            runs=stage.runs,
-                            cache_hits=stage.extra.get("cache_hits"),
-                            cache_misses=stage.extra.get("cache_misses"),
-                        )
+                    self._stage_vulnerability_verification(
+                        result, jobs, executor)
         finally:
             if executor is not None:
                 executor.shutdown()
@@ -446,32 +427,44 @@ class OwlPipeline:
         }
 
     # ------------------------------------------------------------------
-    # cache accounting: per-pipeline-stage hit/miss deltas
+    # the one stage recorder
 
-    def _cache_marks(self) -> Optional[Tuple[int, int]]:
-        if self.cache is None:
-            return None
-        return self.cache.hits, self.cache.misses
+    @contextmanager
+    def _stage(self, result: PipelineResult, name: str, unit: str):
+        """Record one pipeline stage; yields ``(stage, span)``.
 
-    def _record_cache_delta(self, stage, marks: Optional[Tuple[int, int]]):
-        if marks is None:
-            return
-        stage.extra["cache_hits"] = self.cache.hits - marks[0]
-        stage.extra["cache_misses"] = self.cache.misses - marks[1]
+        The stage's metrics entry times the body and, with a cache, gains
+        the body's ``cache_hits``/``cache_misses`` deltas; a
+        ``stage:<name>`` span covers the body; the run log gets
+        ``stage_begin`` before it and ``stage_end`` only if it completes.
+        """
+        log, cache = self.log, self.cache
+        if log is not None:
+            log.emit("stage_begin", stage=name)
+        with result.metrics.stage(name, unit=unit) as stage, \
+                result.spans.span("stage:" + name) as span:
+            marks = (cache.hits, cache.misses) if cache is not None else None
+            yield stage, span
+            if marks is not None:
+                stage.extra["cache_hits"] = cache.hits - marks[0]
+                stage.extra["cache_misses"] = cache.misses - marks[1]
+        if log is not None:
+            log.emit(
+                "stage_end", stage=name, items=stage.items, runs=stage.runs,
+                cache_hits=stage.extra.get("cache_hits"),
+                cache_misses=stage.extra.get("cache_misses"),
+            )
 
     # ------------------------------------------------------------------
     # stage 1: concurrency error detection
 
     def _stage_detect(self, result: PipelineResult) -> None:
-        with result.metrics.stage("detect", unit="reports") as stage, \
-                result.spans.span("stage:detect") as span:
-            marks = self._cache_marks()
+        with self._stage(result, "detect", "reports") as (stage, span):
             stats: List = []
             reports = self._run_detector(result, stats)
             stage.absorb_run_stats(stats)
             self._observe_seed_stats(stats)
             stage.items = len(reports)
-            self._record_cache_delta(stage, marks)
             self._record_explore(result, stage, span, primary=True)
             span.attrs.update(reports=len(reports), runs=stage.runs)
         result.raw_reports = reports
@@ -558,10 +551,8 @@ class OwlPipeline:
     # stage 2: schedule reduction (section 5.1)
 
     def _stage_schedule_reduction(self, result: PipelineResult) -> None:
-        with result.metrics.stage("schedule_reduction",
-                                  unit="reports") as stage, \
-                result.spans.span("stage:schedule_reduction") as span:
-            marks = self._cache_marks()
+        with self._stage(result, "schedule_reduction",
+                         "reports") as (stage, span):
             annotations = self._classify_adhoc(result)
             result.annotations = annotations
             result.counters.adhoc_syncs = annotations.unique_static_count()
@@ -575,7 +566,6 @@ class OwlPipeline:
                 reports = result.raw_reports
             stage.items = len(reports)
             stage.extra["adhoc_syncs"] = annotations.unique_static_count()
-            self._record_cache_delta(stage, marks)
             span.attrs.update(
                 adhoc_syncs=annotations.unique_static_count(),
                 reports=len(reports),
@@ -652,10 +642,8 @@ class OwlPipeline:
 
     def _stage_race_verification(self, result: PipelineResult, jobs: int,
                                  executor) -> None:
-        with result.metrics.stage("race_verification",
-                                  unit="reports") as stage, \
-                result.spans.span("stage:race_verification") as span:
-            marks = self._cache_marks()
+        with self._stage(result, "race_verification",
+                         "reports") as (stage, span):
             result.verifications = verify_races_batch(
                 self.spec, list(result.annotated_reports), jobs=jobs,
                 executor=executor, tracer=result.spans,
@@ -666,7 +654,6 @@ class OwlPipeline:
             stage.vm_steps = sum(v.vm_steps for v in result.verifications)
             self._registry.counter("race_verify.runs_stopped_early").inc(
                 sum(v.runs_stopped_early for v in result.verifications))
-            self._record_cache_delta(stage, marks)
             span.attrs.update(
                 reports=len(result.verifications), runs=stage.runs,
             )
@@ -706,10 +693,8 @@ class OwlPipeline:
     # stage 4: static vulnerability analysis (section 6.1)
 
     def _stage_vulnerability_analysis(self, result: PipelineResult) -> None:
-        with result.metrics.stage("vulnerability_analysis",
-                                  unit="reports") as stage, \
-                result.spans.span("stage:vulnerability_analysis") as span:
-            marks = self._cache_marks()
+        with self._stage(result, "vulnerability_analysis",
+                         "reports") as (stage, span):
             module = self.spec.build()
             analyzer = VulnerabilityAnalyzer(
                 module, options=self.analysis_options,
@@ -754,7 +739,6 @@ class OwlPipeline:
             result.vulnerabilities = self._dedup(vulnerabilities)
             stage.items = len(reports)
             stage.extra["vulnerability_reports"] = len(result.vulnerabilities)
-            self._record_cache_delta(stage, marks)
             span.attrs.update(
                 reports=len(reports),
                 vulnerability_reports=len(result.vulnerabilities),
@@ -798,10 +782,8 @@ class OwlPipeline:
 
     def _stage_vulnerability_verification(self, result: PipelineResult,
                                           jobs: int, executor) -> None:
-        with result.metrics.stage("vulnerability_verification",
-                                  unit="vulnerabilities") as stage, \
-                result.spans.span("stage:vulnerability_verification") as span:
-            marks = self._cache_marks()
+        with self._stage(result, "vulnerability_verification",
+                         "vulnerabilities") as (stage, span):
             pairs = verify_vulns_batch(
                 self.spec, result.vulnerabilities, jobs=jobs,
                 executor=executor, tracer=result.spans,
@@ -837,7 +819,6 @@ class OwlPipeline:
             stage.vm_steps = sum(
                 verification.vm_steps for verification, _ in pairs
             )
-            self._record_cache_delta(stage, marks)
             span.attrs.update(
                 vulnerabilities=len(pairs),
                 realized=sum(

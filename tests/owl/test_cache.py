@@ -126,6 +126,7 @@ class TestCorruptionHandling:
         cache, key, _ = self.seed_one_entry(tmp_path)
         assert cache.get("detect", key) == {"answer": 42}
         assert cache.hits == 1
+        assert cache.corrupt == 0
 
     def test_truncated_entry_is_a_miss_and_deleted(self, tmp_path):
         cache, key, path = self.seed_one_entry(tmp_path)
@@ -134,6 +135,9 @@ class TestCorruptionHandling:
         assert cache.get("detect", key) is None
         assert not os.path.exists(path)
         assert cache.misses == 1
+        assert cache.stage_counters("detect")["corrupt"] == 1
+        assert cache.counters()["corrupt"] == 1
+        assert "(1 corrupt)" in cache.describe()
 
     def test_schema_mismatch_is_a_miss_and_deleted(self, tmp_path):
         cache, key, path = self.seed_one_entry(tmp_path)
@@ -144,6 +148,7 @@ class TestCorruptionHandling:
             json.dump(envelope, handle)
         assert cache.get("detect", key) is None
         assert not os.path.exists(path)
+        assert (cache.misses, cache.corrupt) == (1, 1)
 
     def test_misfiled_entry_is_a_miss_and_deleted(self, tmp_path):
         cache, key, path = self.seed_one_entry(tmp_path)
@@ -154,6 +159,7 @@ class TestCorruptionHandling:
             json.dump(envelope, handle)
         assert cache.get("detect", key) is None
         assert not os.path.exists(path)
+        assert (cache.misses, cache.corrupt) == (1, 1)
 
     def test_stale_code_version_never_matches(self, tmp_path):
         old = ResultCache(str(tmp_path), version="old-code")
@@ -164,6 +170,7 @@ class TestCorruptionHandling:
         assert current.get(
             "detect", current.key("detect", module=module, seed=1)) is None
         assert current.misses == 1
+        assert current.corrupt == 0  # a cold miss, not damage
 
     def test_corrupted_entry_mid_pipeline_stays_correct(self, tmp_path,
                                                         baseline):
@@ -178,6 +185,8 @@ class TestCorruptionHandling:
         warm_cache = ResultCache(str(tmp_path))
         warm = run_pipeline(spec, cache=warm_cache)
         assert warm_cache.misses >= 1  # the corrupted entry re-ran
+        assert warm.metrics.blocks["cache"]["stages"]["detect"]["corrupt"] == 1
+        assert warm.telemetry["counters"]["cache.detect.corrupt"] == 1
         assert warm.counters.parity_dict() == baseline.counters.parity_dict()
         assert warm.provenance.as_dict() == baseline.provenance.as_dict()
 
@@ -200,6 +209,17 @@ class TestPutFailure:
         assert cache.store_errors == 1
         assert cache.stores == 0
         assert not glob.glob(str(tmp_path / "detect" / "*" / "*.tmp"))
+
+    def test_non_json_value_is_a_store_error(self, tmp_path):
+        import glob
+
+        cache = ResultCache(str(tmp_path))
+        key = "34" * 32
+        assert cache.put("detect", key, {"uids": {1, 2}}) is None
+        assert (cache.store_errors, cache.stores) == (1, 0)
+        assert not glob.glob(str(tmp_path / "detect" / "*" / "*"))
+        assert cache.get("detect", key) is None
+        assert (cache.misses, cache.corrupt) == (1, 0)
 
     def test_unwritable_directory_degrades(self, tmp_path):
         blocker = tmp_path / "root"

@@ -1,4 +1,4 @@
-"""End-to-end telemetry determinism: snapshots, profiles, history records.
+"""End-to-end telemetry determinism: snapshots and profiles.
 
 The telemetry block carries the same parity contract as
 ``StageCounters.parity_dict()``: its bytes depend only on what was
@@ -76,20 +76,3 @@ class TestProfiledPipeline:
         assert serial_result.profile is None
         assert "profile" not in serial_result.telemetry
 
-
-class TestHistoryRecords:
-    def test_record_parity_modulo_wall_time(self, serial_result):
-        from repro.owl.history import record_from_metrics
-
-        parallel = OwlPipeline(spec_by_name("memcached"), jobs=2).run()
-        serial_record = record_from_metrics(
-            serial_result.metrics.as_dict(), timestamp=0.0, git_rev="test")
-        parallel_record = record_from_metrics(
-            parallel.metrics.as_dict(), timestamp=0.0, git_rev="test")
-        for record in (serial_record, parallel_record):
-            for key in ("total_seconds", "steps_per_second", "stage_wall",
-                        "jobs"):
-                record.pop(key)
-        assert serial_record == parallel_record
-        assert serial_record["counters"]["pipeline.raw_reports"] == \
-            serial_result.counters.raw_reports

@@ -4,6 +4,8 @@
 import threading
 import time
 
+import pytest
+
 from repro import jsonl
 from repro.owl.runlog import RunLog, render_event, runlog_path
 
@@ -184,6 +186,28 @@ class TestPipelineFeed:
         assert events("cold", cache=ResultCache(str(tmp_path / "c"))) \
             == serial
         assert events("pooled", jobs=2) == serial
+
+    def test_a_stage_that_raises_logs_no_stage_end(self, tmp_path,
+                                                   monkeypatch):
+        from repro.apps.registry import spec_by_name
+        from repro.owl import pipeline
+
+        def crash(*args, **kwargs):
+            raise RuntimeError("verifier crashed")
+
+        monkeypatch.setattr(pipeline, "verify_races_batch", crash)
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        with pytest.raises(RuntimeError, match="verifier crashed"):
+            pipeline.OwlPipeline(spec_by_name("libsafe"), log=log).run()
+        log.close()
+        assert [(e["event"], e["stage"]) for e in read_events(path)
+                if e["event"].startswith("stage_")] == [
+            ("stage_begin", "detect"), ("stage_end", "detect"),
+            ("stage_begin", "schedule_reduction"),
+            ("stage_end", "schedule_reduction"),
+            ("stage_begin", "race_verification"),
+        ]
 
     def test_watch_cli_renders_completed_feed(self, tmp_path, capsys):
         from repro.apps.registry import spec_by_name

@@ -2,9 +2,11 @@
 
 The race and vulnerability verification stages report the VM steps their
 re-executions took, carried through the verification results, the pool
-workers' outputs and the result cache.  The counts, and the telemetry
-counter of race-verification runs that ended early, are identical at
-``jobs=1``, at ``jobs=2`` and on a warm cache.
+workers' outputs and the result cache.  The counts, the telemetry
+counter of race-verification runs that ended early, and every
+verification outcome (per report and per vulnerability, hints and steps
+included) are identical at ``jobs=1``, at ``jobs=2`` and on a cold and a
+warm cache.
 """
 
 import pytest
@@ -30,6 +32,29 @@ def _counts(result):
                       for name in STAGES},
         "stopped_early": counters["race_verify.runs_stopped_early"],
     }
+
+
+def _outcomes(result):
+    """Every field of every race and vulnerability verification."""
+    races = []
+    for v in result.verifications:
+        hints = v.hints
+        races.append((
+            v.report.uid, v.verified, v.runs_used, v.livelocks_resolved,
+            v.runs_stopped_early, v.vm_steps,
+            None if hints is None else (
+                hints.variable, hints.value_type, hints.read_value,
+                hints.write_value, hints.null_write, hints.address),
+        ))
+    vulns = []
+    for attack in result.attacks:
+        site, v = attack.vulnerability.site, attack.verification
+        vulns.append((
+            site.uid, str(site.location), v.site_reached, v.attack_realized,
+            [branch.uid for branch in v.diverged_branches],
+            [kind.value for kind in v.fault_kinds], v.runs_used, v.vm_steps,
+        ))
+    return races, vulns
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +111,7 @@ class TestVerificationSteps:
     def test_counts_equal_at_jobs_2(self, serial):
         parallel = OwlPipeline(spec_by_name(PROGRAM), jobs=2).run()
         assert _counts(parallel) == _counts(serial[0])
+        assert _outcomes(parallel) == _outcomes(serial[0])
 
     def test_counts_equal_on_a_warm_cache(self, serial, tmp_path):
         spec = spec_by_name(PROGRAM)
@@ -95,3 +121,4 @@ class TestVerificationSteps:
         assert warm.telemetry["counters"]["cache.vuln_verify.hits"] > 0
         assert _counts(cold) == _counts(serial[0])
         assert _counts(warm) == _counts(serial[0])
+        assert _outcomes(cold) == _outcomes(warm) == _outcomes(serial[0])

@@ -1,13 +1,17 @@
-"""Crash injection for every JSON-lines artifact (repro.jsonl).
+"""Crash injection for every on-disk artifact: the JSON-lines logs
+(repro.jsonl) and the result cache's entries (repro.owl.cache).
 
-Each log is cut at every byte offset, as a writer killed mid-write would
-leave it.  Reading the cut must return exactly the records whose newline
-survived, with a torn count of 1 exactly when the cut falls mid-line; an
-appendable log must take one more record after any cut; a schedule log
-must load whole or not at all.  One damaged interior line must make every
-reader fail with the file and line.
+Each artifact is cut at every byte offset, as a writer killed mid-write
+would leave it.  Reading a cut log must return exactly the records whose
+newline survived, with a torn count of 1 exactly when the cut falls
+mid-line; a run log must take a resume after any cut; a schedule log must
+load whole or not at all; a cut cache entry must read as one counted
+corrupt miss, be deleted, and take the next store.  One damaged interior
+line must make every reader fail with the file and line.
 """
 
+import glob
+import json
 import os
 from pathlib import Path
 
@@ -16,7 +20,6 @@ import pytest
 from repro import jsonl
 from repro.apps.registry import spec_by_name
 from repro.owl.cache import ResultCache
-from repro.owl.history import record_from_metrics
 from repro.owl.pipeline import OwlPipeline
 from repro.owl.replay import record_spec_seed
 from repro.owl.runlog import RunLog, load_run, runlog_path
@@ -26,19 +29,15 @@ from repro.runtime.spans import SpanTracer
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """``{kind: bytes}`` of one artifact of every log kind."""
+    """``{kind: bytes}`` of one artifact of every kind."""
     root = tmp_path_factory.mktemp("artifacts")
     spec = spec_by_name("libsafe")
     cache_dir = str(root / "cache")
     log = RunLog(runlog_path(cache_dir, spec.name))
     OwlPipeline(spec, cache=ResultCache(cache_dir), log=log).run()
     log.close()
-
-    history = str(root / "history.jsonl")
-    for index in range(3):
-        jsonl.write(history, [record_from_metrics(
-            {"schema": 9, "program": "p%d" % index, "jobs": 1},
-            timestamp=float(index), git_rev="abc1234")], append=True)
+    entry = sorted(glob.glob(os.path.join(
+        cache_dir, "race_verify", "*", "*.json")))[0]
 
     memcached = spec_by_name("memcached")
     schedule = str(root / "memcached_seed0000.jsonl")
@@ -51,8 +50,8 @@ def artifacts(tmp_path_factory):
                 pass
     spans = tracer.save_jsonl(str(root / "trace.jsonl"))
 
-    paths = {"runlog": log.path, "history": history, "schedule": schedule,
-             "spans": spans}
+    paths = {"runlog": log.path, "schedule": schedule, "spans": spans,
+             "cache_entry": entry}
     return {kind: Path(path).read_bytes() for kind, path in paths.items()}
 
 
@@ -63,7 +62,7 @@ def cuts(data):
         yield cut, head.count(b"\n"), not (cut == 0 or head.endswith(b"\n"))
 
 
-@pytest.mark.parametrize("kind", ["runlog", "history", "schedule", "spans"])
+@pytest.mark.parametrize("kind", ["runlog", "schedule", "spans"])
 def test_read_returns_exactly_the_newline_terminated_records(
         artifacts, kind, tmp_path):
     data = artifacts[kind]
@@ -95,18 +94,29 @@ def test_schedule_log_loads_whole_or_raises(artifacts, tmp_path):
         assert path in str(excinfo.value), cut
 
 
-def test_history_takes_one_more_record_after_any_cut(artifacts, tmp_path):
-    data = artifacts["history"]
-    path = str(tmp_path / "history.jsonl")
-    with open(path, "wb") as handle:
-        handle.write(data)
-    records, _ = jsonl.read(path)
-    extra = {"program": "extra", "timestamp": 9.0}
-    for cut, complete, mid_line in cuts(data):
+def test_cache_entry_hits_whole_or_misses_counted(artifacts, tmp_path):
+    data = artifacts["cache_entry"]
+    envelope = json.loads(data)
+    stage, key, value = envelope["stage"], envelope["key"], envelope["value"]
+    cache = ResultCache(str(tmp_path))
+    path = cache.put(stage, key, value)
+
+    def counters():
+        return cache.hits, cache.misses, cache.corrupt
+
+    for cut, _, _ in cuts(data):
         with open(path, "wb") as handle:
             handle.write(data[:cut])
-        assert jsonl.write(path, [extra], append=True) == int(mid_line)
-        assert jsonl.read(path) == (records[:complete] + [extra], 0), cut
+        hits, misses, corrupt = counters()
+        got = cache.get(stage, key)
+        if cut == len(data):
+            assert (got, counters()) == (value, (hits + 1, misses, corrupt))
+            continue
+        assert got is None, cut
+        assert counters() == (hits, misses + 1, corrupt + 1), cut
+        assert not os.path.exists(path), cut
+        assert cache.put(stage, key, value) == path
+        assert cache.get(stage, key) == value, cut
 
 
 def test_run_log_takes_a_resume_after_any_cut(artifacts, tmp_path):
