@@ -289,7 +289,7 @@ def _cmd_fix(args) -> int:
 
 def _cmd_resume(args) -> int:
     from repro.owl.cache import DEFAULT_CACHE_DIR
-    from repro.owl.runlog import load_run, resume, runlog_path
+    from repro.owl.runlog import CannotResume, load_run, resume, runlog_path
 
     path = args.log or runlog_path(args.cache_dir or DEFAULT_CACHE_DIR,
                                    args.program)
@@ -306,7 +306,11 @@ def _cmd_resume(args) -> int:
     if state.completed:
         print("run already completed; nothing to resume")
         return 0
-    result, _ = resume(path, jobs=args.jobs)
+    try:
+        result, _ = resume(path, jobs=args.jobs)
+    except CannotResume as error:
+        print("owl resume: %s" % error, file=sys.stderr)
+        return 1
     print()
     counters = result.counters
     print("resumed run finished: %d raw reports, %d remaining, "

@@ -806,7 +806,7 @@ def repair_program(spec, result=None,
                 registry, sweep_seeds, cache=cache,
                 variable=report.variable, attack_probes=attack_probes)
             # The clone is done executing.  IR graphs are cyclic, so it
-            # waits for the cyclic collector; its compiled plans need not.
+            # waits for the cyclic collector; its ops and plans need not.
             patched.fuse_engine = None
             if passed:
                 attempt.passed = True

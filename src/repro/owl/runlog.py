@@ -31,7 +31,9 @@ same at any job count, cached or not.
 A killed run leaves a log without ``run_end``.  :func:`resume` appends a
 ``run_begin`` with ``resumed: true`` and the torn count of the append, then
 re-runs the pipeline against the same result cache: finished work is a
-cache hit and only the interrupted tail executes.
+cache hit and only the interrupted tail executes.  It refuses a run whose
+``run_begin`` says it explored or replayed: the log does not hold those
+policies, so a resume would run a different pipeline.
 
 Writing is best effort: the first ``OSError`` stops the log and is counted
 in :attr:`RunLog.write_errors`, and the run carries on.
@@ -189,6 +191,18 @@ def load_run(path: str) -> RunState:
     return state
 
 
+class CannotResume(ValueError):
+    """The log's run used an option the log cannot rebuild."""
+
+
+#: ``run_begin`` flags of options whose configuration the log does not
+#: hold, so a resume would silently run a different pipeline.
+_UNREBUILDABLE = (
+    ("explore", "--explore/--predict (the explore and predict policies)"),
+    ("replay", "--replay (the replayed schedule records)"),
+)
+
+
 def resume(path: str, jobs: Optional[int] = None):
     """Finish the run a log describes; returns ``(result, state)``.
 
@@ -197,6 +211,10 @@ def resume(path: str, jobs: Optional[int] = None):
     hit, only the interrupted tail executes.  The logged export and metrics
     files are (re)written.  ``result`` is None when the log already
     records a completed run; ``state`` is the log as found.
+
+    Raises :class:`CannotResume`, touching neither the log nor the
+    logged outputs, when the run used an option the log does not record
+    (:data:`_UNREBUILDABLE`).
     """
     from repro.apps.registry import spec_by_name
     from repro.owl.batch import BatchPolicy
@@ -209,6 +227,11 @@ def resume(path: str, jobs: Optional[int] = None):
     if state.completed:
         return None, state
     begin = state.begin
+    for flag, option in _UNREBUILDABLE:
+        if begin.get(flag):
+            raise CannotResume(
+                "cannot resume %s: the run used %s, which its log does "
+                "not record; run it again instead" % (path, option))
     cache_dir = begin.get("cache_dir")
     log = RunLog(path, export_path=begin.get("export_path"),
                  metrics_path=begin.get("metrics_path"), resumed=True)

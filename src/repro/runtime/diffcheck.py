@@ -1,11 +1,12 @@
 """The differential-execution oracle guarding the VM hot path.
 
-The interpreter's hot path is optimized (per-class dispatch table, memoized
-call-stack snapshots, lazy memoized access descriptions, repeated-address
-block lookup caching — see :mod:`repro.runtime.interpreter`), and a perf
-rewrite is only safe if execution semantics are provably unchanged.  This
-module provides the proof obligation: it executes the same program twice —
-once with every optimization disabled (``reference``) and once as shipped
+The interpreter's hot path is optimized (a compiled op per instruction
+from :mod:`repro.runtime.fuse`, memoized call-stack snapshots, lazy
+memoized access descriptions, repeated-address block lookup caching — see
+:mod:`repro.runtime.interpreter`), and a perf rewrite is only safe if
+execution semantics are provably unchanged.  This module provides the
+proof obligation: it executes the same program twice — once with every
+optimization disabled (``reference``) and once as shipped
 (``optimized``) — and asserts that the two executions are *bit-identical*
 in everything the rest of OWL can observe:
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.ir.function import ExternalFunction, Function
 from repro.ir.instructions import (
@@ -67,14 +67,16 @@ MASK64 = (1 << 64) - 1
 NONFATAL_FAULTS = frozenset({FaultKind.FIELD_OVERFLOW})
 
 #: When True, newly constructed VMs default to the reference configuration:
-#: isinstance-chain dispatch and no memoization anywhere.  The differential
-#: oracle (:mod:`repro.runtime.diffcheck`) flips this to re-execute whole
+#: the ``_exec_*`` handlers behind an isinstance chain, and no compiled
+#: ops or memoization anywhere.  The differential oracle
+#: (:mod:`repro.runtime.diffcheck`) flips this to re-execute whole
 #: pipeline stages with the pre-optimization semantics.
 _REFERENCE_MODE = False
 
 #: When True, newly constructed VMs execute one instruction per scheduler
 #: decision (no superinstruction fusion) but keep every other
-#: optimization: the oracle's fused-vs-stepwise switch.
+#: optimization, compiled ops included: the oracle's fused-vs-stepwise
+#: switch.
 _STEPWISE_MODE = False
 
 
@@ -150,7 +152,7 @@ class VM:
         self.module = module
         self.scheduler = scheduler or RoundRobinScheduler()
         self.world = world or OSWorld()
-        #: reference=True disables every hot-path shortcut (dispatch table,
+        #: reference=True disables every hot-path shortcut (compiled ops,
         #: call-stack memo, block/description caches) so the differential
         #: oracle can compare against the plain implementation.  None picks
         #: up the ambient :func:`reference_execution` mode.
@@ -158,12 +160,18 @@ class VM:
         self.memory = Memory(memoize=not self.reference)
         if self.reference:
             self.execute = self._execute_reference  # type: ignore[assignment]
-        #: The module's superinstruction engine (:mod:`repro.runtime.fuse`)
-        #: when this VM fuses: under a scheduler that can commit runs, and
-        #: outside reference and stepwise mode.  Fused runs are bounded by
-        #: the scheduler's ``run_length`` no-preempt guarantee, so
-        #: schedules and events are bit-identical to stepwise execution.
+        #: The module's op and plan cache (:mod:`repro.runtime.fuse`)
+        #: outside reference mode: every step runs the instruction's
+        #: compiled op from it.
         self.fuse_engine: Optional[FuseEngine] = None
+        #: the engine's op dict, which :meth:`execute` reads every step
+        self._ops: Dict[Instruction, Callable] = {}
+        #: Whether this VM runs fused runs: under a scheduler that can
+        #: commit runs, outside reference and stepwise mode.  Fused runs
+        #: are bounded by the scheduler's ``run_length`` no-preempt
+        #: guarantee, so schedules and events are bit-identical to
+        #: stepwise execution.
+        self.fuses = False
         self.inputs: Dict = dict(inputs or {})
         self._input_cursors: Dict = {}
         self.max_steps = max_steps
@@ -193,11 +201,12 @@ class VM:
         self._global_addresses: Dict[str, int] = {}
         self._setup_code_addresses()
         self._setup_globals()
-        if (self.scheduler.commits_runs and not self.reference
-                and not _STEPWISE_MODE):
-            # Attach after address setup: plans bake global/function
+        if not self.reference:
+            # Attach after address setup: ops bake global/function
             # addresses and the engine validates them on every attach.
             self.fuse_engine = fuse_engine(module).attach(self)
+            self._ops = self.fuse_engine.ops
+            self.fuses = self.scheduler.commits_runs and not _STEPWISE_MODE
 
     # ------------------------------------------------------------------
     # setup
@@ -230,10 +239,11 @@ class VM:
     def emit_access(self, thread: ThreadContext, instruction: Instruction,
                     address: int, size: int, is_write: bool, value: int,
                     is_atomic: bool = False) -> None:
+        observers = self.observers
+        if not observers:
+            return
         block = self.memory.block_at(address)
         if block is None or block.kind == MemoryBlock.STACK:
-            return
-        if not self.observers:
             return
         offset = address - block.base
         if self.reference:
@@ -247,7 +257,7 @@ class VM:
             thread.thread_id, self.step, instruction, address, size, is_write,
             value, is_atomic, thread.call_stack(), variable,
         )
-        for observer in self.observers:
+        for observer in observers:
             observer.on_access(event)
 
     def emit_range_access(self, thread: ThreadContext, instruction: Instruction,
@@ -506,10 +516,10 @@ class VM:
         step_thread = self.step_thread
         RUNNABLE = ThreadState.RUNNABLE
         FINISHED = ThreadState.FINISHED
-        engine = self.fuse_engine
-        if engine is not None:
+        fuses = self.fuses
+        if fuses:
             can_commit = self.scheduler.can_commit
-            plan_for = engine.plan_for
+            plan_for = self.fuse_engine.plan_for
             run_length = self.scheduler.run_length
             step_fused = self._step_fused
         while True:
@@ -564,7 +574,7 @@ class VM:
                     return ExecutionResult(ExecutionResult.OUT_OF_REACH, self)
                 continue
             if (
-                engine is not None
+                fuses
                 and can_commit(step)
                 and not self._halted_count
                 and limit - step > 1
@@ -643,12 +653,12 @@ class VM:
 
     def _step_fused(self, thread: ThreadContext, plan,
                     count: int) -> Optional[ExecutionResult]:
-        """Execute ``count`` fused micro-ops of ``plan`` on ``thread``.
+        """Execute the first ``count`` ops of ``plan`` on ``thread``.
 
         Semantically ``count`` consecutive :meth:`step_thread` calls on the
-        same thread: each micro-op increments the step counters before it
-        executes and advances ``frame.index`` itself, and a fault bails out
-        through the exact fault path of :meth:`step_thread`.  Fused
+        same thread: the step counters are incremented before each op
+        executes, the op advances ``frame.index`` itself, and a fault bails
+        out through the exact fault path of :meth:`step_thread`.  Fused
         instructions cannot block, spawn, exit or switch frames, so those
         ``step_thread`` arms have no fused equivalent.
         """
@@ -733,29 +743,18 @@ class VM:
     # instruction execution
 
     def execute(self, thread: ThreadContext, instruction: Instruction) -> None:
-        """Dispatch one instruction through the per-class handler table.
+        """Run one instruction through its compiled op.
 
-        The table maps each concrete instruction class to its handler and is
-        resolved once at module load; subclasses fall back to an
-        isinstance-order walk on first sight and are cached.  Reference-mode
-        VMs shadow this method with :meth:`_execute_reference` (the original
-        isinstance chain) so the differential oracle can compare both.
+        The op comes from the module's engine (:mod:`repro.runtime.fuse`),
+        compiled on the instruction's first execution by any VM of the
+        module.  Reference-mode VMs shadow this method with
+        :meth:`_execute_reference` (the isinstance chain over the
+        ``_exec_*`` handlers) so the differential oracle can compare both.
         """
-        handler = _DISPATCH.get(instruction.__class__)
-        if handler is None:
-            handler = self._resolve_handler(thread, instruction)
-        handler(self, thread, thread.top, instruction)
-
-    def _resolve_handler(self, thread: ThreadContext, instruction: Instruction):
-        """Cache a handler for an instruction subclass, isinstance order."""
-        for base, handler in _DISPATCH_BASES:
-            if isinstance(instruction, base):
-                _DISPATCH[instruction.__class__] = handler
-                return handler
-        raise RuntimeFault(FaultEvent(
-            FaultKind.WILD_ACCESS, thread.thread_id,
-            "unsupported instruction %s" % instruction.describe(),
-        ))
+        op = self._ops.get(instruction)
+        if op is None:
+            op = self.fuse_engine.op(self, instruction)
+        op(self, thread, thread.frames[-1])
 
     def _execute_reference(self, thread: ThreadContext,
                            instruction: Instruction) -> None:
@@ -1060,25 +1059,3 @@ class VM:
             elif call_site.type.size() > 0:
                 caller.registers[call_site] = 0
             caller.index += 1
-
-
-#: Concrete instruction class -> handler, resolved once at import.  The
-#: pairs below double as the isinstance fallback order for subclasses —
-#: identical to the order of the original dispatch chain
-#: (:meth:`VM._execute_reference`), which the differential oracle holds the
-#: table path to.
-_DISPATCH_BASES = (
-    (Alloca, VM._exec_alloca),
-    (Load, VM._exec_load),
-    (Store, VM._exec_store),
-    (BinOp, VM._exec_binop),
-    (ICmp, VM._exec_icmp),
-    (GetElementPtr, VM._exec_gep),
-    (Cast, VM._exec_cast),
-    (AtomicRMW, VM._exec_atomicrmw),
-    (Br, VM._exec_br),
-    (Call, VM._exec_call),
-    (Ret, VM._exec_ret),
-)
-
-_DISPATCH = {base: handler for base, handler in _DISPATCH_BASES}

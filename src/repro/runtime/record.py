@@ -372,7 +372,7 @@ def record_seed(
     directly comparable against :func:`replay_log`'s.
 
     :class:`ScheduleRecorder` observes every decision, so a recording VM
-    never fuses (it gets no fuse engine).
+    never fuses (it runs its compiled ops one step at a time).
     """
     recorder = ScheduleRecorder(scheduler or RandomScheduler(seed))
     vm = VM(module, scheduler=recorder, world=world, inputs=inputs,

@@ -27,11 +27,11 @@ from repro.runtime.thread import ThreadContext
 class Scheduler:
     """Chooses which runnable thread executes the next instruction."""
 
-    #: Whether :meth:`run_length` can ever return more than 1.  A VM gets
-    #: the module's fuse engine only under a scheduler that can; the
-    #: wrapping schedulers (recording, replay, scripted, coverage
-    #: tracking, the sampling profiler) keep False — they observe every
-    #: individual decision, so a VM driven by one never fuses.
+    #: Whether :meth:`run_length` can ever return more than 1.  A VM
+    #: fuses only under a scheduler that can; the wrapping schedulers
+    #: (recording, replay, scripted, coverage tracking, the sampling
+    #: profiler) keep False — they observe every individual decision, so
+    #: a VM driven by one runs its compiled ops one step at a time.
     commits_runs = False
 
     def choose(self, runnable: List[ThreadContext], step: int) -> ThreadContext:

@@ -22,6 +22,7 @@ from repro.owl.cache import ResultCache
 from repro.owl.pipeline import OwlPipeline
 from repro.owl.runlog import (
     RUNLOG_SCHEMA,
+    CannotResume,
     RunLog,
     load_run,
     resume,
@@ -197,3 +198,48 @@ class TestResume:
             handle.write('{"event": "seed_done", "stage": "detect"}\n')
         with pytest.raises(ValueError, match="no run_begin"):
             resume(path)
+
+
+class TestResumeRefusal:
+    """A run whose options the log does not record is refused, never
+    silently re-run as a different pipeline."""
+
+    def test_explore_predict_run_is_refused_untouched(self, tmp_path,
+                                                      capsys):
+        from repro.cli import main
+
+        cache_dir = str(tmp_path / "cache")
+        metrics = str(tmp_path / "metrics.json")
+        assert main(["detect", "libsafe", "--explore", "--predict",
+                     "--wave-size", "2", "--max-seeds", "4", "--cache",
+                     "--cache-dir", cache_dir, "--metrics", metrics]) == 0
+        path = runlog_path(cache_dir, "libsafe")
+        lines = Path(path).read_text().splitlines(keepends=True)
+        cut = next(index for index, line in enumerate(lines)
+                   if json.loads(line)["event"] == "stage_end"
+                   and json.loads(line)["stage"] == "detect")
+        Path(path).write_text("".join(lines[:cut + 1]))
+        log_before = Path(path).read_bytes()
+        metrics_before = Path(metrics).read_bytes()
+        assert {"explore", "predict"} <= set(json.loads(metrics_before))
+        capsys.readouterr()
+
+        assert main(["resume", "libsafe", "--cache-dir", cache_dir]) == 1
+        error = capsys.readouterr().err
+        assert "--explore/--predict" in error
+        assert "Traceback" not in error
+        with pytest.raises(CannotResume, match="--explore/--predict"):
+            resume(path)
+        assert Path(path).read_bytes() == log_before
+        assert Path(metrics).read_bytes() == metrics_before
+
+    def test_replay_run_is_refused(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        Path(path).write_text(json.dumps({
+            "event": "run_begin", "schema": RUNLOG_SCHEMA,
+            "program": "libsafe", "jobs": 1, "replay": True,
+        }) + "\n")
+        before = Path(path).read_bytes()
+        with pytest.raises(CannotResume, match="--replay"):
+            resume(path)
+        assert Path(path).read_bytes() == before

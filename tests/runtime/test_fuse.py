@@ -10,7 +10,7 @@ Five layers:
 - unit tests for :class:`repro.runtime.fuse.FuseEngine` (hotness, plan
   caching, invalidation, attach signature validation, counters),
 - the engine rules: one engine per module, rebuilt after a patch; plans
-  sharing micro-ops; plans only where the scheduler can commit a run; no
+  sharing ops; plans only where the scheduler can commit a run; no
   VM kept alive by the engine, and
 - hypothesis differential tests pinning ``_run_fast_loop`` ≡
   ``_run_reference_loop`` ≡ fused execution across blocked/sleeper/halted
@@ -28,15 +28,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import IRBuilder, Module, verify_module
-from repro.ir.instructions import Call
+from repro.ir.instructions import Call, Instruction, Load
 from repro.ir.patch import ModulePatcher
-from repro.ir.types import I32, I64, I8, ptr
+from repro.ir.types import I32, I64, I8, VOID, ptr
+from repro.ir.values import Value
 from repro.runtime.diffcheck import TraceRecorder, _normalize_fault
 from repro.runtime.errors import FaultKind
-from repro.runtime.fuse import FuseEngine, _compiler_for, fuse_engine
+from repro.runtime.fuse import FUSIBLE, FuseEngine, fuse_engine
 from repro.runtime.interpreter import (
     VM,
     ExecutionResult,
+    reference_execution,
     stepwise_execution,
 )
 from repro.runtime.scheduler import (
@@ -399,7 +401,13 @@ class TestFuseEngine:
     def test_stepwise_mode_disables_fusion(self):
         with stepwise_execution():
             vm = self._vm()
-        assert vm.fuse_engine is None
+        assert not vm.fuses
+        vm.start("main")
+        vm.run()
+        engine = vm.fuse_engine
+        assert engine.ops  # ops run, one step at a time
+        assert engine._plans == {} and engine._heat == {}
+        assert engine.fused_runs == 0
 
     def test_sites_warm_before_compiling(self):
         vm = self._vm(build_divider())
@@ -472,7 +480,7 @@ class TestFuseEngine:
 
 def _fusible_instructions(module: Module):
     return [instruction for instruction in module.instructions()
-            if _compiler_for(instruction) is not None]
+            if isinstance(instruction, FUSIBLE)]
 
 
 class TestEngineRules:
@@ -539,9 +547,10 @@ class TestEngineRules:
                 vm.start("main")
                 vm.run()
         engine = module.fuse_engine
-        compiled = [op for op in engine._ops.values() if op is not None]
+        fusible = _fusible_instructions(module)
+        compiled = [engine.ops[instruction] for instruction in fusible
+                    if instruction in engine.ops]
         plans = [plan for plan in engine._plans.values() if plan is not None]
-        assert len(compiled) <= len(_fusible_instructions(module))
         assert ({id(op) for plan in plans for op in plan.ops}
                 <= {id(op) for op in compiled})
         # plans entering blocks mid-way reuse the ops instead of copying
@@ -564,10 +573,13 @@ class TestEngineRules:
             SamplingProfiler(PCTScheduler(seed=0), interval=7),
         ):
             vm = VM(module, scheduler=scheduler, max_steps=10_000)
-            assert vm.fuse_engine is None
+            assert not vm.fuses
             vm.start("main")
             vm.run()
-        assert module.fuse_engine is None
+        engine = module.fuse_engine
+        assert engine.ops  # ops run, one step at a time
+        assert engine._plans == {} and engine._heat == {}
+        assert engine.fused_runs == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_looks_up_plans_only_for_a_lone_thread(self, seed):
@@ -601,6 +613,136 @@ class TestEngineRules:
         gc.collect()
         assert dropped() is None
         assert module.fuse_engine is engine
+
+
+# ----------------------------------------------------------------------
+# compiled ops on every non-reference step
+
+
+class _Fence(Instruction):
+    """An instruction class neither the ops nor the reference path know."""
+
+    opcode = "fence"
+
+    def __init__(self):
+        super().__init__(VOID, [])
+
+
+def _faulting_module(kind: str) -> Module:
+    """main stores to @g, then faults on its second instruction.
+
+    ``operand``: the stored value is an operand kind ``VM.evaluate``
+    rejects; ``undefined``: it is a register no frame ever defines;
+    ``instruction``: a :class:`_Fence` comes first; ``load``, ``store``,
+    ``atomicrmw``: that access goes through a NULL pointer.
+    """
+    b = IRBuilder(Module("fault_%s" % kind))
+    g = b.global_var("g", I64, 0)
+    b.begin_function("main", I32, [], source_file="bad.c")
+    b.store(1, g, line=1)
+    if kind == "load":
+        b.load(b.null(I64), line=2)
+    elif kind == "atomicrmw":
+        b.atomicrmw("add", b.null(I64), 1, line=2)
+    else:
+        store = b.store(2, b.null(I64) if kind == "store" else g, line=2)
+    b.ret(b.i32(0), line=3)
+    b.end_function()
+    if kind == "operand":
+        store.operands[0] = Value(I64, "ghost")
+    elif kind == "undefined":
+        store.operands[0] = Load(g, name="never_run")
+    elif kind == "instruction":
+        block = store.block
+        fence = _Fence()
+        fence.block = block
+        fence.location = store.location
+        block.instructions.insert(block.instructions.index(store), fence)
+    return b.module
+
+
+#: each _faulting_module kind's fault: kind and message
+_FAULTS = {
+    "operand": (FaultKind.WILD_ACCESS,
+                "unsupported operand <Value i64 %ghost>"),
+    "undefined": (FaultKind.WILD_ACCESS, "use of undefined value %never_run"),
+    "instruction": (FaultKind.WILD_ACCESS, "unsupported instruction fence"),
+    "load": (FaultKind.NULL_DEREF, "NULL pointer dereference (read)"),
+    "store": (FaultKind.NULL_DEREF, "NULL pointer dereference (write)"),
+    "atomicrmw": (FaultKind.NULL_DEREF, "NULL pointer dereference (write)"),
+}
+
+
+class TestOpsOnEveryStep:
+    def test_reference_vms_compile_no_op(self):
+        module = build_counter_race(iterations=4)
+        for scheduler in (RoundRobinScheduler(), ScriptedScheduler([(1, 5)])):
+            vm = VM(module, scheduler=scheduler, max_steps=10_000,
+                    reference=True)
+            assert vm.fuse_engine is None and not vm.fuses
+            vm.start("main")
+            vm.run()
+        with reference_execution():
+            vm = VM(module, scheduler=RandomScheduler(0), max_steps=10_000)
+        vm.start("main")
+        vm.run()
+        assert module.fuse_engine is None
+
+    def test_shipped_vms_never_run_the_reference_handlers(self,
+                                                          monkeypatch):
+        module = build_sleeper_contention()
+        expected = run_fingerprint(module, RandomScheduler(3),
+                                   reference=True)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reference path outside reference mode")
+
+        for name in dir(VM):
+            if name.startswith("_exec") or name == "evaluate":
+                monkeypatch.setattr(VM, name, forbidden)
+        # stepwise, fused, and under a wrapper scheduler: ops only
+        assert run_fingerprint(module, RandomScheduler(3)) == expected
+        assert run_fingerprint(module, RandomScheduler(3),
+                               fuse=True) == expected
+        assert run_fingerprint(module,
+                               RecordingScheduler(RandomScheduler(3)),
+                               fuse=True) == expected
+
+    def test_call_op_compiled_before_an_override_runs_it(self):
+        from repro.runtime import externals
+
+        module = build_sleep_forever(delay=1_000_000)
+        vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=25)
+        vm.start("main")
+        assert vm.run().reason == ExecutionResult.STEP_LIMIT  # asleep
+        call = module.get_function("main").entry.instructions[0]
+        op = module.fuse_engine.ops[call]
+        calls = []
+
+        def no_sleep(vm, thread, instruction, arguments):
+            calls.append(list(arguments))
+
+        with externals.overridden("usleep", no_sleep):
+            vm = VM(module, scheduler=RoundRobinScheduler(), max_steps=25)
+            vm.start("main")
+            assert vm.run().reason == ExecutionResult.FINISHED
+        assert calls == [[1_000_000]]
+        assert module.fuse_engine.ops[call] is op
+
+    @pytest.mark.parametrize("kind", sorted(_FAULTS))
+    def test_faults_match_the_reference(self, kind):
+        """Same fault, message, step and call stack as the reference path."""
+        module = _faulting_module(kind)
+        runs = [run_fingerprint(module, RoundRobinScheduler(),
+                                reference=reference)
+                for reference in (True, False)]
+        assert runs[0] == runs[1]
+        assert runs[0]["reason"] == ExecutionResult.FAULT
+        (fault,) = runs[0]["faults"]
+        assert (fault[0], fault[4]) == (_FAULTS[kind][0].value,
+                                        _FAULTS[kind][1])
+        if kind in ("load", "store", "atomicrmw"):
+            assert fault[5] == (("main", "bad.c", 2),)
 
 
 # ----------------------------------------------------------------------

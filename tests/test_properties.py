@@ -204,6 +204,9 @@ class TestDetectorProperties:
 #: op kinds that shape control flow rather than touch memory in place
 CONTROL_KINDS = ("loop", "branch", "helper", "spawn", "indirect", "exit")
 
+#: atomicrmw operators the ``atomic`` op kind picks from
+RMW_KINDS = ("add", "sub", "xchg", "and", "or", "xor")
+
 
 def build_random_module(ops, n_workers):
     """A random multithreaded module from a hypothesis-drawn op list.
@@ -213,7 +216,12 @@ def build_random_module(ops, n_workers):
     and every hot-path memo invalidation point.  The :data:`CONTROL_KINDS`
     add a counted loop around an access, a conditional branch, an access
     in a directly called helper, a nested ``thread_create``, an indirect
-    call through a global function pointer and ``thread_exit``.
+    call through a global function pointer and ``thread_exit``.  ``atomic``
+    is an ``atomicrmw`` (:data:`RMW_KINDS`) on a shared global, then a
+    load that observes its result; ``div`` stores ``(global - 7)``'s
+    ``udiv`` or ``srem`` (negative dividends included) by a drawn divisor
+    that is 0 for a quarter of the draws, so division-by-zero faults
+    occur too.
     """
     from repro.ir import IRBuilder, Module, verify_module
     from repro.ir.types import FunctionType, I32, ptr
@@ -261,6 +269,15 @@ def build_random_module(ops, n_workers):
             b.call("mutex_unlock", [guard], line=nl())
         elif kind == "sleep":
             b.call("usleep", [b.i64(1 + idx)], line=nl())
+        elif kind == "atomic":
+            b.atomicrmw(RMW_KINDS[val % len(RMW_KINDS)], g,
+                        1 + val // len(RMW_KINDS), line=nl())
+            b.load(g, line=line[0])
+        elif kind == "div":
+            dividend = b.sub(b.load(g, line=nl()), 7, line=line[0])
+            quotient = b.binop("udiv" if val % 2 else "srem", dividend,
+                               val // 2 % 4, line=line[0])
+            b.store(quotient, g, line=line[0])
         elif kind == "heap":
             p = b.call("malloc", [b.i64(16)], line=nl())
             tp = b.cast("bitcast", p, ptr(I64), line=nl())
@@ -333,7 +350,7 @@ class TestDifferentialExecutionProperties:
     op_lists = st.lists(
         st.tuples(
             st.sampled_from(["inc", "store", "load", "heap", "locked_inc",
-                             "sleep"]),
+                             "sleep", "atomic", "div", *CONTROL_KINDS]),
             st.integers(min_value=0, max_value=3),
             st.integers(min_value=0, max_value=255),
         ),
@@ -342,7 +359,7 @@ class TestDifferentialExecutionProperties:
 
     @given(op_lists, st.integers(min_value=1, max_value=3),
            st.integers(min_value=0, max_value=500))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_optimized_matches_reference_on_random_ir(self, ops, workers,
                                                       seed):
         """Reference and optimized execution are observably identical."""
