@@ -265,6 +265,9 @@ def _cmd_fix(args) -> int:
         cache=cache,
     )
     result.metrics.blocks["repair"] = repair.metrics_block()
+    if cache is not None:
+        # the pipeline's cache block predates the repair stage's lookups
+        result.metrics.blocks["cache"] = cache.counters()
     merge_repair_telemetry(result, repair)
     print("== OWL fix: %s ==" % spec.name)
     print(repair.describe())

@@ -46,6 +46,7 @@ import hashlib
 import json
 import os
 import tempfile
+import weakref
 from typing import Dict, Optional
 
 #: Envelope version of on-disk entries; bump on incompatible layout changes.
@@ -139,17 +140,19 @@ class ResultCache:
         #: one, or a private one — so snapshots carry them for free.
         self.registry = registry if registry is not None else MetricsRegistry()
         self._stages: set = set()
-        self._module_digests: Dict[int, str] = {}
+        #: Keyed by the module object, weakly: an ``id`` key would hand a
+        #: collected module's digest to the next module at its address.
+        self._module_digests = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------------
     # keys
 
     def module_key(self, module) -> str:
         """Memoized :func:`module_digest` (printing a module is not free)."""
-        digest = self._module_digests.get(id(module))
+        digest = self._module_digests.get(module)
         if digest is None:
             digest = module_digest(module)
-            self._module_digests[id(module)] = digest
+            self._module_digests[module] = digest
         return digest
 
     def key(self, stage: str, module=None, **parts) -> str:

@@ -34,13 +34,14 @@ independent gates** all pass:
 
 Three candidate strategies, tried in deterministic order per target:
 
-- ``mutex``   — region locking on a fresh per-target lock word: every
-  function containing one of the variable's racy accesses takes the lock
-  on entry and releases it before each return, making the whole
-  check-to-use window one critical section (the shape of the
-  ``apps/*_fixed`` ground truth).  Helper functions reached only through
-  an already-locked caller are left unlocked — locking both would
-  self-deadlock on the non-reentrant stdlib mutex.
+- ``mutex``   — region locking on one fresh lock word per variable,
+  named after the variable's racy access-uid group: every function
+  containing one of those accesses takes the lock on entry and releases
+  it before each return, making the whole check-to-use window one
+  critical section (the shape of the ``apps/*_fixed`` ground truth).
+  Helper functions reached only through an already-locked caller are
+  left unlocked — locking both would self-deadlock on the non-reentrant
+  stdlib mutex.
 - ``order``   — force one access before the other through the stdlib
   condvar primitives (``cond_broadcast`` after the first access,
   ``cond_wait`` before the second).  Ordering is wrong for most verified
@@ -51,6 +52,17 @@ Three candidate strategies, tried in deterministic order per target:
   :class:`repro.detectors.annotations.AdhocSyncAnnotation`, promote the
   flag's write and read to atomic accesses, so detectors need no
   annotation to see the synchronization.
+
+Strategies run in rounds over the targets still unrepaired.  Within a
+round, targets whose candidates print identically — every mutex target on
+one variable — share one clone and are gated once
+(:func:`_gate_candidate`): the oracle and scheduler verdicts do not read
+the target, and gate (b) runs its sweep, predict leg and attack re-drives
+once per variable, then reads each target's pair out of that evidence.
+Gate (a)'s unpatched allowed set is built at most once per
+:func:`repair_program` call, by the first oracle gate that runs.  Every
+target still records its own attempts, gates, cache entry and patch
+artifact, so targets on one variable carry one identical patch.
 
 Everything here is deterministic (no wall clock, no unseeded randomness),
 runs serially regardless of the pipeline's ``jobs``, and orders targets by
@@ -210,8 +222,23 @@ def _reference_behaviours(spec, module: Module,
     return behaviours
 
 
+def _allowed_behaviours(spec, original: Module,
+                        seeds: Sequence[int]) -> Dict[str, str]:
+    """Gate (a)'s allowed set: the unpatched module's behaviours over the
+    seed sweep plus a deterministic margin, then under delay-neutralized
+    serialization (see :func:`gate_oracle`)."""
+    margin = ([max(seeds) + 1 + i for i in range(8)]
+              if seeds else list(range(8)))
+    allowed = _behaviour_set(spec, original, seeds + margin)
+    for key, label in _reference_behaviours(spec, original,
+                                            seeds + margin).items():
+        allowed.setdefault(key, label)
+    return allowed
+
+
 def gate_oracle(spec, original: Module, patched: Module,
-                seeds: Optional[Sequence[int]] = None) -> Dict:
+                seeds: Optional[Sequence[int]] = None,
+                memo: Optional[Dict] = None) -> Dict:
     """Gate (a): behaviour-set inclusion, patched ⊆ unpatched.
 
     The unpatched set is collected over a wider sweep (the patched seeds
@@ -225,14 +252,17 @@ def gate_oracle(spec, original: Module, patched: Module,
     behaviour the patch must be allowed to produce.  Any behaviour only
     the patched module exhibits — new fault kinds, changed files, a
     deadlock reason — fails the gate.
+
+    The allowed set depends only on ``original`` and the seeds.  Calls on
+    one original may share a ``memo`` dict: the first call that needs a
+    sweep's allowed set builds it there, and later calls reuse it.
     """
     seeds = list(spec.detect_seeds if seeds is None else seeds)
-    margin = ([max(seeds) + 1 + i for i in range(8)]
-              if seeds else list(range(8)))
-    allowed = _behaviour_set(spec, original, seeds + margin)
-    for key, label in _reference_behaviours(spec, original,
-                                            seeds + margin).items():
-        allowed.setdefault(key, label)
+    allowed = None if memo is None else memo.get(tuple(seeds))
+    if allowed is None:
+        allowed = _allowed_behaviours(spec, original, seeds)
+        if memo is not None:
+            memo[tuple(seeds)] = allowed
     observed = _behaviour_set(spec, patched, seeds)
     novel = sorted(label for key, label in observed.items()
                    if key not in allowed)
@@ -253,10 +283,10 @@ def _front_detector_reports(spec, module: Module):
     return reports
 
 
-def gate_detector(spec, patched: Module, static_key: Tuple[int, int],
+def gate_detector(spec, patched: Module, static_key,
                   variable: Optional[str] = None,
                   attack_probes: Optional[Sequence[Tuple[Dict, object]]] = None
-                  ) -> Dict:
+                  ):
     """Gate (b): the targeted pair is gone from detect *and* predict, and
     no attack the pipeline realized on this variable still realizes.
 
@@ -274,11 +304,16 @@ def gate_detector(spec, patched: Module, static_key: Tuple[int, int],
     almost never thread the narrow window on their own, and only the
     order-enforcing verifier reliably drives the exploit — exactly that
     class of patch must die on this leg.
+
+    ``static_key`` is the targeted pair, or a list of the pairs of every
+    target one candidate repairs on ``variable``.  The detect sweep, the
+    predict leg and the attack re-drives do not read the pair, so they run
+    once either way; a list returns one gate dict per pair, in order.
     """
+    pairs = static_key if isinstance(static_key, list) else [static_key]
     reports = _front_detector_reports(spec, patched)
-    reported = any(report.static_key == static_key for report in reports)
-    predicted = False
-    predict_ran = False
+    reported = {report.static_key for report in reports}
+    predicted = None
     if spec.detector == "tsan":
         from repro.detectors.predict import predict_from_log
         from repro.runtime.record import record_seed
@@ -296,27 +331,31 @@ def gate_detector(spec, patched: Module, static_key: Tuple[int, int],
                    if spec.initial_world is not None else None),
             program=spec.name,
         )
-        prediction = predict_from_log(
+        predicted = predict_from_log(
             patched, log, inputs=spec.workload_inputs,
             world_factory=spec.initial_world,
-        )
-        predicted = static_key in prediction.predicted_keys
-        predict_ran = True
+        ).predicted_keys
     probes = [(payload, truth) for payload, truth in (attack_probes or [])
               if variable is not None and truth.racy_variable == variable]
     attacks_realized = []
     for payload, truth in probes:
         if _drive_attack(spec, patched, payload, truth):
             attacks_realized.append(truth.attack_id)
-    return {
-        "passed": not reported and not predicted and not attacks_realized,
-        "pair_reported": reported,
-        "pair_predicted": predicted,
-        "predict_ran": predict_ran,
-        "reports_total": len(reports),
-        "attacks_checked": len(probes),
-        "attacks_realized": attacks_realized,
-    }
+    gates = []
+    for pair in pairs:
+        pair_reported = pair in reported
+        pair_predicted = predicted is not None and pair in predicted
+        gates.append({
+            "passed": (not pair_reported and not pair_predicted
+                       and not attacks_realized),
+            "pair_reported": pair_reported,
+            "pair_predicted": pair_predicted,
+            "predict_ran": predicted is not None,
+            "reports_total": len(reports),
+            "attacks_checked": len(probes),
+            "attacks_realized": list(attacks_realized),
+        })
+    return gates if isinstance(static_key, list) else gates[0]
 
 
 def _drive_attack(spec, patched: Module, payload: Dict, truth) -> bool:
@@ -385,8 +424,8 @@ def gate_schedulers(spec, patched: Module,
 # candidate synthesis
 
 
-def _lock_name(static_key: Tuple[int, int], suffix: str = "lock") -> str:
-    return "__owl_fix_%s_%d_%d" % (suffix, static_key[0], static_key[1])
+def _lock_name(uids: Sequence[int], suffix: str = "lock") -> str:
+    return "__owl_fix_%s_%s" % (suffix, "_".join(str(uid) for uid in uids))
 
 
 def _as_i8_pointer(patcher: ModulePatcher, anchor: Instruction,
@@ -410,11 +449,13 @@ def synthesize_mutex(module: Module, static_key: Tuple[int, int],
     on entry and releases it before every return, so the entire
     check-to-use window becomes a single critical section — a per-access
     lock/unlock pair would remove the data race yet leave the atomicity
-    violation (and the attack) intact.  A containing function that is
-    itself called from another containing function is left unlocked: its
-    racy path already runs under the caller's lock, and taking the
-    non-reentrant stdlib mutex twice would self-deadlock (gate (c) exists
-    to catch exactly that, but there is no reason to synthesize it).
+    violation (and the attack) intact.  The lock is named after the uid
+    group, so every target on one variable gets the same patch.  A
+    containing function that is itself called from another containing
+    function is left unlocked: its racy path already runs under the
+    caller's lock, and taking the non-reentrant stdlib mutex twice would
+    self-deadlock (gate (c) exists to catch exactly that, but there is no
+    reason to synthesize it).
     """
     uids = sorted(set(access_uids if access_uids else static_key))
     accesses = [module.instruction_by_uid(uid) for uid in uids]
@@ -435,7 +476,7 @@ def synthesize_mutex(module: Module, static_key: Tuple[int, int],
     to_lock = [function for function in functions
                if function.name not in called_within]
     patcher = ModulePatcher(module)
-    lock = patcher.add_global(_lock_name(static_key), I64, 0)
+    lock = patcher.add_global(_lock_name(uids), I64, 0)
     lock_fn = patcher.ensure_external("mutex_lock")
     unlock_fn = patcher.ensure_external("mutex_unlock")
     for function in to_lock:
@@ -674,50 +715,67 @@ class RepairResult:
 
 
 def _gate_candidate(spec, original: Module, patched: Module,
-                    static_key: Tuple[int, int],
-                    outcome: CandidateOutcome,
+                    members: Sequence[Tuple[TargetOutcome, CandidateOutcome]],
                     registry: MetricsRegistry,
                     sweep_seeds: Sequence[int],
+                    unpatched: Dict,
                     cache=None,
-                    variable: Optional[str] = None,
-                    attack_probes: Optional[Sequence] = None) -> bool:
-    """Run the three gates in order; stops at the first failure."""
-    cache_key = None
+                    attack_probes: Optional[Sequence] = None) -> None:
+    """Gate one distinct candidate for every target (``members``) whose
+    synthesized clone printed identically.
+
+    The gates run in order and each member stops at its first failing
+    gate, so it records exactly the gates dict it would record if gated
+    alone: the oracle and scheduler verdicts do not read the target, and
+    gate (b) runs once per variable and reads each member's pair out of
+    that one run.  With a cache, every member keeps its own entry, and
+    only members that miss are gated.  ``unpatched`` is gate (a)'s memo.
+    """
+    gated = []
+    for target, attempt in members:
+        key = None
+        if cache is not None:
+            key = cache.key(
+                "repair", module=patched, program=spec.name,
+                target="r%d-%d" % target.static_key, sweep=list(sweep_seeds))
+            hit = cache.get("repair", key)
+            if hit is not None:
+                attempt.gates = hit["gates"]
+                attempt.passed = hit["passed"]
+                attempt.cached = True
+                continue
+        gated.append((target, attempt, key))
+    live = gated
+    if live:
+        oracle = gate_oracle(spec, original, patched, memo=unpatched)
+        for _, attempt, _ in live:
+            attempt.gates["oracle"] = oracle
+        if not oracle["passed"]:
+            live = []
+    by_variable: Dict[Optional[str], List] = {}
+    for member in live:
+        by_variable.setdefault(member[0].variable, []).append(member)
+    for variable, group in by_variable.items():
+        verdicts = gate_detector(
+            spec, patched, [target.static_key for target, _, _ in group],
+            variable=variable, attack_probes=attack_probes)
+        for (_, attempt, _), verdict in zip(group, verdicts):
+            attempt.gates["detector"] = verdict
+    live = [member for member in live
+            if member[1].gates["detector"]["passed"]]
+    if live:
+        schedulers = gate_schedulers(spec, patched, seeds=sweep_seeds)
+        for _, attempt, _ in live:
+            attempt.gates["schedulers"] = schedulers
+            attempt.passed = schedulers["passed"]
     if cache is not None:
-        cache_key = cache.key(
-            "repair", module=patched, program=spec.name,
-            target="r%d-%d" % static_key, sweep=list(sweep_seeds))
-        hit = cache.get("repair", cache_key)
-        if hit is not None:
-            outcome.gates = hit["gates"]
-            outcome.cached = True
-            for name, gate in outcome.gates.items():
-                if not gate["passed"]:
-                    registry.counter("repair.gate.%s.fail" % name).inc()
-                else:
-                    registry.counter("repair.gate.%s.pass" % name).inc()
-            return hit["passed"]
-    passed = True
-    for name, run in (
-        ("oracle", lambda: gate_oracle(spec, original, patched)),
-        ("detector", lambda: gate_detector(spec, patched, static_key,
-                                           variable=variable,
-                                           attack_probes=attack_probes)),
-        ("schedulers", lambda: gate_schedulers(spec, patched,
-                                               seeds=sweep_seeds)),
-    ):
-        gate = run()
-        outcome.gates[name] = gate
-        if gate["passed"]:
-            registry.counter("repair.gate.%s.pass" % name).inc()
-        else:
-            registry.counter("repair.gate.%s.fail" % name).inc()
-            passed = False
-            break
-    if cache is not None:
-        cache.put("repair", cache_key,
-                  {"gates": outcome.gates, "passed": passed})
-    return passed
+        for _, attempt, key in gated:
+            cache.put("repair", key,
+                      {"gates": attempt.gates, "passed": attempt.passed})
+    for _, attempt in members:
+        for name, gate in attempt.gates.items():
+            registry.counter("repair.gate.%s.%s" % (
+                name, "pass" if gate["passed"] else "fail")).inc()
 
 
 def repair_program(spec, result=None,
@@ -778,44 +836,55 @@ def repair_program(spec, result=None,
         if detected.realized and detected.ground_truth is not None
     ]
 
-    annotations = result.annotations
     for report in targets:
-        target = TargetOutcome(report)
-        repair.targets.append(target)
+        repair.targets.append(TargetOutcome(report))
         registry.counter("repair.targets").inc()
-        access_uids = sorted(
-            uids_by_variable.get(report.variable or "", set())
-            or set(report.static_key))
-        for strategy in strategies:
+    annotations = result.annotations
+    unpatched: Dict = {}
+    pending = list(repair.targets)
+    for strategy in strategies:
+        # One round per strategy over the targets still unrepaired.
+        # Candidates that print identically (every mutex target on one
+        # variable) share one clone and one gating.
+        candidates: Dict[str, Tuple[Module, List[str], List]] = {}
+        for target in pending:
             attempt = CandidateOutcome(strategy)
             target.attempts.append(attempt)
             patched = clone_module(original)
-            patcher = synthesize(strategy, patched, report.static_key,
-                                 annotations=annotations,
-                                 access_uids=access_uids)
+            patcher = synthesize(
+                strategy, patched, target.static_key,
+                annotations=annotations,
+                access_uids=sorted(
+                    uids_by_variable.get(target.variable or "", set())
+                    or set(target.static_key)))
             if patcher is None:
                 continue
             attempt.applicable = True
             registry.counter("repair.candidates").inc()
-            verify_module(patched)
             attempt.ops = list(patcher.ops)
-            attempt.diff = ir_diff(original, patched)
-            attempt.patched_digest = module_digest(patched)
-            passed = _gate_candidate(
-                spec, original, patched, report.static_key, attempt,
-                registry, sweep_seeds, cache=cache,
-                variable=report.variable, attack_probes=attack_probes)
+            digest = module_digest(patched)
+            if digest not in candidates:
+                verify_module(patched)
+                candidates[digest] = (patched, ir_diff(original, patched), [])
+            _, diff, members = candidates[digest]
+            attempt.patched_digest = digest
+            attempt.diff = list(diff)
+            members.append((target, attempt))
+        for patched, _, members in candidates.values():
+            _gate_candidate(spec, original, patched, members, registry,
+                            sweep_seeds, unpatched, cache=cache,
+                            attack_probes=attack_probes)
             # The clone is done executing.  IR graphs are cyclic, so it
             # waits for the cyclic collector; its ops and plans need not.
             patched.fuse_engine = None
-            if passed:
-                attempt.passed = True
-                target.emitted = attempt
-                registry.counter("repair.emitted").inc()
-                registry.counter("repair.emitted.%s" % strategy).inc()
-                break
-        if target.emitted is None:
-            registry.counter("repair.unrepaired").inc()
+            for target, attempt in members:
+                if attempt.passed:
+                    target.emitted = attempt
+                    registry.counter("repair.emitted").inc()
+                    registry.counter("repair.emitted.%s" % strategy).inc()
+        pending = [target for target in pending if not target.repaired]
+    for target in pending:
+        registry.counter("repair.unrepaired").inc()
 
     _check_ground_truth(spec, repair)
     _record_provenance(result, repair)

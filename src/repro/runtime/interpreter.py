@@ -566,7 +566,7 @@ class VM:
                 if instruction is not None and debugger.check(thread, instruction):
                     self._halt_thread(thread)
                     return ExecutionResult(ExecutionResult.BREAKPOINT, self)
-                outcome = step_thread(thread)
+                outcome = step_thread(thread, instruction)
                 if outcome is not None:
                     return outcome
                 if (instruction in debugger.watch
@@ -686,9 +686,13 @@ class VM:
         engine.fused_steps += executed
         return None
 
-    def step_thread(self, thread: ThreadContext) -> Optional[ExecutionResult]:
-        """Execute one instruction of ``thread``."""
-        instruction = thread.current_instruction()
+    def step_thread(self, thread: ThreadContext,
+                    instruction: Optional[Instruction] = None
+                    ) -> Optional[ExecutionResult]:
+        """Execute one instruction of ``thread`` — ``instruction``, when the
+        caller already fetched its current one."""
+        if instruction is None:
+            instruction = thread.current_instruction()
         if instruction is None:
             # Fell off a block without terminator: verifier prevents this,
             # but finish the thread defensively.

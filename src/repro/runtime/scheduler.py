@@ -131,19 +131,28 @@ class RoundRobinScheduler(Scheduler):
 
 
 class RandomScheduler(Scheduler):
-    """Uniformly random choice each step, from a reproducible seed."""
+    """Uniformly random choice each step, from a reproducible seed.
+
+    Draws inline ``random.Random.randrange``'s rejection loop over
+    ``getrandbits`` (``k = n.bit_length()``, redraw while ``r >= n``): the
+    same stream, without two Python frames per decision.
+    """
 
     commits_runs = True
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._rng = random.Random(seed)
-        self._last_n: Optional[int] = None
+        self.reset()
 
     def choose(self, runnable: List[ThreadContext], step: int) -> ThreadContext:
         n = len(runnable)
         self._last_n = n
-        return runnable[self._rng.randrange(n)]
+        getrandbits = self._rng.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return runnable[r]
 
     def can_commit(self, step: int) -> bool:
         return self._last_n == 1
@@ -152,14 +161,15 @@ class RandomScheduler(Scheduler):
                    max_len: int) -> int:
         # Only a lone runnable thread is guaranteed to win the next
         # draws; with two or more, any draw may preempt it.  Every skipped
-        # ``choose`` still consumes its entropy — ``randrange(1)`` draws
-        # too (rejection sampling) — so the rng stream stays bit-identical
-        # to stepwise execution.
+        # ``choose`` still consumes its entropy — a draw from one thread
+        # redraws single bits until one is 0 — so the rng stream stays
+        # bit-identical to stepwise execution.
         if max_len <= 1 or self._last_n != 1:
             return 1
-        draw = self._rng.randrange
+        getrandbits = self._rng.getrandbits
         for _ in range(max_len - 1):
-            draw(1)
+            while getrandbits(1):
+                pass
         return max_len
 
     def reset(self) -> None:

@@ -7,6 +7,7 @@ dispositions; and a corrupted or stale entry degrades to a miss, never to
 a wrong result.
 """
 
+import gc
 import json
 import os
 
@@ -69,6 +70,26 @@ class TestKeys:
     def test_code_version_is_memoized_and_stable(self):
         assert code_version() == code_version()
         assert len(code_version()) == 16
+
+    def test_module_key_never_reuses_a_collected_modules_digest(
+            self, tmp_path):
+        """Patched clones come and go at recycled addresses: the digest
+        memo must follow the module object, not its ``id``."""
+        from repro.ir.patch import clone_module
+        from repro.owl.repair import synthesize
+
+        spec = spec_by_name("apache_log")
+        original = spec.build()
+        report = sorted(run_pipeline(spec).remaining_reports,
+                        key=lambda r: r.static_key)[0]
+        cache = ResultCache(str(tmp_path))
+        for index in range(50):
+            clone = clone_module(original)
+            strategy = ("mutex", "order")[index % 2]
+            assert synthesize(strategy, clone, report.static_key) is not None
+            assert cache.module_key(clone) == module_digest(clone)
+            del clone
+            gc.collect()
 
 
 class TestWarmParity:

@@ -6,11 +6,14 @@ emitted patches agree with the ``apps/*_fixed`` ground truth; the
 detector gate has teeth (a candidate that merely *silences* the detector
 is rejected because the recorded attack still realizes); and the
 schema-9 ``repair`` metrics block is bit-identical across job counts.
+Each distinct candidate is gated once, and every target still records
+exactly the gates a lone gating of its own clone would.
 """
 
 import gc
 import json
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -20,10 +23,14 @@ from repro.owl.batch import vuln_to_payload
 from repro.owl.cache import ResultCache
 from repro.owl.pipeline import OwlPipeline
 from repro.owl.provenance import DISPOSITION_REPAIRED
+from repro.owl import repair as repair_module
 from repro.owl.repair import (
     gate_detector,
+    gate_oracle,
+    gate_schedulers,
     merge_repair_telemetry,
     repair_program,
+    synthesize,
 )
 from repro.runtime.interpreter import reference_execution
 
@@ -39,6 +46,34 @@ def memcached_repair():
 def apache_log_run():
     spec = spec_by_name("apache_log")
     return spec, OwlPipeline(spec).run()
+
+
+@pytest.fixture(scope="module")
+def apache_log_repair(apache_log_run):
+    spec, result = apache_log_run
+    return spec, result, repair_program(spec, result=result)
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Counts calls of the three gates and of the unpatched allowed-set
+    build, wherever ``repair_program`` looks them up."""
+    calls = Counter()
+    for name in ("gate_oracle", "gate_detector", "gate_schedulers",
+                 "_allowed_behaviours"):
+        def counted(*args, _name=name, _original=getattr(repair_module, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(repair_module, name, counted)
+    return calls
+
+
+def attack_probes(result):
+    return [(vuln_to_payload(detected.vulnerability), detected.ground_truth)
+            for detected in result.attacks
+            if detected.realized and detected.ground_truth is not None]
 
 
 class TestRepairMemcached:
@@ -129,10 +164,7 @@ class TestDetectorGateTeeth:
         patcher = ModulePatcher(patched)
         for uid in sorted(uids):
             patcher.set_atomic(patched.instruction_by_uid(uid), True)
-        probes = [(vuln_to_payload(detected.vulnerability),
-                   detected.ground_truth)
-                  for detected in result.attacks
-                  if detected.realized and detected.ground_truth is not None]
+        probes = attack_probes(result)
         assert probes, "pipeline did not realize the apache_log attack"
         gate = gate_detector(spec, patched, report.static_key,
                              variable=report.variable, attack_probes=probes)
@@ -163,8 +195,6 @@ class TestRepairApacheLog:
                 == json.dumps(reference.patch_payloads(), sort_keys=True))
 
     def test_patched_clones_are_released(self, apache_log_run, monkeypatch):
-        from repro.owl import repair as repair_module
-
         clones = []
         clone = repair_module.clone_module
 
@@ -194,16 +224,91 @@ class TestRepairApacheLog:
             json.dumps(blocks[1], sort_keys=True)
 
 
+class TestGateOnce:
+    @pytest.mark.parametrize("fixture", ["memcached_repair",
+                                         "apache_log_repair"])
+    def test_each_target_records_its_lone_gating(self, fixture, request):
+        """Gate a clone synthesized for each target alone: the verdicts
+        equal the gates ``repair_program`` recorded for that target from
+        the shared gating of its candidate."""
+        spec, result, repair = request.getfixturevalue(fixture)
+        original = spec.build()
+        probes = attack_probes(result)
+        for target in repair.targets:
+            uids = set()
+            for report in result.remaining_reports:
+                if report.variable == target.variable:
+                    uids.update(report.static_key)
+            clone = clone_module(original)
+            assert synthesize(target.emitted.strategy, clone,
+                              target.static_key,
+                              access_uids=sorted(uids)) is not None
+            lone = {
+                "oracle": gate_oracle(spec, original, clone),
+                "detector": gate_detector(spec, clone, target.static_key,
+                                          variable=target.variable,
+                                          attack_probes=probes),
+                "schedulers": gate_schedulers(spec, clone, seeds=range(3)),
+            }
+            assert json.dumps(lone, sort_keys=True) == \
+                json.dumps(target.emitted.gates, sort_keys=True), target.uid
+
+    def test_detector_reads_each_pair_out_of_one_run(self, memcached_repair):
+        """On the unpatched module every verified pair is still reported;
+        a pair no report carries is not.  The list form must say so pair
+        by pair, exactly as single-pair calls do."""
+        spec, result, _ = memcached_repair
+        unpatched = clone_module(spec.build())
+        keys = sorted(report.static_key
+                      for report in result.remaining_reports) + [(0, 0)]
+        verdicts = gate_detector(spec, unpatched, keys)
+        assert [verdict["pair_reported"] for verdict in verdicts] == \
+            [True] * (len(keys) - 1) + [False]
+        assert not any(verdict["passed"] for verdict in verdicts[:-1])
+        assert verdicts[0] == gate_detector(spec, unpatched, keys[0])
+        assert verdicts[-1] == gate_detector(spec, unpatched, keys[-1])
+
+    def test_targets_on_one_variable_share_one_patch(
+            self, memcached_repair, apache_log_repair):
+        for _, _, repair in (memcached_repair, apache_log_repair):
+            digests = {}
+            for payload in repair.patch_payloads():
+                digests.setdefault(payload["target"]["variable"],
+                                   set()).add(payload["patched_digest"])
+            assert all(len(group) == 1 for group in digests.values())
+            assert len(set.union(*digests.values())) == len(digests)
+        _, _, apache_log = apache_log_repair
+        ops = {json.dumps(payload["ops"])
+               for payload in apache_log.patch_payloads()}
+        assert len(ops) == 1 and "__owl_fix_lock_13_21_26_28" in ops.pop()
+
+    def test_gates_run_once_per_distinct_candidate(
+            self, memcached_repair, apache_log_run, gate_calls):
+        spec, result, _ = memcached_repair
+        repair_program(spec, result=result)
+        assert gate_calls == {"gate_oracle": 2, "gate_detector": 2,
+                              "gate_schedulers": 2, "_allowed_behaviours": 1}
+        gate_calls.clear()
+        spec, result = apache_log_run
+        repair_program(spec, result=result)
+        assert gate_calls == {"gate_oracle": 1, "gate_detector": 1,
+                              "gate_schedulers": 1, "_allowed_behaviours": 1}
+
+
 class TestRepairCache:
-    def test_warm_cache_replays_identical_gates(self, tmp_path):
+    def test_warm_cache_replays_identical_gates(self, tmp_path, gate_calls):
         spec = spec_by_name("apache_log")
         result = OwlPipeline(spec).run()
         cold_cache = ResultCache(str(tmp_path))
         cold = repair_program(spec, result=result, cache=cold_cache)
-        assert cold_cache.stage_counters("repair")["stores"] > 0
+        assert cold_cache.stage_counters("repair")["stores"] == 4
+        assert gate_calls["_allowed_behaviours"] == 1
+        gate_calls.clear()
         warm_cache = ResultCache(str(tmp_path))
         warm = repair_program(spec, result=result, cache=warm_cache)
-        assert warm_cache.stage_counters("repair")["hits"] > 0
+        # every target hits its own entry: no gate, no allowed-set build
+        assert warm_cache.stage_counters("repair")["hits"] == 4
+        assert not gate_calls
         assert all(target.emitted.cached for target in warm.emitted)
         assert json.dumps(cold.metrics_block(), sort_keys=True) == \
             json.dumps(warm.metrics_block(), sort_keys=True)

@@ -1,5 +1,7 @@
 """Tests for schedulers and the thread-specific-breakpoint debugger."""
 
+import random
+
 import pytest
 
 from repro.ir import IRBuilder, Module, verify_module
@@ -89,6 +91,34 @@ class TestRandom:
         scheduler.reset()
         second = [scheduler.choose(threads, s).thread_id for s in range(20)]
         assert first == second
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_draws_the_randrange_stream(self, n):
+        """``choose`` inlines ``randrange``'s rejection loop; a Python
+        whose ``randrange`` draws differently must fail here, not shift
+        every recorded schedule."""
+        threads = [_FakeThread(i) for i in range(n)]
+        for seed in range(40):
+            scheduler = RandomScheduler(seed)
+            reference = random.Random(seed)
+            picks = [scheduler.choose(threads, s).thread_id
+                     for s in range(50)]
+            assert picks == [reference.randrange(n) for _ in range(50)]
+            assert scheduler._rng.getstate() == reference.getstate()
+
+    def test_committed_run_consumes_single_thread_draws(self):
+        """A run of ``length`` steps granted to a lone thread leaves the
+        rng where ``length`` stepwise ``choose`` calls would."""
+        lone = [_FakeThread(0)]
+        for seed in range(40):
+            scheduler = RandomScheduler(seed)
+            reference = random.Random(seed)
+            scheduler.choose(lone, 0)
+            reference.randrange(1)
+            assert scheduler.run_length(lone[0], 1, 9) == 9
+            for _ in range(8):
+                reference.randrange(1)
+            assert scheduler._rng.getstate() == reference.getstate()
 
 
 class TestPCT:

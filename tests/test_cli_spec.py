@@ -54,13 +54,33 @@ class TestCli:
         assert "oracle=ok, detector=ok, schedulers=ok" in out
         artifacts = sorted(glob.glob(out_dir + "/patch_apache_log_*.json"))
         assert len(artifacts) == 4
-        payload = json.loads(open(artifacts[0]).read())
+        payloads = [json.loads(open(path).read()) for path in artifacts]
+        payload = payloads[0]
         assert payload["strategy"] == "mutex"
         assert payload["ir_diff"]
+        # all four races are on one variable: one patch
+        assert len({p["patched_digest"] for p in payloads}) == 1
         data = json.loads(open(metrics).read())
         assert data["schema"] == 9
         assert data["repair"]["emitted"] == 4
         assert data["telemetry"]["counters"]["repair.emitted"] == 4
+
+    def test_fix_warm_cache_hits_every_target(self, capsys, tmp_path):
+        import json
+
+        cache_dir = str(tmp_path / "cache")
+        blocks = []
+        for name in ("cold", "warm"):
+            metrics = str(tmp_path / ("%s.json" % name))
+            assert main(["fix", "apache_log", "--cache", "--cache-dir",
+                         cache_dir, "--metrics", metrics]) == 0
+            blocks.append(json.loads(open(metrics).read()))
+        cold, warm = blocks
+        assert cold["cache"]["stages"]["repair"]["stores"] == 4
+        assert warm["cache"]["stages"]["repair"]["hits"] == 4
+        assert warm["cache"]["misses"] == 0
+        assert json.dumps(cold["repair"], sort_keys=True) == \
+            json.dumps(warm["repair"], sort_keys=True)
 
     def test_detect_with_profile_prints_hot_functions(self, capsys):
         assert main(["detect", "memcached", "--profile",
