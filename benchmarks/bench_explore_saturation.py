@@ -25,6 +25,7 @@ from repro.detectors.ski import run_ski
 from repro.detectors.tsan import run_tsan
 from repro.owl.explore import ExplorePolicy
 from repro.owl.integration import run_detector
+from repro.owl.sweep import Sweep
 
 EXPLORED_PROGRAMS = [
     "apache", "chrome", "libsafe", "linux", "memcached", "mysql", "ssdb",
@@ -44,8 +45,9 @@ def _fixed_sweep(spec):
 def _explore(spec, predict=None):
     policy = ExplorePolicy(max_seeds=BUDGET, wave_size=4, saturation_k=2,
                            escalate=False, predict=predict)
-    reports, _ = run_detector(spec, explore=policy)
-    return {report.static_key for report in reports}, policy.last
+    sweep = Sweep()
+    reports, _ = run_detector(spec, sweep=sweep, explore=policy)
+    return {report.static_key for report in reports}, sweep.exploration
 
 
 def test_explore_saturation(pipelines, benchmark):

@@ -65,47 +65,40 @@ def _make_pipeline(spec, args, export_path=None):
     ``--cache`` was given, ``log`` unless ``--log`` or ``--cache`` was.
     """
     from repro import OwlPipeline
-    from repro.owl.batch import BatchPolicy
     from repro.owl.cache import ResultCache
+    from repro.owl.pipeline import PipelineConfig
     from repro.owl.runlog import RunLog, runlog_path
 
-    policy = BatchPolicy(
-        timeout=getattr(args, "item_timeout", None),
-        retries=getattr(args, "retries", 2),
-    )
     cache = log = None
     log_path = getattr(args, "log", None)
-    if getattr(args, "cache", False):
+    if args.cache:
         cache = ResultCache(args.cache_dir)
         log_path = log_path or runlog_path(args.cache_dir, spec.name)
     if log_path:
         log = RunLog(log_path, export_path=export_path,
-                     metrics_path=args.metrics)
+                     metrics_path=args.metrics, command=args.command)
     explore = None
     if getattr(args, "explore", False) or getattr(args, "predict", False):
         from repro.detectors.predict import PredictPolicy
         from repro.owl.explore import ExplorePolicy
 
         explore = ExplorePolicy(
-            max_seeds=getattr(args, "max_seeds", 20),
-            wave_size=getattr(args, "wave_size", 4),
-            saturation_k=getattr(args, "saturation_k", 2),
-            predict=PredictPolicy(
-                optimistic=getattr(args, "optimistic", False),
-                witness=getattr(args, "witness", True),
-            ) if getattr(args, "predict", False) else None,
+            max_seeds=args.max_seeds, wave_size=args.wave_size,
+            saturation_k=args.saturation_k,
+            predict=PredictPolicy(optimistic=args.optimistic,
+                                  witness=args.witness)
+            if args.predict else None,
         )
     profile = None
     if getattr(args, "profile", False):
         from repro.runtime.profiler import DEFAULT_SAMPLE_INTERVAL
 
-        profile = (getattr(args, "profile_interval", None)
-                   or DEFAULT_SAMPLE_INTERVAL)
-    pipeline = OwlPipeline(
-        spec, jobs=args.jobs, cache=cache, policy=policy, log=log,
-        explore=explore, profile=profile,
+        profile = args.profile_interval or DEFAULT_SAMPLE_INTERVAL
+    config = PipelineConfig(
+        jobs=args.jobs, explore=explore, profile=profile,
+        item_timeout=args.item_timeout, retries=args.retries,
     )
-    return pipeline, cache, log
+    return OwlPipeline(spec, config, cache=cache, log=log), cache, log
 
 
 def _finish_cached_run(cache, log) -> None:
@@ -268,7 +261,7 @@ def _cmd_fix(args) -> int:
     if cache is not None:
         # the pipeline's cache block predates the repair stage's lookups
         result.metrics.blocks["cache"] = cache.counters()
-    merge_repair_telemetry(result, repair)
+    merge_repair_telemetry(result, repair, cache)
     print("== OWL fix: %s ==" % spec.name)
     print(repair.describe())
     if args.out:

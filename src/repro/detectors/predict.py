@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.detectors.annotations import AnnotationSet
 from repro.detectors.report import (
@@ -89,7 +89,7 @@ _KIND_NAMES = {READ: "read", WRITE: "write", ACQUIRE: "acquire",
 _LOCK, _ATOMIC = 0, 1
 
 
-class PredictPolicy:
+class PredictPolicy(NamedTuple):
     """Knobs of one prediction pass.
 
     - ``optimistic`` — allow the sync-reversal relaxation (more races
@@ -104,27 +104,17 @@ class PredictPolicy:
     - ``max_closures`` — global closure budget per trace.
     """
 
-    def __init__(self, optimistic: bool = False, witness: bool = True,
-                 max_pairs_per_static: int = 4, max_closures: int = 20_000):
-        self.optimistic = bool(optimistic)
-        self.witness = bool(witness)
-        self.max_pairs_per_static = int(max_pairs_per_static)
-        self.max_closures = int(max_closures)
+    optimistic: bool = False
+    witness: bool = True
+    max_pairs_per_static: int = 4
+    max_closures: int = 20_000
 
     @property
     def mode(self) -> str:
         return "optimistic" if self.optimistic else "sync-preserving"
 
     def as_dict(self) -> Dict:
-        return {
-            "optimistic": self.optimistic,
-            "witness": self.witness,
-            "max_pairs_per_static": self.max_pairs_per_static,
-            "max_closures": self.max_closures,
-        }
-
-    def __repr__(self) -> str:
-        return "<PredictPolicy %s witness=%s>" % (self.mode, self.witness)
+        return self._asdict()
 
 
 class PredictEvent:

@@ -33,7 +33,12 @@ from repro.owl.vuln_analysis import (
 )
 from repro.owl.vuln_verifier import DynamicVulnerabilityVerifier, VulnVerification
 from repro.owl.hints import format_call_stack, format_vulnerability_report
-from repro.owl.pipeline import OwlPipeline, PipelineResult, StageCounters
+from repro.owl.pipeline import (
+    OwlPipeline,
+    PipelineConfig,
+    PipelineResult,
+    StageCounters,
+)
 from repro.owl.provenance import (
     Decision,
     ProvenanceLog,
@@ -66,6 +71,7 @@ __all__ = [
     "format_call_stack",
     "format_vulnerability_report",
     "OwlPipeline",
+    "PipelineConfig",
     "PipelineResult",
     "StageCounters",
     "Decision",

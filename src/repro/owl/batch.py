@@ -66,7 +66,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.detectors.report import (
     RaceReport,
@@ -357,9 +357,9 @@ def adopt_spans(tracer: Optional[SpanTracer], output: Dict, name: str,
 
 
 def _verify_items(worker, stage: str, spec: ProgramSpec, field: str,
-                  items: Sequence[Dict], jobs, executor, cache,
-                  policy) -> List[Dict]:
-    """Fan one verification stage's item payloads out; outputs in order.
+                  items: Sequence[Dict], sweep) -> List[Dict]:
+    """Fan one verification stage's item payloads out through ``sweep``;
+    outputs in order.
 
     Each payload is the spec's verification config plus the item under
     ``field``; everything but the item's index keys its cache entry.
@@ -377,18 +377,28 @@ def _verify_items(worker, stage: str, spec: ProgramSpec, field: str,
         for index, item in enumerate(items)
     ]
     keys = None
-    if cache is not None:
+    if sweep.cache is not None:
         module = spec.build()
         keys = [
-            cache.key(stage, module=module, **{
+            sweep.cache.key(stage, module=module, **{
                 key: value for key, value in payload.items()
                 if key != "index"
             })
             for payload in payloads
         ]
-    return run_cached_tasks(worker, payloads, cache=cache, stage=stage,
-                            keys=keys, jobs=jobs, executor=executor,
-                            policy=policy)
+    return sweep.tasks(worker, payloads, stage, keys)
+
+
+def _log_items(sweep, stage: str, items: Iterable[Dict],
+               outputs: Optional[Sequence[Dict]]) -> None:
+    """One ``item_done`` event per item, in item order (``outputs`` None:
+    the serial path, nothing cached); ``items`` is only drawn with a log."""
+    if sweep.log is None:
+        return
+    for index, fields in enumerate(items):
+        cached = outputs is not None and bool(outputs[index].get("cached"))
+        sweep.log.emit("item_done", stage=stage, index=index, **fields,
+                       cached=cached)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +407,9 @@ def _verify_items(worker, stage: str, spec: ProgramSpec, field: str,
 
 def _race_verify_worker(payload: Dict) -> Dict:
     spec = _cached_spec(payload["spec"])
-    module = spec.build()
-    report = report_from_payload(module, payload["report"])
-    inputs = payload["inputs"]
-    max_steps = payload["max_steps"]
+    report = report_from_payload(spec.build(), payload["report"])
     tracer = SpanTracer()
-    verifier = DynamicRaceVerifier(
-        module, entry=payload["entry"], inputs=inputs,
-        seeds=payload["seeds"], max_steps=max_steps,
-        vm_factory=lambda seed: spec.make_vm(
-            seed, inputs=inputs, max_steps=max_steps,
-        ),
-        tracer=tracer,
-    )
-    verification = verifier.verify(report)
+    verification = race_verifier_for(spec, tracer).verify(report)
     hints = verification.hints
     return {
         "index": payload["index"],
@@ -434,7 +433,7 @@ def _race_verify_worker(payload: Dict) -> Dict:
 def race_verifier_for(spec: ProgramSpec,
                       tracer: Optional[SpanTracer] = None
                       ) -> DynamicRaceVerifier:
-    """The serial path's race verifier for ``spec`` (mirrors the worker)."""
+    """The race verifier for ``spec``: the serial path's and each worker's."""
     return DynamicRaceVerifier(
         spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
         seeds=spec.verify_seeds, max_steps=spec.max_steps,
@@ -443,33 +442,25 @@ def race_verifier_for(spec: ProgramSpec,
     )
 
 
-def verify_races_batch(
-    spec: ProgramSpec,
-    reports: Sequence[RaceReport],
-    jobs: int = 1,
-    executor: Optional[ProcessPoolExecutor] = None,
-    tracer: Optional[SpanTracer] = None,
-    cache=None,
-    policy: Optional[BatchPolicy] = None,
-    log=None,
-) -> List[RaceVerification]:
+def verify_races_batch(spec: ProgramSpec, reports: Sequence[RaceReport],
+                       sweep) -> List[RaceVerification]:
     """Verify each report in its own worker; results keep report order.
 
-    ``log`` (:class:`repro.owl.runlog.RunLog`) receives one ``item_done``
-    event per report, in report order, on every path.
+    ``sweep`` (:class:`repro.owl.sweep.Sweep`) is the run's execution
+    context: its pool, cache and batch policy run the items, its tracer
+    adopts their spans, and its log receives one ``item_done`` event per
+    report, in report order, on every path.
     """
     reports = list(reports)
     if not reports:
         return []
-    if not can_parallelize(spec) or (
-            jobs <= 1 and executor is None and cache is None):
-        outcomes = race_verifier_for(spec, tracer).verify_all(reports)
-        cached = [False] * len(outcomes)
+    outputs = None
+    if not sweep.pooled(can_parallelize(spec)):
+        outcomes = race_verifier_for(spec, sweep.tracer).verify_all(reports)
     else:
         outputs = _verify_items(
             _race_verify_worker, "race_verify", spec, "report",
-            [report_to_payload(report) for report in reports],
-            jobs, executor, cache, policy,
+            [report_to_payload(report) for report in reports], sweep,
         )
         outcomes = []
         for report, output in zip(reports, outputs):  # report order, always
@@ -486,14 +477,12 @@ def verify_races_batch(
             verification.vm_steps = output["vm_steps"]
             verification.runs_stopped_early = output["runs_stopped_early"]
             outcomes.append(verification)
-            adopt_spans(tracer, output, "verify_report", report=report.uid,
-                        cached=True, verified=output["verified"])
-        cached = [bool(output.get("cached")) for output in outputs]
-    if log is not None:
-        for index, outcome in enumerate(outcomes):
-            log.emit("item_done", stage="race_verification", index=index,
-                     item=outcome.report.uid, verified=outcome.verified,
-                     cached=cached[index])
+            adopt_spans(sweep.tracer, output, "verify_report",
+                        report=report.uid, cached=True,
+                        verified=output["verified"])
+    _log_items(sweep, "race_verification", (
+        {"item": outcome.report.uid, "verified": outcome.verified}
+        for outcome in outcomes), outputs)
     return outcomes
 
 
@@ -503,29 +492,9 @@ def verify_races_batch(
 
 def _vuln_verify_worker(payload: Dict) -> Dict:
     spec = _cached_spec(payload["spec"])
-    module = spec.build()
-    vulnerability = vuln_from_payload(module, payload["vuln"])
-    ground_truth = spec.attack_for_site(vulnerability.site.location)
-    inputs = (
-        ground_truth.subtle_inputs if ground_truth is not None
-        else payload["inputs"]
-    )
+    vulnerability = vuln_from_payload(spec.build(), payload["vuln"])
     tracer = SpanTracer()
-    verifier = DynamicVulnerabilityVerifier(
-        module, entry=payload["entry"], inputs=inputs,
-        seeds=payload["seeds"], max_steps=payload["max_steps"],
-        vm_factory=lambda seed, _inputs=inputs: spec.make_vm(
-            seed, inputs=_inputs,
-        ),
-        attack_predicate=(
-            ground_truth.predicate if ground_truth is not None else None
-        ),
-        racing_order=(
-            (ground_truth.racing_order, "") if ground_truth is not None
-            else None
-        ),
-        tracer=tracer,
-    )
+    verifier, _ = vuln_verifier_for(spec, vulnerability, tracer)
     verification = verifier.verify(vulnerability)
     return {
         "index": payload["index"],
@@ -540,14 +509,7 @@ def _vuln_verify_worker(payload: Dict) -> Dict:
 
 
 def verify_vulns_batch(
-    spec: ProgramSpec,
-    vulnerabilities: Sequence,
-    jobs: int = 1,
-    executor: Optional[ProcessPoolExecutor] = None,
-    tracer: Optional[SpanTracer] = None,
-    cache=None,
-    policy: Optional[BatchPolicy] = None,
-    log=None,
+    spec: ProgramSpec, vulnerabilities: Sequence, sweep,
 ) -> List[Tuple[VulnVerification, Optional[AttackGroundTruth]]]:
     """Verify each vulnerability in its own worker; results keep input order.
 
@@ -555,26 +517,25 @@ def verify_vulns_batch(
     the registry spec's attacks — deterministic), so subtle inputs, racing
     order and attack predicates never cross the process boundary; the
     parent re-matches against its own spec for the returned pairing.
-    ``log`` receives one ``item_done`` event per vulnerability, in input
+    ``sweep`` is the execution context, as for :func:`verify_races_batch`;
+    its log receives one ``item_done`` event per vulnerability, in input
     order, on every path.
     """
     vulnerabilities = list(vulnerabilities)
     if not vulnerabilities:
         return []
-    if not can_parallelize(spec) or (
-            jobs <= 1 and executor is None and cache is None):
+    outputs = None
+    if not sweep.pooled(can_parallelize(spec)):
         outcomes = [
-            _verify_vuln_serial(spec, vulnerability, tracer=tracer)
+            _verify_vuln_serial(spec, vulnerability, tracer=sweep.tracer)
             for vulnerability in vulnerabilities
         ]
-        cached = [False] * len(outcomes)
     else:
         module = spec.build()
         outputs = _verify_items(
             _vuln_verify_worker, "vuln_verify", spec, "vuln",
             [vuln_to_payload(vulnerability)
-             for vulnerability in vulnerabilities],
-            jobs, executor, cache, policy,
+             for vulnerability in vulnerabilities], sweep,
         )
         outcomes = []
         # vulnerability order, always
@@ -591,25 +552,21 @@ def verify_vulns_batch(
             )
             verification.vm_steps = output["vm_steps"]
             outcomes.append((verification, ground_truth))
-            adopt_spans(tracer, output, "verify_vulnerability",
+            adopt_spans(sweep.tracer, output, "verify_vulnerability",
                         site=str(vulnerability.site.location), cached=True,
                         realized=output["attack_realized"])
-        cached = [bool(output.get("cached")) for output in outputs]
-    if log is not None:
-        for index, (verification, _) in enumerate(outcomes):
-            log.emit("item_done", stage="vulnerability_verification",
-                     index=index,
-                     item=str(verification.vulnerability.site.location),
-                     realized=verification.attack_realized,
-                     cached=cached[index])
+    _log_items(sweep, "vulnerability_verification", (
+        {"item": str(verification.vulnerability.site.location),
+         "realized": verification.attack_realized}
+        for verification, _ in outcomes), outputs)
     return outcomes
 
 
 def vuln_verifier_for(
     spec: ProgramSpec, vulnerability, tracer: Optional[SpanTracer] = None,
 ) -> Tuple[DynamicVulnerabilityVerifier, Optional[AttackGroundTruth]]:
-    """The serial path's verifier for one vulnerability (mirrors the
-    worker), with the ground truth it was configured from."""
+    """The verifier for one vulnerability (the serial path's and each
+    worker's), with the ground truth it was configured from."""
     ground_truth = spec.attack_for_site(vulnerability.site.location)
     inputs = (
         ground_truth.subtle_inputs if ground_truth is not None

@@ -35,9 +35,10 @@ never collide with its base-family entry.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.detectors.annotations import annotations_from_payload
+from repro.detectors.predict import PredictPolicy
 from repro.detectors.report import ReportSet
 from repro.detectors.seed import SeedRun, run_seed
 from repro.owl.sweep import merge_runs
@@ -55,8 +56,17 @@ def _ski_ladder(depth: int) -> Tuple[Tuple[str, int], ...]:
     return (("pct", depth), ("pct", depth + 2), ("pct", depth + 4))
 
 
-class ExplorePolicy:
-    """Knobs of one exploration run (and the sink for its results).
+class _ExplorePolicyFields(NamedTuple):
+    max_seeds: int = 20
+    wave_size: int = 4
+    saturation_k: int = 2
+    escalate: bool = True
+    ladder: Optional[Tuple[Tuple[str, int], ...]] = None
+    predict: Optional[PredictPolicy] = None
+
+
+class ExplorePolicy(_ExplorePolicyFields):
+    """Knobs of one exploration run.
 
     - ``max_seeds`` — the total seed budget (the blind sweep this replaces
       is ``range(20)``; exploration may stop well short of it).
@@ -67,59 +77,52 @@ class ExplorePolicy:
       whole run (useful when comparing against a fixed sweep).
     - ``ladder`` — explicit ``((family, depth), ...)`` override; by default
       derived from the detector kind.
+    - ``predict`` — a :class:`repro.detectors.predict.PredictPolicy` turns
+      wave 0 into a *predict* wave: seed 0 runs once, recorded, and the
+      sync-preserving closure pre-seeds coverage with every race
+      inferable from that single trace — so later waves only spend seed
+      budget on interleavings prediction could not decide.
 
-    Every exploration run driven by this policy appends its
-    :class:`ExplorationResult` to :attr:`history` (the pipeline runs the
-    detector twice — raw and after annotation — so there can be several).
+    A value: each exploration's :class:`ExplorationResult` lands on the
+    sweep that ran it (:attr:`repro.owl.sweep.Sweep.exploration`).
+    :meth:`as_dict` names every setting and :meth:`from_dict` rebuilds an
+    equal policy, so a run log can carry it.
     """
 
-    def __init__(self, max_seeds: int = 20, wave_size: int = 4,
-                 saturation_k: int = 2, escalate: bool = True,
-                 ladder: Optional[Sequence[Tuple[str, int]]] = None,
-                 predict=None):
-        if max_seeds <= 0:
-            raise ValueError("max_seeds must be positive")
-        if wave_size <= 0:
-            raise ValueError("wave_size must be positive")
-        if saturation_k <= 0:
-            raise ValueError("saturation_k must be positive")
-        self.max_seeds = int(max_seeds)
-        self.wave_size = int(wave_size)
-        self.saturation_k = int(saturation_k)
-        self.escalate = escalate
-        self.ladder = tuple(ladder) if ladder is not None else None
-        #: A :class:`repro.detectors.predict.PredictPolicy` turns wave 0
-        #: into a *predict* wave: seed 0 runs once, recorded, and the
-        #: sync-preserving closure pre-seeds coverage with every race
-        #: inferable from that single trace — so later waves only spend
-        #: seed budget on interleavings prediction could not decide.
-        self.predict = predict
-        self.history: List["ExplorationResult"] = []
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        policy = super().__new__(cls, *args, **kwargs)
+        for name in ("max_seeds", "wave_size", "saturation_k"):
+            if getattr(policy, name) <= 0:
+                raise ValueError("%s must be positive" % name)
+        if policy.ladder is None:
+            return policy
+        return policy._replace(ladder=tuple(
+            (family, depth) for family, depth in policy.ladder))
 
     def ladder_for(self, kind: str, depth: int) -> Tuple[Tuple[str, int], ...]:
         if self.ladder is not None:
             return self.ladder
         return _ski_ladder(depth) if kind == "ski" else _TSAN_LADDER
 
-    @property
-    def last(self) -> Optional["ExplorationResult"]:
-        return self.history[-1] if self.history else None
-
     def as_dict(self) -> Dict:
-        block = {
+        return {
             "max_seeds": self.max_seeds,
             "wave_size": self.wave_size,
             "saturation_k": self.saturation_k,
             "escalate": self.escalate,
+            "ladder": None if self.ladder is None
+            else [list(rung) for rung in self.ladder],
+            "predict": None if self.predict is None
+            else self.predict.as_dict(),
         }
-        if self.predict is not None:
-            block["predict"] = self.predict.as_dict()
-        return block
 
-    def __repr__(self) -> str:
-        return "<ExplorePolicy max_seeds=%d wave=%d k=%d escalate=%s>" % (
-            self.max_seeds, self.wave_size, self.saturation_k, self.escalate,
-        )
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ExplorePolicy":
+        predict = data["predict"]
+        return cls(**dict(data, predict=None if predict is None
+                          else PredictPolicy(**predict)))
 
 
 class WaveRecord:
@@ -290,8 +293,8 @@ def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
     next seeds under the current ladder rung through ``sweep``.  The seeds
     are the prefix of the blind sweep's ``range()`` under the same base
     family, so a run that saturates before escalating finds exactly the
-    fixed prefix's races.  The :class:`ExplorationResult` is appended to
-    ``explore.history``; ``sweep.log`` gets one ``wave_done`` per wave.
+    fixed prefix's races.  The :class:`ExplorationResult` lands on
+    ``sweep.exploration``; ``sweep.log`` gets one ``wave_done`` per wave.
 
     Every job tracks coverage through the
     :class:`repro.runtime.coverage.SwitchTracker` wrapper, which observes
@@ -362,5 +365,5 @@ def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
                 dry=new_pairs == 0, escalated=escalated,
                 saturated=result.saturated)
     result.wall_seconds = time.perf_counter() - started
-    explore.history.append(result)
+    sweep.exploration = result
     return merged, runs

@@ -60,7 +60,7 @@ def run_detector(
     seed order, so the result is identical at any job count.  An
     ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`) replaces
     the spec's fixed ``detect_seeds`` with coverage-guided exploration;
-    its :class:`ExplorationResult` lands in ``explore.history``.
+    its :class:`ExplorationResult` lands on ``sweep.exploration``.
 
     Returns ``(reports, stats)`` with one
     :class:`repro.runtime.metrics.RunStats` per executed seed, whatever

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
 from repro.detectors.report import (
@@ -33,6 +33,7 @@ from repro.detectors.report import (
 from repro.detectors.seed import SeedJob
 from repro.owl.adhoc import AdhocSyncDetector
 from repro.owl.batch import (
+    BatchPolicy,
     can_parallelize,
     make_executor,
     verify_races_batch,
@@ -40,14 +41,11 @@ from repro.owl.batch import (
     vuln_from_payload,
     vuln_to_payload,
 )
+from repro.owl.explore import ExplorePolicy
 from repro.owl.integration import run_detector, usable_reports
 from repro.owl.race_verifier import RaceVerification
 from repro.owl.sweep import Sweep
-from repro.owl.vuln_analysis import (
-    AnalysisOptions,
-    VulnerabilityAnalyzer,
-    VulnerabilityReport,
-)
+from repro.owl.vuln_analysis import VulnerabilityAnalyzer, VulnerabilityReport
 from repro.owl.vuln_verifier import VulnVerification
 from repro.owl.provenance import ProvenanceLog
 from repro.runtime.fuse import fuse_engine
@@ -177,8 +175,44 @@ class PipelineResult:
         )
 
 
+class PipelineConfig(NamedTuple):
+    """Everything a pipeline run depends on, as one value.
+
+    - ``jobs`` — worker processes for the parallel stages.
+    - ``explore`` — an :class:`repro.owl.explore.ExplorePolicy` (with its
+      predict policy) in place of the fixed ``detect_seeds`` sweep.
+    - ``profile`` — sample the detector stages' VMs every K scheduler
+      decisions.
+    - ``item_timeout``/``retries`` — the pooled stages'
+      :class:`repro.owl.batch.BatchPolicy` budgets.
+
+    ``run_begin`` logs :meth:`as_dict` and ``owl resume`` rebuilds an
+    equal value with :meth:`from_dict`, so a resumed run is the same run.
+    """
+
+    jobs: int = 1
+    explore: Optional[ExplorePolicy] = None
+    profile: Optional[int] = None
+    item_timeout: Optional[float] = None
+    retries: int = 2
+
+    def as_dict(self) -> Dict:
+        return dict(self._asdict(), explore=None if self.explore is None
+                    else self.explore.as_dict())
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "PipelineConfig":
+        explore = data["explore"]
+        return cls(**dict(data, explore=None if explore is None
+                          else ExplorePolicy.from_dict(explore)))
+
+
 class OwlPipeline:
     """Runs the five OWL stages against one :class:`ProgramSpec`.
+
+    A run depends on one :class:`PipelineConfig` (``config``; keyword
+    settings such as ``jobs=N`` replace its fields) and uses three
+    resources beside it: a ``cache``, a ``log`` and a ``replay`` source.
 
     With ``jobs > 1`` the embarrassingly parallel stages — per-seed
     detection, per-report race verification, per-vulnerability verification
@@ -187,23 +221,28 @@ class OwlPipeline:
     :class:`StageCounters` are bit-identical to a serial run on the same
     seeds.  Per-stage wall time and VM throughput are recorded in
     ``result.metrics`` (:class:`repro.runtime.metrics.PipelineMetrics`)
-    for both serial and parallel runs.
+    for both serial and parallel runs.  Every stage runs through the run's
+    one :class:`repro.owl.sweep.Sweep`: its pool, cache, batch policy
+    (built from ``item_timeout``/``retries``; the metrics ``"batch"``
+    block), span tracer and log.
 
     With a ``cache`` (:class:`repro.owl.cache.ResultCache`) every stage's
     unit results are answered from disk when their content key matches a
     previous run — bit-identical counters and provenance, zero VM
-    re-execution for unchanged work.  ``policy``
-    (:class:`repro.owl.batch.BatchPolicy`) adds per-item timeout/retry
-    fault tolerance to the pooled stages; both contribute metrics blocks.
+    re-execution for unchanged work.
 
     An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
     replaces the detect stages' blind ``detect_seeds`` sweep with
     coverage-guided adaptive budgeting: seeds run in waves until
     interleaving coverage saturates, escalating the schedule family when a
     wave goes dry.  The detect stage's saturation curve lands in the
-    metrics JSON (``"explore"`` block) and on
-    ``result.explore``; exploration decisions depend only on seed-ordered
-    coverage merges, so counters stay job-count invariant.
+    metrics JSON (``"explore"`` block) and on ``result.explore``;
+    exploration decisions depend only on seed-ordered coverage merges, so
+    counters stay job-count invariant.  With a ``predict`` policy
+    (:class:`repro.detectors.predict.PredictPolicy`) wave 0 is a predict
+    wave (see :mod:`repro.owl.explore`); the prediction lands in the
+    metrics ``"predict"`` block and on ``result.predict``, and
+    predicted-only reports carry the ``predicted`` disposition.
 
     A ``replay`` source (:class:`repro.owl.replay.ReplaySource`) swaps
     both detector stages from live execution to deterministic replay of a
@@ -214,14 +253,7 @@ class OwlPipeline:
     lands in the metrics JSON (``"replay"`` block); replay is
     mutually exclusive with ``explore``.
 
-    An ``explore`` policy with a ``predict`` policy
-    (:class:`repro.detectors.predict.PredictPolicy`) makes wave 0 a
-    predict wave (see :mod:`repro.owl.explore`); the prediction lands in
-    the metrics ``"predict"`` block and on ``result.predict``,
-    and predicted-only reports carry the ``predicted`` disposition.
-
-    Both detector stages run through one :class:`repro.owl.sweep.Sweep`
-    per run, whose seed jobs carry the per-seed options
+    Both detector stages' seed jobs carry the per-seed options
     (:class:`repro.detectors.seed.SeedJob`).  Every VM fuses wherever its
     scheduler commits a run (:mod:`repro.runtime.fuse`), through the one
     engine kept on the program's module, so compiled superinstructions
@@ -241,51 +273,34 @@ class OwlPipeline:
     off by default, zero overhead when off), merging per-seed profiles in
     seed order into ``result.profile``.  ``log``
     (:class:`repro.owl.runlog.RunLog`) records the run's progress events —
-    stages, seeds, waves, verification items — as it executes, for ``owl
-    watch``, ``owl status`` and ``owl resume``.
+    the config first, then stages, seeds, waves, verification items — as
+    it executes, for ``owl watch``, ``owl status`` and ``owl resume``.
     """
 
-    def __init__(
-        self,
-        spec: ProgramSpec,
-        analysis_options: Optional[AnalysisOptions] = None,
-        verify_vulnerabilities: bool = True,
-        jobs: int = 1,
-        cache=None,
-        policy=None,
-        log=None,
-        explore=None,
-        replay=None,
-        profile: Optional[int] = None,
-    ):
-        if explore is not None and replay is not None:
+    def __init__(self, spec: ProgramSpec,
+                 config: Optional[PipelineConfig] = None, *,
+                 cache=None, log=None, replay=None, **settings):
+        self.config = (config or PipelineConfig())._replace(**settings)
+        if self.config.explore is not None and replay is not None:
             raise ValueError(
                 "explore and replay are mutually exclusive: exploration "
                 "chooses schedules adaptively, replay re-executes a "
                 "recorded sweep verbatim")
         self.spec = spec
-        self.analysis_options = analysis_options or AnalysisOptions()
-        self.verify_vulnerabilities = verify_vulnerabilities
-        self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.policy = policy
         self.log = log
-        self.explore = explore
         self.replay = replay
-        self.profile = int(profile) if profile else None
         #: Per-run telemetry registry (rebuilt at the top of :meth:`run`).
         self._registry = None
         self._profiles: List = []
-        #: Per-run sweep context of both detector stages (rebuilt at the
-        #: top of :meth:`run`).
+        #: The run's execution context (rebuilt at the top of :meth:`run`).
         self._sweep: Optional[Sweep] = None
 
     # ------------------------------------------------------------------
 
-    def run(self, jobs: Optional[int] = None) -> PipelineResult:
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        if jobs > 1 and not can_parallelize(self.spec):
-            jobs = 1  # spec not rebuildable in workers: stay serial
+    def run(self) -> PipelineResult:
+        config = self.config
+        jobs = max(1, int(config.jobs)) if can_parallelize(self.spec) else 1
         result = PipelineResult(self.spec)
         result.metrics = PipelineMetrics(self.spec.name, jobs=jobs)
         result.spans = SpanTracer()
@@ -294,33 +309,30 @@ class OwlPipeline:
 
         self._registry = MetricsRegistry()
         self._profiles = []
-        self._options = SeedJob(profile=self.profile)
+        self._options = SeedJob(profile=config.profile or None)
         engine = fuse_engine(self.spec.build())
         fuse_marks = engine.counters()
         log = self.log
         if log is not None:
             log.emit(
-                "run_begin", program=self.spec.name, jobs=jobs,
+                "run_begin", program=self.spec.name,
                 cache_dir=self.cache.root if self.cache is not None else None,
-                explore=self.explore is not None,
-                cache=self.cache is not None,
-                replay=self.replay is not None,
+                config=config.as_dict(), replay=self.replay is not None,
             )
         executor = make_executor(jobs) if jobs > 1 else None
+        policy = BatchPolicy(timeout=config.item_timeout,
+                             retries=config.retries)
         self._sweep = Sweep(jobs=jobs, executor=executor, cache=self.cache,
-                            policy=self.policy, tracer=result.spans,
-                            log=log)
+                            policy=policy, tracer=result.spans, log=log)
         started = time.perf_counter()
         try:
             with result.spans.span("pipeline", program=self.spec.name,
                                    jobs=jobs):
                 self._stage_detect(result)
                 self._stage_schedule_reduction(result)
-                self._stage_race_verification(result, jobs, executor)
+                self._stage_race_verification(result)
                 self._stage_vulnerability_analysis(result)
-                if self.verify_vulnerabilities:
-                    self._stage_vulnerability_verification(
-                        result, jobs, executor)
+                self._stage_vulnerability_verification(result)
         finally:
             if executor is not None:
                 executor.shutdown()
@@ -329,8 +341,7 @@ class OwlPipeline:
         blocks = result.metrics.blocks
         if self.cache is not None:
             blocks["cache"] = self.cache.counters()
-        if self.policy is not None:
-            blocks["batch"] = self.policy.counters()
+        blocks["batch"] = policy.counters()
         if self.replay is not None:
             blocks["replay"] = self.replay.metrics_block()
         blocks["fuse"] = self._fuse_block(result, engine, fuse_marks)
@@ -381,8 +392,7 @@ class OwlPipeline:
                     result.predict.counters[name])
         if self.cache is not None:
             registry.merge_snapshot(self.cache.registry.snapshot())
-        if self.policy is not None:
-            registry.merge_snapshot(self.policy.registry.snapshot())
+        registry.merge_snapshot(self._sweep.policy.registry.snapshot())
         result.spans.publish(registry)
         snapshot = registry.snapshot()
         if self._profiles:
@@ -501,7 +511,7 @@ class OwlPipeline:
         runs: List = []
         reports, _ = run_detector(
             self.spec, annotations=annotations, options=self._options,
-            sweep=self._sweep, explore=self.explore, stats_out=stats,
+            sweep=self._sweep, explore=self.config.explore, stats_out=stats,
             runs_out=runs,
         )
         self._profiles.extend(
@@ -528,9 +538,9 @@ class OwlPipeline:
         and ``result.explore``; the annotated re-run only contributes its
         per-stage extras.
         """
-        if self.explore is None or self.explore.last is None:
+        exploration = self._sweep.exploration
+        if exploration is None:
             return
-        exploration = self.explore.last
         stage.extra["seeds_executed"] = exploration.seeds_executed
         stage.extra["seeds_skipped"] = exploration.seeds_skipped
         stage.extra["saturation_wave"] = exploration.saturation_wave
@@ -640,15 +650,11 @@ class OwlPipeline:
     # ------------------------------------------------------------------
     # stage 3: dynamic race verification (section 5.2)
 
-    def _stage_race_verification(self, result: PipelineResult, jobs: int,
-                                 executor) -> None:
+    def _stage_race_verification(self, result: PipelineResult) -> None:
         with self._stage(result, "race_verification",
                          "reports") as (stage, span):
             result.verifications = verify_races_batch(
-                self.spec, list(result.annotated_reports), jobs=jobs,
-                executor=executor, tracer=result.spans,
-                cache=self.cache, policy=self.policy, log=self.log,
-            )
+                self.spec, result.annotated_reports, self._sweep)
             stage.items = len(result.verifications)
             stage.runs = sum(v.runs_used for v in result.verifications)
             stage.vm_steps = sum(v.vm_steps for v in result.verifications)
@@ -696,10 +702,7 @@ class OwlPipeline:
         with self._stage(result, "vulnerability_analysis",
                          "reports") as (stage, span):
             module = self.spec.build()
-            analyzer = VulnerabilityAnalyzer(
-                module, options=self.analysis_options,
-                tracer=result.spans,
-            )
+            analyzer = VulnerabilityAnalyzer(module, tracer=result.spans)
             reports = usable_reports(result.remaining_reports)
             elapsed = 0.0
             vulnerabilities: List[VulnerabilityReport] = []
@@ -709,7 +712,7 @@ class OwlPipeline:
                     key = self.cache.key(
                         "vuln_analysis", module=module,
                         report=report_to_payload(report),
-                        options=vars(self.analysis_options),
+                        options=vars(analyzer.options),
                     )
                     value = self.cache.get("vuln_analysis", key)
                     if value is not None:
@@ -780,15 +783,12 @@ class OwlPipeline:
     # ------------------------------------------------------------------
     # stage 5: dynamic vulnerability verification (section 6.2)
 
-    def _stage_vulnerability_verification(self, result: PipelineResult,
-                                          jobs: int, executor) -> None:
+    def _stage_vulnerability_verification(self,
+                                          result: PipelineResult) -> None:
         with self._stage(result, "vulnerability_verification",
                          "vulnerabilities") as (stage, span):
             pairs = verify_vulns_batch(
-                self.spec, result.vulnerabilities, jobs=jobs,
-                executor=executor, tracer=result.spans,
-                cache=self.cache, policy=self.policy, log=self.log,
-            )
+                self.spec, result.vulnerabilities, self._sweep)
             for vulnerability, (verification, ground_truth) in zip(
                     result.vulnerabilities, pairs):
                 result.attacks.append(

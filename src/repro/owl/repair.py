@@ -935,11 +935,22 @@ def _record_provenance(result, repair: RepairResult) -> None:
             )
 
 
-def merge_repair_telemetry(result, repair: RepairResult) -> None:
-    """Fold the ``repair.*`` counters into the run's telemetry snapshot."""
+def merge_repair_telemetry(result, repair: RepairResult,
+                           cache=None) -> None:
+    """Fold the ``repair.*`` counters into the run's telemetry snapshot.
+
+    With the ``cache`` the repair ran against, its ``repair`` stage
+    counters land too, as ``cache.repair.*``: the pipeline folded the
+    cache's registry in before the repair stage looked anything up, and
+    repair touches no other cache stage, so nothing counts twice.
+    """
     from repro.runtime.telemetry import merge_snapshots
 
     snapshot = repair.registry.snapshot()
+    if cache is not None:
+        snapshot = merge_snapshots(snapshot, {"counters": {
+            "cache.repair." + what: value
+            for what, value in cache.stage_counters("repair").items()}})
     if getattr(result, "telemetry", None) is not None:
         result.telemetry = merge_snapshots(result.telemetry, snapshot)
     metrics = getattr(result, "metrics", None)

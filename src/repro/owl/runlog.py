@@ -8,10 +8,12 @@ counted) and a damaged interior line fails loudly with file and line.
 
 Layout (one event per line)::
 
-    {"event": "run_begin", "schema": 1, "program": "apache", "jobs": 2,
-     "cache_dir": "...", "export_path": null, "metrics_path": "m.json",
-     "resumed": false, "torn": 0, "explore": false, "cache": true,
-     "replay": false, "pid": 4242, "seq": 0, "wall": 1.7e9}
+    {"event": "run_begin", "schema": 1, "program": "apache",
+     "cache_dir": "...", "config": {"jobs": 2, "explore": null,
+     "profile": null, "item_timeout": null, "retries": 2},
+     "replay": false, "command": "detect", "export_path": null,
+     "metrics_path": "m.json", "resumed": false, "torn": 0, "pid": 4242,
+     "seq": 0, "wall": 1.7e9}
     {"event": "stage_begin", "stage": "detect", ...}
     {"event": "seed_done", "stage": "detect", "seed": 0, "detector": "tsan",
      "steps": 812, "reports": 3, "cached": false, ...}
@@ -23,17 +25,20 @@ Layout (one event per line)::
     {"event": "run_end", "raw_reports": 16, "remaining": 4, "attacks": 1,
      ...}
 
-``wave_done`` appears only in exploring runs.  Every event carries ``seq``
-and ``wall``.  Apart from those, ``pid``, ``cached``, the run-configuration
-fields of ``run_begin`` and the stage cache counts, a run's events are the
-same at any job count, cached or not.
+``config`` is the run's whole :class:`repro.owl.pipeline.PipelineConfig`;
+``command`` names the CLI command that wrote the log (null for a library
+run).  ``wave_done`` appears only in exploring runs.  Every event carries
+``seq`` and ``wall``.  Apart from those, ``pid``, ``cached``, the
+run-configuration fields of ``run_begin`` and the stage cache counts, a
+run's events are the same at any job count, cached or not.
 
-A killed run leaves a log without ``run_end``.  :func:`resume` appends a
-``run_begin`` with ``resumed: true`` and the torn count of the append, then
-re-runs the pipeline against the same result cache: finished work is a
-cache hit and only the interrupted tail executes.  It refuses a run whose
-``run_begin`` says it explored or replayed: the log does not hold those
-policies, so a resume would run a different pipeline.
+A killed run leaves a log without ``run_end``.  :func:`resume` rebuilds
+the logged config, appends a ``run_begin`` with ``resumed: true`` and the
+torn count of the append, then re-runs the same pipeline against the same
+result cache: finished work is a cache hit and only the interrupted tail
+executes.  It refuses what a log cannot rebuild: a ``--replay`` run, an
+``owl fix`` run (the repair stage is not a pipeline stage) and a log
+whose ``run_begin`` holds no config.
 
 Writing is best effort: the first ``OSError`` stops the log and is counted
 in :attr:`RunLog.write_errors`, and the run carries on.
@@ -60,15 +65,18 @@ class RunLog:
     """The event writer of one run (and of each resume of it).
 
     ``export_path``/``metrics_path`` name the files the run writes, so a
-    resume can rewrite them.  A fresh log replaces any file at ``path``;
-    ``resumed=True`` appends to it instead.
+    resume can rewrite them; ``command`` names the CLI command running.
+    A fresh log replaces any file at ``path``; ``resumed=True`` appends to
+    it instead.
     """
 
     def __init__(self, path: str, export_path: Optional[str] = None,
-                 metrics_path: Optional[str] = None, resumed: bool = False):
+                 metrics_path: Optional[str] = None,
+                 command: Optional[str] = None, resumed: bool = False):
         self.path = path
         self.export_path = export_path
         self.metrics_path = metrics_path
+        self.command = command
         self.resumed = resumed
         self.seq = 0
         #: Failed writes; the first one stops the log.
@@ -77,8 +85,9 @@ class RunLog:
         self._closed = False
 
     def emit(self, event: str, **fields) -> None:
-        """Append one event; ``run_begin`` also gets the run's
-        configuration (schema, outputs, resumed, torn count, pid)."""
+        """Append one event; ``run_begin`` also gets the log's part of
+        the run's configuration (schema, command, outputs, resumed, torn
+        count, pid)."""
         if self._closed:
             return
         record = {"event": event, "seq": self.seq, "wall": time.time()}
@@ -87,7 +96,8 @@ class RunLog:
                 self._writer = jsonl.Writer(self.path, append=self.resumed)
             if event == "run_begin":
                 record.update(
-                    schema=RUNLOG_SCHEMA, export_path=self.export_path,
+                    schema=RUNLOG_SCHEMA, command=self.command,
+                    export_path=self.export_path,
                     metrics_path=self.metrics_path, resumed=self.resumed,
                     torn=self._writer.torn, pid=os.getpid())
             record.update(fields)
@@ -178,7 +188,8 @@ class RunState:
             if count:
                 extras += "  %s=%d" % (name, count)
         return "%-14s jobs=%-3s %s%s" % (
-            self.program, self.begin.get("jobs", "?"), state, extras)
+            self.program, (self.begin.get("config") or {}).get("jobs", "?"),
+            state, extras)
 
 
 def load_run(path: str) -> RunState:
@@ -192,34 +203,38 @@ def load_run(path: str) -> RunState:
 
 
 class CannotResume(ValueError):
-    """The log's run used an option the log cannot rebuild."""
+    """The log's run cannot be rebuilt from the log."""
 
 
-#: ``run_begin`` flags of options whose configuration the log does not
-#: hold, so a resume would silently run a different pipeline.
-_UNREBUILDABLE = (
-    ("explore", "--explore/--predict (the explore and predict policies)"),
-    ("replay", "--replay (the replayed schedule records)"),
-)
+def _refusal(begin: Dict) -> Optional[str]:
+    """Why the run ``begin`` opened cannot be resumed (None: it can)."""
+    if begin.get("replay"):
+        return ("the run replayed recorded schedules (--replay), which its "
+                "log does not record")
+    if begin.get("command") == "fix":
+        return ("it is an `owl fix` run, and resume does not rebuild the "
+                "repair stage")
+    if "config" not in begin:
+        return "its run_begin records no pipeline config"
+    return None
 
 
 def resume(path: str, jobs: Optional[int] = None):
     """Finish the run a log describes; returns ``(result, state)``.
 
-    Re-runs the pipeline with the logged program, job count and cache
-    directory, appending to the same log: completed work is a warm cache
-    hit, only the interrupted tail executes.  The logged export and metrics
-    files are (re)written.  ``result`` is None when the log already
-    records a completed run; ``state`` is the log as found.
+    Re-runs the pipeline with the logged program, config (``jobs``
+    overrides its job count) and cache directory, appending to the same
+    log: completed work is a warm cache hit, only the interrupted tail
+    executes.  The logged export and metrics files are (re)written.
+    ``result`` is None when the log already records a completed run;
+    ``state`` is the log as found.
 
     Raises :class:`CannotResume`, touching neither the log nor the
-    logged outputs, when the run used an option the log does not record
-    (:data:`_UNREBUILDABLE`).
+    logged outputs, when the log cannot rebuild the run (:func:`_refusal`).
     """
     from repro.apps.registry import spec_by_name
-    from repro.owl.batch import BatchPolicy
     from repro.owl.cache import ResultCache
-    from repro.owl.pipeline import OwlPipeline
+    from repro.owl.pipeline import OwlPipeline, PipelineConfig
 
     state = load_run(path)
     if not state.begun:
@@ -227,21 +242,21 @@ def resume(path: str, jobs: Optional[int] = None):
     if state.completed:
         return None, state
     begin = state.begin
-    for flag, option in _UNREBUILDABLE:
-        if begin.get(flag):
-            raise CannotResume(
-                "cannot resume %s: the run used %s, which its log does "
-                "not record; run it again instead" % (path, option))
+    refusal = _refusal(begin)
+    if refusal is not None:
+        raise CannotResume("cannot resume %s: %s; run it again instead"
+                           % (path, refusal))
+    config = PipelineConfig.from_dict(begin["config"])
+    if jobs is not None:
+        config = config._replace(jobs=jobs)
     cache_dir = begin.get("cache_dir")
     log = RunLog(path, export_path=begin.get("export_path"),
-                 metrics_path=begin.get("metrics_path"), resumed=True)
+                 metrics_path=begin.get("metrics_path"),
+                 command=begin.get("command"), resumed=True)
     try:
         result = OwlPipeline(
-            spec_by_name(state.program),
-            jobs=jobs if jobs is not None else begin.get("jobs", 1),
-            cache=ResultCache(cache_dir) if cache_dir else None,
-            policy=BatchPolicy(),
-            log=log,
+            spec_by_name(state.program), config,
+            cache=ResultCache(cache_dir) if cache_dir else None, log=log,
         ).run()
     finally:
         log.close()
@@ -258,15 +273,13 @@ def render_event(event: Dict) -> Optional[str]:
     """One human-readable ``owl watch`` line (None: not worth a line)."""
     kind = event.get("event")
     if kind == "run_begin":
-        extras = []
-        if event.get("resumed"):
-            extras.append("resumed")
-        if event.get("explore"):
-            extras.append("explore")
-        if event.get("cache"):
-            extras.append("cache")
+        config = event.get("config") or {}
+        extras = [name for name, on in (
+            ("resumed", event.get("resumed")),
+            ("explore", config.get("explore")),
+            ("cache", event.get("cache_dir"))) if on]
         return "run %s (jobs=%s%s)" % (
-            event.get("program"), event.get("jobs"),
+            event.get("program"), config.get("jobs"),
             "".join(", " + extra for extra in extras))
     if kind == "stage_begin":
         return "stage %s ..." % event.get("stage")

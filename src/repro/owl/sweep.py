@@ -36,7 +36,9 @@ class Sweep:
     each pooled item's wait and retries, ``tracer`` collects one
     ``detect_seed`` span per execution, and ``log``
     (:class:`repro.owl.runlog.RunLog`) receives one ``seed_done`` event
-    per job.
+    per job.  A pipeline run holds one sweep, and its verification stages
+    run through the same context (:func:`repro.owl.batch.verify_races_batch`,
+    :func:`repro.owl.batch.verify_vulns_batch`).
     """
 
     def __init__(self, jobs: int = 1, executor=None, cache=None, policy=None,
@@ -47,15 +49,29 @@ class Sweep:
         self.policy = policy
         self.tracer = tracer
         self.log = log
+        #: The :class:`repro.owl.explore.ExplorationResult` of the latest
+        #: exploring sweep run through this context.
+        self.exploration = None
 
     def cache_for(self, job: SeedJob):
         """The cache, when ``job`` can be keyed (it has a rebuildable source)."""
         return self.cache if job.source is not None else None
 
-    def pooled(self, job: SeedJob) -> bool:
-        return job.source is not None and (
+    def pooled(self, rebuildable: bool) -> bool:
+        """Whether work goes through worker payloads (a pool, the cache, or
+        both); only work whose module workers can rebuild may."""
+        return rebuildable and (
             self.jobs > 1 or self.executor is not None
             or self.cache is not None)
+
+    def tasks(self, worker, payloads: Sequence, stage: str,
+              keys: Optional[Sequence[str]] = None) -> List[Dict]:
+        """:func:`repro.owl.batch.run_cached_tasks` in this context; cached
+        only when ``keys`` are given."""
+        return batch.run_cached_tasks(
+            worker, payloads, cache=self.cache, stage=stage, keys=keys,
+            jobs=self.jobs, executor=self.executor, policy=self.policy,
+        )
 
     def key(self, stage: str, module, job: SeedJob, **extra) -> str:
         """The cache key of ``job``'s result in ``stage``."""
@@ -66,7 +82,7 @@ class Sweep:
         seed_jobs = list(seed_jobs)
         if not seed_jobs:
             return []
-        if self.pooled(seed_jobs[0]):
+        if self.pooled(seed_jobs[0].source is not None):
             return self._run_pooled(module, seed_jobs)
         runs = []
         for job in seed_jobs:
@@ -85,12 +101,6 @@ class Sweep:
     # ------------------------------------------------------------------
     # the pool strategy
 
-    def _tasks(self, seed_jobs, cache=None, keys=None) -> List[Dict]:
-        return batch.run_cached_tasks(
-            _seed_worker, seed_jobs, cache=cache, stage="detect", keys=keys,
-            jobs=self.jobs, executor=self.executor, policy=self.policy,
-        )
-
     def _run_pooled(self, module, seed_jobs: List[SeedJob]) -> List[SeedRun]:
         """Fan the jobs out; rehydrate the outputs against ``module``.
 
@@ -104,7 +114,7 @@ class Sweep:
         keys = ([self.key("detect", module, job) for job in seed_jobs]
                 if cache is not None else None)
         if cache is None or not seed_jobs[0].record:
-            outputs = self._tasks(seed_jobs, cache=cache, keys=keys)
+            outputs = self.tasks(_seed_worker, seed_jobs, "detect", keys)
         else:
             record_keys = [self.key("record", module, job)
                            for job in seed_jobs]
@@ -113,13 +123,15 @@ class Sweep:
             hits = [i for i, log in enumerate(logs) if log is not None]
             live = [i for i, log in enumerate(logs) if log is None]
             if hits:
-                found = self._tasks([seed_jobs[i] for i in hits], cache=cache,
-                                    keys=[keys[i] for i in hits])
+                found = self.tasks(_seed_worker,
+                                   [seed_jobs[i] for i in hits], "detect",
+                                   [keys[i] for i in hits])
                 for index, output in zip(hits, found):
                     output.setdefault("log", logs[index])
                     outputs[index] = output
             if live:
-                fresh = self._tasks([seed_jobs[i] for i in live])
+                fresh = self.tasks(_seed_worker,
+                                   [seed_jobs[i] for i in live], "detect")
                 for index, output in zip(live, fresh):
                     outputs[index] = output
                     cache.put("detect", keys[index], batch._cacheable(output))
@@ -133,7 +145,6 @@ class Sweep:
                               seed=run.job.seed, detector=run.job.kind,
                               cached=True, reports=run.stats.reports)
         return runs
-
 
 
 def _seed_worker(job: SeedJob) -> Dict:
@@ -165,7 +176,8 @@ def run_sweep(
     With an ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
     the seeds come from coverage-guided exploration instead (``seeds`` is
     ignored; ``world_factory`` builds the OS world for a predict wave's
-    witness replays).  ``sweep`` defaults to a serial, uncached one.
+    witness replays), whose result lands on ``sweep.exploration``.
+    ``sweep`` defaults to a serial, uncached one.
     """
     sweep = sweep if sweep is not None else Sweep()
     if explore is not None:

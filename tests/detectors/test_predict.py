@@ -182,9 +182,10 @@ class TestExplorerPredictWave:
 
         policy = ExplorePolicy(max_seeds=12, wave_size=4, saturation_k=2,
                                predict=PredictPolicy())
+        sweep = Sweep(jobs=jobs)
         reports, _ = run_detector(
-            spec_by_name("memcached"), sweep=Sweep(jobs=jobs), explore=policy)
-        return reports, policy.last
+            spec_by_name("memcached"), sweep=sweep, explore=policy)
+        return reports, sweep.exploration
 
     def test_wave0_is_the_predict_wave(self):
         reports, result = self._explore(jobs=1)

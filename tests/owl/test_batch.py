@@ -92,10 +92,10 @@ class TestDetectorParity:
         # parallel path rehydrates by uid in the workers.
         spec = spec_by_name("libsafe")
         reports, _ = run_detector(spec)
-        serial = verify_races_batch(spec, list(reports))
+        serial = verify_races_batch(spec, reports, Sweep())
         spec2 = spec_by_name("libsafe")
         reports2, _ = run_detector(spec2)
-        parallel = verify_races_batch(spec2, list(reports2), jobs=2)
+        parallel = verify_races_batch(spec2, reports2, Sweep(jobs=2))
         assert [v.verified for v in parallel] == [v.verified for v in serial]
         assert [v.runs_used for v in parallel] == [v.runs_used for v in serial]
 

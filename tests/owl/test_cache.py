@@ -14,7 +14,6 @@ import os
 import pytest
 
 from repro.apps.registry import spec_by_name
-from repro.owl.batch import BatchPolicy
 from repro.owl.cache import (
     CACHE_SCHEMA,
     ResultCache,
@@ -27,10 +26,7 @@ from repro.runtime.metrics import SCHEMA_VERSION
 
 
 def run_pipeline(spec, cache=None, jobs=1):
-    return OwlPipeline(
-        spec, jobs=jobs, cache=cache,
-        policy=BatchPolicy() if cache is not None else None,
-    ).run()
+    return OwlPipeline(spec, jobs=jobs, cache=cache).run()
 
 
 @pytest.fixture(scope="module")

@@ -39,8 +39,10 @@ class TestExplorationLoop:
     def test_saturates_and_skips_budget(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=20, wave_size=4, saturation_k=2)
-        reports, runs = run_sweep(module, SeedJob(), explore=policy)
-        result = policy.last
+        sweep = Sweep()
+        reports, runs = run_sweep(module, SeedJob(), sweep=sweep,
+                                  explore=policy)
+        result = sweep.exploration
         assert result.saturated
         assert result.saturation_wave == result.waves[-1].index
         assert result.seeds_executed < policy.max_seeds
@@ -51,8 +53,9 @@ class TestExplorationLoop:
     def test_dry_wave_escalates_before_saturation(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=40, wave_size=4, saturation_k=3)
-        run_sweep(module, SeedJob(), explore=policy)
-        result = policy.last
+        sweep = Sweep()
+        run_sweep(module, SeedJob(), sweep=sweep, explore=policy)
+        result = sweep.exploration
         escalations = [wave for wave in result.waves if wave.escalated]
         assert escalations, "a dry wave should climb the ladder"
         first = escalations[0]
@@ -64,22 +67,27 @@ class TestExplorationLoop:
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=16, wave_size=4, saturation_k=2,
                                escalate=False)
-        run_sweep(module, SeedJob(), explore=policy)
-        assert {wave.scheduler for wave in policy.last.waves} == {"random"}
-        assert not any(wave.escalated for wave in policy.last.waves)
+        sweep = Sweep()
+        run_sweep(module, SeedJob(), sweep=sweep, explore=policy)
+        waves = sweep.exploration.waves
+        assert {wave.scheduler for wave in waves} == {"random"}
+        assert not any(wave.escalated for wave in waves)
 
     def test_wave_seeds_are_the_fixed_sweep_prefix(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=10, wave_size=3, saturation_k=4)
-        run_sweep(module, SeedJob(), explore=policy)
-        flattened = [seed for wave in policy.last.waves for seed in wave.seeds]
-        assert flattened == list(range(policy.last.seeds_executed))
+        sweep = Sweep()
+        run_sweep(module, SeedJob(), sweep=sweep, explore=policy)
+        result = sweep.exploration
+        flattened = [seed for wave in result.waves for seed in wave.seeds]
+        assert flattened == list(range(result.seeds_executed))
 
     def test_metrics_block_shape(self):
         module = build_counter_race(iterations=3)
         policy = ExplorePolicy(max_seeds=8, wave_size=4)
-        run_sweep(module, SeedJob(), explore=policy)
-        block = policy.last.metrics_block()
+        sweep = Sweep()
+        run_sweep(module, SeedJob(), sweep=sweep, explore=policy)
+        block = sweep.exploration.metrics_block()
         assert block["detector"] == "tsan"
         assert block["policy"]["max_seeds"] == 8
         assert block["seeds_executed"] + block["seeds_skipped"] == 8
@@ -98,12 +106,13 @@ class TestMatchesFixedSweep:
     def test_explore_matches_fixed_sweep_with_fewer_seeds(self, program):
         spec = spec_by_name(program)
         policy = ExplorePolicy(max_seeds=20, wave_size=4, saturation_k=2)
-        reports, _ = run_detector(spec, explore=policy)
+        sweep = Sweep()
+        reports, _ = run_detector(spec, sweep=sweep, explore=policy)
         fixed, _ = run_tsan(
             spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
             seeds=range(20), max_steps=spec.max_steps)
         assert _static_keys(reports) == _static_keys(fixed)
-        result = policy.last
+        result = sweep.exploration
         assert result.seeds_executed < 20 or result.saturation_wave is not None
 
 
@@ -111,12 +120,12 @@ class TestJobParity:
     def test_jobs1_vs_jobs2_identical_exploration(self):
         def run(jobs):
             policy = ExplorePolicy(max_seeds=12, wave_size=4, saturation_k=2)
+            sweep = Sweep(jobs=jobs)
             reports, _ = run_detector(
-                spec_by_name("memcached"), explore=policy,
-                sweep=Sweep(jobs=jobs))
+                spec_by_name("memcached"), explore=policy, sweep=sweep)
             return (
                 sorted(report.uid for report in reports),
-                json.dumps(policy.last.metrics_block(), sort_keys=True),
+                json.dumps(sweep.exploration.metrics_block(), sort_keys=True),
             )
 
         serial = run(1)

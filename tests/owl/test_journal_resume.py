@@ -17,9 +17,10 @@ import pytest
 
 from repro import jsonl
 from repro.apps.registry import spec_by_name
-from repro.owl.batch import BatchPolicy
+from repro.detectors.predict import PredictPolicy
 from repro.owl.cache import ResultCache
-from repro.owl.pipeline import OwlPipeline
+from repro.owl.explore import ExplorePolicy
+from repro.owl.pipeline import OwlPipeline, PipelineConfig
 from repro.owl.runlog import (
     RUNLOG_SCHEMA,
     CannotResume,
@@ -36,9 +37,7 @@ def completed_run(tmp_path, export_path=None, metrics_path=None):
     cache_dir = str(tmp_path / "cache")
     path = runlog_path(cache_dir, spec.name)
     log = RunLog(path, export_path=export_path, metrics_path=metrics_path)
-    result = OwlPipeline(
-        spec, cache=ResultCache(cache_dir), policy=BatchPolicy(), log=log,
-    ).run()
+    result = OwlPipeline(spec, cache=ResultCache(cache_dir), log=log).run()
     log.close()
     return result, path, cache_dir
 
@@ -200,35 +199,78 @@ class TestResume:
             resume(path)
 
 
-class TestResumeRefusal:
-    """A run whose options the log does not record is refused, never
-    silently re-run as a different pipeline."""
+def cut_after_stage_end(path, stage):
+    """Drop the log's lines after ``stage``'s ``stage_end``, as a crash
+    there would leave it; returns the log's bytes after the cut."""
+    lines = Path(path).read_text().splitlines(keepends=True)
+    cut = next(index for index, line in enumerate(lines)
+               if json.loads(line)["event"] == "stage_end"
+               and json.loads(line)["stage"] == stage)
+    Path(path).write_text("".join(lines[:cut + 1]))
+    return Path(path).read_bytes()
 
-    def test_explore_predict_run_is_refused_untouched(self, tmp_path,
-                                                      capsys):
+
+def last_segment(path):
+    """The events of the log's latest ``run_begin`` onwards."""
+    events = read_events(path)
+    begins = [index for index, event in enumerate(events)
+              if event["event"] == "run_begin"]
+    return events[begins[-1]:]
+
+
+def read_events(path):
+    return jsonl.read(path)[0]
+
+
+def stage_ends(events):
+    return {event["stage"]: event for event in events
+            if event["event"] == "stage_end"}
+
+
+def comparable_telemetry(telemetry):
+    """The telemetry block minus what depends on which items were cache
+    hits: the ``cache.*`` counters, and the span count (a cached item
+    adopts one marker span in place of its worker's spans)."""
+    return dict(
+        telemetry,
+        counters={name: value
+                  for name, value in telemetry["counters"].items()
+                  if not name.startswith("cache.")},
+        gauges={name: value for name, value in telemetry["gauges"].items()
+                if name != "spans.records"},
+    )
+
+
+def assert_same_run(resumed, whole):
+    """Two metrics documents describe the same run."""
+    for block in ("explore", "predict", "batch"):
+        assert resumed.get(block) == whole.get(block), block
+    assert comparable_telemetry(resumed["telemetry"]) == \
+        comparable_telemetry(whole["telemetry"])
+
+
+class TestResumeRefusal:
+    """A run the log cannot rebuild is refused, never silently re-run as
+    a different pipeline."""
+
+    def test_fix_run_is_refused_untouched(self, tmp_path, capsys):
         from repro.cli import main
 
         cache_dir = str(tmp_path / "cache")
         metrics = str(tmp_path / "metrics.json")
-        assert main(["detect", "libsafe", "--explore", "--predict",
-                     "--wave-size", "2", "--max-seeds", "4", "--cache",
-                     "--cache-dir", cache_dir, "--metrics", metrics]) == 0
-        path = runlog_path(cache_dir, "libsafe")
-        lines = Path(path).read_text().splitlines(keepends=True)
-        cut = next(index for index, line in enumerate(lines)
-                   if json.loads(line)["event"] == "stage_end"
-                   and json.loads(line)["stage"] == "detect")
-        Path(path).write_text("".join(lines[:cut + 1]))
-        log_before = Path(path).read_bytes()
+        assert main(["fix", "apache_log", "--cache", "--cache-dir",
+                     cache_dir, "--metrics", metrics]) == 0
+        path = runlog_path(cache_dir, "apache_log")
+        log_before = cut_after_stage_end(path, "race_verification")
         metrics_before = Path(metrics).read_bytes()
-        assert {"explore", "predict"} <= set(json.loads(metrics_before))
+        assert "repair" in json.loads(metrics_before)
         capsys.readouterr()
 
-        assert main(["resume", "libsafe", "--cache-dir", cache_dir]) == 1
+        assert main(["resume", "apache_log", "--cache-dir", cache_dir]) == 1
         error = capsys.readouterr().err
-        assert "--explore/--predict" in error
+        assert "`owl fix`" in error
         assert "Traceback" not in error
-        with pytest.raises(CannotResume, match="--explore/--predict"):
+        with pytest.raises(CannotResume, match="owl fix"):
             resume(path)
         assert Path(path).read_bytes() == log_before
         assert Path(metrics).read_bytes() == metrics_before
@@ -243,3 +285,162 @@ class TestResumeRefusal:
         with pytest.raises(CannotResume, match="--replay"):
             resume(path)
         assert Path(path).read_bytes() == before
+
+    def test_log_without_config_is_refused(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        Path(path).write_text(json.dumps({
+            "event": "run_begin", "schema": RUNLOG_SCHEMA,
+            "program": "libsafe", "jobs": 1, "explore": False,
+            "cache": False, "replay": False,
+        }) + "\n")
+        before = Path(path).read_bytes()
+        with pytest.raises(CannotResume, match="no pipeline config"):
+            resume(path)
+        assert Path(path).read_bytes() == before
+
+
+class Interrupted(Exception):
+    pass
+
+
+#: The stage method that runs after each cut: crashing it leaves the log
+#: ending at the cut stage's ``stage_end``.
+CUTS = {
+    "detect": "_stage_schedule_reduction",
+    "schedule_reduction": "_stage_race_verification",
+    "race_verification": "_stage_vulnerability_analysis",
+    "vulnerability_analysis": "_stage_vulnerability_verification",
+}
+
+CONFIGS = {
+    "explore_predict": PipelineConfig(explore=ExplorePolicy(
+        max_seeds=6, wave_size=2, predict=PredictPolicy())),
+    "profiled": PipelineConfig(profile=97, retries=0, item_timeout=30),
+}
+
+
+def logged_run(directory, config, crash=None):
+    """A cold cached, logged memcached run under ``config``; ``crash``
+    names a stage method that raises instead of running.  Returns the
+    result (None when interrupted) and the log and metrics paths."""
+    cache_dir = str(directory / "cache")
+    path = runlog_path(cache_dir, "memcached")
+    metrics = str(directory / "metrics.json")
+    log = RunLog(path, metrics_path=metrics)
+    pipeline = OwlPipeline(spec_by_name("memcached"), config,
+                           cache=ResultCache(cache_dir), log=log)
+    if crash is not None:
+        def interrupt(result):
+            raise Interrupted(crash)
+
+        setattr(pipeline, crash, interrupt)
+    try:
+        result = pipeline.run()
+        result.metrics.save(metrics)
+    except Interrupted:
+        result = None
+    log.close()
+    return result, path, metrics
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    return {name: logged_run(tmp_path_factory.mktemp(name), config)
+            for name, config in CONFIGS.items()}
+
+
+class TestResumeEquivalence:
+    """A resumed run is the run it resumes: interrupted after any stage,
+    it finishes with the uninterrupted run's results, metrics and stage
+    events, and every stage finished before the cut is a cache hit."""
+
+    @pytest.mark.parametrize("cut", list(CUTS))
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_resume_after_each_stage_is_the_same_run(
+            self, tmp_path, uninterrupted, name, cut):
+        whole, whole_path, whole_metrics = uninterrupted[name]
+        interrupted, path, metrics = logged_run(tmp_path, CONFIGS[name],
+                                                crash=CUTS[cut])
+        assert interrupted is None and not load_run(path).completed
+        assert list(stage_ends(read_events(path)))[-1] == cut
+
+        result, _ = resume(path)
+        assert result.counters.parity_dict() == \
+            whole.counters.parity_dict()
+        assert result.provenance.as_dict() == whole.provenance.as_dict()
+        with open(metrics) as handle, open(whole_metrics) as whole_handle:
+            assert_same_run(json.load(handle), json.load(whole_handle))
+        segment = stage_ends(last_segment(path))
+        expected = stage_ends(read_events(whole_path))
+        assert list(segment) == list(expected)
+        for stage, event in segment.items():
+            assert (event["items"], event["runs"]) == (
+                expected[stage]["items"], expected[stage]["runs"]), stage
+        for stage in list(CUTS)[:list(CUTS).index(cut) + 1]:
+            assert segment[stage]["cache_misses"] == 0, stage
+
+    def test_explore_predict_cli_run_resumes_as_the_same_run(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        cache_dir = str(tmp_path / "cache")
+        metrics = str(tmp_path / "metrics.json")
+        assert main(["detect", "memcached", "--explore", "--predict",
+                     "--wave-size", "2", "--max-seeds", "6", "--cache",
+                     "--cache-dir", cache_dir, "--metrics", metrics]) == 0
+        whole = json.loads(Path(metrics).read_text())
+        assert {"explore", "predict"} <= set(whole)
+        path = runlog_path(cache_dir, "memcached")
+        cut_after_stage_end(path, "detect")
+        capsys.readouterr()
+
+        assert main(["resume", "memcached", "--cache-dir", cache_dir]) == 0
+        assert "resumed run finished" in capsys.readouterr().out
+        assert_same_run(json.loads(Path(metrics).read_text()), whole)
+        assert stage_ends(last_segment(path))["detect"]["cache_misses"] == 0
+
+
+#: A non-default value for every config field (and every nested policy
+#: setting): a field added without one fails the coverage test below.
+NON_DEFAULT = {
+    "jobs": 3,
+    "explore": ExplorePolicy(
+        max_seeds=7, wave_size=3, saturation_k=4, escalate=False,
+        ladder=(("pct", 9), ("pct", 11)),
+        predict=PredictPolicy(optimistic=True, witness=False,
+                              max_pairs_per_static=2, max_closures=99)),
+    "profile": 13,
+    "item_timeout": 2.5,
+    "retries": 0,
+}
+
+
+class TestLoggedConfig:
+    def test_every_setting_has_a_non_default_value(self):
+        for cls, value in ((PipelineConfig, PipelineConfig(**NON_DEFAULT)),
+                           (ExplorePolicy, NON_DEFAULT["explore"]),
+                           (PredictPolicy, NON_DEFAULT["explore"].predict)):
+            for name, default in zip(cls._fields, cls()):
+                assert getattr(value, name) != default, (cls.__name__, name)
+
+    def test_config_survives_run_begin_load_run_and_resume(
+            self, tmp_path, monkeypatch):
+        config = PipelineConfig(**NON_DEFAULT)
+        path = str(tmp_path / "run.jsonl")
+        log = RunLog(path)
+        pipeline = OwlPipeline(spec_by_name("libsafe"), config, log=log)
+
+        def stop(result):
+            raise Interrupted("after run_begin")
+
+        pipeline._stage_detect = stop
+        with pytest.raises(Interrupted):
+            pipeline.run()
+        log.close()
+        assert PipelineConfig.from_dict(load_run(path).begin["config"]) \
+            == config
+        rebuilt = []
+        monkeypatch.setattr(OwlPipeline, "run",
+                            lambda pipeline: rebuilt.append(pipeline.config))
+        resume(path)
+        assert rebuilt == [config]

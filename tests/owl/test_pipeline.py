@@ -3,7 +3,6 @@
 import pytest
 
 from repro.owl.pipeline import OwlPipeline
-from repro.owl.vuln_analysis import AnalysisOptions
 
 
 @pytest.fixture(scope="module")
@@ -84,24 +83,6 @@ class TestSsdbPipeline:
 
 
 class TestPipelineOptions:
-    def test_no_verify_skips_stage5(self):
-        from repro.apps.libsafe import libsafe_spec
-
-        result = OwlPipeline(libsafe_spec(),
-                             verify_vulnerabilities=False).run()
-        assert result.attacks == []
-        assert result.counters.vulnerability_reports == 3
-
-    def test_ablated_analysis_misses_libsafe(self):
-        from repro.apps.libsafe import libsafe_spec
-
-        result = OwlPipeline(
-            libsafe_spec(),
-            analysis_options=AnalysisOptions.no_control_flow(),
-        ).run()
-        sites = {v.site.location.line for v in result.vulnerabilities}
-        assert 165 not in sites
-
     def test_counters_serializable(self, libsafe_result):
         data = libsafe_result.counters.as_dict()
         assert set(data) >= {

@@ -131,8 +131,8 @@ class TestSpanParityAcrossJobs:
     def test_structure_identical_serial_vs_parallel(self):
         from repro import spec_by_name
 
-        serial = OwlPipeline(spec_by_name("apache_log")).run(jobs=1)
-        parallel = OwlPipeline(spec_by_name("apache_log")).run(jobs=2)
+        serial = OwlPipeline(spec_by_name("apache_log"), jobs=1).run()
+        parallel = OwlPipeline(spec_by_name("apache_log"), jobs=2).run()
         assert serial.spans.structure() == parallel.spans.structure()
         assert serial.provenance.as_dict()["reports"] == \
             parallel.provenance.as_dict()["reports"]

@@ -117,7 +117,8 @@ class TestRenderEvent:
     def test_known_events_render_one_line(self):
         lines = [
             render_event({"event": "run_begin", "program": "apache",
-                          "jobs": 2, "explore": True}),
+                          "config": {"jobs": 2,
+                                     "explore": {"max_seeds": 20}}}),
             render_event({"event": "stage_begin", "stage": "detect"}),
             render_event({"event": "seed_done", "seed": 3,
                           "detector": "tsan", "steps": 900, "reports": 2,
@@ -166,9 +167,9 @@ class TestPipelineFeed:
 
         dropped = {"wall", "pid", "seq", "cached", "cache_hits",
                    "cache_misses"}
-        configuration = {"schema", "jobs", "cache_dir", "export_path",
-                         "metrics_path", "resumed", "torn", "explore",
-                         "cache", "replay"}
+        configuration = {"schema", "cache_dir", "config", "command",
+                         "export_path", "metrics_path", "resumed", "torn",
+                         "replay"}
 
         def events(name, **options):
             path = str(tmp_path / ("%s.jsonl" % name))

@@ -81,6 +81,19 @@ class TestCli:
         assert warm["cache"]["misses"] == 0
         assert json.dumps(cold["repair"], sort_keys=True) == \
             json.dumps(warm["repair"], sort_keys=True)
+        # the repair stage's cache counters land in the telemetry once,
+        # and no other stage's counter doubles
+        for data, what in ((cold, "misses"), (cold, "stores"),
+                           (warm, "hits")):
+            assert data["telemetry"]["counters"]["cache.repair." + what] == 4
+        for data in (cold, warm):
+            folded = {name: value for name, value
+                      in data["telemetry"]["counters"].items()
+                      if name.startswith("cache.")}
+            assert folded == {
+                "cache.%s.%s" % (stage, what): value
+                for stage, counters in data["cache"]["stages"].items()
+                for what, value in counters.items()}
 
     def test_detect_with_profile_prints_hot_functions(self, capsys):
         assert main(["detect", "memcached", "--profile",

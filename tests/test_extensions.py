@@ -24,7 +24,7 @@ class TestAuditScope:
         from repro.owl.pipeline import OwlPipeline
 
         spec = libsafe_spec()
-        result = OwlPipeline(spec, verify_vulnerabilities=False).run()
+        result = OwlPipeline(spec).run()
         return spec, AuditScope(spec.build(), result.vulnerabilities)
 
     def test_scope_covers_vulnerable_functions(self, libsafe_scope):
