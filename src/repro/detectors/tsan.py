@@ -51,7 +51,11 @@ class _ByteShadow:
 
 
 class TSanDetector(TraceObserver):
-    """The happens-before engine; one instance per VM execution."""
+    """The happens-before engine; one instance per VM execution.
+
+    Annotated pairs are indexed once, at construction: the pipeline builds
+    the annotation set completely before the annotated re-run starts.
+    """
 
     name = "tsan"
 
@@ -65,19 +69,16 @@ class TSanDetector(TraceObserver):
         self._shadow: Dict[int, _ByteShadow] = {}
         #: watched corrupted byte spans [lo, hi) -> reports collecting stacks
         self._watches: Dict[Tuple[int, int], List[RaceReport]] = {}
-        #: unordered annotated (read, write) instruction-uid pairs, computed
-        #: once so the per-byte race check is a set probe rather than a scan
-        #: over every annotation
-        self._annotated_pairs: Set[Tuple[int, int]] = {
-            self._pair_key(annotation.read_instruction.uid or 0,
-                           annotation.write_instruction.uid or 0)
-            for annotation in self.annotations
-        }
+        #: instruction uid -> the uids it forms an annotated (read, write)
+        #: pair with, so the race check for one access probes one set
+        #: instead of building a pair key per candidate
+        self._partners: Dict[int, Set[int]] = {}
+        for annotation in self.annotations:
+            read_uid = annotation.read_instruction.uid or 0
+            write_uid = annotation.write_instruction.uid or 0
+            self._partners.setdefault(read_uid, set()).add(write_uid)
+            self._partners.setdefault(write_uid, set()).add(read_uid)
         self.access_count = 0
-
-    @staticmethod
-    def _pair_key(a: int, b: int) -> Tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
 
     # ------------------------------------------------------------------
     # clock helpers
@@ -88,6 +89,19 @@ class TSanDetector(TraceObserver):
             clock = VectorClock({thread_id: 1})
             self._thread_clocks[thread_id] = clock
         return clock
+
+    def _acquire(self, thread_id: int, address: int) -> None:
+        """Join the clock last released on ``address`` into the thread's."""
+        published = self._sync_clocks.get(address)
+        clock = self._clock_of(thread_id)
+        if published is not None:
+            clock.join(published)
+
+    def _release(self, thread_id: int, address: int) -> None:
+        """Tick the thread's clock and publish a copy on ``address``."""
+        clock = self._clock_of(thread_id)
+        clock.tick(thread_id)
+        self._sync_clocks[address] = clock.copy()
 
     # ------------------------------------------------------------------
     # observer hooks
@@ -106,88 +120,88 @@ class TSanDetector(TraceObserver):
                 self._clock_of(event.thread_id).join(final)
 
     def on_sync(self, event: SyncEvent) -> None:
-        clock = self._clock_of(event.thread_id)
         if event.kind == SyncEvent.ACQUIRE:
-            published = self._sync_clocks.get(event.address)
-            if published is not None:
-                clock.join(published)
-        else:  # release
-            clock.tick(event.thread_id)
-            self._sync_clocks[event.address] = clock.copy()
+            self._acquire(event.thread_id, event.address)
+        else:
+            self._release(event.thread_id, event.address)
 
     def on_access(self, event: AccessEvent) -> None:
+        """Check every byte of one access in a single pass.
+
+        Per byte, in address order: the shadow's last write races with
+        the access unless it is the same thread's, happens-before it or
+        forms an annotated pair with it; a write also races with every
+        read since that write and then replaces them; a read is recorded
+        under its (thread, instruction).  ``event.variable`` is resolved
+        only when a report is filed.
+        """
         self.access_count += 1
-        annotated_release = event.is_write and self.annotations.is_release(
-            event.instruction
-        )
-        annotated_acquire = (not event.is_write) and self.annotations.is_acquire(
-            event.instruction
-        )
-        if annotated_acquire:
-            # Acquire the clock published by the annotated flag write.
-            self.on_sync(SyncEvent(
-                event.thread_id, event.step, SyncEvent.ACQUIRE, event.address,
-            ))
+        thread_id = event.thread_id
+        address = event.address
+        is_write = event.is_write
+        instruction = event.instruction
+        partners = None
+        release = False
+        if self._partners:
+            partners = self._partners.get(instruction.uid or 0)
+            if is_write:
+                release = self.annotations.is_release(instruction)
+            elif self.annotations.is_acquire(instruction):
+                # Acquire the clock published by the annotated flag write.
+                self._acquire(thread_id, address)
         if event.is_atomic:
-            kind = SyncEvent.RELEASE if event.is_write else SyncEvent.ACQUIRE
-            self.on_sync(SyncEvent(event.thread_id, event.step, kind, event.address))
+            if is_write:
+                self._release(thread_id, address)
+            else:
+                self._acquire(thread_id, address)
             return
-        clock = self._clock_of(event.thread_id)
+        clock = self._clock_of(thread_id)
         record = AccessRecord(
-            event.instruction, event.thread_id, event.is_write, event.value,
-            event.call_stack, event.address, step=event.step, size=event.size,
+            instruction, thread_id, is_write, event.value,
+            event.call_stack, address, step=event.step, size=event.size,
         )
-        own_clock = clock.get(event.thread_id)
+        own_clock = clock.get(thread_id)
         # Service watches before race checking: a racy write that *creates* a
         # watch (below) must not immediately sanitize it, and the racy read
         # that constitutes a report is not also a "subsequent" read.
-        self._service_watches(event, record)
-        for offset in range(event.size):
-            self._check_byte(event.address + offset, record, clock, own_clock,
-                             event.variable)
-        if annotated_release:
+        if self._watches:
+            self._service_watches(event, record)
+        shadows = self._shadow
+        read_key = (thread_id, instruction.uid or 0)
+        for byte in range(address, address + event.size):
+            shadow = shadows.get(byte)
+            if shadow is None:
+                shadow = shadows[byte] = _ByteShadow()
+            write = shadow.last_write
+            if (
+                write is not None
+                and write[0] != thread_id
+                and not clock.ordered_with(write[0], write[1])
+                and (partners is None
+                     or (write[2].instruction.uid or 0) not in partners)
+            ):
+                self._report(write[2], record, event.variable)
+            if is_write:
+                for (other, _uid), (read_clock, read_record) in \
+                        shadow.reads.items():
+                    if (
+                        other != thread_id
+                        and not clock.ordered_with(other, read_clock)
+                        and (partners is None
+                             or (read_record.instruction.uid or 0)
+                             not in partners)
+                    ):
+                        self._report(read_record, record, event.variable)
+                shadow.last_write = (thread_id, own_clock, record)
+                shadow.reads = {}
+            else:
+                shadow.reads[read_key] = (own_clock, record)
+        if release:
             # Publish this thread's clock on the flag address (TSan markup).
-            self.on_sync(SyncEvent(
-                event.thread_id, event.step, SyncEvent.RELEASE, event.address,
-            ))
+            self._release(thread_id, address)
 
     # ------------------------------------------------------------------
     # race checking
-
-    def _annotated_pair(self, a: AccessRecord, b: AccessRecord) -> bool:
-        """Whether both sides belong to the same annotated adhoc sync."""
-        if not self._annotated_pairs:
-            return False
-        return self._pair_key(a.instruction.uid or 0,
-                              b.instruction.uid or 0) in self._annotated_pairs
-
-    def _check_byte(self, address: int, record: AccessRecord, clock: VectorClock,
-                    own_clock: int, variable: Optional[str]) -> None:
-        shadow = self._shadow.get(address)
-        if shadow is None:
-            shadow = _ByteShadow()
-            self._shadow[address] = shadow
-        write = shadow.last_write
-        if (
-            write is not None
-            and write[0] != record.thread_id
-            and not clock.ordered_with(write[0], write[1])
-            and not self._annotated_pair(write[2], record)
-        ):
-            self._report(write[2], record, variable)
-        if record.is_write:
-            for (thread_id, _uid), (read_clock, read_record) in shadow.reads.items():
-                if (
-                    thread_id != record.thread_id
-                    and not clock.ordered_with(thread_id, read_clock)
-                    and not self._annotated_pair(read_record, record)
-                ):
-                    self._report(read_record, record, variable)
-            shadow.last_write = (record.thread_id, own_clock, record)
-            shadow.reads = {}
-        else:
-            key = (record.thread_id, record.instruction.uid or 0)
-            shadow.reads[key] = (own_clock, record)
 
     def _report(self, prior: AccessRecord, current: AccessRecord,
                 variable: Optional[str]) -> None:

@@ -393,7 +393,6 @@ class OwlPipeline:
         if self.cache is not None:
             registry.merge_snapshot(self.cache.registry.snapshot())
         registry.merge_snapshot(self._sweep.policy.registry.snapshot())
-        result.spans.publish(registry)
         snapshot = registry.snapshot()
         if self._profiles:
             from repro.runtime.profiler import merge_profiles

@@ -19,7 +19,11 @@ cast/branch instructions fuse into a tuple of those ops — a
 the run loop's per-instruction scheduler decision, runnable-list pass and
 ``step_thread`` frame, while emitting exactly the same
 :class:`~repro.runtime.events.AccessEvent`s, faults and step increments as
-stepwise execution.
+stepwise execution.  A trace that starts at a block entry and ends in a
+branch back to that entry is a *loop trace*: the VM cycles its ops while
+the branch keeps returning to the start, so a busy-wait (the section 5.1
+adhoc-sync spin) pays one scheduling decision per grant rather than one
+per iteration.
 
 Where ops run: on every step of every VM that is not in reference mode —
 under any scheduler, inside
@@ -41,19 +45,29 @@ an option:
 - A VM with a debugger attached never fuses (breakpoints are
   per-instruction).
 
-Soundness contract (see also ``Scheduler.run_length``):
+Soundness contract (see also ``Scheduler.run_length`` and
+``Scheduler.commit``):
 
-- Fusion only spans steps the scheduler has *committed* not to preempt:
-  the VM asks ``scheduler.run_length(thread, step, max_len)`` for a
-  guaranteed no-preempt run length and fuses at most that many steps.
+- Fusion only spans steps the scheduler has *granted* without a
+  preemption: the VM asks ``scheduler.run_length(thread, step, max_len)``
+  (a pure query) for a guaranteed no-preempt run length and fuses at most
+  that many steps — ``max_len`` is the plan's length, or for a loop trace
+  the rest of the step budget, clamped by every sleeper's wake step.
+  After the run it reports the steps that actually ran through
+  ``scheduler.commit(steps)``: a loop may leave, or a fault end the run,
+  before the grant is spent.
 - Only instructions that cannot block, spawn, exit or switch frames are
   fusible (:data:`FUSIBLE`: no calls, returns or atomics — atomics emit
   SyncEvents that anchor happens-before edges and deserve their own step
   boundary anyway).
-- Each fused sub-step increments ``vm.step`` and ``thread.steps_executed``
-  and keeps ``frame.index`` pointing at the executing instruction before
-  advancing it, so call stacks, event step stamps and fault records are
-  bit-identical to stepwise execution.
+- Each fused sub-step increments ``vm.step`` and keeps ``frame.index``
+  pointing at the executing instruction before advancing it, so call
+  stacks, event step stamps and fault records are bit-identical to
+  stepwise execution; ``thread.steps_executed`` catches up when the run
+  ends (nothing reads it mid-run).
+- A loop trace's run stops at the first iteration whose closing branch
+  leaves the start, or when the grant runs out, even mid-iteration; the
+  next decision resumes stepwise or through the plan at that offset.
 - A fault inside a fused run bails out through the exact same fault path
   as ``step_thread`` (recorded once, observers notified, FAULT result).
 
@@ -119,17 +133,23 @@ MAX_TRACE = 64
 
 
 class FusePlan:
-    """A compiled straight-line run: one op per fused instruction."""
+    """A compiled trace: one op per fused instruction.
 
-    __slots__ = ("ops", "start", "length")
+    ``loop`` is the block a loop trace starts at and returns to (its final
+    branch can jump back there), or None for a straight-line plan.
+    """
 
-    def __init__(self, ops: Tuple[Callable, ...], start: int):
+    __slots__ = ("ops", "start", "length", "loop")
+
+    def __init__(self, ops: Tuple[Callable, ...], start: int, loop=None):
         self.ops = ops
         self.start = start
         self.length = len(ops)
+        self.loop = loop
 
     def __repr__(self) -> str:
-        return "<FusePlan start=%d length=%d>" % (self.start, self.length)
+        return "<FusePlan start=%d length=%d%s>" % (
+            self.start, self.length, " loop" if self.loop is not None else "")
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +202,11 @@ def _values(registers, operands) -> List[int]:
 # the differential oracle and the hypothesis differential tests hold
 # them bit-identical).  A memory access asks check_access without a call
 # stack and attaches the thread's stack to the fault only when there is
-# one: check_access uses the stack for nothing else.
+# one: check_access uses the stack for nothing else.  A load or store
+# that check_access passes reads or writes the returned block's bytes
+# directly and hands the block to emit_access: one block lookup per
+# access.  Only a tolerated fault (a non-fatal kind) goes through
+# read_int's zero-fill or write_int's truncation.
 
 def _compile_load(vm, instruction: Load) -> Callable:
     pointer, pointer_reg = _operand(vm, instruction.pointer)
@@ -197,13 +221,16 @@ def _compile_load(vm, instruction: Load) -> Callable:
         memory = vm.memory
         block, fault = memory.check_access(
             pointer, size, False, thread.thread_id, vm.step)
-        if fault is not None:
+        if fault is None:
+            offset = pointer - block.base
+            value = int.from_bytes(block.data[offset:offset + size], "little")
+        else:
             fault.call_stack = thread.call_stack()
             vm.raise_fault(fault)
-        value = memory.read_int(pointer, size, signed=False)
+            value = memory.read_int(pointer, size, signed=False)
         frame.registers[instruction] = value
         vm.emit_access(thread, instruction, pointer, size, False, value,
-                       instruction.atomic)
+                       instruction.atomic, block)
         frame.index += 1
 
     return op
@@ -212,10 +239,11 @@ def _compile_load(vm, instruction: Load) -> Callable:
 def _compile_store(vm, instruction: Store) -> Callable:
     pointer, pointer_reg = _operand(vm, instruction.pointer)
     value, value_reg = _operand(vm, instruction.value)
+    size = max(1, instruction.value.type.size())
 
     def op(vm, thread, frame, instruction=instruction, pointer=pointer,
            pointer_reg=pointer_reg, value=value, value_reg=value_reg,
-           size=max(1, instruction.value.type.size())):
+           size=size, mask=(1 << (size * 8)) - 1):
         registers = frame.registers
         try:
             if pointer_reg:
@@ -227,12 +255,16 @@ def _compile_store(vm, instruction: Store) -> Callable:
         memory = vm.memory
         block, fault = memory.check_access(
             pointer, size, True, thread.thread_id, vm.step)
-        if fault is not None:
+        if fault is None:
+            offset = pointer - block.base
+            block.data[offset:offset + size] = (value & mask).to_bytes(
+                size, "little")
+        else:
             fault.call_stack = thread.call_stack()
             vm.raise_fault(fault)
-        memory.write_int(pointer, value, size)
+            memory.write_int(pointer, value, size)
         vm.emit_access(thread, instruction, pointer, size, True, value,
-                       instruction.atomic)
+                       instruction.atomic, block)
         frame.index += 1
 
     return op
@@ -655,7 +687,8 @@ _COMPILERS = (
 #: Instruction classes whose ops may run inside a fused run.  Branches
 #: fuse too — an unconditional Br lets the trace continue into the
 #: successor block, a conditional Br ends it (the successor depends on a
-#: runtime value).  Call can block/spawn/exit; Ret can finish the thread
+#: runtime value) and closes a loop trace when it can return to the
+#: plan's start.  Call can block/spawn/exit; Ret can finish the thread
 #: (changing the runnable set mid-run); AtomicRMW emits SyncEvents that
 #: anchor happens-before edges and keeps its own step.
 FUSIBLE = (Alloca, Load, Store, BinOp, ICmp, GetElementPtr, Cast, Br)
@@ -754,12 +787,18 @@ class FuseEngine:
         block across *unconditional* branches (the path is static).  A
         conditional branch fuses as the trace's final op — its successor
         depends on a runtime value, so the next plan takes over there.
-        Revisiting a block ends the trace (loops re-enter the plan from
-        the top instead of unrolling).
+        Revisiting a block ends the trace.  When the trace starts at a
+        block entry and its final branch can jump back to that entry (a
+        loop back-edge, conditional or not), the plan is a *loop trace*:
+        the VM keeps cycling its ops while the branch returns to the start
+        and stops at the first iteration that leaves.  A back-edge to any
+        other block re-enters that block's own plan instead of unrolling.
         """
         ops: List[Callable] = []
+        first = block
         index = start
         visited = {block}
+        loop = None
         while len(ops) < MAX_TRACE:
             instructions = block.instructions
             if index >= len(instructions):
@@ -770,19 +809,23 @@ class FuseEngine:
             ops.append(self.op(vm, instruction))
             if isinstance(instruction, Br):
                 if instruction.is_conditional:
-                    break
-                target = instruction.true_block
-                if target in visited:
-                    break
-                visited.add(target)
-                block = target
-                index = 0
-            else:
-                index += 1
+                    targets = (instruction.true_block,
+                               instruction.false_block)
+                elif instruction.true_block in visited:
+                    targets = (instruction.true_block,)
+                else:
+                    block = instruction.true_block
+                    visited.add(block)
+                    index = 0
+                    continue
+                if start == 0 and first in targets:
+                    loop = first
+                break
+            index += 1
         if len(ops) < MIN_RUN:
             return None
         self.compiled += 1
-        return FusePlan(tuple(ops), start)
+        return FusePlan(tuple(ops), start, loop)
 
     def invalidate(self) -> None:
         """Drop every op, plan and heat counter (address layout change)."""

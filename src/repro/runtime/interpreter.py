@@ -168,9 +168,9 @@ class VM:
         self._ops: Dict[Instruction, Callable] = {}
         #: Whether this VM runs fused runs: under a scheduler that can
         #: commit runs, outside reference and stepwise mode.  Fused runs
-        #: are bounded by the scheduler's ``run_length`` no-preempt
-        #: guarantee, so schedules and events are bit-identical to
-        #: stepwise execution.
+        #: are bounded by the scheduler's ``run_length`` no-preempt grant
+        #: and settled with ``commit``, so schedules and events are
+        #: bit-identical to stepwise execution.
         self.fuses = False
         self.inputs: Dict = dict(inputs or {})
         self._input_cursors: Dict = {}
@@ -238,11 +238,18 @@ class VM:
 
     def emit_access(self, thread: ThreadContext, instruction: Instruction,
                     address: int, size: int, is_write: bool, value: int,
-                    is_atomic: bool = False) -> None:
+                    is_atomic: bool = False,
+                    block: Optional[MemoryBlock] = None) -> None:
+        """Notify observers of a shared-memory access.
+
+        ``block`` is the block containing ``address`` when the caller
+        already looked it up (the load and store ops); None looks it up.
+        """
         observers = self.observers
         if not observers:
             return
-        block = self.memory.block_at(address)
+        if block is None:
+            block = self.memory.block_at(address)
         if block is None or block.kind == MemoryBlock.STACK:
             return
         offset = address - block.base
@@ -579,21 +586,23 @@ class VM:
                 and not self._halted_count
                 and limit - step > 1
             ):
-                # Fusion window: fused (straight-line) runs contain no
-                # calls, so no thread can spawn, exit, unlock a mutex or
-                # finish a join target mid-run — mutex/join waiters stay
-                # blocked and the runnable set is invariant.  The only
-                # time-driven change is a sleeper expiring, so the window
-                # is clamped to the earliest wake-up; with no halted
-                # threads and no per-instruction debugger checks, the
-                # scheduler's no-preempt guarantee then makes the fused
-                # run schedule-identical to stepwise execution.  Plans
-                # are looked up only where the scheduler can grant a run.
+                # Fusion window: fused runs contain no calls, so no
+                # thread can spawn, exit, unlock a mutex or finish a join
+                # target mid-run — mutex/join waiters stay blocked and the
+                # runnable set is invariant.  The only time-driven change
+                # is a sleeper expiring, so the window is clamped to the
+                # earliest wake-up; with no halted threads and no
+                # per-instruction debugger checks, the scheduler's
+                # no-preempt grant then makes the fused run
+                # schedule-identical to stepwise execution.  A loop trace
+                # may cycle up to the step budget, a straight-line plan
+                # covers its own ops.  Plans are looked up only where the
+                # scheduler can grant a run.
                 plan = plan_for(self, thread)
                 if plan is not None:
-                    max_len = plan.length
-                    if limit - step < max_len:
-                        max_len = limit - step
+                    max_len = limit - step
+                    if plan.loop is None and plan.length < max_len:
+                        max_len = plan.length
                     for sleeper in blocked:
                         wake = sleeper.wake_step
                         if wake is not None and wake - step < max_len:
@@ -653,29 +662,41 @@ class VM:
 
     def _step_fused(self, thread: ThreadContext, plan,
                     count: int) -> Optional[ExecutionResult]:
-        """Execute the first ``count`` ops of ``plan`` on ``thread``.
+        """Execute at most ``count`` steps of ``plan`` on ``thread``, then
+        commit the steps that ran to the scheduler.
 
-        Semantically ``count`` consecutive :meth:`step_thread` calls on the
-        same thread: the step counters are incremented before each op
-        executes, the op advances ``frame.index`` itself, and a fault bails
-        out through the exact fault path of :meth:`step_thread`.  Fused
-        instructions cannot block, spawn, exit or switch frames, so those
-        ``step_thread`` arms have no fused equivalent.
+        A straight-line plan runs its first ``count`` ops.  A loop trace
+        (``plan.loop``) cycles its ops while its closing branch returns to
+        the plan's start; it stops after the first iteration that leaves,
+        or once ``count`` steps ran, even mid-iteration.
+
+        Semantically consecutive :meth:`step_thread` calls on the same
+        thread: ``vm.step`` is incremented before each op executes, the op
+        advances ``frame.index`` itself, and a fault bails out through the
+        exact fault path of :meth:`step_thread`.  ``steps_executed`` and
+        the scheduler catch up when the run ends, before that path
+        notifies observers: no op reads either.  Fused instructions cannot
+        block, spawn, exit or switch frames, so those ``step_thread`` arms
+        have no fused equivalent.
         """
         frame = thread.top
         ops = plan.ops
-        engine = self.fuse_engine
-        engine.fused_runs += 1
-        executed = 0
+        loop = plan.loop
+        first = self.step
+        end = first + count
+        length = plan.length
         try:
-            for index in range(count):
-                self.step += 1
-                thread.steps_executed += 1
-                ops[index](self, thread, frame)
-                executed += 1
+            while True:
+                left = end - self.step
+                for op in ops if left >= length else ops[:left]:
+                    self.step += 1
+                    op(self, thread, frame)
+                if (loop is None or frame.block is not loop
+                        or self.step == end):
+                    break
         except RuntimeFault as fault:
-            engine.fused_steps += executed + 1
-            engine.bailouts += 1
+            self._commit_fused(thread, self.step - first)
+            self.fuse_engine.bailouts += 1
             if fault.event not in self.faults:
                 self.record_fault(fault.event)
             self._finished = True
@@ -683,8 +704,16 @@ class VM:
             for observer in self.observers:
                 observer.on_finish(self)
             return ExecutionResult(ExecutionResult.FAULT, self)
-        engine.fused_steps += executed
+        self._commit_fused(thread, self.step - first)
         return None
+
+    def _commit_fused(self, thread: ThreadContext, steps: int) -> None:
+        """Account a fused run of ``steps`` steps (the faulting one too)."""
+        thread.steps_executed += steps
+        engine = self.fuse_engine
+        engine.fused_runs += 1
+        engine.fused_steps += steps
+        self.scheduler.commit(steps)
 
     def step_thread(self, thread: ThreadContext,
                     instruction: Optional[Instruction] = None

@@ -49,20 +49,33 @@ class Scheduler:
 
     def run_length(self, thread: ThreadContext, step: int,
                    max_len: int) -> int:
-        """Guaranteed no-preempt run length for block fusion.
+        """Guaranteed no-preempt run length for block fusion: the grant.
 
         Called by the VM immediately after :meth:`choose` returned
         ``thread`` for decision ``step``, and only while the runnable set
         is guaranteed not to change (nothing blocked, halted or sleeping;
         fused instructions cannot spawn, block or exit).  Returns a length
         ``k`` in ``[1, max_len]`` promising that the next ``k - 1`` calls
-        to :meth:`choose` would also return ``thread``, and advances any
-        internal state exactly as those ``k - 1`` calls would have — so
-        the schedule is bit-identical whether the VM fuses or not.
+        to :meth:`choose` would also return ``thread``.  A pure query: the
+        VM reports the steps that actually ran through :meth:`commit`.
 
-        The default of 1 commits nothing.
+        The default of 1 grants nothing.
         """
         return 1
+
+    def commit(self, steps: int) -> None:
+        """Advance state for a fused run of ``steps`` steps.
+
+        Called by the VM after every run that :meth:`run_length` granted
+        ``k > 1`` steps, with ``1 <= steps <= k``: a loop trace may leave
+        its loop, or a fault end the run, before the grant is spent.  The
+        scheduler must end up exactly as the ``steps - 1`` :meth:`choose`
+        calls after the first would have left it, so the schedule is
+        bit-identical whether the VM fuses or not.
+
+        The default commits nothing: PCT's skipped choices would mutate
+        nothing, and the wrappers never grant a run.
+        """
 
     def on_thread_created(self, thread: ThreadContext) -> None:
         pass
@@ -117,13 +130,14 @@ class RoundRobinScheduler(Scheduler):
         # ``choose`` just returned ``thread`` leaving ``_remaining`` steps
         # of its quantum: each of the next ``_remaining`` choices keeps the
         # current thread, so the guaranteed run is ``_remaining + 1`` long
-        # (including the step already chosen).  Committing ``length - 1``
-        # decisions consumes exactly that much quantum.
+        # (including the step already chosen).
         if max_len <= 1:
             return 1
-        length = min(max_len, self._remaining + 1)
-        self._remaining -= length - 1
-        return length
+        return min(max_len, self._remaining + 1)
+
+    def commit(self, steps: int) -> None:
+        # Each skipped choice consumes one step of the quantum.
+        self._remaining -= steps - 1
 
     def reset(self) -> None:
         self._current_id = None
@@ -160,17 +174,19 @@ class RandomScheduler(Scheduler):
     def run_length(self, thread: ThreadContext, step: int,
                    max_len: int) -> int:
         # Only a lone runnable thread is guaranteed to win the next
-        # draws; with two or more, any draw may preempt it.  Every skipped
-        # ``choose`` still consumes its entropy — a draw from one thread
-        # redraws single bits until one is 0 — so the rng stream stays
-        # bit-identical to stepwise execution.
+        # draws; with two or more, any draw may preempt it.
         if max_len <= 1 or self._last_n != 1:
             return 1
+        return max_len
+
+    def commit(self, steps: int) -> None:
+        # Every skipped ``choose`` still consumes its entropy — a draw
+        # from one thread redraws single bits until one is 0 — so the rng
+        # stream stays bit-identical to stepwise execution.
         getrandbits = self._rng.getrandbits
-        for _ in range(max_len - 1):
+        for _ in range(steps - 1):
             while getrandbits(1):
                 pass
-        return max_len
 
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
@@ -244,14 +260,16 @@ class PCTScheduler(Scheduler):
         # already has a priority assigned (``choose`` evaluated the whole
         # runnable list at ``step``), so the highest-priority thread keeps
         # winning until the next change point: the guaranteed run is the
-        # distance to it.  No state needs committing — the skipped
-        # ``choose`` calls would not have mutated anything.
+        # distance to it, found over the d-1 points rather than by walking
+        # the steps (loop grants reach the whole step budget).  Nothing
+        # needs committing — the skipped ``choose`` calls would not have
+        # mutated anything.
         if max_len <= 1:
             return 1
-        length = 1
-        change_points = self._change_points
-        while length < max_len and (step + length) not in change_points:
-            length += 1
+        length = max_len
+        for point in self._change_points:
+            if step < point < step + length:
+                length = point - step
         return length
 
 

@@ -200,15 +200,6 @@ class SpanTracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def publish(self, registry) -> None:
-        """Record the span count in a telemetry registry.
-
-        A gauge, not a counter: the tracer already holds the merged
-        (seed-order-adopted) tree, so the count is job-count invariant and
-        re-publishing must not double it.
-        """
-        registry.gauge("spans.records").set(len(self.spans))
-
     def find(self, name: str) -> List[Span]:
         return [span for span in self.spans if span.name == name]
 

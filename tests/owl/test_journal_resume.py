@@ -229,15 +229,12 @@ def stage_ends(events):
 
 def comparable_telemetry(telemetry):
     """The telemetry block minus what depends on which items were cache
-    hits: the ``cache.*`` counters, and the span count (a cached item
-    adopts one marker span in place of its worker's spans)."""
+    hits: the ``cache.*`` counters."""
     return dict(
         telemetry,
         counters={name: value
                   for name, value in telemetry["counters"].items()
                   if not name.startswith("cache.")},
-        gauges={name: value for name, value in telemetry["gauges"].items()
-                if name != "spans.records"},
     )
 
 

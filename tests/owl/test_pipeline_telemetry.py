@@ -25,8 +25,10 @@ class TestSnapshotParity:
         assert counters["pipeline.raw_reports"] == \
             serial_result.counters.raw_reports
         assert counters["stage.detect.vm_steps"] > 0
-        assert snapshot["gauges"]["spans.records"] == \
-            len(serial_result.spans)
+        # the span count depends on which items were cache hits (a cached
+        # item adopts one marker span), so it stays out of the snapshot
+        assert "spans.records" not in snapshot["gauges"]
+        assert len(serial_result.spans) > 0
         assert snapshot["histograms"]["vm.steps_per_seed"]["count"] == \
             counters["stage.detect.runs"]
         assert serial_result.metrics.blocks["telemetry"] == snapshot

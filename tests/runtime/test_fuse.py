@@ -1,17 +1,22 @@
-"""Fusion soundness: run_length contracts, fused/stepwise parity, fixes.
+"""Fusion soundness: grant/commit contracts, fused/stepwise parity, fixes.
 
-Five layers:
+Six layers:
 
 - unit tests for the two VM bugfixes (``_handle_idle`` clamping the sleeper
   fast-forward to the step budget; ``step_thread`` resetting ``blocked_arg``
   together with ``blocked_kind``),
-- unit tests for every scheduler's ``run_length`` no-preempt contract,
-  including the RandomScheduler's entropy-parity semantics,
+- unit tests for every scheduler's ``run_length`` grant and ``commit``,
+  for every count of granted steps a run may execute, including the
+  RandomScheduler's entropy-parity semantics,
 - unit tests for :class:`repro.runtime.fuse.FuseEngine` (hotness, plan
   caching, invalidation, attach signature validation, counters),
 - the engine rules: one engine per module, rebuilt after a patch; plans
   sharing ops; plans only where the scheduler can commit a run; no
-  VM kept alive by the engine, and
+  VM kept alive by the engine,
+- loop traces: equal event streams, schedules and scheduler state under
+  round-robin, random and PCT for loops that exit mid-grant, grants that
+  end mid-iteration, sleepers waking inside a loop run, faults in a
+  later iteration and the step budget ending a run, and
 - hypothesis differential tests pinning ``_run_fast_loop`` ≡
   ``_run_reference_loop`` ≡ fused execution across blocked/sleeper/halted
   transitions and fused-block boundaries (fault bailout mid-run, memo
@@ -23,6 +28,7 @@ import gc
 import weakref
 from contextlib import nullcontext
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +138,75 @@ def build_divider(start: int = 3) -> Module:
     b.store(b.add(o, q, line=12), out, line=12)
     b.store(b.sub(d, 1, line=13), divisor, line=13)
     b.br("cond", line=14)
+    b.end_function()
+    verify_module(module)
+    return module
+
+
+def build_count_loop(iterations: int = 40) -> Module:
+    """main counts a global up to ``iterations`` in a two-block loop.
+
+    The ``cond`` header tests the index and branches to ``body`` or
+    ``done``; ``body`` bumps the counter and the index and jumps back to
+    ``cond``.  The plan entering ``body`` crosses into ``cond`` and ends
+    at its branch, which can return to ``body``: a loop trace spanning
+    two blocks, which leaves once the index reaches ``iterations``.
+    """
+    module = Module("count_loop")
+    b = IRBuilder(module)
+    count = b.global_var("count", I64, 0)
+    index = b.global_var("index", I64, 0)
+    b.begin_function("main", I32, [], source_file="n.c")
+    b.br("cond", line=1)
+    b.at("cond")
+    i = b.load(index, line=2)
+    more = b.icmp("slt", i, iterations, line=2)
+    b.cond_br(more, "body", "done", line=2)
+    b.at("body")
+    value = b.load(count, line=3)
+    b.store(b.add(value, 3, line=3), count, line=3)
+    b.store(b.add(i, 1, line=4), index, line=4)
+    b.br("cond", line=4)
+    b.at("done")
+    b.ret(b.i32(0), line=5)
+    b.end_function()
+    verify_module(module)
+    return module
+
+
+def build_spin_wait(delay: int = 60) -> Module:
+    """A waiter spinning on a flag that a sleeping setter raises.
+
+    The waiter's ``spin`` block — load, compare, branch back to itself —
+    is the section 5.1 busy-wait and compiles to a loop trace.  The setter
+    first sleeps ``delay`` steps, so the spinner runs alone (even the
+    random scheduler grants it runs) until the setter wakes in the middle
+    of one.
+    """
+    module = Module("spin_wait")
+    b = IRBuilder(module)
+    flag = b.global_var("flag", I32, 0)
+    b.begin_function("setter", I32, [("arg", ptr(I8))], source_file="w.c")
+    b.call("usleep", [delay], line=1)
+    b.store(1, flag, line=2)
+    b.ret(b.i32(0), line=3)
+    b.end_function()
+    b.begin_function("waiter", I32, [("arg", ptr(I8))], source_file="w.c")
+    b.br("spin", line=10)
+    b.at("spin")
+    value = b.load(flag, line=11)
+    done = b.icmp("ne", value, 0, line=11)
+    b.cond_br(done, "after", "spin", line=11)
+    b.at("after")
+    b.ret(b.i32(0), line=12)
+    b.end_function()
+    b.begin_function("main", I32, [], source_file="w.c")
+    handles = [b.call("thread_create", [module.get_function(name), b.null()],
+                      line=20 + offset)
+               for offset, name in enumerate(("setter", "waiter"))]
+    for offset, handle in enumerate(handles):
+        b.call("thread_join", [handle], line=22 + offset)
+    b.ret(b.i32(0), line=24)
     b.end_function()
     verify_module(module)
     return module
@@ -256,44 +331,74 @@ def _threads(n: int):
             for i in range(n)]
 
 
+def _scheduler_state(scheduler) -> dict:
+    """Everything a scheduler's future decisions depend on."""
+    state = dict(vars(scheduler))
+    rng = state.pop("_rng", None)
+    if rng is not None:
+        state["_rng"] = rng.getstate()
+    return state
+
+
+def _fused_decisions(scheduler, runnable, windows, ran):
+    """Drive ``scheduler`` as a fusing VM does: after each ``choose``,
+    ask for a grant of up to ``max_len`` steps, run ``ran(grant)`` of them
+    and commit those.  Returns the chosen thread id of every step."""
+    expanded = []
+    step = 0
+    for max_len in windows:
+        chosen = scheduler.choose(runnable, step)
+        state = _scheduler_state(scheduler)
+        grant = scheduler.run_length(chosen, step, max_len)
+        assert 1 <= grant <= max_len
+        assert _scheduler_state(scheduler) == state  # a pure query
+        steps = ran(grant)
+        assert 1 <= steps <= grant
+        if grant > 1:
+            scheduler.commit(steps)
+        expanded.extend([chosen.thread_id] * steps)
+        step += steps
+    return expanded
+
+
 class TestRunLengthContract:
-    """run_length(thread, step, k) promises the next k-1 chooses return
-    the same thread and commits internal state exactly as they would."""
+    """run_length(thread, step, k) grants a run: the next k-1 chooses
+    would return the same thread.  commit(steps) then advances state
+    exactly as the steps-1 chooses after the first would, for any count
+    the run executed up to the grant (a loop trace may exit early)."""
 
     @given(st.sampled_from(["random", "round_robin", "pct"]),
            st.integers(0, 1000), st.integers(1, 3),
-           st.lists(st.integers(2, 9), min_size=1, max_size=30))
+           st.lists(st.integers(2, 9), min_size=1, max_size=30), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_fused_decisions_equal_stepwise(self, kind, seed, n, windows):
+    def test_fused_decisions_equal_stepwise(self, kind, seed, n, windows,
+                                            data):
         runnable = _threads(n)
         stepwise = make_scheduler(kind, seed)
         fused = make_scheduler(kind, seed)
-        # fused driver: after each choose, ask for a run and skip the
-        # committed decisions
-        expanded = []
-        step = 0
-        for max_len in windows:
-            chosen = fused.choose(runnable, step)
-            length = fused.run_length(chosen, step, max_len)
-            assert 1 <= length <= max_len
-            expanded.extend([chosen.thread_id] * length)
-            step += length
+        expanded = _fused_decisions(
+            fused, runnable, windows,
+            lambda grant: data.draw(st.integers(1, grant)))
         # stepwise driver: one choose per decision
         reference = [stepwise.choose(runnable, s).thread_id
-                     for s in range(step)]
+                     for s in range(len(expanded))]
         assert expanded == reference
+        assert _scheduler_state(fused) == _scheduler_state(stepwise)
 
     def test_round_robin_commits_quantum(self):
-        scheduler = RoundRobinScheduler(quantum=5)
-        runnable = _threads(2)
-        first = scheduler.choose(runnable, 0)
-        assert scheduler.run_length(first, 0, 3) == 3
-        # 2 of the remaining 4 quantum steps were committed
-        assert scheduler._remaining == 2
-        assert scheduler.choose(runnable, 3) is first
-        assert scheduler.choose(runnable, 4) is first
-        # quantum exhausted: the rotation moves on
-        assert scheduler.choose(runnable, 5) is not first
+        for ran in range(1, 4):  # every count a run may execute
+            scheduler = RoundRobinScheduler(quantum=5)
+            runnable = _threads(2)
+            first = scheduler.choose(runnable, 0)
+            assert scheduler.run_length(first, 0, 3) == 3
+            assert scheduler._remaining == 4  # the grant commits nothing
+            scheduler.commit(ran)
+            # ran - 1 of the remaining 4 quantum steps were committed
+            assert scheduler._remaining == 4 - (ran - 1)
+            for step in range(ran, 5):
+                assert scheduler.choose(runnable, step) is first
+            # quantum exhausted: the rotation moves on
+            assert scheduler.choose(runnable, 5) is not first
 
     def test_round_robin_caps_at_window(self):
         scheduler = RoundRobinScheduler(quantum=50)
@@ -302,18 +407,17 @@ class TestRunLengthContract:
         assert scheduler.run_length(chosen, 0, 4) == 4
 
     @given(st.integers(0, 10_000), st.integers(1, 3),
-           st.lists(st.integers(2, 9), min_size=1, max_size=20))
+           st.lists(st.integers(2, 9), min_size=1, max_size=20), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_random_entropy_parity(self, seed, n, windows):
+    def test_random_entropy_parity(self, seed, n, windows, data):
         """After the same number of decisions, the rng streams agree —
         the schedule stays bit-identical past any fused region."""
         runnable = _threads(n)
         stepwise = RandomScheduler(seed)
         fused = RandomScheduler(seed)
-        decisions = 0
-        for max_len in windows:
-            chosen = fused.choose(runnable, decisions)
-            decisions += fused.run_length(chosen, decisions, max_len)
+        decisions = len(_fused_decisions(
+            fused, runnable, windows,
+            lambda grant: data.draw(st.integers(1, grant))))
         for s in range(decisions):
             stepwise.choose(runnable, s)
         assert fused._rng.getstate() == stepwise._rng.getstate()
@@ -348,13 +452,17 @@ class TestRunLengthContract:
 
     def test_random_single_thread_consumes_entropy(self):
         runnable = _threads(1)
-        fused = RandomScheduler(11)
-        stepwise = RandomScheduler(11)
-        chosen = fused.choose(runnable, 0)
-        assert fused.run_length(chosen, 0, 6) == 6
-        for s in range(6):
-            stepwise.choose(runnable, s)
-        assert fused._rng.getstate() == stepwise._rng.getstate()
+        for ran in range(1, 7):  # every count a run may execute
+            fused = RandomScheduler(11)
+            stepwise = RandomScheduler(11)
+            chosen = fused.choose(runnable, 0)
+            state = fused._rng.getstate()
+            assert fused.run_length(chosen, 0, 6) == 6
+            assert fused._rng.getstate() == state  # the grant draws nothing
+            fused.commit(ran)
+            for s in range(ran):
+                stepwise.choose(runnable, s)
+            assert fused._rng.getstate() == stepwise._rng.getstate()
 
     def test_pct_stops_at_change_point_without_mutation(self):
         scheduler = PCTScheduler(seed=5, depth=3, expected_steps=100)
@@ -365,6 +473,20 @@ class TestRunLengthContract:
         length = scheduler.run_length(chosen, 0, point + 40)
         assert length == point  # steps 1..point-1 are safe, point is not
         assert scheduler._priorities == priorities
+
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 2500),
+           st.integers(0, 3000), st.integers(0, 4000))
+    @settings(max_examples=80, deadline=None)
+    def test_pct_grant_equals_the_step_walk(self, seed, depth, expected,
+                                            step, max_len):
+        """The O(depth) grant is the walk to the next change point."""
+        scheduler = PCTScheduler(seed=seed, depth=depth,
+                                 expected_steps=expected)
+        points = scheduler.change_points
+        walk = 1
+        while walk < max_len and (step + walk) not in points:
+            walk += 1
+        assert scheduler.run_length(None, step, max_len) == walk
 
     def test_wrapper_schedulers_refuse_fusion(self):
         runnable = _threads(2)
@@ -789,6 +911,168 @@ class TestDifferentialParity:
                                 max_steps=limit)
         assert fused == stepwise
         assert fused["steps"] <= limit
+
+
+# ----------------------------------------------------------------------
+# loop traces
+
+
+class LoopRun(NamedTuple):
+    """One fused run of a loop trace, as the VM executed it."""
+
+    granted: int
+    ran: int
+    length: int
+    faulted: bool
+    #: the grant ended at a sleeper's wake step
+    sleeper_clamped: bool
+    #: the grant ended at the step budget
+    budget_clamped: bool
+
+
+class SteppingSpy:
+    """Records, for the VMs that run while installed, the thread of every
+    step and every loop run (``VM.step_thread``/``VM._step_fused``)."""
+
+    def __init__(self, monkeypatch):
+        self.schedule = []
+        self.loop_runs = []
+        step_thread = VM.step_thread
+        step_fused = VM._step_fused
+
+        def spy_step(vm, thread, instruction=None):
+            self.schedule.append(thread.thread_id)
+            return step_thread(vm, thread, instruction)
+
+        def spy_fused(vm, thread, plan, count):
+            first = vm.step
+            wakes = {sleeper.wake_step for sleeper in vm._blocked}
+            outcome = step_fused(vm, thread, plan, count)
+            ran = vm.step - first
+            self.schedule.extend([thread.thread_id] * ran)
+            if plan.loop is not None:
+                self.loop_runs.append(LoopRun(
+                    count, ran, plan.length, outcome is not None,
+                    first + count in wakes,
+                    first + count == vm.max_steps))
+            return outcome
+
+        monkeypatch.setattr(VM, "step_thread", spy_step)
+        monkeypatch.setattr(VM, "_step_fused", spy_fused)
+
+    def take(self):
+        taken = self.schedule, self.loop_runs
+        self.schedule, self.loop_runs = [], []
+        return taken
+
+
+def loop_scheduler(kind: str, seed: int):
+    """Schedulers whose grants span whole loop iterations."""
+    if kind == "round_robin":
+        return RoundRobinScheduler(quantum=10 + 7 * seed)
+    if kind == "pct":
+        return PCTScheduler(seed=seed, depth=4, expected_steps=200)
+    return RandomScheduler(seed)
+
+
+#: case -> (modules, step budget, what one of their loop runs must show).
+#: The random scheduler grants a lone thread the whole budget, so only a
+#: sleeper's wake step or the budget can cut its loop runs mid-iteration.
+LOOP_CASES = {
+    "exits_mid_grant": (
+        (build_count_loop,), 50_000,
+        lambda run: run.ran < run.granted and not run.faulted),
+    "grant_ends_mid_iteration": (
+        (build_count_loop, lambda: build_spin_wait(delay=60)), 50_000,
+        lambda run: run.ran == run.granted and run.ran % run.length),
+    "sleeper_wakes_inside": (
+        (lambda: build_spin_wait(delay=60),), 50_000,
+        lambda run: run.sleeper_clamped and run.ran == run.granted),
+    "fault_in_iteration_n": (
+        (lambda: build_divider(start=6),), 50_000,
+        lambda run: run.faulted and run.ran > run.length),
+    "budget_ends_the_run": (
+        (lambda: build_spin_wait(delay=10_000),), 300,
+        lambda run: run.budget_clamped and run.ran == run.granted),
+}
+
+
+class TestLoopTraces:
+    @pytest.mark.parametrize("kind", ["round_robin", "random", "pct"])
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_fused_loop_runs_equal_stepwise(self, monkeypatch, case, kind):
+        """Equal event streams, schedules and scheduler (RNG) state, and
+        the case shows up in at least one seed's loop runs."""
+        builds, max_steps, shows = LOOP_CASES[case]
+        spy = SteppingSpy(monkeypatch)
+        shown = 0
+        for build in builds:
+            module = build()
+            for seed in range(6):
+                schedulers = [loop_scheduler(kind, seed) for _ in range(2)]
+                stepwise = run_fingerprint(module, schedulers[0],
+                                           max_steps=max_steps)
+                stepwise_schedule, runs = spy.take()
+                assert runs == []
+                fused = run_fingerprint(module, schedulers[1], fuse=True,
+                                        max_steps=max_steps)
+                fused_schedule, runs = spy.take()
+                assert fused == stepwise
+                assert fused_schedule == stepwise_schedule
+                assert (_scheduler_state(schedulers[1])
+                        == _scheduler_state(schedulers[0]))
+                shown += sum(1 for run in runs if shows(run))
+        assert shown > 0, case
+
+    def test_plans_closing_on_their_start_are_loops(self):
+        spin = build_spin_wait()
+        counting = build_count_loop()
+        divider = build_divider()
+        vm = VM(spin, scheduler=RoundRobinScheduler())
+        engine = vm.fuse_engine
+        waiter = spin.get_function("waiter")
+        plan = engine._compile(vm, waiter.get_block("spin"), 0)
+        assert plan.loop is waiter.get_block("spin") and plan.length == 3
+        # entering the spin block mid-way is no loop
+        assert engine._compile(vm, waiter.get_block("spin"), 1).loop is None
+        vm = VM(counting, scheduler=RoundRobinScheduler())
+        engine = vm.fuse_engine
+        main = counting.get_function("main")
+        body = main.get_block("body")
+        plan = engine._compile(vm, body, 0)
+        assert plan.loop is body and plan.length == 9  # body, then cond
+        # the header's branch leads to body or done, never back to cond
+        assert engine._compile(vm, main.get_block("cond"), 0).loop is None
+        vm = VM(divider, scheduler=RoundRobinScheduler())
+        cond = divider.get_function("main").get_block("cond")
+        # an unconditional back-edge to the start closes a loop as well
+        assert vm.fuse_engine._compile(vm, cond, 0).loop is cond
+
+    def test_linux_spin_runs_as_few_loop_runs(self):
+        """Seed 8's ready_waiter spin: far fewer fused runs than spin
+        iterations (one access per iteration)."""
+        from repro.apps.registry import spec_by_name
+        from repro.runtime.events import TraceObserver
+
+        class SpinCounter(TraceObserver):
+            iterations = 0
+
+            def on_access(self, event):
+                function = event.instruction.function
+                if function.name == "ready_waiter_kernel_sched":
+                    self.iterations += 1
+
+        spec = spec_by_name("linux")
+        vm = spec.make_vm(seed=8, scheduler=PCTScheduler(seed=8))
+        counter = SpinCounter()
+        vm.add_observer(counter)
+        engine = vm.fuse_engine
+        runs_before = engine.fused_runs
+        vm.start(spec.entry)
+        result = vm.run()
+        assert result.reason == ExecutionResult.STEP_LIMIT
+        assert counter.iterations > 50_000
+        assert engine.fused_runs - runs_before < counter.iterations / 10
 
 
 class TestFusedBoundaries:

@@ -130,7 +130,7 @@ class TestMetricsSchema:
         metrics = PipelineMetrics("demo", jobs=1)
         metrics.blocks["telemetry"] = {
             "counters": {"pipeline.raw_reports": 16, "cache.detect.hits": 3},
-            "gauges": {"spans.records": 412},
+            "gauges": {"explore.total_pairs": 412},
             "histograms": {"vm.steps_per_seed": {
                 "bounds": [100, 1000], "counts": [0, 2, 1],
                 "sum": 4200, "count": 3}},

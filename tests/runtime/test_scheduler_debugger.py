@@ -107,16 +107,20 @@ class TestRandom:
             assert scheduler._rng.getstate() == reference.getstate()
 
     def test_committed_run_consumes_single_thread_draws(self):
-        """A run of ``length`` steps granted to a lone thread leaves the
-        rng where ``length`` stepwise ``choose`` calls would."""
+        """A run granted to a lone thread that executed ``ran`` of its
+        steps leaves the rng where ``ran`` stepwise ``choose`` calls
+        would, for every ``ran`` up to the grant."""
         lone = [_FakeThread(0)]
         for seed in range(40):
+            ran = 1 + seed % 9
             scheduler = RandomScheduler(seed)
             reference = random.Random(seed)
             scheduler.choose(lone, 0)
             reference.randrange(1)
             assert scheduler.run_length(lone[0], 1, 9) == 9
-            for _ in range(8):
+            assert scheduler._rng.getstate() == reference.getstate()
+            scheduler.commit(ran)
+            for _ in range(ran - 1):
                 reference.randrange(1)
             assert scheduler._rng.getstate() == reference.getstate()
 

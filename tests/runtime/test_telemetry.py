@@ -28,9 +28,9 @@ class TestCountersAndGauges:
 
     def test_gauge_set_overwrites(self):
         registry = MetricsRegistry()
-        registry.gauge("spans.records").set(10)
-        registry.gauge("spans.records").set(7)
-        assert registry.gauge("spans.records").value == 7
+        registry.gauge("explore.total_pairs").set(10)
+        registry.gauge("explore.total_pairs").set(7)
+        assert registry.gauge("explore.total_pairs").value == 7
 
 
 class TestHistogram:
@@ -112,16 +112,3 @@ class TestSnapshot:
         other.histogram("h", (1, 3)).observe(1)
         with pytest.raises(ValueError):
             registry.merge_snapshot(other.snapshot())
-
-
-class TestObserverPublishing:
-    def test_span_tracer_publishes_record_count_as_gauge(self):
-        from repro.runtime.spans import SpanTracer
-
-        tracer = SpanTracer()
-        with tracer.span("pipeline"):
-            tracer.instant("marker")
-        registry = MetricsRegistry()
-        tracer.publish(registry)
-        tracer.publish(registry)  # re-publishing must not double
-        assert registry.snapshot()["gauges"]["spans.records"] == 2

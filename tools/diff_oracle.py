@@ -38,7 +38,7 @@ Usage::
     PYTHONPATH=src python tools/diff_oracle.py                # all apps, 10 seeds
     PYTHONPATH=src python tools/diff_oracle.py --programs memcached apache_log \\
         --seeds 10 --counters --fuse --metrics-out benchmarks/out
-    PYTHONPATH=src python tools/diff_oracle.py --programs linux --seeds 4 --fuse
+    PYTHONPATH=src python tools/diff_oracle.py --programs linux --seeds 12 --fuse
     PYTHONPATH=src python tools/diff_oracle.py --programs memcached \\
         --fuse-bench --fuse-floor 1.3
     PYTHONPATH=src python tools/diff_oracle.py --programs ssdb --debugger
