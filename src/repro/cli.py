@@ -7,8 +7,9 @@ Commands:
 - ``owl exploit <attack-id>`` — drive one of the ten exploit scripts.
 - ``owl exploits`` — drive all ten.
 - ``owl export <program> <path>`` — run the pipeline and save JSON results.
-- ``owl trace <program>`` — run the pipeline with span tracing and write
-  Chrome ``trace_event`` + JSON-lines trace files.
+- ``owl trace <log>`` — rebuild a logged run's span tree: print the
+  per-stage rollup and the slowest spans, and write a Chrome
+  ``trace_event`` file.
 - ``owl explain <program> [report-uid]`` — print the provenance narrative
   for one race report, or the disposition listing for all of them;
   ``--replay`` derives the narrative by replaying recorded schedule logs
@@ -36,19 +37,18 @@ Commands:
 - ``owl study`` — print the section-3 study findings.
 - ``owl list`` — list available targets and attack ids.
 
-``detect`` and ``export`` also accept ``--trace PATH`` to save the run's
-span tree (Chrome format when PATH ends in ``.json``, JSON lines
-otherwise), ``--cache``/``--no-cache`` to reuse stage results across
-invocations, ``--explore`` (with ``--max-seeds``/``--wave-size``/
-``--saturation-k``) to replace the fixed detect-seed sweep with
-coverage-guided exploration, ``--predict`` (with ``--optimistic``/
+``detect`` and ``export`` also accept ``--cache``/``--no-cache`` to reuse
+stage results across invocations, ``--explore`` (with ``--max-seeds``/
+``--wave-size``/``--saturation-k``) to replace the fixed detect-seed sweep
+with coverage-guided exploration, ``--predict`` (with ``--optimistic``/
 ``--no-witness``) to run a predict wave before exploring so later waves
 only spend budget on interleavings prediction could not decide,
-``--profile`` (with ``--profile-interval``/
-``--profile-out``) to sample the VM call stack during detection, and
-``--log PATH`` to write the run log (``--cache`` runs log to
-``<cache-dir>/run_<program>.jsonl`` by default); ``docs/OPERATIONS.md``
-is the runbook.
+``--profile`` (with ``--profile-interval``/``--profile-out``) to sample
+the VM call stack during detection, and
+``--log PATH`` to write the run log, the run's one event stream that
+``owl watch``/``status``/``resume``/``trace`` read (``--cache`` runs log
+to ``<cache-dir>/run_<program>.jsonl`` by default);
+``docs/OPERATIONS.md`` is the runbook.
 """
 
 from __future__ import annotations
@@ -142,14 +142,6 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _save_trace(result, path: str) -> None:
-    if path.endswith(".json"):
-        result.spans.save_chrome(path)
-    else:
-        result.spans.save_jsonl(path)
-    print("trace written to %s (%d spans)" % (path, len(result.spans)))
-
-
 def _cmd_detect(args) -> int:
     from repro import spec_by_name
     from repro.owl.hints import format_full_report
@@ -185,8 +177,6 @@ def _cmd_detect(args) -> int:
     if args.metrics:
         result.metrics.save(args.metrics)
         print("metrics written to %s" % args.metrics)
-    if args.trace:
-        _save_trace(result, args.trace)
     _finish_telemetry(result, args)
     _finish_cached_run(cache, log)
     print()
@@ -233,8 +223,6 @@ def _cmd_export(args) -> int:
     if args.metrics:
         result.metrics.save(args.metrics)
         print("metrics written to %s" % args.metrics)
-    if args.trace:
-        _save_trace(result, args.trace)
     _finish_telemetry(result, args)
     _finish_cached_run(cache, log)
     return 0
@@ -356,17 +344,26 @@ def _stage_rollup(spans) -> str:
 
 
 def _cmd_trace(args) -> int:
-    from repro import OwlPipeline, spec_by_name
+    import os
 
-    spec = spec_by_name(args.program)
-    result = OwlPipeline(spec, jobs=args.jobs).run()
-    spans = result.spans
-    chrome_path = spans.save_chrome(args.out + ".json")
-    jsonl_path = spans.save_jsonl(args.out + ".jsonl")
-    print("== OWL trace: %s (%d spans) ==" % (spec.name, len(spans)))
+    from repro.owl.runlog import load_run
+
+    try:
+        state = load_run(args.log)
+    except ValueError as error:
+        print("owl trace: %s" % error, file=sys.stderr)
+        return 1
+    spans = state.tracer()
+    if not len(spans):
+        print("no spans in %s (write one with `owl detect PROGRAM --log "
+              "PATH`)" % args.log, file=sys.stderr)
+        return 1
+    chrome_path = spans.save_chrome(
+        args.out or os.path.splitext(args.log)[0] + ".trace.json")
+    print("== OWL trace: %s (%d spans%s) ==" % (
+        state.program, len(spans), "" if state.completed else ", unfinished"))
     print("chrome trace: %s  (load in chrome://tracing or Perfetto)" %
           chrome_path)
-    print("span lines:   %s" % jsonl_path)
     print()
     print(_stage_rollup(spans))
     print()
@@ -408,7 +405,7 @@ def _cmd_watch(args) -> int:
         for event in jsonl.follow(args.log, poll=args.poll,
                                   timeout=args.timeout):
             state.absorb(event)
-            line = render_event(event)
+            line = render_event(event, state)
             if line is not None:
                 print(line, flush=True)
             if state.completed:
@@ -539,7 +536,7 @@ def _cmd_replay(args) -> int:
     ))
     failures = source.total_divergences + source.unfaithful_replays
     if args.check_fingerprint:
-        from repro.owl.replay import _spec_world, record_spec_seed
+        from repro.owl.replay import record_spec_seed
         from repro.runtime.diffcheck import compare_fingerprints
         from repro.runtime.record import replay_log
 
@@ -550,7 +547,7 @@ def _cmd_replay(args) -> int:
                                               fingerprint=True)
             outcome = replay_log(
                 module, log, inputs=spec.workload_inputs,
-                world=_spec_world(spec), fingerprint=True,
+                world=spec.make_world(), fingerprint=True,
             )
             divergence = compare_fingerprints(recorded, outcome.fingerprint)
             if divergence is not None:
@@ -711,8 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="rows in the printed hot-function table (default: 10)")
         command.add_argument(
             "--log", metavar="PATH", default=None,
-            help="write the run log (progress events) to PATH; follow it "
-                 "with `owl watch PATH`")
+            help="write the run log (the run's span events) to PATH; "
+                 "follow it with `owl watch PATH`, read its span tree "
+                 "with `owl trace PATH`")
 
     detect = sub.add_parser("detect", help="run the OWL pipeline on a target")
     detect.add_argument("program")
@@ -721,10 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 1, serial)")
     detect.add_argument("--metrics", metavar="PATH", default=None,
                         help="write per-stage metrics JSON to PATH")
-    detect.add_argument("--trace", metavar="PATH", default=None,
-                        help="write the run's span tree to PATH (Chrome "
-                             "trace_event when PATH ends in .json, JSON "
-                             "lines otherwise)")
     add_cache_arguments(detect)
     add_explore_arguments(detect)
     add_telemetry_arguments(detect)
@@ -744,10 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 1, serial)")
     export.add_argument("--metrics", metavar="PATH", default=None,
                         help="write per-stage metrics JSON to PATH")
-    export.add_argument("--trace", metavar="PATH", default=None,
-                        help="write the run's span tree to PATH (Chrome "
-                             "trace_event when PATH ends in .json, JSON "
-                             "lines otherwise)")
     add_cache_arguments(export)
     add_explore_arguments(export)
     add_telemetry_arguments(export)
@@ -789,14 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the logged job count")
     resume.set_defaults(func=_cmd_resume)
     trace = sub.add_parser(
-        "trace", help="run the pipeline with span tracing, save trace files")
-    trace.add_argument("program")
-    trace.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the parallel stages "
-                            "(default: 1, serial)")
-    trace.add_argument("--out", metavar="BASE", default="owl_trace",
-                       help="output base path: writes BASE.json (Chrome "
-                            "trace_event) and BASE.jsonl (span lines)")
+        "trace", help="rebuild a logged run's span tree: stage rollup, "
+                      "slowest spans, Chrome trace file")
+    trace.add_argument("log", help="run log path (the run's --log PATH)")
+    trace.add_argument("--out", metavar="PATH", default=None,
+                       help="Chrome trace_event file to write (default: "
+                            "the log's path with .trace.json)")
     trace.add_argument("--top", type=int, default=10,
                        help="how many slowest spans to print (default: 10)")
     trace.add_argument("--stage", metavar="NAME", default=None,

@@ -69,6 +69,9 @@ class TSanDetector(TraceObserver):
         self._shadow: Dict[int, _ByteShadow] = {}
         #: watched corrupted byte spans [lo, hi) -> reports collecting stacks
         self._watches: Dict[Tuple[int, int], List[RaceReport]] = {}
+        #: byte -> how many watched spans cover it: an access that covers
+        #: no watched byte skips the scan over ``_watches``
+        self._watched_bytes: Dict[int, int] = {}
         #: instruction uid -> the uids it forms an annotated (read, write)
         #: pair with, so the race check for one access probes one set
         #: instead of building a pair key per candidate
@@ -164,8 +167,12 @@ class TSanDetector(TraceObserver):
         # Service watches before race checking: a racy write that *creates* a
         # watch (below) must not immediately sanitize it, and the racy read
         # that constitutes a report is not also a "subsequent" read.
-        if self._watches:
-            self._service_watches(event, record)
+        watched = self._watched_bytes
+        if watched:
+            for byte in range(address, address + max(1, event.size)):
+                if byte in watched:
+                    self._service_watches(event, record)
+                    break
         shadows = self._shadow
         read_key = (thread_id, instruction.uid or 0)
         for byte in range(address, address + event.size):
@@ -221,25 +228,34 @@ class TSanDetector(TraceObserver):
         first_lo, first_hi = report.first.byte_range
         second_lo, second_hi = report.second.byte_range
         span = (min(first_lo, second_lo), max(first_hi, second_hi))
-        watchers = self._watches.setdefault(span, [])
+        watchers = self._watches.get(span)
+        if watchers is None:
+            watchers = self._watches[span] = []
+            watched = self._watched_bytes
+            for byte in range(*span):
+                watched[byte] = watched.get(byte, 0) + 1
         if report not in watchers:
             watchers.append(report)
 
     def _service_watches(self, event: AccessEvent, record: AccessRecord) -> None:
-        if not self._watches:
-            return
+        """Feed or sanitize the watches an access overlaps (the caller has
+        seen it touch a watched byte)."""
         lo = event.address
         hi = event.address + max(1, event.size)
         # Match on byte overlap, not base-address equality: a wide read (or
         # sanitizing write) that covers the watched span at a different base
         # address still touches the corrupted bytes.
         touched = [span for span in self._watches if span[0] < hi and lo < span[1]]
-        if not touched:
-            return
         if event.is_write:
             # A write sanitizes the corrupted value; stop watching.
+            watched = self._watched_bytes
             for span in touched:
                 del self._watches[span]
+                for byte in range(*span):
+                    if watched[byte] == 1:
+                        del watched[byte]
+                    else:
+                        watched[byte] -= 1
             return
         for span in touched:
             for report in self._watches[span]:

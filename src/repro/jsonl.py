@@ -1,8 +1,8 @@
 """JSON-lines files: the one reader and appender every log in ``repro`` uses.
 
-Run logs (:mod:`repro.owl.runlog`), schedule logs
-(:mod:`repro.runtime.record`) and span exports (:mod:`repro.runtime.spans`)
-all hold one JSON object per line, under one policy:
+Run logs (:mod:`repro.owl.runlog`, which also carry each run's span tree
+as ``begin``/``end`` events) and schedule logs (:mod:`repro.runtime.record`)
+hold one JSON object per line, under one policy:
 
 - **A record exists only if its line ends in a newline and parses** as a
   JSON object.  Blank lines are not records.

@@ -66,7 +66,7 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.report import (
     RaceReport,
@@ -345,13 +345,13 @@ def adopt_spans(tracer: Optional[SpanTracer], output: Dict, name: str,
     """Fold one item's spans into ``tracer`` in merge order.
 
     A live output's worker spans are adopted; a cache hit gets a single
-    ``name`` marker span with ``attrs`` instead.
+    ``name`` marker span (:meth:`SpanTracer.marker`) with ``attrs``, the
+    attrs of the live span it stands in for, instead.
     """
     if tracer is None:
         return
     if output.get("cached"):
-        with tracer.span(name, **attrs):
-            pass
+        tracer.marker(name, **attrs)
     elif output["spans"]:
         tracer.adopt(output["spans"])
 
@@ -387,18 +387,6 @@ def _verify_items(worker, stage: str, spec: ProgramSpec, field: str,
             for payload in payloads
         ]
     return sweep.tasks(worker, payloads, stage, keys)
-
-
-def _log_items(sweep, stage: str, items: Iterable[Dict],
-               outputs: Optional[Sequence[Dict]]) -> None:
-    """One ``item_done`` event per item, in item order (``outputs`` None:
-    the serial path, nothing cached); ``items`` is only drawn with a log."""
-    if sweep.log is None:
-        return
-    for index, fields in enumerate(items):
-        cached = outputs is not None and bool(outputs[index].get("cached"))
-        sweep.log.emit("item_done", stage=stage, index=index, **fields,
-                       cached=cached)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +435,13 @@ def verify_races_batch(spec: ProgramSpec, reports: Sequence[RaceReport],
     """Verify each report in its own worker; results keep report order.
 
     ``sweep`` (:class:`repro.owl.sweep.Sweep`) is the run's execution
-    context: its pool, cache and batch policy run the items, its tracer
-    adopts their spans, and its log receives one ``item_done`` event per
-    report, in report order, on every path.
+    context: its pool, cache and batch policy run the items, and its
+    tracer gets one ``verify_report`` span per report, in report order,
+    on every path.
     """
     reports = list(reports)
     if not reports:
         return []
-    outputs = None
     if not sweep.pooled(can_parallelize(spec)):
         outcomes = race_verifier_for(spec, sweep.tracer).verify_all(reports)
     else:
@@ -478,11 +465,10 @@ def verify_races_batch(spec: ProgramSpec, reports: Sequence[RaceReport],
             verification.runs_stopped_early = output["runs_stopped_early"]
             outcomes.append(verification)
             adopt_spans(sweep.tracer, output, "verify_report",
-                        report=report.uid, cached=True,
-                        verified=output["verified"])
-    _log_items(sweep, "race_verification", (
-        {"item": outcome.report.uid, "verified": outcome.verified}
-        for outcome in outcomes), outputs)
+                        report=report.uid, variable=report.variable,
+                        verified=output["verified"],
+                        runs_used=output["runs_used"],
+                        livelocks_resolved=output["livelocks_resolved"])
     return outcomes
 
 
@@ -518,13 +504,12 @@ def verify_vulns_batch(
     order and attack predicates never cross the process boundary; the
     parent re-matches against its own spec for the returned pairing.
     ``sweep`` is the execution context, as for :func:`verify_races_batch`;
-    its log receives one ``item_done`` event per vulnerability, in input
-    order, on every path.
+    its tracer gets one ``verify_vulnerability`` span per vulnerability,
+    in input order, on every path.
     """
     vulnerabilities = list(vulnerabilities)
     if not vulnerabilities:
         return []
-    outputs = None
     if not sweep.pooled(can_parallelize(spec)):
         outcomes = [
             _verify_vuln_serial(spec, vulnerability, tracer=sweep.tracer)
@@ -553,12 +538,11 @@ def verify_vulns_batch(
             verification.vm_steps = output["vm_steps"]
             outcomes.append((verification, ground_truth))
             adopt_spans(sweep.tracer, output, "verify_vulnerability",
-                        site=str(vulnerability.site.location), cached=True,
-                        realized=output["attack_realized"])
-    _log_items(sweep, "vulnerability_verification", (
-        {"item": str(verification.vulnerability.site.location),
-         "realized": verification.attack_realized}
-        for verification, _ in outcomes), outputs)
+                        site=str(vulnerability.site.location),
+                        site_type=vulnerability.site_type.value,
+                        site_reached=output["site_reached"],
+                        attack_realized=output["attack_realized"],
+                        runs_used=output["runs_used"])
     return outcomes
 
 

@@ -41,7 +41,7 @@ from repro.detectors.annotations import annotations_from_payload
 from repro.detectors.predict import PredictPolicy
 from repro.detectors.report import ReportSet
 from repro.detectors.seed import SeedRun, run_seed
-from repro.owl.sweep import merge_runs
+from repro.owl.sweep import merge_runs, seed_span_attrs
 from repro.runtime.coverage import CoverageMap, SeedCoverage
 
 #: Schedule-family ladders: the base rung first, then each escalation.
@@ -240,7 +240,8 @@ def _run_predict_wave(module, job, sweep, predict_policy, world_factory=None):
     coverage *pre-seeded* with every predicted static pair — the delta
     that makes later waves dry when they only rediscover what prediction
     already decided.  Serial and deterministic at any job count; cached
-    as one ``predict`` entry keyed by the job and the policy.
+    as one ``predict`` entry keyed by the job and the policy, whose hit
+    records a ``cached=True`` ``detect_seed`` marker like any cached seed.
     """
     from repro.detectors.predict import PredictionResult, predict_from_log
 
@@ -253,6 +254,8 @@ def _run_predict_wave(module, job, sweep, predict_policy, world_factory=None):
     if hit is not None:
         prediction = PredictionResult.from_payload(module, hit["prediction"])
         run = SeedRun.from_payload(module, job, hit, cached=True)
+        if sweep.tracer is not None:
+            sweep.tracer.marker("detect_seed", **seed_span_attrs(run))
     else:
         run = run_seed(job, module=module, tracer=sweep.tracer)
         prediction = predict_from_log(
@@ -272,7 +275,6 @@ def _run_predict_wave(module, job, sweep, predict_policy, world_factory=None):
             del entry["log"]  # the prediction already consumed it
             entry["prediction"] = prediction.to_payload()
             cache.put("predict", key, entry)
-    sweep.announce(run)
     reports = ReportSet()
     reports.merge(run.reports)
     for item in prediction.predictions:
@@ -294,7 +296,8 @@ def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
     are the prefix of the blind sweep's ``range()`` under the same base
     family, so a run that saturates before escalating finds exactly the
     fixed prefix's races.  The :class:`ExplorationResult` lands on
-    ``sweep.exploration``; ``sweep.log`` gets one ``wave_done`` per wave.
+    ``sweep.exploration``; ``sweep.tracer`` gets one instant ``wave`` span
+    per wave, after the wave's seeds.
 
     Every job tracks coverage through the
     :class:`repro.runtime.coverage.SwitchTracker` wrapper, which observes
@@ -357,9 +360,9 @@ def explore_seeds(module, base, sweep, explore: Optional[ExplorePolicy] = None,
             result.coverage.distinct_schedules - signatures_before,
             result.coverage.total_pairs, escalated=escalated,
         ))
-        if sweep.log is not None:
-            sweep.log.emit(
-                "wave_done", index=len(result.waves) - 1, seeds=wave_seeds,
+        if sweep.tracer is not None:
+            sweep.tracer.instant(
+                "wave", index=len(result.waves) - 1, seeds=wave_seeds,
                 scheduler=scheduler, depth=wave_depth, new_pairs=new_pairs,
                 total_pairs=result.coverage.total_pairs,
                 dry=new_pairs == 0, escalated=escalated,

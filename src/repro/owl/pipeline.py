@@ -224,7 +224,7 @@ class OwlPipeline:
     for both serial and parallel runs.  Every stage runs through the run's
     one :class:`repro.owl.sweep.Sweep`: its pool, cache, batch policy
     (built from ``item_timeout``/``retries``; the metrics ``"batch"``
-    block), span tracer and log.
+    block) and span tracer.
 
     With a ``cache`` (:class:`repro.owl.cache.ResultCache`) every stage's
     unit results are answered from disk when their content key matches a
@@ -265,16 +265,17 @@ class OwlPipeline:
 
     Every run assembles a deterministic **telemetry snapshot**
     (:mod:`repro.runtime.telemetry`): stage/work counters, per-seed step
-    and report histograms, the cache's and batch policy's registries, the
-    span count — everything job-count invariant — into the
+    and report histograms, the cache's and batch policy's registries —
+    everything job-count invariant — into the
     metrics JSON ``"telemetry"`` block and ``result.telemetry``.
     ``profile=K`` additionally samples the detector stages' VMs every K
     scheduler decisions (:mod:`repro.runtime.profiler`; live runs only —
     off by default, zero overhead when off), merging per-seed profiles in
     seed order into ``result.profile``.  ``log``
-    (:class:`repro.owl.runlog.RunLog`) records the run's progress events —
-    the config first, then stages, seeds, waves, verification items — as
-    it executes, for ``owl watch``, ``owl status`` and ``owl resume``.
+    (:class:`repro.owl.runlog.RunLog`) records the run as it executes: the
+    config first, then every span of ``result.spans`` (each stage span
+    carrying its metrics row), then the outcome — the one event stream
+    behind ``owl watch``, ``owl status``, ``owl resume`` and ``owl trace``.
     """
 
     def __init__(self, spec: ProgramSpec,
@@ -303,7 +304,7 @@ class OwlPipeline:
         jobs = max(1, int(config.jobs)) if can_parallelize(self.spec) else 1
         result = PipelineResult(self.spec)
         result.metrics = PipelineMetrics(self.spec.name, jobs=jobs)
-        result.spans = SpanTracer()
+        result.spans = SpanTracer(log=self.log)
         result.provenance = ProvenanceLog(self.spec.name)
         from repro.runtime.telemetry import MetricsRegistry
 
@@ -323,11 +324,10 @@ class OwlPipeline:
         policy = BatchPolicy(timeout=config.item_timeout,
                              retries=config.retries)
         self._sweep = Sweep(jobs=jobs, executor=executor, cache=self.cache,
-                            policy=policy, tracer=result.spans, log=log)
+                            policy=policy, tracer=result.spans)
         started = time.perf_counter()
         try:
-            with result.spans.span("pipeline", program=self.spec.name,
-                                   jobs=jobs):
+            with result.spans.span("pipeline", program=self.spec.name):
                 self._stage_detect(result)
                 self._stage_schedule_reduction(result)
                 self._stage_race_verification(result)
@@ -362,7 +362,7 @@ class OwlPipeline:
 
         Everything here is job-count invariant — stage work counters,
         Table-3 counters, cache/batch registries (merged in a fixed
-        order), the adopted span count — so the snapshot is bit-identical
+        order) — so the snapshot is bit-identical
         between ``jobs=1`` and ``jobs=N`` runs on the same seeds.  Wall
         clock stays out (it lives in the stage metrics).
         """
@@ -440,42 +440,34 @@ class OwlPipeline:
 
     @contextmanager
     def _stage(self, result: PipelineResult, name: str, unit: str):
-        """Record one pipeline stage; yields ``(stage, span)``.
+        """Record one pipeline stage; yields its metrics entry.
 
-        The stage's metrics entry times the body and, with a cache, gains
-        the body's ``cache_hits``/``cache_misses`` deltas; a
-        ``stage:<name>`` span covers the body; the run log gets
-        ``stage_begin`` before it and ``stage_end`` only if it completes.
+        The entry times the body and, with a cache, gains the body's
+        ``cache_hits``/``cache_misses`` deltas; a ``stage:<name>`` span
+        covers the body and, once it completes, carries the entry's
+        counts (the run log's stage row).
         """
-        log, cache = self.log, self.cache
-        if log is not None:
-            log.emit("stage_begin", stage=name)
+        cache = self.cache
         with result.metrics.stage(name, unit=unit) as stage, \
                 result.spans.span("stage:" + name) as span:
             marks = (cache.hits, cache.misses) if cache is not None else None
-            yield stage, span
+            yield stage
             if marks is not None:
                 stage.extra["cache_hits"] = cache.hits - marks[0]
                 stage.extra["cache_misses"] = cache.misses - marks[1]
-        if log is not None:
-            log.emit(
-                "stage_end", stage=name, items=stage.items, runs=stage.runs,
-                cache_hits=stage.extra.get("cache_hits"),
-                cache_misses=stage.extra.get("cache_misses"),
-            )
+            span.attrs.update(stage.counts())
 
     # ------------------------------------------------------------------
     # stage 1: concurrency error detection
 
     def _stage_detect(self, result: PipelineResult) -> None:
-        with self._stage(result, "detect", "reports") as (stage, span):
+        with self._stage(result, "detect", "reports") as stage:
             stats: List = []
             reports = self._run_detector(result, stats)
             stage.absorb_run_stats(stats)
             self._observe_seed_stats(stats)
             stage.items = len(reports)
-            self._record_explore(result, stage, span, primary=True)
-            span.attrs.update(reports=len(reports), runs=stage.runs)
+            self._record_explore(result, stage, primary=True)
         result.raw_reports = reports
         result.counters.raw_reports = len(reports)
         seeds_run = (
@@ -528,7 +520,7 @@ class OwlPipeline:
             steps.observe(stat.steps)
             reports.observe(stat.reports)
 
-    def _record_explore(self, result: PipelineResult, stage, span,
+    def _record_explore(self, result: PipelineResult, stage,
                         primary: bool = False) -> None:
         """Fold the latest exploration run into stage extras and metrics.
 
@@ -544,10 +536,6 @@ class OwlPipeline:
         stage.extra["seeds_skipped"] = exploration.seeds_skipped
         stage.extra["saturation_wave"] = exploration.saturation_wave
         stage.extra["explored_pairs"] = exploration.coverage.total_pairs
-        span.attrs.update(
-            seeds_executed=exploration.seeds_executed,
-            saturated=exploration.saturated,
-        )
         if primary:
             result.explore = exploration
             result.metrics.blocks["explore"] = exploration.metrics_block()
@@ -560,8 +548,7 @@ class OwlPipeline:
     # stage 2: schedule reduction (section 5.1)
 
     def _stage_schedule_reduction(self, result: PipelineResult) -> None:
-        with self._stage(result, "schedule_reduction",
-                         "reports") as (stage, span):
+        with self._stage(result, "schedule_reduction", "reports") as stage:
             annotations = self._classify_adhoc(result)
             result.annotations = annotations
             result.counters.adhoc_syncs = annotations.unique_static_count()
@@ -570,15 +557,11 @@ class OwlPipeline:
                 reports = self._run_detector(result, stats, annotations)
                 stage.absorb_run_stats(stats)
                 self._observe_seed_stats(stats)
-                self._record_explore(result, stage, span)
+                self._record_explore(result, stage)
             else:
                 reports = result.raw_reports
             stage.items = len(reports)
             stage.extra["adhoc_syncs"] = annotations.unique_static_count()
-            span.attrs.update(
-                adhoc_syncs=annotations.unique_static_count(),
-                reports=len(reports),
-            )
         result.annotated_reports = reports
         result.counters.after_annotation = len(reports)
         survivors = {report.uid for report in reports}
@@ -650,8 +633,7 @@ class OwlPipeline:
     # stage 3: dynamic race verification (section 5.2)
 
     def _stage_race_verification(self, result: PipelineResult) -> None:
-        with self._stage(result, "race_verification",
-                         "reports") as (stage, span):
+        with self._stage(result, "race_verification", "reports") as stage:
             result.verifications = verify_races_batch(
                 self.spec, result.annotated_reports, self._sweep)
             stage.items = len(result.verifications)
@@ -659,9 +641,6 @@ class OwlPipeline:
             stage.vm_steps = sum(v.vm_steps for v in result.verifications)
             self._registry.counter("race_verify.runs_stopped_early").inc(
                 sum(v.runs_stopped_early for v in result.verifications))
-            span.attrs.update(
-                reports=len(result.verifications), runs=stage.runs,
-            )
         result.remaining_reports = [
             verification.report for verification in result.verifications
             if verification.verified
@@ -699,7 +678,7 @@ class OwlPipeline:
 
     def _stage_vulnerability_analysis(self, result: PipelineResult) -> None:
         with self._stage(result, "vulnerability_analysis",
-                         "reports") as (stage, span):
+                         "reports") as stage:
             module = self.spec.build()
             analyzer = VulnerabilityAnalyzer(module, tracer=result.spans)
             reports = usable_reports(result.remaining_reports)
@@ -718,11 +697,10 @@ class OwlPipeline:
                         found = [vuln_from_payload(module, payload)
                                  for payload in value["vulns"]]
                         budget_exhausted = value["budget_exhausted"]
-                        with result.spans.span("analyze_report",
-                                               report=report.uid,
-                                               cached=True,
-                                               sites=len(found)):
-                            pass
+                        result.spans.marker(
+                            "analyze_report", report=report.uid,
+                            sites=len(found),
+                            budget_exhausted=budget_exhausted)
                         self._record_analysis(result, report, found,
                                               budget_exhausted)
                         vulnerabilities.extend(found)
@@ -741,10 +719,6 @@ class OwlPipeline:
             result.vulnerabilities = self._dedup(vulnerabilities)
             stage.items = len(reports)
             stage.extra["vulnerability_reports"] = len(result.vulnerabilities)
-            span.attrs.update(
-                reports=len(reports),
-                vulnerability_reports=len(result.vulnerabilities),
-            )
         result.counters.vulnerability_reports = len(result.vulnerabilities)
         result.counters.analysis_seconds_per_report = (
             elapsed / len(reports) if reports else 0.0
@@ -785,7 +759,7 @@ class OwlPipeline:
     def _stage_vulnerability_verification(self,
                                           result: PipelineResult) -> None:
         with self._stage(result, "vulnerability_verification",
-                         "vulnerabilities") as (stage, span):
+                         "vulnerabilities") as stage:
             pairs = verify_vulns_batch(
                 self.spec, result.vulnerabilities, self._sweep)
             for vulnerability, (verification, ground_truth) in zip(
@@ -817,11 +791,4 @@ class OwlPipeline:
             )
             stage.vm_steps = sum(
                 verification.vm_steps for verification, _ in pairs
-            )
-            span.attrs.update(
-                vulnerabilities=len(pairs),
-                realized=sum(
-                    1 for verification, _ in pairs
-                    if verification.attack_realized
-                ),
             )

@@ -109,14 +109,8 @@ _CLEAN_REASONS = (ExecutionResult.FINISHED, ExecutionResult.EXITED)
 
 def _run_vm(spec, module: Module, scheduler, seed: int,
             inputs: Optional[Dict] = None) -> Tuple[VM, object]:
-    vm = VM(
-        module,
-        scheduler=scheduler,
-        world=spec.initial_world() if spec.initial_world is not None else None,
-        inputs=spec.workload_inputs if inputs is None else inputs,
-        max_steps=spec.max_steps,
-        seed=seed,
-    )
+    vm = spec.make_vm(seed, inputs=inputs, scheduler=scheduler,
+                      module=module)
     vm.start(spec.entry)
     result = vm.run()
     return vm, result
@@ -327,8 +321,7 @@ def gate_detector(spec, patched: Module, static_key,
             max_steps=spec.max_steps,
             scheduler=RandomScheduler(seed),
             scheduler_label="random",
-            world=(spec.initial_world()
-                   if spec.initial_world is not None else None),
+            world=spec.make_world(),
             program=spec.name,
         )
         predicted = predict_from_log(
@@ -372,21 +365,11 @@ def _drive_attack(spec, patched: Module, payload: Dict, truth) -> bool:
 
     vulnerability = vuln_from_payload(patched, payload)
 
-    def factory(seed: int, _inputs=truth.subtle_inputs) -> VM:
-        return VM(
-            patched,
-            scheduler=RandomScheduler(seed),
-            world=(spec.initial_world()
-                   if spec.initial_world is not None else None),
-            inputs=_inputs,
-            max_steps=spec.max_steps,
-            seed=seed,
-        )
-
     verifier = DynamicVulnerabilityVerifier(
         patched, entry=spec.entry, inputs=truth.subtle_inputs,
         seeds=spec.verify_seeds, max_steps=spec.max_steps,
-        vm_factory=factory,
+        vm_factory=lambda seed: spec.make_vm(
+            seed, inputs=truth.subtle_inputs, module=patched),
         attack_predicate=truth.predicate,
         racing_order=(truth.racing_order, ""),
     )

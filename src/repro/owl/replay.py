@@ -68,10 +68,6 @@ def discover_seeds(record_dir: str, program: str) -> List[int]:
     return sorted(seeds)
 
 
-def _spec_world(spec: ProgramSpec):
-    return spec.initial_world() if spec.initial_world is not None else None
-
-
 def record_spec_seed(spec: ProgramSpec, module, seed: int,
                      fingerprint: bool = False):
     """Record one bare (detector-free) execution of ``spec``.
@@ -85,7 +81,7 @@ def record_spec_seed(spec: ProgramSpec, module, seed: int,
     return record_seed(
         module, seed, entry=spec.entry, inputs=spec.workload_inputs,
         max_steps=spec.max_steps, scheduler=scheduler,
-        scheduler_label=type(scheduler).__name__, world=_spec_world(spec),
+        scheduler_label=type(scheduler).__name__, world=spec.make_world(),
         program=spec.name, fingerprint=fingerprint,
     )
 
@@ -201,7 +197,7 @@ class ReplaySource:
                 outcome = replay_log(
                     module, log, observers=[detector],
                     inputs=self.spec.workload_inputs,
-                    world=_spec_world(self.spec),
+                    world=self.spec.make_world(),
                 )
                 if span is not None:
                     span.attrs.update(
@@ -278,5 +274,5 @@ def predict_program(
             log.save(path)
     return predict_from_log(
         module, log, annotations=annotations, inputs=spec.workload_inputs,
-        world_factory=lambda: _spec_world(spec), policy=policy,
+        world_factory=spec.make_world, policy=policy,
     )

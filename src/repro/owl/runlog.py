@@ -1,36 +1,50 @@
-"""The run log: one JSON-lines event log per pipeline run.
+"""The run log: one JSON-lines event stream per pipeline run.
 
-``owl watch`` follows it live, ``owl status`` summarizes it and ``owl
-resume`` finishes the run it describes; all three are views over one
-parsed :class:`RunState`.  Lines go through :mod:`repro.jsonl`, so a
-killed run leaves a readable prefix (at worst one torn tail, dropped and
-counted) and a damaged interior line fails loudly with file and line.
+A run writes its configuration, then every span of its span tree
+(:mod:`repro.runtime.spans`) as it records it, then its outcome.  ``owl
+watch`` follows the log live, ``owl status`` summarizes it, ``owl
+resume`` finishes the run it describes and ``owl trace`` rebuilds its
+span tree; all four are views over one parsed :class:`RunState`, and this
+module is the only code that knows the layout.  Lines go through
+:mod:`repro.jsonl`, so a killed run leaves a readable prefix (at worst
+one torn tail, dropped and counted) and a damaged interior line fails
+loudly with file and line.
 
 Layout (one event per line)::
 
-    {"event": "run_begin", "schema": 1, "program": "apache",
+    {"event": "run_begin", "schema": 2, "program": "apache",
      "cache_dir": "...", "config": {"jobs": 2, "explore": null,
      "profile": null, "item_timeout": null, "retries": 2},
      "replay": false, "command": "detect", "export_path": null,
      "metrics_path": "m.json", "resumed": false, "torn": 0, "pid": 4242,
      "seq": 0, "wall": 1.7e9}
-    {"event": "stage_begin", "stage": "detect", ...}
-    {"event": "seed_done", "stage": "detect", "seed": 0, "detector": "tsan",
-     "steps": 812, "reports": 3, "cached": false, ...}
-    {"event": "wave_done", "index": 0, "seeds": [0, 1, 2, 3], ...}
-    {"event": "stage_end", "stage": "detect", "items": 16, "runs": 20,
-     "cache_hits": 0, "cache_misses": 20, ...}
-    {"event": "item_done", "stage": "race_verification", "index": 0,
-     "item": "r13-28", "verified": true, "cached": false, ...}
+    {"event": "begin", "id": 2, "parent": 1, "name": "stage:detect",
+     "track": 0, "ts_us": 41.2, ...}
+    {"event": "begin", "id": 3, "parent": 2, "name": "detect_seed", ...}
+    {"event": "end", "id": 3, "name": "detect_seed", "ts_us": 9120.5,
+     "attrs": {"seed": 0, "detector": "tsan", "steps": 812,
+               "reason": "finished", "reports": 3}, ...}
+    {"event": "end", "id": 2, "name": "stage:detect", "attrs": {
+     "unit": "reports", "items": 16, "runs": 20, "vm_steps": 16240,
+     "accesses": 2210, "cache_hits": 0, "cache_misses": 20}, ...}
+    {"event": "end", "id": 31, "name": "verify_report", "attrs": {
+     "report": "r13-28", "verified": true, "runs_used": 1, ...}, ...}
     {"event": "run_end", "raw_reports": 16, "remaining": 4, "attacks": 1,
      ...}
 
 ``config`` is the run's whole :class:`repro.owl.pipeline.PipelineConfig`;
 ``command`` names the CLI command that wrote the log (null for a library
-run).  ``wave_done`` appears only in exploring runs.  Every event carries
-``seq`` and ``wall``.  Apart from those, ``pid``, ``cached``, the
-run-configuration fields of ``run_begin`` and the stage cache counts, a
-run's events are the same at any job count, cached or not.
+run).  Each span writes one ``begin`` (its id, parent, name and Chrome
+track) when it opens and one ``end`` (its final ``attrs``) when its body
+completes; a body that raised writes no ``end``.  ``ts_us`` is
+microseconds from the run's tracer origin.  A ``stage:<name>`` span's
+attrs are the stage's metrics row (:meth:`StageMetrics.counts`); an
+exploring run adds one instant ``wave`` span per wave; a result-cache
+hit is one ``cached=True`` marker span carrying the live span's attrs.
+Every event carries ``seq`` and ``wall``.  Apart from those, ``pid``,
+``ts_us``, ``track``, the run-configuration fields of ``run_begin`` and
+the stage cache counts, a run's events are the same at any job count
+(cold cache or none).
 
 A killed run leaves a log without ``run_end``.  :func:`resume` rebuilds
 the logged config, appends a ``run_begin`` with ``resumed: true`` and the
@@ -51,9 +65,17 @@ import time
 from typing import Dict, Optional
 
 from repro import jsonl
+from repro.runtime.spans import Span, SpanTracer
 
-#: Version stamped into every ``run_begin`` event.
-RUNLOG_SCHEMA = 1
+#: Version stamped into every ``run_begin`` event: a log of any other
+#: schema is refused, not misread.
+RUNLOG_SCHEMA = 2
+
+#: Span names behind the progress counts of :class:`RunState`.
+STAGE = "stage:"
+SEED = "detect_seed"
+WAVE = "wave"
+ITEMS = ("verify_report", "verify_vulnerability")
 
 
 def runlog_path(directory: str, program: str) -> str:
@@ -67,7 +89,8 @@ class RunLog:
     ``export_path``/``metrics_path`` name the files the run writes, so a
     resume can rewrite them; ``command`` names the CLI command running.
     A fresh log replaces any file at ``path``; ``resumed=True`` appends to
-    it instead.
+    it instead.  The run's :class:`repro.runtime.spans.SpanTracer` writes
+    its spans through :meth:`span_begin` and :meth:`span_end`.
     """
 
     def __init__(self, path: str, export_path: Optional[str] = None,
@@ -108,6 +131,14 @@ class RunLog:
             return
         self.seq += 1
 
+    def span_begin(self, span: Span, ts_us: float) -> None:
+        self.emit("begin", id=span.sid, parent=span.parent, name=span.name,
+                  track=span.track, ts_us=round(ts_us, 3))
+
+    def span_end(self, span: Span, ts_us: float) -> None:
+        self.emit("end", id=span.sid, name=span.name,
+                  ts_us=round(ts_us, 3), attrs=span.attrs)
+
     def close(self) -> None:
         self._closed = True
         writer, self._writer = self._writer, None
@@ -122,8 +153,8 @@ class RunState:
     """What a run log says about its run.
 
     Fold events in with :meth:`absorb`.  ``begin`` is the latest
-    ``run_begin`` (the run's configuration); the progress counters cover
-    the events since it.
+    ``run_begin`` (the run's configuration); the progress counters and
+    the span tree cover the events since it.
     """
 
     def __init__(self, path: str):
@@ -133,8 +164,15 @@ class RunState:
         self.resumes = 0
         #: Torn tails dropped: by each resume's append, and by this read.
         self.torn = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        #: The open stage span's stage name.
         self.stage: Optional[str] = None
+        #: Items finished in that stage.
+        self.stage_items = 0
         self.seeds = self.waves = self.items = 0
+        self._spans: Dict[int, Span] = {}
 
     @property
     def begun(self) -> bool:
@@ -158,18 +196,40 @@ class RunState:
                     % (self.path, event.get("schema"), RUNLOG_SCHEMA))
             self.resumes += bool(event.get("resumed"))
             self.torn += event.get("torn", 0)
-            self.begin, self.end, self.stage = event, None, None
-            self.seeds = self.waves = self.items = 0
-        elif kind in ("stage_begin", "stage_end"):
-            self.stage = event.get("stage") if kind == "stage_begin" else None
-        elif kind == "seed_done":
-            self.seeds += 1
-        elif kind == "wave_done":
-            self.waves += 1
-        elif kind == "item_done":
-            self.items += 1
+            self.begin, self.end = event, None
+            self._reset()
+        elif kind == "begin":
+            name = event["name"]
+            self._spans[event["id"]] = Span(
+                name, event["id"], parent=event["parent"],
+                track=event["track"], start=event["ts_us"] / 1e6)
+            if name.startswith(STAGE):
+                self.stage, self.stage_items = name[len(STAGE):], 0
+        elif kind == "end":
+            span = self._spans.get(event["id"])
+            if span is not None:
+                span.end = event["ts_us"] / 1e6
+                span.attrs = event["attrs"]
+            name = event["name"]
+            if name.startswith(STAGE):
+                self.stage = None
+            elif name == SEED:
+                self.seeds += 1
+            elif name == WAVE:
+                self.waves += 1
+            elif name in ITEMS:
+                self.items += 1
+                self.stage_items += 1
         elif kind == "run_end":
             self.end = event
+
+    def tracer(self) -> SpanTracer:
+        """The span tree since the latest ``run_begin``, as logged (times
+        in seconds from the run's tracer origin; a span whose ``end`` was
+        never written stays open)."""
+        tracer = SpanTracer(clock=lambda: 0.0)
+        tracer.spans = list(self._spans.values())
+        return tracer
 
     def summary(self) -> str:
         """One line: ``owl status`` prints it per log, ``owl resume``
@@ -269,8 +329,12 @@ def resume(path: str, jobs: Optional[int] = None):
     return result, state
 
 
-def render_event(event: Dict) -> Optional[str]:
-    """One human-readable ``owl watch`` line (None: not worth a line)."""
+def render_event(event: Dict, state: RunState) -> Optional[str]:
+    """One human-readable ``owl watch`` line (None: not worth a line).
+
+    ``state`` has already absorbed ``event``: it knows which stage an
+    item belongs to and the item's index in it.
+    """
     kind = event.get("event")
     if kind == "run_begin":
         config = event.get("config") or {}
@@ -281,39 +345,42 @@ def render_event(event: Dict) -> Optional[str]:
         return "run %s (jobs=%s%s)" % (
             event.get("program"), config.get("jobs"),
             "".join(", " + extra for extra in extras))
-    if kind == "stage_begin":
-        return "stage %s ..." % event.get("stage")
-    if kind == "stage_end":
-        parts = ["stage %s done" % event.get("stage")]
-        if event.get("items") is not None:
-            parts.append("%s items" % event["items"])
-        if event.get("cache_hits") or event.get("cache_misses"):
-            parts.append("cache %s hit/%s miss" % (
-                event.get("cache_hits", 0), event.get("cache_misses", 0)))
-        return "  ".join(parts)
-    if kind == "seed_done":
-        return "  seed %-4s %-5s steps=%-7s reports=%s%s" % (
-            event.get("seed"), event.get("detector", ""),
-            event.get("steps"), event.get("reports"),
-            "  [cached]" if event.get("cached") else "")
-    if kind == "wave_done":
-        return "  wave %s: seeds %s  %s/d%s  +%s pairs (%s total)%s%s" % (
-            event.get("index"), event.get("seeds"),
-            event.get("scheduler"), event.get("depth"),
-            event.get("new_pairs"), event.get("total_pairs"),
-            "  [dry]" if event.get("dry") else "",
-            "  [saturated]" if event.get("saturated") else "")
-    if kind == "item_done":
-        verdict = ""
-        if "verified" in event:
-            verdict = "verified" if event["verified"] else "unverified"
-        elif "realized" in event:
-            verdict = "attack" if event["realized"] else "benign"
-        return "  %s[%s] %s  %s%s" % (
-            event.get("stage"), event.get("index"), event.get("item"),
-            verdict, "  [cached]" if event.get("cached") else "")
     if kind == "run_end":
         return "run complete: %s raw reports -> %s remaining, %s attacks" % (
             event.get("raw_reports"), event.get("remaining"),
             event.get("attacks"))
+    name = event.get("name", "")
+    if kind == "begin" and name.startswith(STAGE):
+        return "stage %s ..." % name[len(STAGE):]
+    if kind != "end":
+        return None
+    attrs = event.get("attrs", {})
+    cached = "  [cached]" if attrs.get("cached") else ""
+    if name.startswith(STAGE):
+        parts = ["stage %s done" % name[len(STAGE):],
+                 "%s items" % attrs.get("items")]
+        if attrs.get("cache_hits") or attrs.get("cache_misses"):
+            parts.append("cache %s hit/%s miss" % (
+                attrs.get("cache_hits", 0), attrs.get("cache_misses", 0)))
+        return "  ".join(parts)
+    if name == SEED:
+        return "  seed %-4s %-5s steps=%-7s reports=%s%s" % (
+            attrs.get("seed"), attrs.get("detector", ""),
+            attrs.get("steps"), attrs.get("reports"), cached)
+    if name == WAVE:
+        return "  wave %s: seeds %s  %s/d%s  +%s pairs (%s total)%s%s" % (
+            attrs.get("index"), attrs.get("seeds"),
+            attrs.get("scheduler"), attrs.get("depth"),
+            attrs.get("new_pairs"), attrs.get("total_pairs"),
+            "  [dry]" if attrs.get("dry") else "",
+            "  [saturated]" if attrs.get("saturated") else "")
+    if name in ITEMS:
+        if name == "verify_report":
+            item = attrs.get("report")
+            verdict = "verified" if attrs.get("verified") else "unverified"
+        else:
+            item = attrs.get("site")
+            verdict = "attack" if attrs.get("attack_realized") else "benign"
+        return "  %s[%s] %s  %s%s" % (
+            state.stage, state.stage_items - 1, item, verdict, cached)
     return None

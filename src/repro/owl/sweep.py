@@ -10,11 +10,11 @@ many seeds; the :class:`Sweep` context picks the strategy:
 - **explore** — coverage-guided waves (:mod:`repro.owl.explore`), each run
   by one of the above.
 
-Runs come back in seed order, so reports, stats, coverage, spans and
-run-log events are identical at any job count.  Cache keys are
-:meth:`SeedJob.key_parts`, so no seed option can be left out of one.
-Pooling and caching need a job ``source`` workers can rebuild the module
-from; jobs without one run serially, uncached.
+Runs come back in seed order, so reports, stats, coverage and spans
+(with the run-log events they write) are identical at any job count.
+Cache keys are :meth:`SeedJob.key_parts`, so no seed option can be left
+out of one.  Pooling and caching need a job ``source`` workers can
+rebuild the module from; jobs without one run serially, uncached.
 """
 
 from __future__ import annotations
@@ -33,22 +33,20 @@ class Sweep:
     ``jobs``/``executor`` size (or supply) the process pool, ``cache``
     (:class:`repro.owl.cache.ResultCache`) answers already-computed jobs
     from disk, ``policy`` (:class:`repro.owl.batch.BatchPolicy`) bounds
-    each pooled item's wait and retries, ``tracer`` collects one
-    ``detect_seed`` span per execution, and ``log``
-    (:class:`repro.owl.runlog.RunLog`) receives one ``seed_done`` event
-    per job.  A pipeline run holds one sweep, and its verification stages
-    run through the same context (:func:`repro.owl.batch.verify_races_batch`,
+    each pooled item's wait and retries, and ``tracer`` collects one
+    ``detect_seed`` span per job (a cached job's is a marker).  A pipeline
+    run holds one sweep, and its verification stages run through the
+    same context (:func:`repro.owl.batch.verify_races_batch`,
     :func:`repro.owl.batch.verify_vulns_batch`).
     """
 
     def __init__(self, jobs: int = 1, executor=None, cache=None, policy=None,
-                 tracer: Optional[SpanTracer] = None, log=None):
+                 tracer: Optional[SpanTracer] = None):
         self.jobs = max(1, int(jobs or 1))
         self.executor = executor
         self.cache = cache
         self.policy = policy
         self.tracer = tracer
-        self.log = log
         #: The :class:`repro.owl.explore.ExplorationResult` of the latest
         #: exploring sweep run through this context.
         self.exploration = None
@@ -84,19 +82,8 @@ class Sweep:
             return []
         if self.pooled(seed_jobs[0].source is not None):
             return self._run_pooled(module, seed_jobs)
-        runs = []
-        for job in seed_jobs:
-            run = run_seed(job, module=module, tracer=self.tracer)
-            self.announce(run)
-            runs.append(run)
-        return runs
-
-    def announce(self, run: SeedRun) -> None:
-        """The log's ``seed_done`` event for one finished job."""
-        if self.log is not None:
-            self.log.emit("seed_done", stage="detect", seed=run.job.seed,
-                          detector=run.job.kind, steps=run.stats.steps,
-                          reports=run.stats.reports, cached=run.cached)
+        return [run_seed(job, module=module, tracer=self.tracer)
+                for job in seed_jobs]
 
     # ------------------------------------------------------------------
     # the pool strategy
@@ -140,11 +127,18 @@ class Sweep:
                                      cached=bool(output.get("cached")))
                 for job, output in zip(seed_jobs, outputs)]
         for run, output in zip(runs, outputs):
-            self.announce(run)
             batch.adopt_spans(self.tracer, output, "detect_seed",
-                              seed=run.job.seed, detector=run.job.kind,
-                              cached=True, reports=run.stats.reports)
+                              **seed_span_attrs(run))
         return runs
+
+
+def seed_span_attrs(run: SeedRun) -> Dict:
+    """The attrs :func:`repro.detectors.seed.run_seed` gives a job's
+    ``detect_seed`` span: a cached run's marker carries them too."""
+    stats = run.stats
+    return {"seed": run.job.seed, "detector": run.job.kind,
+            "steps": stats.steps, "reason": stats.reason,
+            "reports": stats.reports}
 
 
 def _seed_worker(job: SeedJob) -> Dict:

@@ -222,15 +222,8 @@ def fingerprint_run(spec, seed: int, reference: bool = False,
     job = spec_job(spec).replace(seed=seed, scheduler=family)
     with (reference_execution() if reference else
           stepwise_execution() if stepwise else nullcontext()):
-        vm = VM(
-            spec.build(),
-            scheduler=make_scheduler(job),
-            world=(spec.initial_world()
-                   if spec.initial_world is not None else None),
-            inputs=spec.workload_inputs,
-            max_steps=max_steps or spec.max_steps,
-            seed=seed,
-        )
+        vm = spec.make_vm(seed, scheduler=make_scheduler(job),
+                          max_steps=max_steps)
     engine = vm.fuse_engine
     fused_before = engine.fused_steps if engine is not None else 0
     recorder = TraceRecorder()
@@ -682,15 +675,9 @@ def benchmark_fused(spec, seeds: Sequence[int] = range(10),
                           ("fused", nullcontext)):
         for seed in seeds:
             with context():
-                vm = VM(
-                    module,
-                    scheduler=RoundRobinScheduler(quantum=quantum),
-                    world=(spec.initial_world()
-                           if spec.initial_world is not None else None),
-                    inputs=spec.workload_inputs,
-                    max_steps=max_steps or spec.max_steps,
-                    seed=seed,
-                )
+                vm = spec.make_vm(
+                    seed, scheduler=RoundRobinScheduler(quantum=quantum),
+                    max_steps=max_steps, module=module)
             started = time.perf_counter()
             vm.start(spec.entry)
             result = vm.run()

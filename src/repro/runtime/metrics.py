@@ -153,6 +153,14 @@ class StageMetrics:
             return 0.0
         return self.items / self.wall_seconds
 
+    def counts(self) -> Dict:
+        """The row without its name and timings: what the stage's span
+        carries into the run log (:mod:`repro.owl.runlog`)."""
+        data = {"unit": self.unit, "items": self.items, "runs": self.runs,
+                "vm_steps": self.vm_steps, "accesses": self.accesses}
+        data.update(self.extra)
+        return data
+
     def as_dict(self) -> Dict:
         data = {
             "name": self.name,

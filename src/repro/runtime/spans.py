@@ -4,40 +4,43 @@ Where :mod:`repro.runtime.metrics` answers "how much work did each stage
 do?", spans answer "where did this particular run spend its time, and on
 what?".  A :class:`SpanTracer` records a tree of timed spans — the pipeline
 root, one span per stage, one per VM execution (detector seeds, race-verifier
-attempts, vulnerability re-runs), one per Algorithm-1 propagation frame — and
-exports the tree two ways:
+attempts, vulnerability re-runs), one per Algorithm-1 propagation frame.
 
-- **JSON lines** (:meth:`SpanTracer.to_jsonl`, written through
-  :mod:`repro.jsonl`): one object per span, with
-  ``id``/``parent`` links, microsecond timestamps relative to the trace
-  origin, and the span's attributes — easy to grep and diff;
-- **Chrome ``trace_event`` format** (:meth:`SpanTracer.chrome_trace`):
-  ``B``/``E`` duration events that load directly in ``chrome://tracing`` or
-  Perfetto.
+A tracer given a run log (:class:`repro.owl.runlog.RunLog`) writes every
+span into it as it records it: one ``begin`` event when the span opens and
+one ``end`` event, carrying the span's final attributes, when its body
+completes (a body that raises writes no ``end``).  That log is the run's
+one event stream: ``owl watch``, ``owl status``, ``owl resume`` and ``owl
+trace`` all read it, and :mod:`repro.owl.runlog` alone knows its layout.
+:meth:`SpanTracer.chrome_trace` renders a tree — live, or rebuilt from a
+log — as Chrome ``trace_event`` ``B``/``E`` duration events that load
+directly in ``chrome://tracing`` or Perfetto.
 
 Worker processes (see :mod:`repro.owl.batch`) cannot share a tracer with the
 parent, so each worker records into its own tracer and ships the result back
 as a plain payload (:meth:`SpanTracer.export_payload`); the parent re-parents
 those spans under its current span with :meth:`SpanTracer.adopt` — always in
-seed/report order, never completion order — so the span *tree* is identical
-no matter how many jobs ran it.  Adopted groups get their own Chrome track
-(``tid``), which keeps ``B``/``E`` nesting well-formed even though worker
-spans overlap in time.
+seed/report order, never completion order — so the span *tree*, and the
+events it writes to the log, are identical no matter how many jobs ran it.
+Adopted groups get their own Chrome track (``tid``), which keeps ``B``/``E``
+nesting well-formed even though worker spans overlap in time.
 
 **Determinism and parity invariants**:
 
-1. *Structure over timing* — span names, nesting and per-item order are
-   deterministic at any job count (:meth:`SpanTracer.structure` is the
-   comparison helper); timestamps and durations are observations and vary
-   between any two runs.
+1. *Structure over timing* — span names, nesting, attributes and per-item
+   order are deterministic at any job count (:meth:`SpanTracer.structure`
+   is the comparison helper); timestamps and durations are observations
+   and vary between any two runs.
 2. *Adoption order* — worker payloads are adopted in seed/report/
-   vulnerability index order, so the tree never depends on which worker
-   finished first.
+   vulnerability index order, and each adopted group is logged in the
+   nesting order a serial run writes, so neither the tree nor the log
+   depends on which worker finished first.
 3. *Spans are never cached* — a result-cache hit (:mod:`repro.owl.cache`)
    replays a stage's *result*, not its execution, so the batch layer strips
-   spans before storing and emits one ``cached=True`` marker span per hit
-   instead of replaying the original execution's timings.  A warm-cache
-   trace therefore truthfully shows where *this* run spent its time.
+   spans before storing and records one :meth:`SpanTracer.marker` span
+   (``cached=True``, with the live span's attributes) per hit instead of
+   replaying the original execution's timings.  A warm-cache trace
+   therefore truthfully shows where *this* run spent its time.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ import os
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro import jsonl
 
 
 class Span:
@@ -80,12 +81,19 @@ class Span:
 
 
 class SpanTracer:
-    """Records spans; parents come from the active context-manager stack."""
+    """Records spans; parents come from the active context-manager stack.
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
+    ``log`` (a :class:`repro.owl.runlog.RunLog`, or None) receives one
+    ``begin`` and one ``end`` event per span, through its ``span_begin``
+    and ``span_end``.
+    """
+
+    def __init__(self, clock: Callable[[], float] = time.perf_counter,
+                 log=None):
         self._clock = clock
         self.origin = clock()
         self.spans: List[Span] = []
+        self.log = log
         self._stack: List[Span] = []
         self._next_id = 1
         self._next_track = 1
@@ -104,31 +112,49 @@ class SpanTracer:
         self._next_id += 1
         self.spans.append(span)
         self._stack.append(span)
+        if self.log is not None:
+            self.log.span_begin(span, self._ts(span.start))
         return span
 
     def finish(self, span: Span, **attrs) -> Span:
         span.attrs.update(attrs)
-        span.end = self._clock()
+        return self._end(span, self._clock())
+
+    def _end(self, span: Span, end: float) -> Span:
+        self._close(span, end)
+        if self.log is not None:
+            self.log.span_end(span, self._ts(end))
+        return span
+
+    def _close(self, span: Span, end: float) -> None:
+        span.end = end
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
         elif span in self._stack:  # tolerate out-of-order finishes
             self._stack.remove(span)
-        return span
 
     @contextmanager
     def span(self, name: str, **attrs):
+        """A span over the ``with`` body; a body that raises closes it
+        without an ``end`` event, so the log shows it unfinished."""
         span = self.begin(name, **attrs)
         try:
             yield span
-        finally:
-            self.finish(span)
+        except BaseException:
+            self._close(span, self._clock())
+            raise
+        self.finish(span)
 
     def instant(self, name: str, **attrs) -> Span:
         """A zero-duration marker under the current span."""
         span = self.begin(name, **attrs)
-        self.finish(span)
-        span.end = span.start
-        return span
+        return self._end(span, span.start)
+
+    def marker(self, name: str, **attrs) -> Span:
+        """The ``cached=True`` stand-in of work answered from the result
+        cache, with the attrs of the live span it replaces (spans are
+        never cached: invariant 3)."""
+        return self.finish(self.begin(name, **attrs, cached=True))
 
     # ------------------------------------------------------------------
     # worker round-trip
@@ -192,7 +218,28 @@ class SpanTracer:
             )
             self.spans.append(span)
             adopted.append(span)
+        if self.log is not None:
+            self._log_group(adopted)
         return adopted
+
+    def _log_group(self, group: List[Span]) -> None:
+        """Log an adopted group in the nesting order a serial run writes:
+        each span's ``begin``, its children, then its ``end``."""
+        children: Dict[int, List[Span]] = {}
+        ids = {span.sid for span in group}
+        for span in group:
+            if span.parent in ids:
+                children.setdefault(span.parent, []).append(span)
+
+        def walk(span: Span) -> None:
+            self.log.span_begin(span, self._ts(span.start))
+            for child in children.get(span.sid, ()):
+                walk(child)
+            self.log.span_end(span, self._ts(span.end))
+
+        for span in group:
+            if span.parent not in ids:
+                walk(span)
 
     # ------------------------------------------------------------------
     # queries
@@ -242,26 +289,6 @@ class SpanTracer:
     def _ts(self, value: float) -> float:
         return (value - self.origin) * 1e6  # microseconds
 
-    def records(self) -> List[Dict]:
-        """One JSON-lines record per span, in record order."""
-        records = []
-        for span in self.spans:
-            end = span.end if span.end is not None else span.start
-            records.append({
-                "name": span.name,
-                "id": span.sid,
-                "parent": span.parent,
-                "track": span.track,
-                "ts_us": round(self._ts(span.start), 3),
-                "dur_us": round((end - span.start) * 1e6, 3),
-                "attrs": span.attrs,
-            })
-        return records
-
-    def to_jsonl(self) -> str:
-        """The :meth:`records` as JSON-lines text."""
-        return "".join(jsonl.encode(record) for record in self.records())
-
     def chrome_trace(self) -> Dict:
         """The run as Chrome ``trace_event`` JSON (B/E duration events).
 
@@ -310,10 +337,6 @@ class SpanTracer:
             "traceEvents": [event for _, _, event in events],
             "displayTimeUnit": "ms",
         }
-
-    def save_jsonl(self, path: str) -> str:
-        jsonl.write(path, self.records())
-        return path
 
     def save_chrome(self, path: str) -> str:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

@@ -111,16 +111,25 @@ class ProgramSpec:
         self._module = self.module_factory()
         return self._module
 
+    def make_world(self) -> Optional[OSWorld]:
+        """A fresh OS world for one execution (None: the VM's default)."""
+        return self.initial_world() if self.initial_world is not None else None
+
     def make_vm(
         self,
         seed: int = 0,
         inputs: Optional[Dict] = None,
         scheduler: Optional[Scheduler] = None,
         max_steps: Optional[int] = None,
+        module: Optional[Module] = None,
     ) -> VM:
-        world = self.initial_world() if self.initial_world is not None else None
+        """A VM for one execution of this spec: ``seed``'s random scheduler
+        unless ``scheduler`` is given, a fresh world, the workload inputs
+        and step budget unless overridden, on the built module unless
+        ``module`` (a patched clone) is given."""
+        world = self.make_world()
         return VM(
-            self.build(),
+            module if module is not None else self.build(),
             scheduler=scheduler or RandomScheduler(seed),
             world=world,
             inputs=inputs if inputs is not None else self.workload_inputs,

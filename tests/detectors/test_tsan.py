@@ -254,6 +254,54 @@ class TestWatchList:
         assert ww
         assert ww[0].read_access() is None
 
+    def test_watch_index_follows_wide_read_then_sanitizing_write(self):
+        """The byte index that lets most accesses skip the watch scan
+        agrees with the overlap rule: a wide read at another base address
+        feeds the watch on byte 1, a wide write over it sanitizes it and
+        empties the index, and a later narrow read of byte 1 is not
+        attached."""
+        from repro.ir.types import ArrayType
+        from repro.detectors.tsan import TSanDetector
+        from repro.runtime.interpreter import VM
+        from repro.runtime.scheduler import RandomScheduler
+
+        b = IRBuilder(Module("m"))
+        arr = b.global_var("arr", ArrayType(I8, 8), None)
+        b.begin_function("w", I32, [("arg", ptr(I8))], source_file="ix.c")
+        b.store(7, b.index(arr, 1, line=1), line=1)
+        b.ret(b.i32(0), line=2)
+        b.end_function()
+        b.begin_function("main", I64, [], source_file="ix.c")
+        t1 = b.call("thread_create", [b.module.get_function("w"), b.null()],
+                    line=3)
+        t2 = b.call("thread_create", [b.module.get_function("w"), b.null()],
+                    line=4)
+        b.call("thread_join", [t1], line=5)
+        b.call("thread_join", [t2], line=6)
+        wide = b.cast("bitcast", arr, ptr(I64), line=7)
+        value = b.load(wide, line=7)   # base 0 covers the watched byte 1
+        b.store(0, wide, line=8)       # sanitizes it
+        b.load(b.index(arr, 1, line=9), line=9)
+        b.ret(value, line=10)
+        b.end_function()
+        verify_module(b.module)
+        detectors = []
+        for seed in range(8):
+            detector = TSanDetector()
+            vm = VM(b.module, scheduler=RandomScheduler(seed), seed=seed)
+            vm.add_observer(detector)
+            vm.start("main")
+            vm.run()
+            if any(r.is_write_write() for r in detector.reports):
+                detectors.append(detector)
+        assert detectors
+        for detector in detectors:
+            ww = [r for r in detector.reports if r.is_write_write()]
+            assert [access.instruction.location.line
+                    for access in ww[0].subsequent_reads] == [7]
+            assert detector._watches == {}
+            assert detector._watched_bytes == {}
+
     def test_report_set_get_is_canonical(self):
         """ReportSet.get returns the deduplicated report for a static key."""
         reports, _ = run_tsan(self._recurring_ww_module(), seeds=range(8))

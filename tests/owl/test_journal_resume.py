@@ -48,7 +48,7 @@ def interrupt(path, cache_dir, drop_lines=3, torn=True, delete_entries=2):
     assert json.loads(lines[-1])["event"] == "run_end"
     text = "\n".join(lines[:-drop_lines]) + "\n"
     if torn:
-        text += '{"event": "item_done", "stage": "race_ver'  # torn mid-write
+        text += '{"event": "end", "id": 31, "name": "verify_rep'  # torn
     with open(path, "w") as handle:
         handle.write(text)
     victims = sorted(glob.glob(
@@ -60,7 +60,7 @@ def interrupt(path, cache_dir, drop_lines=3, torn=True, delete_entries=2):
 
 def damage_line(path, index=2):
     lines = Path(path).read_text().splitlines()
-    lines[index] = '{"event": "seed_done", "stage": "det'
+    lines[index] = '{"event": "end", "id": 3, "name": "detect_se'
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -91,6 +91,27 @@ class TestJournalFile:
             }) + "\n")
         with pytest.raises(ValueError, match="unsupported schema"):
             load_run(path)
+
+    def test_schema_1_log_is_refused_by_every_view(self, tmp_path, capsys):
+        """A log of per-kind progress events (schema 1) is not misread as
+        an empty span stream: each view names the schema and fails."""
+        from repro.cli import main
+
+        path = runlog_path(str(tmp_path), "libsafe")
+        with open(path, "w") as handle:
+            for event in (
+                    {"event": "run_begin", "schema": 1, "program": "libsafe",
+                     "config": PipelineConfig().as_dict()},
+                    {"event": "stage_begin", "stage": "detect"}):
+                handle.write(json.dumps(event) + "\n")
+        with pytest.raises(ValueError, match="unsupported schema 1"):
+            resume(path)
+        for argv in (["status", str(tmp_path)], ["trace", path],
+                     ["watch", path, "--timeout", "0.1"],
+                     ["resume", "libsafe", "--log", path]):
+            assert main(argv) == 1
+            assert "declares unsupported schema 1 (supported: 2)" in \
+                capsys.readouterr().err
 
     def test_torn_last_line_is_tolerated(self, tmp_path):
         _, path, cache_dir = completed_run(tmp_path)
@@ -194,18 +215,19 @@ class TestResume:
     def test_resume_without_begin_raises(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         with open(path, "w") as handle:
-            handle.write('{"event": "seed_done", "stage": "detect"}\n')
+            handle.write('{"event": "end", "id": 2, "name": "stage:detect", '
+                         '"ts_us": 1.0, "attrs": {}}\n')
         with pytest.raises(ValueError, match="no run_begin"):
             resume(path)
 
 
 def cut_after_stage_end(path, stage):
-    """Drop the log's lines after ``stage``'s ``stage_end``, as a crash
+    """Drop the log's lines after the end of ``stage``'s span, as a crash
     there would leave it; returns the log's bytes after the cut."""
     lines = Path(path).read_text().splitlines(keepends=True)
     cut = next(index for index, line in enumerate(lines)
-               if json.loads(line)["event"] == "stage_end"
-               and json.loads(line)["stage"] == stage)
+               if json.loads(line)["event"] == "end"
+               and json.loads(line)["name"] == "stage:" + stage)
     Path(path).write_text("".join(lines[:cut + 1]))
     return Path(path).read_bytes()
 
@@ -223,8 +245,9 @@ def read_events(path):
 
 
 def stage_ends(events):
-    return {event["stage"]: event for event in events
-            if event["event"] == "stage_end"}
+    """``{stage: its metrics row}`` from the stage spans' end events."""
+    return {event["name"][len("stage:"):]: event["attrs"] for event in events
+            if event["event"] == "end" and event["name"].startswith("stage:")}
 
 
 def comparable_telemetry(telemetry):
@@ -301,7 +324,7 @@ class Interrupted(Exception):
 
 
 #: The stage method that runs after each cut: crashing it leaves the log
-#: ending at the cut stage's ``stage_end``.
+#: ending at the end of the cut stage's span.
 CUTS = {
     "detect": "_stage_schedule_reduction",
     "schedule_reduction": "_stage_race_verification",

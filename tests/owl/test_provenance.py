@@ -150,15 +150,16 @@ class TestSpanParityAcrossJobs:
 
 class TestCli:
     def test_trace_command(self, capsys, tmp_path):
-        base = str(tmp_path / "trace")
-        assert main(["trace", "libsafe", "--out", base, "--top", "3"]) == 0
+        log = str(tmp_path / "run.jsonl")
+        assert main(["detect", "libsafe", "--log", log]) == 0
+        capsys.readouterr()
+        assert main(["trace", log, "--top", "3"]) == 0
         out = capsys.readouterr().out
         assert "slowest spans" in out
-        with open(base + ".json") as handle:
+        # the Chrome file lands beside the log by default
+        with open(str(tmp_path / "run.trace.json")) as handle:
             chrome = json.load(handle)
         assert all(e["ph"] in ("B", "E") for e in chrome["traceEvents"])
-        with open(base + ".jsonl") as handle:
-            assert all(json.loads(line) for line in handle if line.strip())
 
     def test_explain_listing(self, capsys):
         assert main(["explain", "libsafe"]) == 0
@@ -179,17 +180,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "known uids" in err
 
-    def test_detect_trace_flag_writes_jsonl(self, capsys, tmp_path):
-        path = str(tmp_path / "detect.trace.jsonl")
-        assert main(["detect", "libsafe", "--trace", path]) == 0
+    def test_detect_log_writes_span_lines(self, capsys, tmp_path):
+        path = str(tmp_path / "detect.jsonl")
+        assert main(["detect", "libsafe", "--log", path]) == 0
         with open(path) as handle:
             rows = [json.loads(line) for line in handle if line.strip()]
-        assert any(row["name"] == "pipeline" for row in rows)
+        assert any(row.get("name") == "pipeline" for row in rows)
+        with pytest.raises(SystemExit):  # the log replaced --trace
+            main(["detect", "libsafe", "--trace", path])
 
-    def test_export_trace_flag_writes_chrome(self, capsys, tmp_path):
+    def test_export_log_then_trace_writes_chrome(self, capsys, tmp_path):
         out = str(tmp_path / "libsafe.json")
+        log = str(tmp_path / "run.jsonl")
         trace = str(tmp_path / "trace.json")
-        assert main(["export", "libsafe", out, "--trace", trace]) == 0
+        assert main(["export", "libsafe", out, "--log", log]) == 0
+        assert main(["trace", log, "--out", trace]) == 0
         with open(trace) as handle:
             chrome = json.load(handle)
         assert chrome["traceEvents"]

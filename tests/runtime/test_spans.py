@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro import jsonl
+from repro.owl.runlog import RunLog
 from repro.runtime.spans import SpanTracer, maybe_span
 
 
@@ -149,8 +151,8 @@ class TestAdopt:
         assert run(split=True) == run(split=False)
 
 
-def traced_pipelineish():
-    tracer = make_tracer()
+def traced_pipelineish(log=None):
+    tracer = SpanTracer(clock=FakeClock(), log=log)
     with tracer.span("pipeline", program="demo"):
         with tracer.span("stage:detect"):
             for seed in range(3):
@@ -164,29 +166,102 @@ def traced_pipelineish():
     return tracer
 
 
+def logged(tmp_path, record):
+    """``record(tracer)`` into a run log; ``(tracer, event rows)``."""
+    path = str(tmp_path / "run.jsonl")
+    log = RunLog(path)
+    tracer = record(log)
+    log.close()
+    return tracer, jsonl.read(path)[0]
+
+
+def span_rows(rows):
+    """The span events without their timings."""
+    return [{key: value for key, value in row.items()
+             if key not in ("seq", "wall", "ts_us", "track")}
+            for row in rows]
+
+
 class TestJsonlExport:
+    """Spans reach JSON lines as the run log's begin/end events."""
+
     def test_round_trip_is_valid_json(self, tmp_path):
-        tracer = traced_pipelineish()
-        path = tracer.save_jsonl(str(tmp_path / "trace.jsonl"))
-        with open(path) as handle:
-            rows = [json.loads(line) for line in handle if line.strip()]
-        assert len(rows) == len(tracer)
+        tracer, rows = logged(tmp_path, traced_pipelineish)
+        assert len(rows) == 2 * len(tracer)
+        assert [row["event"] for row in rows].count("begin") == len(tracer)
         assert {row["name"] for row in rows} >= {
             "pipeline", "stage:detect", "detect_seed", "verify_report",
         }
+        ends = {row["id"]: row["attrs"] for row in rows
+                if row["event"] == "end"}
+        assert ends == {span.sid: span.attrs for span in tracer.spans}
 
-    def test_parent_links_resolve(self):
-        tracer = traced_pipelineish()
-        rows = [json.loads(line)
-                for line in tracer.to_jsonl().splitlines()]
-        ids = {row["id"] for row in rows}
+    def test_parent_links_resolve(self, tmp_path):
+        _, rows = logged(tmp_path, traced_pipelineish)
+        begins = [row for row in rows if row["event"] == "begin"]
+        seen = set()
+        for row in begins:  # every parent opened before its child
+            assert row["parent"] is None or row["parent"] in seen
+            seen.add(row["id"])
+
+    def test_durations_non_negative(self, tmp_path):
+        tracer, rows = logged(tmp_path, traced_pipelineish)
+        opened = {row["id"]: row["ts_us"] for row in rows
+                  if row["event"] == "begin"}
         for row in rows:
-            assert row["parent"] is None or row["parent"] in ids
+            if row["event"] == "end":
+                assert row["ts_us"] >= opened[row["id"]]
+        assert all(span.duration >= 0 for span in tracer.spans)
 
-    def test_durations_non_negative(self):
-        rows = [json.loads(line)
-                for line in traced_pipelineish().to_jsonl().splitlines()]
-        assert all(row["dur_us"] >= 0 for row in rows)
+    def test_adopted_group_logs_in_serial_nesting_order(self, tmp_path):
+        """A worker's spans adopted in one group write the events a
+        serial run of the same spans writes."""
+        def work(tracer):
+            with tracer.span("verify_report", report="r1-2") as report:
+                with tracer.span("verify_attempt", seed=0):
+                    tracer.instant("livelock_release", release=1)
+                with tracer.span("verify_attempt", seed=1):
+                    pass
+                report.attrs["verified"] = True
+
+        def serial(log):
+            tracer = SpanTracer(clock=FakeClock(), log=log)
+            with tracer.span("stage:verify"):
+                work(tracer)
+            return tracer
+
+        def adopted(log):
+            worker = SpanTracer(clock=FakeClock())
+            work(worker)
+            tracer = SpanTracer(clock=FakeClock(), log=log)
+            with tracer.span("stage:verify"):
+                tracer.adopt(worker.export_payload())
+            return tracer
+
+        assert span_rows(logged(tmp_path, adopted)[1]) == \
+            span_rows(logged(tmp_path, serial)[1])
+
+    def test_a_body_that_raises_writes_no_end(self, tmp_path):
+        def record(log):
+            tracer = SpanTracer(clock=FakeClock(), log=log)
+            with tracer.span("pipeline"):
+                with pytest.raises(RuntimeError):
+                    with tracer.span("stage:detect"):
+                        raise RuntimeError("crash")
+                assert tracer.current.name == "pipeline"
+            return tracer
+
+        tracer, rows = logged(tmp_path, record)
+        assert [(row["event"], row["name"]) for row in rows] == [
+            ("begin", "pipeline"), ("begin", "stage:detect"),
+            ("end", "pipeline")]
+        assert tracer.find("stage:detect")[0].end is not None
+
+    def test_marker_carries_the_live_attrs_and_cached(self):
+        tracer = make_tracer()
+        marker = tracer.marker("detect_seed", seed=4, reports=2)
+        assert marker.attrs == {"seed": 4, "reports": 2, "cached": True}
+        assert tracer.current is None
 
 
 class TestChromeExport:

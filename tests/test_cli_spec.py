@@ -1,5 +1,7 @@
 """Tests for the CLI and the ProgramSpec contract."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -103,9 +105,13 @@ class TestCli:
         assert "function" in out and "opcode" in out
 
     def test_trace_stage_rollup_and_filtering(self, capsys, tmp_path):
-        base = str(tmp_path / "trace")
-        assert main(["trace", "memcached", "--out", base,
+        log = str(tmp_path / "run.jsonl")
+        assert main(["detect", "memcached", "--log", log]) == 0
+        capsys.readouterr()
+        chrome = str(tmp_path / "trace.json")
+        assert main(["trace", log, "--out", chrome,
                      "--stage", "race_verification", "--top", "3"]) == 0
+        assert os.path.exists(chrome)
         out = capsys.readouterr().out
         # the rollup table covers every stage with sum/count/max columns
         assert "sum ms" in out and "count" in out and "max ms" in out
@@ -117,8 +123,10 @@ class TestCli:
 
     def test_trace_unknown_stage_fails_and_lists_stages(self, capsys,
                                                         tmp_path):
-        base = str(tmp_path / "trace")
-        assert main(["trace", "memcached", "--out", base,
+        log = str(tmp_path / "run.jsonl")
+        assert main(["detect", "memcached", "--log", log]) == 0
+        capsys.readouterr()
+        assert main(["trace", log, "--out", str(tmp_path / "trace.json"),
                      "--stage", "nonsense"]) == 1
         err = capsys.readouterr().err
         assert "no stage 'nonsense'" in err

@@ -4,7 +4,8 @@
 Each artifact is cut at every byte offset, as a writer killed mid-write
 would leave it.  Reading a cut log must return exactly the records whose
 newline survived, with a torn count of 1 exactly when the cut falls
-mid-line; a run log must take a resume after any cut; a schedule log must
+mid-line; a run log (the run's span events) must take a resume after
+any cut; a schedule log must
 load whole or not at all; a cut cache entry must read as one counted
 corrupt miss, be deleted, and take the next store.  One damaged interior
 line must make every reader fail with the file and line.
@@ -43,16 +44,31 @@ def artifacts(tmp_path_factory):
     schedule = str(root / "memcached_seed0000.jsonl")
     record_spec_seed(memcached, memcached.build(), 0)[0].save(schedule)
 
-    tracer = SpanTracer()
+    spans = str(root / "spans.jsonl")
+    span_log = RunLog(spans)
+    tracer = SpanTracer(log=span_log)
     with tracer.span("pipeline", program="demo"):
         for seed in range(4):
             with tracer.span("detect_seed", seed=seed, reports=seed):
                 pass
-    spans = tracer.save_jsonl(str(root / "trace.jsonl"))
+    span_log.close()
 
     paths = {"runlog": log.path, "schedule": schedule, "spans": spans,
              "cache_entry": entry}
     return {kind: Path(path).read_bytes() for kind, path in paths.items()}
+
+
+def test_run_log_carries_the_span_events(artifacts, tmp_path):
+    """The run log cut below is the run's one event stream: its span tree
+    with a begin and an end per span between run_begin and run_end."""
+    path = str(tmp_path / "run_libsafe.jsonl")
+    with open(path, "wb") as handle:
+        handle.write(artifacts["runlog"])
+    events = [event["event"] for event in jsonl.read(path)[0]]
+    assert events[0] == "run_begin" and events[-1] == "run_end"
+    assert set(events[1:-1]) == {"begin", "end"}
+    assert events.count("begin") == events.count("end") == \
+        len(load_run(path).tracer())
 
 
 def cuts(data):

@@ -39,7 +39,7 @@ from repro.apps.registry import all_specs, spec_by_name
 from repro.owl.cache import ResultCache
 from repro.owl.integration import spec_job
 from repro.owl.sweep import Sweep, run_sweep
-from repro.owl.replay import _spec_world, record_program
+from repro.owl.replay import record_program
 from repro.runtime.diffcheck import compare_fingerprints
 from repro.runtime.metrics import PipelineMetrics, RunStats
 from repro.runtime.record import replay_log
@@ -91,7 +91,7 @@ def check_fidelity(spec, seeds, record_dir):
         detector = detector_cls(annotations=None, reports=ReportSet())
         outcome = replay_log(
             module, log, observers=[detector],
-            inputs=spec.workload_inputs, world=_spec_world(spec),
+            inputs=spec.workload_inputs, world=spec.make_world(),
             fingerprint=True,
         )
         source.replays += 1
