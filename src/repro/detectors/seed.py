@@ -4,7 +4,7 @@ Paper section 6.3 runs one detector (TSan for applications, SKI for
 kernels) over many schedules.  A :class:`SeedJob` names one such execution
 completely — the module source, detector kind, schedule family and depth,
 seed, workload, annotations and the per-seed options — so the same frozen
-value is the serial unit of work, the pooled worker's payload and, minus
+value is the detect stage's item payload and, minus
 :data:`NON_KEY_FIELDS`, the result-cache key.
 
 Adding a seed option means adding one field to :class:`SeedJob` (and, if
@@ -14,7 +14,6 @@ cache keys and every signature above :func:`run_seed` carry it unchanged.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.detectors.annotations import annotations_from_payload
@@ -130,8 +129,10 @@ class SeedRun:
 
     ``reports`` and ``stats`` are always set; ``coverage``, ``log`` and
     ``profile`` when the job asked for them.  ``cached`` marks a run
-    answered from the result cache.  :meth:`to_payload` is the form a run
-    crosses process boundaries and lands in cache entries in.
+    answered from the result cache.  :meth:`to_payload` is the form every
+    run reaches its caller in, crosses process boundaries in and lands in
+    cache entries in.  Timings are never cached, so it holds none and
+    ``stats`` carries no ``wall_seconds``.
     """
 
     __slots__ = ("job", "reports", "stats", "coverage", "log", "profile",
@@ -153,7 +154,7 @@ class SeedRun:
             "seed": self.job.seed,
             "reports": reports_to_payloads(self.reports),
             "stats": (stats.seed, stats.reason, stats.steps, stats.accesses,
-                      stats.reports, stats.wall_seconds),
+                      stats.reports),
         }
         for name in _OUTPUTS:
             value = getattr(self, name)
@@ -249,7 +250,8 @@ def run_seed(job: SeedJob, module: Optional[Module] = None,
     """Execute one job into a fresh report set.
 
     ``module`` defaults to the one ``job.source`` resolves to; pass the
-    caller's own copy to keep instruction identity (the serial sweep does).
+    caller's own copy to keep instruction identity (an in-process sweep
+    does).
     ``tracer`` (a :class:`repro.runtime.spans.SpanTracer`) records the
     execution as a ``detect_seed`` span.
 
@@ -259,7 +261,6 @@ def run_seed(job: SeedJob, module: Optional[Module] = None,
     """
     if module is None:
         module = resolve_module(job.source)
-    started = time.perf_counter()
     scheduler = make_scheduler(job)
     wrappers: Dict[str, object] = {}
     for option, wrap in _WRAPPERS:
@@ -287,7 +288,6 @@ def run_seed(job: SeedJob, module: Optional[Module] = None,
     stats = RunStats(
         seed=job.seed, reason=result.reason, steps=result.steps,
         accesses=detector.access_count, reports=len(reports),
-        wall_seconds=time.perf_counter() - started,
     )
     run = SeedRun(job, reports, stats)
     if "coverage" in wrappers:
@@ -309,8 +309,8 @@ def run_seeds(module: Module, job: SeedJob,
               seeds: Sequence[int]) -> Tuple[ReportSet, List[RunStats]]:
     """Run ``job`` once per seed on ``module``; merged reports + stats.
 
-    The plain serial sweep behind :func:`repro.detectors.tsan.run_tsan`
-    and :func:`repro.detectors.ski.run_ski`; pooled, cached and explored
+    The plain sweep behind :func:`repro.detectors.tsan.run_tsan` and
+    :func:`repro.detectors.ski.run_ski`; pooled, cached and explored
     sweeps belong to the OWL pipeline's sweep driver, which calls
     :func:`run_seed` the same way.
     """

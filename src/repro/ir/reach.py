@@ -313,7 +313,7 @@ def _union(values: Iterable[int]) -> int:
 
 def reach_analysis(module: Module) -> ReachAnalysis:
     """The module's :class:`ReachAnalysis`, built once and reused by every
-    verifier (serial, pooled or cached) that executes the module.
+    verifier (in-process or pooled) that executes the module.
 
     It is kept on the module itself, so it lives exactly as long as the
     module does.

@@ -1,4 +1,4 @@
-"""Parallel batch execution for the OWL pipeline.
+"""Batch execution for the OWL pipeline: stage items, payloads and the pool.
 
 The paper's deployment story (Table 1: 28,209 reports; Table 3: 31,870 raw
 detector reports) makes detector throughput the limiting factor, and every
@@ -9,51 +9,51 @@ stage of Figure 3 is embarrassingly parallel at some granularity:
 - **race verification** — each report is re-executed on its own,
 - **vulnerability verification** — each vulnerable-input hint likewise.
 
-This module fans those units out over a ``concurrent.futures`` process pool
-(:func:`run_tasks`, :func:`run_cached_tasks`) and merges results
-*deterministically*, so pipeline counters are bit-identical to the serial
-run: per-seed report sets are merged in seed order by the sweep driver
-(:mod:`repro.owl.sweep`, whose worker payload is a
-:class:`repro.detectors.seed.SeedJob`), and per-item verification outcomes
-are reassembled by index here.
+Each such unit is a stage *item*: a plain, picklable payload that names
+the whole job, an item function that runs it and returns a plain output,
+and one rehydration of that output into result objects.  A detector
+seed's payload is its :class:`repro.detectors.seed.SeedJob`; a
+verification's is :func:`verify_job` — the spec name, entry, inputs,
+verify seeds and step budget, plus the report or vulnerability — and its
+item function (:func:`verify_report_item`, :func:`verify_vuln_item`)
+builds the verifier from exactly those fields, so what runs is what the
+cache key (:mod:`repro.owl.cache`) names.  The sweep
+(:meth:`repro.owl.sweep.Sweep.map`) decides where each item runs:
 
-Worker processes cannot receive VMs, modules or IR instructions (they are
-not picklable, and identity matters to the debugger's breakpoints), so the
-boundary works in *payloads*: plain tuples/dicts keyed by instruction uid.
-Module builds are deterministic — the same factory assigns the same uids —
-so a worker rebuilds the module from the spec registry (or a module-level
-factory function) and rehydrates reports against its own copy; the parent
-rehydrates results against the original module.  Each worker process caches
-the built spec/module, amortizing the rebuild across all its tasks.
+- answered from the result cache (the stored output, marked ``cached``),
+- in-process, on the caller's spec and module, its spans written live to
+  the run's tracer, or
+- in a pool worker (:func:`in_worker`), which rebuilds the spec by
+  registry name (:func:`can_parallelize`) and ships its spans back for
+  adoption (:func:`adopt_spans`).
 
-Parallel execution therefore requires the :class:`ProgramSpec` to be
-resolvable by name through :mod:`repro.apps.registry` (or a picklable
-module factory as the job's ``source``); anything else silently falls back to the
-serial path with identical results.
+Every path hands the same output to the same rehydration, so results are
+identical on all three.  Instruction identity crosses the boundary as the
+module uid: module builds are deterministic, and rehydrating against the
+caller's module restores object identity, so breakpoints and tag lookups
+behave alike.  Each worker process caches the spec it rebuilt,
+amortizing the build across its tasks.
 
 **Determinism and parity invariants** (the contract every function here
 keeps, and the tests in ``tests/owl/test_batch.py`` enforce):
 
-1. *Order independence* — results are reassembled by seed / report /
-   vulnerability index, never by completion order, so
+1. *Order independence* — outputs are rehydrated in seed / report /
+   vulnerability order, never by completion order, so
    :meth:`StageCounters.parity_dict` is bit-identical at any job count.
-2. *Identity through payloads* — instruction identity crosses the process
-   boundary as the module uid; rehydrating against the parent's module
-   restores object identity, so breakpoints and tag lookups behave as in
-   a serial run.
-3. *Worker equivalence* — running a worker function in-process (the serial
-   fallback, or a cache miss at ``jobs=1``) produces the same payload the
-   pooled worker would, so fault-tolerant degradation never changes
-   results, only wall-clock.
-4. *Cache transparency* — a cache hit returns the exact payload the worker
+2. *Identity through payloads* — rehydrating against the caller's module
+   restores instruction identity on every path.
+3. *One item, every path* — the item function's output depends on its
+   payload alone, wherever it runs, so the pool, the cache and a
+   fault-tolerant re-run in the parent never change results, only
+   wall-clock.
+4. *Cache transparency* — a cache hit returns the exact output the item
    originally produced (minus spans), so cached and uncached runs emit
-   bit-identical counters and provenance dispositions (see
-   :mod:`repro.owl.cache`).
+   bit-identical counters and provenance dispositions.
 
-**Fault tolerance** (:class:`BatchPolicy`, :func:`run_tasks`): each item
-gets a per-item result-wait budget; transient failures — a crashed worker
-process, a broken pool, a timeout — are retried with exponential backoff,
-and items still failing after the retry budget are re-run serially
+**Fault tolerance** (:class:`BatchPolicy`, :func:`run_tasks`): each pooled
+item gets a per-item result-wait budget; transient failures — a crashed
+worker process, a broken pool, a timeout — are retried with exponential
+backoff, and items still failing after the retry budget are re-run
 in-process, so one bad worker degrades throughput rather than failing the
 batch.  Workers always terminate on their own eventually (every VM runs
 under a ``max_steps`` budget), so "hung" here means slow, and pool
@@ -73,7 +73,7 @@ from repro.detectors.report import (
     report_from_payload,
     report_to_payload,
 )
-from repro.detectors.seed import cached_spec as _cached_spec
+from repro.detectors.seed import cached_spec
 from repro.ir.module import Module
 from repro.owl.race_verifier import (
     DynamicRaceVerifier,
@@ -152,6 +152,10 @@ def make_executor(jobs: int) -> ProcessPoolExecutor:
 #: Sentinel distinguishing "no result yet" from any legitimate worker output.
 _UNSET = object()
 
+#: Seconds slept before the first retry wave, doubling each wave
+#: (exponential backoff for transient failures).
+BACKOFF_SECONDS = 0.1
+
 
 class BatchPolicy:
     """Fault-tolerance budgets for batched worker tasks.
@@ -159,29 +163,22 @@ class BatchPolicy:
     - ``timeout`` — per-item result-wait budget in seconds (None = wait
       forever; workers always terminate on their own because every VM runs
       under ``max_steps``).
-    - ``retries`` — how many extra parallel waves a failed item gets.
-    - ``backoff`` — sleep before the first retry wave, doubling each wave
-      (exponential backoff for transient failures).
-    - ``serial_fallback`` — whether items that exhaust the retry budget are
-      re-run in-process; when False they raise instead.
+    - ``retries`` — how many extra parallel waves a failed item gets
+      (each after :data:`BACKOFF_SECONDS`, doubling per wave); items that
+      exhaust them are re-run in-process.
 
     The instance also *accumulates* counters across every batch it
-    supervises (one policy serves a whole pipeline run); they live in a
-    :class:`repro.runtime.telemetry.MetricsRegistry` (``batch.*`` names,
-    an injected pipeline-wide registry or a private one) and surface in
-    the metrics JSON as the ``"batch"`` block.
+    supervises (one policy serves a whole pipeline run); they live in its
+    :class:`repro.runtime.telemetry.MetricsRegistry` (``batch.*`` names)
+    and surface in the metrics JSON as the ``"batch"`` block.
     """
 
-    def __init__(self, timeout: Optional[float] = None, retries: int = 2,
-                 backoff: float = 0.1, serial_fallback: bool = True,
-                 registry=None):
+    def __init__(self, timeout: Optional[float] = None, retries: int = 2):
         from repro.runtime.telemetry import MetricsRegistry
 
         self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.backoff = max(0.0, float(backoff))
-        self.serial_fallback = serial_fallback
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._timeouts = self.registry.counter("batch.timeouts")
         self._retried = self.registry.counter("batch.retries")
         self._worker_failures = self.registry.counter("batch.worker_failures")
@@ -209,7 +206,7 @@ class BatchPolicy:
         return {
             "timeout_seconds": self.timeout,
             "retry_budget": self.retries,
-            "backoff_seconds": self.backoff,
+            "backoff_seconds": BACKOFF_SECONDS,
             "timeouts": self.timeouts,
             "retries": self.retried,
             "worker_failures": self.worker_failures,
@@ -233,10 +230,10 @@ def run_tasks(worker: Callable[[Dict], Dict], payloads: Sequence[Dict],
     exception escaping the worker, or an item exceeding the policy's
     per-item timeout — are retried in waves with exponential backoff.
     Items that exhaust the retry budget (or face a broken/absent pool) are
-    re-run serially in-process, so a flaky pool degrades to serial
-    execution with identical results instead of failing the batch.
-    Deterministic worker errors therefore surface exactly once, from the
-    in-process run, with a real traceback.
+    re-run in-process, so a flaky pool degrades to in-process execution
+    with identical results instead of failing the batch.  Deterministic
+    worker errors therefore surface exactly once, from the in-process run,
+    with a real traceback.
     """
     policy = policy if policy is not None else BatchPolicy()
     results: List = [_UNSET] * len(payloads)
@@ -246,7 +243,7 @@ def run_tasks(worker: Callable[[Dict], Dict], payloads: Sequence[Dict],
     while pending and not broken and wave <= policy.retries:
         if wave:
             policy._retried.inc(len(pending))
-            time.sleep(policy.backoff * (2 ** (wave - 1)))
+            time.sleep(BACKOFF_SECONDS * (2 ** (wave - 1)))
         futures = {}
         try:
             for index in pending:
@@ -266,19 +263,14 @@ def run_tasks(worker: Callable[[Dict], Dict], payloads: Sequence[Dict],
                 policy._worker_failures.inc()
         pending = [index for index in pending if results[index] is _UNSET]
         wave += 1
-    if pending:
-        if not policy.serial_fallback:
-            raise RuntimeError(
-                "%d/%d batch items failed after %d retries"
-                % (len(pending), len(payloads), policy.retries))
-        for index in pending:
-            policy._serial_fallbacks.inc()
-            results[index] = worker(payloads[index])
+    for index in pending:
+        policy._serial_fallbacks.inc()
+        results[index] = worker(payloads[index])
     return results
 
 
 def _cacheable(output: Dict) -> Dict:
-    """What of a worker output goes into the result cache.
+    """What of an item output goes into the result cache.
 
     Spans are observations of one particular execution (timings, worker
     ids), not results — replaying them from a warm cache would be lying
@@ -292,291 +284,282 @@ def _cacheable(output: Dict) -> Dict:
             if key not in ("spans", "log")}
 
 
+def cached_output(cache, stage: str, key: Optional[str]) -> Optional[Dict]:
+    """The stored output of one item, marked ``cached``; None on a miss
+    (or without a cache or key)."""
+    if cache is None or key is None:
+        return None
+    value = cache.get(stage, key)
+    return None if value is None else dict(value, cached=True)
+
+
+def store_output(cache, stage: str, key: Optional[str], output: Dict) -> None:
+    """Store one fresh item output (when there is a cache and a key)."""
+    if cache is not None and key is not None:
+        cache.put(stage, key, _cacheable(output))
+
+
 def run_cached_tasks(
     worker: Callable[[Dict], Dict],
     payloads: Sequence[Dict],
     cache=None,
     stage: str = "",
-    keys: Optional[Sequence[str]] = None,
+    keys: Optional[Sequence[Optional[str]]] = None,
     jobs: int = 1,
     executor: Optional[ProcessPoolExecutor] = None,
     policy: Optional[BatchPolicy] = None,
 ) -> List[Dict]:
-    """Cache-aware, fault-tolerant fan-out of one stage's items.
+    """Cache-aware, fault-tolerant fan-out of one stage's items to a pool.
 
     Items whose key is already in ``cache`` are answered from disk (their
     output gains ``"cached": True`` and carries no spans); the rest run
-    via :func:`run_tasks` on a pool when ``jobs > 1`` or an ``executor``
-    is supplied, in-process otherwise, and their stripped outputs are
-    stored.  Outputs always come back in payload order, so the merge the
-    caller performs is identical no matter which items were cached, pooled
-    or re-run serially.
+    via :func:`run_tasks` on ``executor`` (or a private pool of ``jobs``
+    workers), and their stripped outputs are stored.  A ``None`` key
+    leaves its item out of the cache.  Outputs always come back in
+    payload order, so the merge the caller performs is identical no
+    matter which items were cached, pooled or re-run in-process.
     """
-    results: List[Optional[Dict]] = [None] * len(payloads)
-    missing: List[int] = []
-    if cache is not None and keys is not None:
-        for index in range(len(payloads)):
-            value = cache.get(stage, keys[index])
-            if value is not None:
-                output = dict(value)
-                output["cached"] = True
-                results[index] = output
-            else:
-                missing.append(index)
-    else:
-        missing = list(range(len(payloads)))
+    keys = keys if keys is not None else [None] * len(payloads)
+    results = [cached_output(cache, stage, key) for key in keys]
+    missing = [index for index, output in enumerate(results)
+               if output is None]
     if missing:
-        miss_payloads = [payloads[index] for index in missing]
-        if jobs > 1 or executor is not None:
-            with _pool(jobs, executor) as pool:
-                outputs = run_tasks(worker, miss_payloads, pool,
-                                    policy=policy)
-        else:
-            outputs = [worker(payload) for payload in miss_payloads]
+        with _pool(jobs, executor) as pool:
+            outputs = run_tasks(worker, [payloads[index] for index in missing],
+                                pool, policy=policy)
         for index, output in zip(missing, outputs):
             results[index] = output
-            if cache is not None and keys is not None:
-                cache.put(stage, keys[index], _cacheable(output))
+            store_output(cache, stage, keys[index], output)
     return results
+
+
+def in_worker(item: Callable, payload) -> Dict:
+    """Run ``item`` on ``payload`` in a pool worker: under its own tracer,
+    whose spans travel back in the output for :func:`adopt_spans`."""
+    tracer = SpanTracer()
+    output = item(payload, tracer)
+    output["spans"] = tracer.export_payload()
+    return output
 
 
 def adopt_spans(tracer: Optional[SpanTracer], output: Dict, name: str,
                 **attrs) -> None:
     """Fold one item's spans into ``tracer`` in merge order.
 
-    A live output's worker spans are adopted; a cache hit gets a single
+    A pooled output's worker spans are adopted; a cache hit gets a single
     ``name`` marker span (:meth:`SpanTracer.marker`) with ``attrs``, the
-    attrs of the live span it stands in for, instead.
+    attrs of the live span it stands in for, instead.  An in-process
+    output has none: its spans went to ``tracer`` as it ran.
     """
     if tracer is None:
         return
     if output.get("cached"):
         tracer.marker(name, **attrs)
-    elif output["spans"]:
+    elif output.get("spans"):
         tracer.adopt(output["spans"])
 
 
-def _verify_items(worker, stage: str, spec: ProgramSpec, field: str,
-                  items: Sequence[Dict], sweep) -> List[Dict]:
-    """Fan one verification stage's item payloads out through ``sweep``;
-    outputs in order.
+# ---------------------------------------------------------------------------
+# verification items: the payload is the whole job
 
-    Each payload is the spec's verification config plus the item under
-    ``field``; everything but the item's index keys its cache entry.
-    """
-    payloads = [
-        {
-            "spec": spec.name,
-            "entry": spec.entry,
-            "inputs": spec.workload_inputs,
-            "seeds": list(spec.verify_seeds),
-            "max_steps": spec.max_steps,
-            "index": index,
-            field: item,
-        }
-        for index, item in enumerate(items)
-    ]
-    keys = None
-    if sweep.cache is not None:
-        module = spec.build()
-        keys = [
-            sweep.cache.key(stage, module=module, **{
-                key: value for key, value in payload.items()
-                if key != "index"
-            })
-            for payload in payloads
-        ]
-    return sweep.tasks(worker, payloads, stage, keys)
+
+def verify_job(spec: ProgramSpec, **item) -> Dict:
+    """One verification item's payload: ``spec``'s name, entry, workload
+    inputs, verify seeds and step budget, updated with ``item`` (the
+    report or vulnerability, and any override)."""
+    job = {
+        "spec": spec.name,
+        "entry": spec.entry,
+        "inputs": spec.workload_inputs,
+        "seeds": list(spec.verify_seeds),
+        "max_steps": spec.max_steps,
+    }
+    job.update(item)
+    return job
+
+
+def _item_spec(job: Dict, spec: Optional[ProgramSpec]) -> ProgramSpec:
+    """The caller's spec in-process; the registry's in a pool worker."""
+    return spec if spec is not None else cached_spec(job["spec"])
+
+
+def _verify_items(stage: str, item, jobs: List[Dict], spec: ProgramSpec,
+                  sweep, finish) -> List:
+    """One verification stage's items through ``sweep``, keyed by the
+    whole payload; ``finish`` rehydrates each output in order."""
+    keys = sweep.keys(stage, spec.build(), jobs)
+    return sweep.map(stage, item, jobs, keys, finish,
+                     rebuildable=can_parallelize(spec), spec=spec)
 
 
 # ---------------------------------------------------------------------------
 # stage 3: per-report race verification
 
 
-def _race_verify_worker(payload: Dict) -> Dict:
-    spec = _cached_spec(payload["spec"])
-    report = report_from_payload(spec.build(), payload["report"])
-    tracer = SpanTracer()
-    verification = race_verifier_for(spec, tracer).verify(report)
+def race_verifier_for(spec: ProgramSpec, job: Dict,
+                      tracer: Optional[SpanTracer] = None
+                      ) -> DynamicRaceVerifier:
+    """The race verifier of one item: ``job``'s entry, inputs, seeds and
+    step budget on ``spec``'s module."""
+    inputs, max_steps = job["inputs"], job["max_steps"]
+    return DynamicRaceVerifier(
+        spec.build(), entry=job["entry"], inputs=inputs, seeds=job["seeds"],
+        max_steps=max_steps,
+        vm_factory=lambda seed: spec.make_vm(seed, inputs=inputs,
+                                             max_steps=max_steps),
+        tracer=tracer,
+    )
+
+
+def verify_report_item(job: Dict, tracer: Optional[SpanTracer] = None,
+                       spec: Optional[ProgramSpec] = None) -> Dict:
+    """Verify ``job``'s report; the output payload."""
+    spec = _item_spec(job, spec)
+    report = report_from_payload(spec.build(), job["report"])
+    verification = race_verifier_for(spec, job, tracer).verify(report)
     hints = verification.hints
     return {
-        "index": payload["index"],
         "verified": verification.verified,
         "runs_used": verification.runs_used,
         "livelocks_resolved": verification.livelocks_resolved,
         "vm_steps": verification.vm_steps,
         "runs_stopped_early": verification.runs_stopped_early,
-        "spans": tracer.export_payload(),
-        "hints": None if hints is None else {
-            "variable": hints.variable,
-            "value_type": hints.value_type,
-            "read_value": hints.read_value,
-            "write_value": hints.write_value,
-            "null_write": hints.null_write,
-            "address": hints.address,
-        },
+        "hints": None if hints is None else dict(vars(hints)),
     }
-
-
-def race_verifier_for(spec: ProgramSpec,
-                      tracer: Optional[SpanTracer] = None
-                      ) -> DynamicRaceVerifier:
-    """The race verifier for ``spec``: the serial path's and each worker's."""
-    return DynamicRaceVerifier(
-        spec.build(), entry=spec.entry, inputs=spec.workload_inputs,
-        seeds=spec.verify_seeds, max_steps=spec.max_steps,
-        vm_factory=lambda seed: spec.make_vm(seed),
-        tracer=tracer,
-    )
 
 
 def verify_races_batch(spec: ProgramSpec, reports: Sequence[RaceReport],
                        sweep) -> List[RaceVerification]:
-    """Verify each report in its own worker; results keep report order.
+    """Verify each report as one item; results keep report order.
 
     ``sweep`` (:class:`repro.owl.sweep.Sweep`) is the run's execution
-    context: its pool, cache and batch policy run the items, and its
+    context: its cache, pool and batch policy run the items, and its
     tracer gets one ``verify_report`` span per report, in report order,
     on every path.
     """
     reports = list(reports)
-    if not reports:
-        return []
-    if not sweep.pooled(can_parallelize(spec)):
-        outcomes = race_verifier_for(spec, sweep.tracer).verify_all(reports)
-    else:
-        outputs = _verify_items(
-            _race_verify_worker, "race_verify", spec, "report",
-            [report_to_payload(report) for report in reports], sweep,
+
+    def finish(index: int, output: Dict) -> RaceVerification:
+        report = reports[index]
+        hints = (SecurityHints(**output["hints"])
+                 if output["hints"] is not None else None)
+        if output["verified"]:
+            report.tags[DynamicRaceVerifier.TAG] = hints
+        verification = RaceVerification(
+            report, output["verified"], hints, output["runs_used"],
+            output["livelocks_resolved"],
         )
-        outcomes = []
-        for report, output in zip(reports, outputs):  # report order, always
-            hints = (
-                SecurityHints(**output["hints"])
-                if output["hints"] is not None else None
-            )
-            if output["verified"]:
-                report.tags[DynamicRaceVerifier.TAG] = hints
-            verification = RaceVerification(
-                report, output["verified"], hints, output["runs_used"],
-                output["livelocks_resolved"],
-            )
-            verification.vm_steps = output["vm_steps"]
-            verification.runs_stopped_early = output["runs_stopped_early"]
-            outcomes.append(verification)
-            adopt_spans(sweep.tracer, output, "verify_report",
-                        report=report.uid, variable=report.variable,
-                        verified=output["verified"],
-                        runs_used=output["runs_used"],
-                        livelocks_resolved=output["livelocks_resolved"])
-    return outcomes
+        verification.vm_steps = output["vm_steps"]
+        verification.runs_stopped_early = output["runs_stopped_early"]
+        adopt_spans(sweep.tracer, output, "verify_report",
+                    report=report.uid, variable=report.variable,
+                    verified=output["verified"],
+                    runs_used=output["runs_used"],
+                    livelocks_resolved=output["livelocks_resolved"])
+        return verification
+
+    jobs = [verify_job(spec, report=report_to_payload(report))
+            for report in reports]
+    return _verify_items("race_verify", verify_report_item, jobs, spec,
+                         sweep, finish)
 
 
 # ---------------------------------------------------------------------------
 # stage 5: per-vulnerability verification
 
 
-def _vuln_verify_worker(payload: Dict) -> Dict:
-    spec = _cached_spec(payload["spec"])
-    vulnerability = vuln_from_payload(spec.build(), payload["vuln"])
-    tracer = SpanTracer()
-    verifier, _ = vuln_verifier_for(spec, vulnerability, tracer)
-    verification = verifier.verify(vulnerability)
+def vuln_job(spec: ProgramSpec, vulnerability) -> Dict:
+    """One vulnerability's item payload.  A site that matches one of the
+    spec's known attacks runs on that attack's subtle inputs (the "user
+    intervention" of paper §4.3)."""
+    truth = spec.attack_for_site(vulnerability.site.location)
+    return verify_job(
+        spec, vuln=vuln_to_payload(vulnerability),
+        inputs=(truth.subtle_inputs if truth is not None
+                else spec.workload_inputs))
+
+
+def vuln_verifier_for(
+    spec: ProgramSpec, job: Dict, vulnerability,
+    module: Optional[Module] = None, tracer: Optional[SpanTracer] = None,
+) -> DynamicVulnerabilityVerifier:
+    """The verifier of one vulnerability item: ``job``'s entry, inputs,
+    seeds and step budget on ``module`` (default: ``spec``'s), steered by
+    the attack predicate and racing order of the ground truth ``spec``
+    knows for the site."""
+    module = module if module is not None else spec.build()
+    truth = spec.attack_for_site(vulnerability.site.location)
+    inputs, max_steps = job["inputs"], job["max_steps"]
+    return DynamicVulnerabilityVerifier(
+        module, entry=job["entry"], inputs=inputs, seeds=job["seeds"],
+        max_steps=max_steps,
+        vm_factory=lambda seed: spec.make_vm(
+            seed, inputs=inputs, max_steps=max_steps, module=module),
+        attack_predicate=truth.predicate if truth is not None else None,
+        racing_order=(
+            (truth.racing_order, "") if truth is not None else None
+        ),
+        tracer=tracer,
+    )
+
+
+def verify_vuln_item(job: Dict, tracer: Optional[SpanTracer] = None,
+                     spec: Optional[ProgramSpec] = None,
+                     module: Optional[Module] = None) -> Dict:
+    """Verify ``job``'s vulnerability on ``module`` (default: the spec's;
+    repair passes a patched clone); the output payload."""
+    spec = _item_spec(job, spec)
+    module = module if module is not None else spec.build()
+    vulnerability = vuln_from_payload(module, job["vuln"])
+    verification = vuln_verifier_for(
+        spec, job, vulnerability, module, tracer).verify(vulnerability)
     return {
-        "index": payload["index"],
         "site_reached": verification.site_reached,
         "attack_realized": verification.attack_realized,
-        "diverged": [branch.uid or 0 for branch in verification.diverged_branches],
+        "diverged": [branch.uid or 0
+                     for branch in verification.diverged_branches],
         "faults": [kind.value for kind in verification.fault_kinds],
         "runs_used": verification.runs_used,
         "vm_steps": verification.vm_steps,
-        "spans": tracer.export_payload(),
     }
 
 
 def verify_vulns_batch(
     spec: ProgramSpec, vulnerabilities: Sequence, sweep,
 ) -> List[Tuple[VulnVerification, Optional[AttackGroundTruth]]]:
-    """Verify each vulnerability in its own worker; results keep input order.
+    """Verify each vulnerability as one item; results keep input order.
 
-    Ground truth is matched *inside* the worker (by site location against
-    the registry spec's attacks — deterministic), so subtle inputs, racing
-    order and attack predicates never cross the process boundary; the
-    parent re-matches against its own spec for the returned pairing.
-    ``sweep`` is the execution context, as for :func:`verify_races_batch`;
-    its tracer gets one ``verify_vulnerability`` span per vulnerability,
-    in input order, on every path.
+    Ground truth is matched by site location against the item's spec —
+    the caller's in-process, the registry's in a worker — so attack
+    predicates never cross the process boundary; the parent re-matches
+    against its own spec for the returned pairing.  ``sweep`` is the
+    execution context, as for :func:`verify_races_batch`; its tracer gets
+    one ``verify_vulnerability`` span per vulnerability, in input order,
+    on every path.
     """
     vulnerabilities = list(vulnerabilities)
-    if not vulnerabilities:
-        return []
-    if not sweep.pooled(can_parallelize(spec)):
-        outcomes = [
-            _verify_vuln_serial(spec, vulnerability, tracer=sweep.tracer)
-            for vulnerability in vulnerabilities
-        ]
-    else:
-        module = spec.build()
-        outputs = _verify_items(
-            _vuln_verify_worker, "vuln_verify", spec, "vuln",
-            [vuln_to_payload(vulnerability)
-             for vulnerability in vulnerabilities], sweep,
+    module = spec.build()
+
+    def finish(index: int, output: Dict):
+        vulnerability = vulnerabilities[index]
+        verification = VulnVerification(
+            vulnerability,
+            output["site_reached"],
+            output["attack_realized"],
+            [module.instruction_by_uid(uid) for uid in output["diverged"]],
+            [FaultKind(value) for value in output["faults"]],
+            output["runs_used"],
         )
-        outcomes = []
-        # vulnerability order, always
-        for vulnerability, output in zip(vulnerabilities, outputs):
-            ground_truth = spec.attack_for_site(vulnerability.site.location)
-            verification = VulnVerification(
-                vulnerability,
-                output["site_reached"],
-                output["attack_realized"],
-                [module.instruction_by_uid(uid)
-                 for uid in output["diverged"]],
-                [FaultKind(value) for value in output["faults"]],
-                output["runs_used"],
-            )
-            verification.vm_steps = output["vm_steps"]
-            outcomes.append((verification, ground_truth))
-            adopt_spans(sweep.tracer, output, "verify_vulnerability",
-                        site=str(vulnerability.site.location),
-                        site_type=vulnerability.site_type.value,
-                        site_reached=output["site_reached"],
-                        attack_realized=output["attack_realized"],
-                        runs_used=output["runs_used"])
-    return outcomes
+        verification.vm_steps = output["vm_steps"]
+        adopt_spans(sweep.tracer, output, "verify_vulnerability",
+                    site=str(vulnerability.site.location),
+                    site_type=vulnerability.site_type.value,
+                    site_reached=output["site_reached"],
+                    attack_realized=output["attack_realized"],
+                    runs_used=output["runs_used"])
+        return (verification,
+                spec.attack_for_site(vulnerability.site.location))
 
-
-def vuln_verifier_for(
-    spec: ProgramSpec, vulnerability, tracer: Optional[SpanTracer] = None,
-) -> Tuple[DynamicVulnerabilityVerifier, Optional[AttackGroundTruth]]:
-    """The verifier for one vulnerability (the serial path's and each
-    worker's), with the ground truth it was configured from."""
-    ground_truth = spec.attack_for_site(vulnerability.site.location)
-    inputs = (
-        ground_truth.subtle_inputs if ground_truth is not None
-        else spec.workload_inputs
-    )
-    verifier = DynamicVulnerabilityVerifier(
-        spec.build(), entry=spec.entry, inputs=inputs,
-        seeds=spec.verify_seeds, max_steps=spec.max_steps,
-        vm_factory=lambda seed, _inputs=inputs: spec.make_vm(
-            seed, inputs=_inputs,
-        ),
-        attack_predicate=(
-            ground_truth.predicate if ground_truth is not None else None
-        ),
-        racing_order=(
-            (ground_truth.racing_order, "") if ground_truth is not None
-            else None
-        ),
-        tracer=tracer,
-    )
-    return verifier, ground_truth
-
-
-def _verify_vuln_serial(
-    spec: ProgramSpec, vulnerability, tracer: Optional[SpanTracer] = None,
-) -> Tuple[VulnVerification, Optional[AttackGroundTruth]]:
-    """One vulnerability through the serial path."""
-    verifier, ground_truth = vuln_verifier_for(spec, vulnerability, tracer)
-    return verifier.verify(vulnerability), ground_truth
+    jobs = [vuln_job(spec, vulnerability) for vulnerability in vulnerabilities]
+    return _verify_items("vuln_verify", verify_vuln_item, jobs, spec, sweep,
+                         finish)

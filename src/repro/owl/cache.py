@@ -7,7 +7,7 @@ sub-computations.  This module makes each of those sub-computations a cache
 entry:
 
 - one **detector seed** (``detect``): the per-seed report payloads and
-  :class:`repro.runtime.metrics.RunStats` tuple,
+  :class:`repro.runtime.metrics.RunStats` counts (no wall time),
 - the **adhoc-sync classification** of a report set (``adhoc``): the
   annotation payload plus which report uids were tagged,
 - one **race verification** (``race_verify``): verified flag, security
@@ -25,9 +25,10 @@ of the whole ``repro`` package (:func:`code_version`), so any code change
 invalidates every entry rather than risking stale results.  Values are the
 same plain payloads :mod:`repro.owl.batch` ships across process
 boundaries, so a cache hit rehydrates through exactly the code path a
-worker result does — which is what makes cached and uncached runs produce
+fresh result does — which is what makes cached and uncached runs produce
 bit-identical :meth:`StageCounters.parity_dict` and provenance
-dispositions.
+dispositions.  Values hold results only, never timings, so two cold runs
+of one configuration write byte-identical entries.
 
 Entries live under ``<root>/<stage>/<key[:2]>/<key>.json`` (default root
 ``benchmarks/out/cache``) wrapped in an envelope carrying the schema
@@ -130,15 +131,15 @@ class ResultCache:
     """
 
     def __init__(self, root: str = DEFAULT_CACHE_DIR,
-                 version: Optional[str] = None, registry=None):
+                 version: Optional[str] = None):
         from repro.runtime.telemetry import MetricsRegistry
 
         self.root = root
         self.version = version if version is not None else code_version()
         #: Hit/miss/store counters live in a telemetry registry
-        #: (``cache.<stage>.<what>`` names) — an injected pipeline-wide
-        #: one, or a private one — so snapshots carry them for free.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: (``cache.<stage>.<what>`` names), so snapshots carry them for
+        #: free.
+        self.registry = MetricsRegistry()
         self._stages: set = set()
         #: Keyed by the module object, weakly: an ``id`` key would hand a
         #: collected module's digest to the next module at its address.

@@ -245,7 +245,7 @@ def _run_predict_wave(module, job, sweep, predict_policy, world_factory=None):
     """
     from repro.detectors.predict import PredictionResult, predict_from_log
 
-    cache = sweep.cache_for(job)
+    cache = sweep.cache
     key = hit = None
     if cache is not None:
         key = sweep.key("predict", module, job,

@@ -29,8 +29,8 @@ def spec_job(spec: ProgramSpec, annotations: Optional[AnnotationSet] = None,
 
     ``options`` carries the per-seed options (record, coverage,
     profile); the spec supplies everything else.  The job's source is the
-    spec's registry name when workers can rebuild it (otherwise the sweep
-    stays serial and uncached).
+    spec's registry name when workers can rebuild it (otherwise its seeds
+    run in-process; the cache works either way).
     """
     from repro.owl.batch import can_parallelize
 
@@ -55,9 +55,10 @@ def run_detector(
 
     The seed jobs come from :func:`spec_job` (``options`` holds the
     per-seed options) and run through the sweep driver
-    (:func:`repro.owl.sweep.run_sweep`): ``sweep`` says where — serial by
-    default, pooled and/or cached per its settings — and reports merge in
-    seed order, so the result is identical at any job count.  An
+    (:func:`repro.owl.sweep.run_sweep`): ``sweep`` says where — in-process
+    and uncached by default, pooled and/or cached per its settings — and
+    reports merge in seed order, so the result is identical at any job
+    count.  An
     ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`) replaces
     the spec's fixed ``detect_seeds`` with coverage-guided exploration;
     its :class:`ExplorationResult` lands on ``sweep.exploration``.

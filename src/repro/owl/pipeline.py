@@ -216,7 +216,8 @@ class OwlPipeline:
 
     With ``jobs > 1`` the embarrassingly parallel stages — per-seed
     detection, per-report race verification, per-vulnerability verification
-    — fan out over a process pool shared across stages (see
+    — fan out over a process pool shared across stages when workers can
+    rebuild the spec by registry name, and run in-process otherwise (see
     :mod:`repro.owl.batch`).  The merge is deterministic: the resulting
     :class:`StageCounters` are bit-identical to a serial run on the same
     seeds.  Per-stage wall time and VM throughput are recorded in
@@ -226,10 +227,10 @@ class OwlPipeline:
     (built from ``item_timeout``/``retries``; the metrics ``"batch"``
     block) and span tracer.
 
-    With a ``cache`` (:class:`repro.owl.cache.ResultCache`) every stage's
-    unit results are answered from disk when their content key matches a
-    previous run — bit-identical counters and provenance, zero VM
-    re-execution for unchanged work.
+    With a ``cache`` (:class:`repro.owl.cache.ResultCache`, any spec)
+    every stage's unit results are answered from disk when their content
+    key matches a previous run — bit-identical counters and provenance,
+    zero VM re-execution for unchanged work.
 
     An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
     replaces the detect stages' blind ``detect_seeds`` sweep with

@@ -174,9 +174,6 @@ class DynamicRaceVerifier:
         verification.runs_stopped_early = stopped
         return verification
 
-    def verify_all(self, reports) -> List[RaceVerification]:
-        return [self.verify(report) for report in reports]
-
     # ------------------------------------------------------------------
 
     def _make_vm(self, seed: int) -> VM:

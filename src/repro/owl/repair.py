@@ -356,24 +356,15 @@ def _drive_attack(spec, patched: Module, payload: Dict, truth) -> bool:
 
     ``clone_module`` preserves uids, so the vulnerability payload recorded
     against the original resolves on the clone — same site, same branches,
-    same source race — and the verifier steers the patched execution with
-    everything it has (racing-order breakpoints over the verify seeds).
-    Returns whether the attack still realized.
+    same source race — and the vulnerability item's verifier steers the
+    patched execution with everything it has (the attack's subtle inputs,
+    racing-order breakpoints over the verify seeds).  Returns whether the
+    attack still realized.
     """
-    from repro.owl.batch import vuln_from_payload
-    from repro.owl.vuln_verifier import DynamicVulnerabilityVerifier
+    from repro.owl.batch import verify_job, verify_vuln_item
 
-    vulnerability = vuln_from_payload(patched, payload)
-
-    verifier = DynamicVulnerabilityVerifier(
-        patched, entry=spec.entry, inputs=truth.subtle_inputs,
-        seeds=spec.verify_seeds, max_steps=spec.max_steps,
-        vm_factory=lambda seed: spec.make_vm(
-            seed, inputs=truth.subtle_inputs, module=patched),
-        attack_predicate=truth.predicate,
-        racing_order=(truth.racing_order, ""),
-    )
-    return verifier.verify(vulnerability).attack_realized
+    job = verify_job(spec, vuln=payload, inputs=truth.subtle_inputs)
+    return verify_vuln_item(job, spec=spec, module=patched)["attack_realized"]
 
 
 def gate_schedulers(spec, patched: Module,

@@ -1,24 +1,23 @@
 """The seed-sweep driver: one detector over many schedules (paper §6.3).
 
 :func:`run_sweep` runs a base :class:`repro.detectors.seed.SeedJob` over
-many seeds; the :class:`Sweep` context picks the strategy:
-
-- **serial** — in-process on the caller's module, no payload round trip;
-- **pool** — jobs are the worker payloads of
-  :func:`repro.owl.batch.run_cached_tasks` (a pool when ``jobs > 1`` or an
-  executor is given; the result cache at any job count);
-- **explore** — coverage-guided waves (:mod:`repro.owl.explore`), each run
-  by one of the above.
+many seeds, or over coverage-guided waves (:mod:`repro.owl.explore`).
+Each seed is one stage item (:mod:`repro.owl.batch`): its job is the
+payload, :func:`seed_item` runs it, and :meth:`Sweep.run` rehydrates the
+output into a :class:`repro.detectors.seed.SeedRun` against the caller's
+module.  :meth:`Sweep.map` runs the items of every stage — detection and
+both verifications — answered from the cache, in-process, or in the pool.
 
 Runs come back in seed order, so reports, stats, coverage and spans
 (with the run-log events they write) are identical at any job count.
 Cache keys are :meth:`SeedJob.key_parts`, so no seed option can be left
-out of one.  Pooling and caching need a job ``source`` workers can
-rebuild the module from; jobs without one run serially, uncached.
+out of one.  The pool needs a job ``source`` workers can rebuild the
+module from; the cache works for every job.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors.report import ReportSet
@@ -28,15 +27,15 @@ from repro.runtime.spans import SpanTracer
 
 
 class Sweep:
-    """Where a sweep's jobs run, and who watches them.
+    """Where a run's stage items run, and who watches them.
 
     ``jobs``/``executor`` size (or supply) the process pool, ``cache``
-    (:class:`repro.owl.cache.ResultCache`) answers already-computed jobs
+    (:class:`repro.owl.cache.ResultCache`) answers already-computed items
     from disk, ``policy`` (:class:`repro.owl.batch.BatchPolicy`) bounds
-    each pooled item's wait and retries, and ``tracer`` collects one
-    ``detect_seed`` span per job (a cached job's is a marker).  A pipeline
-    run holds one sweep, and its verification stages run through the
-    same context (:func:`repro.owl.batch.verify_races_batch`,
+    each pooled item's wait and retries, and ``tracer`` collects one span
+    per item (a cached item's is a marker).  A pipeline run holds one
+    sweep, and its verification stages run through the same context
+    (:func:`repro.owl.batch.verify_races_batch`,
     :func:`repro.owl.batch.verify_vulns_batch`).
     """
 
@@ -51,45 +50,56 @@ class Sweep:
         #: exploring sweep run through this context.
         self.exploration = None
 
-    def cache_for(self, job: SeedJob):
-        """The cache, when ``job`` can be keyed (it has a rebuildable source)."""
-        return self.cache if job.source is not None else None
-
-    def pooled(self, rebuildable: bool) -> bool:
-        """Whether work goes through worker payloads (a pool, the cache, or
-        both); only work whose module workers can rebuild may."""
-        return rebuildable and (
-            self.jobs > 1 or self.executor is not None
-            or self.cache is not None)
-
-    def tasks(self, worker, payloads: Sequence, stage: str,
-              keys: Optional[Sequence[str]] = None) -> List[Dict]:
-        """:func:`repro.owl.batch.run_cached_tasks` in this context; cached
-        only when ``keys`` are given."""
-        return batch.run_cached_tasks(
-            worker, payloads, cache=self.cache, stage=stage, keys=keys,
-            jobs=self.jobs, executor=self.executor, policy=self.policy,
-        )
-
     def key(self, stage: str, module, job: SeedJob, **extra) -> str:
         """The cache key of ``job``'s result in ``stage``."""
         return self.cache.key(stage, module=module, **job.key_parts(), **extra)
 
-    def run(self, module, seed_jobs: Sequence[SeedJob]) -> List[SeedRun]:
-        """Run every job (one sweep's options), results in job order."""
-        seed_jobs = list(seed_jobs)
-        if not seed_jobs:
+    def keys(self, stage: str, module,
+             parts: Sequence[Dict]) -> Optional[List[str]]:
+        """Each item's cache key from its key parts; None without a cache."""
+        if self.cache is None:
+            return None
+        return [self.cache.key(stage, module=module, **part)
+                for part in parts]
+
+    def map(self, stage: str, item, payloads: Sequence, keys, finish,
+            rebuildable: bool, **local) -> List:
+        """Run one stage's items; ``finish(index, output)`` turns each
+        output into the stage's result, in payload order.
+
+        ``item(payload, tracer, **local)`` computes one output.  With a
+        pool (``jobs > 1`` or an executor) and ``rebuildable`` payloads,
+        misses run there as ``item(payload, tracer)``, rebuilding what
+        ``local`` would have supplied from the payload.  Otherwise each
+        item runs in-process on ``local`` (the caller's spec or module)
+        with this sweep's tracer, just before it is finished, so live
+        spans and cache-hit markers land in payload order.
+        """
+        if not payloads:
             return []
-        if self.pooled(seed_jobs[0].source is not None):
-            return self._run_pooled(module, seed_jobs)
-        return [run_seed(job, module=module, tracer=self.tracer)
-                for job in seed_jobs]
+        if rebuildable and (self.jobs > 1 or self.executor is not None):
+            outputs = batch.run_cached_tasks(
+                functools.partial(batch.in_worker, item), payloads,
+                cache=self.cache, stage=stage, keys=keys, jobs=self.jobs,
+                executor=self.executor, policy=self.policy)
+        else:
+            outputs = self._in_process(stage, item, payloads, keys, local)
+        return [finish(index, output) for index, output in enumerate(outputs)]
 
-    # ------------------------------------------------------------------
-    # the pool strategy
+    def _in_process(self, stage: str, item, payloads: Sequence, keys,
+                    local: Dict):
+        """Each item's output when it is needed: a cache hit, or the item
+        run here (and stored)."""
+        for index, payload in enumerate(payloads):
+            key = keys[index] if keys is not None else None
+            output = batch.cached_output(self.cache, stage, key)
+            if output is None:
+                output = item(payload, self.tracer, **local)
+                batch.store_output(self.cache, stage, key, output)
+            yield output
 
-    def _run_pooled(self, module, seed_jobs: List[SeedJob]) -> List[SeedRun]:
-        """Fan the jobs out; rehydrate the outputs against ``module``.
+    def run(self, module, seed_jobs: Sequence[SeedJob]) -> List[SeedRun]:
+        """Run every job (one sweep's options), results in job order.
 
         Recording jobs go through the cache only when *both* their
         ``detect`` and ``record`` entries exist: a job whose log is
@@ -97,39 +107,36 @@ class Sweep:
         returns a complete log set while the ``detect`` entry stays
         byte-identical to a plain run's.
         """
-        cache = self.cache
-        keys = ([self.key("detect", module, job) for job in seed_jobs]
-                if cache is not None else None)
-        if cache is None or not seed_jobs[0].record:
-            outputs = self.tasks(_seed_worker, seed_jobs, "detect", keys)
-        else:
-            record_keys = [self.key("record", module, job)
-                           for job in seed_jobs]
-            logs = [cache.get("record", key) for key in record_keys]
-            outputs: List[Optional[Dict]] = [None] * len(seed_jobs)
-            hits = [i for i, log in enumerate(logs) if log is not None]
-            live = [i for i, log in enumerate(logs) if log is None]
-            if hits:
-                found = self.tasks(_seed_worker,
-                                   [seed_jobs[i] for i in hits], "detect",
-                                   [keys[i] for i in hits])
-                for index, output in zip(hits, found):
+        seed_jobs = list(seed_jobs)
+        if not seed_jobs:
+            return []
+        parts = [job.key_parts() for job in seed_jobs]
+        keys = detect_keys = self.keys("detect", module, parts)
+        logs = record_keys = None
+        if keys is not None and seed_jobs[0].record:
+            record_keys = self.keys("record", module, parts)
+            logs = [self.cache.get("record", key) for key in record_keys]
+            keys = [key if log is not None else None
+                    for key, log in zip(keys, logs)]
+
+        def finish(index: int, output: Dict) -> SeedRun:
+            if logs is not None:
+                if logs[index] is None:  # ran unkeyed: warm both stages
+                    batch.store_output(self.cache, "detect",
+                                       detect_keys[index], output)
+                    self.cache.put("record", record_keys[index],
+                                   output["log"])
+                else:
                     output.setdefault("log", logs[index])
-                    outputs[index] = output
-            if live:
-                fresh = self.tasks(_seed_worker,
-                                   [seed_jobs[i] for i in live], "detect")
-                for index, output in zip(live, fresh):
-                    outputs[index] = output
-                    cache.put("detect", keys[index], batch._cacheable(output))
-                    cache.put("record", record_keys[index], output["log"])
-        runs = [SeedRun.from_payload(module, job, output,
-                                     cached=bool(output.get("cached")))
-                for job, output in zip(seed_jobs, outputs)]
-        for run, output in zip(runs, outputs):
+            run = SeedRun.from_payload(module, seed_jobs[index], output,
+                                       cached=bool(output.get("cached")))
             batch.adopt_spans(self.tracer, output, "detect_seed",
                               **seed_span_attrs(run))
-        return runs
+            return run
+
+        return self.map("detect", seed_item, seed_jobs, keys, finish,
+                        rebuildable=seed_jobs[0].source is not None,
+                        module=module)
 
 
 def seed_span_attrs(run: SeedRun) -> Dict:
@@ -141,12 +148,11 @@ def seed_span_attrs(run: SeedRun) -> Dict:
             "reports": stats.reports}
 
 
-def _seed_worker(job: SeedJob) -> Dict:
-    """Run one job in a worker; its results as a picklable payload."""
-    tracer = SpanTracer()
-    output = run_seed(job, tracer=tracer).to_payload()
-    output["spans"] = tracer.export_payload()
-    return output
+def seed_item(job: SeedJob, tracer: Optional[SpanTracer] = None,
+              module=None) -> Dict:
+    """Run one job; its results as a payload.  ``module`` is the caller's
+    in-process; a worker resolves ``job.source``."""
+    return run_seed(job, module=module, tracer=tracer).to_payload()
 
 
 def merge_runs(runs: Sequence[SeedRun]) -> ReportSet:
@@ -171,7 +177,7 @@ def run_sweep(
     the seeds come from coverage-guided exploration instead (``seeds`` is
     ignored; ``world_factory`` builds the OS world for a predict wave's
     witness replays), whose result lands on ``sweep.exploration``.
-    ``sweep`` defaults to a serial, uncached one.
+    ``sweep`` defaults to an in-process, uncached one.
     """
     sweep = sweep if sweep is not None else Sweep()
     if explore is not None:

@@ -594,14 +594,19 @@ def _vuln_run_outcomes(verification, recorder: _RunRecorder) -> List[Tuple]:
 def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
     """The debugger-driven oracle over every report of one pipeline run.
 
-    Each race report the pipeline verified goes through the serial path's
-    race verifier twice, under :func:`reference_execution` and as
-    shipped; so does each vulnerability through its vulnerability
-    verifier.  Outcomes (verified, runs used, security hints; the realized
-    verdict) must be equal, and so must each run's breakpoint halts, up to
-    the point where the shipped run ended early.
+    Each race report the pipeline verified goes through its item's race
+    verifier twice, under :func:`reference_execution` and as shipped; so
+    does each vulnerability through its item's vulnerability verifier.
+    Outcomes (verified, runs used, security hints; the realized verdict)
+    must be equal, and so must each run's breakpoint halts, up to the
+    point where the shipped run ended early.
     """
-    from repro.owl.batch import race_verifier_for, vuln_verifier_for
+    from repro.owl.batch import (
+        race_verifier_for,
+        verify_job,
+        vuln_job,
+        vuln_verifier_for,
+    )
     from repro.owl.pipeline import OwlPipeline
 
     if diff is None:
@@ -638,10 +643,11 @@ def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
             diff.divergences.append(divergence)
 
     for report in result.annotated_reports:
-        both(lambda: race_verifier_for(spec), report, _race_outcome,
-             _race_run_outcomes, "race[%s]" % report.uid)
+        both(lambda: race_verifier_for(spec, verify_job(spec)), report,
+             _race_outcome, _race_run_outcomes, "race[%s]" % report.uid)
     for vulnerability in result.vulnerabilities:
-        both(lambda: vuln_verifier_for(spec, vulnerability)[0],
+        both(lambda: vuln_verifier_for(spec, vuln_job(spec, vulnerability),
+                                       vulnerability),
              vulnerability,
              lambda v: (v.attack_realized, v.site_reached, v.runs_used),
              _vuln_run_outcomes,

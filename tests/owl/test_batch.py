@@ -8,6 +8,8 @@ is bit-identical to the serial run on the same seeds.
 import json
 import os
 
+import pytest
+
 from repro.apps.registry import spec_by_name
 from repro.owl.batch import (
     can_parallelize,
@@ -16,6 +18,7 @@ from repro.owl.batch import (
     report_to_payload,
     verify_races_batch,
 )
+from repro.owl.cache import ResultCache
 from repro.owl.integration import run_detector
 from repro.owl.pipeline import OwlPipeline
 from repro.owl.sweep import Sweep
@@ -42,6 +45,22 @@ def _report_fingerprint(report):
 
 def _fingerprints(reports):
     return [_report_fingerprint(report) for report in reports]
+
+
+def unregistered(base, name="not-in-registry"):
+    """``base`` under a name the registry does not know."""
+    return ProgramSpec(
+        name=name,
+        module_factory=base.module_factory,
+        detector=base.detector,
+        entry=base.entry,
+        workload_inputs=base.workload_inputs,
+        detect_seeds=base.detect_seeds,
+        verify_seeds=base.verify_seeds,
+        max_steps=base.max_steps,
+        attacks=base.attacks,
+        initial_world=base.initial_world,
+    )
 
 
 class TestPayloads:
@@ -87,9 +106,8 @@ class TestDetectorParity:
             assert len(stats) == len(list(spec.detect_seeds))
 
     def test_race_verification_parity(self):
-        # Serial verification works on instruction *identity*, so detect and
-        # verify must share one spec instance (as the pipeline does); the
-        # parallel path rehydrates by uid in the workers.
+        # Each verification item rehydrates its report by uid on the
+        # verifying spec's module, in-process and in the workers alike.
         spec = spec_by_name("libsafe")
         reports, _ = run_detector(spec)
         serial = verify_races_batch(spec, reports, Sweep())
@@ -114,24 +132,21 @@ class TestPipelineParity:
             == [t.attack_id for t in serial.detected_ground_truths()]
         )
 
-    def test_unregistered_spec_falls_back_to_serial(self):
+    def test_unregistered_spec_falls_back_to_serial(self, tmp_path):
+        """Workers cannot rebuild the spec, so it runs in-process at any
+        job count, through the result cache like any other spec."""
         base = spec_by_name("libsafe")
-        clone = ProgramSpec(
-            name="not-in-registry",
-            module_factory=base.module_factory,
-            detector=base.detector,
-            entry=base.entry,
-            workload_inputs=base.workload_inputs,
-            detect_seeds=base.detect_seeds,
-            verify_seeds=base.verify_seeds,
-            max_steps=base.max_steps,
-            attacks=base.attacks,
-        )
+        clone = unregistered(base)
         assert can_parallelize(base)
         assert not can_parallelize(clone)
-        result = OwlPipeline(clone, jobs=4).run()
-        assert result.metrics.jobs == 1  # silently serial
+        cache = ResultCache(str(tmp_path))
+        result = OwlPipeline(clone, jobs=4, cache=cache).run()
+        assert result.metrics.jobs == 1  # no pool
         assert result.counters.raw_reports > 0
+        assert cache.stage_counters("detect")["stores"] == len(
+            clone.detect_seeds)
+        assert (result.counters.parity_dict()
+                == OwlPipeline(base, jobs=4).run().counters.parity_dict())
 
     def test_shared_executor_reuse(self):
         spec = spec_by_name("libsafe")
@@ -143,6 +158,63 @@ class TestPipelineParity:
         finally:
             executor.shutdown()
         assert _fingerprints(first) == _fingerprints(second)
+
+
+class TestItemsRunTheirPayload:
+    """Each item runs exactly its payload, in-process, pooled or cached:
+    the caller's spec settings hold on every path, and the cache works for
+    every spec."""
+
+    @pytest.mark.parametrize("max_steps", [None, 1500])
+    def test_spec_settings_hold_on_every_path(self, tmp_path, max_steps):
+        def spec():
+            spec = spec_by_name("apache")
+            spec.verify_seeds = [0]
+            if max_steps is not None:
+                spec.max_steps = max_steps
+            return spec
+
+        def outcome(result):
+            return (
+                result.counters.parity_dict(),
+                [(v.report.uid, v.verified, v.runs_used)
+                 for v in result.verifications],
+                [(str(a.vulnerability.site.location), a.realized,
+                  a.verification.runs_used) for a in result.attacks],
+                result.provenance.as_dict(),
+            )
+
+        root = str(tmp_path / "cache")
+        uncached = OwlPipeline(spec()).run()
+        cold = OwlPipeline(spec(), cache=ResultCache(root)).run()
+        warm = OwlPipeline(spec(), cache=ResultCache(root)).run()
+        pooled = OwlPipeline(spec(), jobs=2).run()
+        assert warm.metrics.blocks["cache"]["misses"] == 0
+        assert all(v.runs_used == 1 for v in uncached.verifications)
+        expected = outcome(uncached)
+        assert outcome(cold) == expected
+        assert outcome(warm) == expected
+        assert outcome(pooled) == expected
+
+    @pytest.mark.parametrize("program", ["memcached", "ssdb"])
+    def test_unregistered_spec_warms_every_item_stage(self, tmp_path,
+                                                      program):
+        def run():
+            cache = ResultCache(str(tmp_path))
+            clone = unregistered(spec_by_name(program), program + "-copy")
+            return OwlPipeline(clone, cache=cache).run(), cache
+
+        cold, cold_cache = run()
+        warm, warm_cache = run()
+        items = {"detect": len(cold.spec.detect_seeds),
+                 "race_verify": len(cold.verifications),
+                 "vuln_verify": len(cold.attacks)}
+        for stage, count in items.items():
+            assert cold_cache.stage_counters(stage)["stores"] == count, stage
+            assert warm_cache.stage_counters(stage)["hits"] == count, stage
+            assert warm_cache.stage_counters(stage)["misses"] == 0, stage
+        assert (warm.counters.parity_dict()
+                == cold.counters.parity_dict())
 
 
 class TestMetrics:

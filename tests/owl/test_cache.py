@@ -118,6 +118,33 @@ class TestWarmParity:
         assert warm.counters.parity_dict() == baseline.counters.parity_dict()
         assert warm.provenance.as_dict() == baseline.provenance.as_dict()
 
+    def test_two_cold_runs_write_identical_entry_trees(self, tmp_path):
+        """Entries hold results, never timings: two cold explore+predict
+        runs into two fresh caches write byte-identical entries in every
+        stage."""
+        from repro.detectors.predict import PredictPolicy
+        from repro.owl.explore import ExplorePolicy
+
+        def entry_tree(root):
+            tree = {}
+            for directory, _, names in os.walk(root):
+                for name in names:
+                    path = os.path.join(directory, name)
+                    with open(path, "rb") as handle:
+                        tree[os.path.relpath(path, root)] = handle.read()
+            return tree
+
+        trees = []
+        for name in ("a", "b"):
+            root = str(tmp_path / name)
+            OwlPipeline(spec_by_name("memcached"), cache=ResultCache(root),
+                        explore=ExplorePolicy(predict=PredictPolicy())).run()
+            trees.append(entry_tree(root))
+        stages = {path.split(os.sep)[0] for path in trees[0]}
+        assert {"detect", "predict", "adhoc", "race_verify",
+                "vuln_analysis"} <= stages
+        assert trees[0] == trees[1]
+
     def test_metrics_blocks_present(self, tmp_path):
         spec = spec_by_name("libsafe")
         cache = ResultCache(str(tmp_path))

@@ -191,9 +191,7 @@ class TestRecordModeCaching:
             for directory, _, names in os.walk(stage_dir):
                 for name in names:
                     with open(os.path.join(directory, name)) as handle:
-                        envelope = json.load(handle)
-                    envelope["value"]["stats"][-1] = 0.0  # wall seconds
-                    found[name] = envelope
+                        found[name] = json.load(handle)
             return found
 
         assert entries(plain_root, "detect") == entries(record_root, "detect")
