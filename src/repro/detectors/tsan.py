@@ -27,6 +27,7 @@ from repro.detectors.vectorclock import VectorClock
 from repro.ir.module import Module
 from repro.runtime.events import (
     AccessEvent,
+    AccessRepeat,
     SyncEvent,
     ThreadLifecycleEvent,
     TraceObserver,
@@ -206,6 +207,48 @@ class TSanDetector(TraceObserver):
         if release:
             # Publish this thread's clock on the flag address (TSan markup).
             self._release(thread_id, address)
+
+    def accepts_repeat(self, event: AccessEvent) -> bool:
+        """Repeats of a plain read that touches no watched byte.
+
+        A watched byte makes every read append to a report's
+        ``subsequent_reads``, so those reads must arrive one by one.
+        """
+        if event.is_write or event.is_atomic:
+            return False
+        watched = self._watched_bytes
+        if watched:
+            for byte in range(event.address,
+                              event.address + max(1, event.size)):
+                if byte in watched:
+                    return False
+        return True
+
+    def on_repeats(self, repeats: Sequence[AccessRepeat]) -> None:
+        """Account each repeat as its ``count`` reads by one thread under
+        an unchanged clock (nothing in a repeating loop ticks or joins a
+        clock afresh).
+
+        Each read counts as an access.  Its race check gives the first
+        read's outcome again: a duplicate report at most, whose watch
+        already exists.  An annotated acquire joins a clock the thread has
+        already joined.  Each shadow byte keeps the last read's record,
+        because a later report carries that record's step.
+        """
+        shadows = self._shadow
+        for repeat in repeats:
+            event = repeat.last
+            thread_id = event.thread_id
+            self.access_count += repeat.count
+            record = AccessRecord(
+                event.instruction, thread_id, False, event.value,
+                event.call_stack, event.address, step=event.step,
+                size=event.size,
+            )
+            entry = (self._clock_of(thread_id).get(thread_id), record)
+            key = (thread_id, event.instruction.uid or 0)
+            for byte in range(event.address, event.address + event.size):
+                shadows[byte].reads[key] = entry
 
     # ------------------------------------------------------------------
     # race checking

@@ -91,10 +91,22 @@ def _canonical(value):
     (keys of any hashable type), bytes become hex, and anything else falls
     back to ``repr`` — so the same value always hashes the same way
     regardless of which process computed it.
+
+    Entries are in the order of ``repr`` of the whole canonical entry.
+    Sorting by ``repr`` of the canonical key alone gives that order
+    without rendering the (often nested) values: the entry's ``repr`` is
+    ``[`` + the key's + ``, `` + the value's, and reprs of distinct
+    strings, lists and wrapped values are prefix-free, while where one
+    number's repr prefixes another's (``1``, ``10``, ``1.5``, ``1e+16``)
+    the next character sorts after that ``,``.  Keys that render alike
+    fall back to the whole entry.
     """
     if isinstance(value, dict):
         entries = [[_canonical(key), _canonical(item)]
                    for key, item in value.items()]
+        by_key = {repr(entry[0]): entry for entry in entries}
+        if len(by_key) == len(entries):
+            return ["dict", [by_key[key] for key in sorted(by_key)]]
         entries.sort(key=repr)
         return ["dict", entries]
     if isinstance(value, (list, tuple)):

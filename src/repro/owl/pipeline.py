@@ -432,6 +432,7 @@ class OwlPipeline:
             "fused_steps": fused_steps,
             "fused_step_share": round(fused_steps / detect_steps, 4)
             if detect_steps else 0.0,
+            "skipped_steps": counters["skipped_steps"],
             "bailouts": counters["bailouts"],
             "invalidations": counters["invalidations"],
         }

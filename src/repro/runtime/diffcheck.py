@@ -26,10 +26,12 @@ run early (:mod:`repro.ir.reach`), so its halts need only be a prefix of
 the reference run's.
 
 The optimized VM fuses superinstructions wherever its scheduler commits a
-run (:mod:`repro.runtime.fuse`).  With ``fuse=True`` a third, stepwise
-leg (:func:`~repro.runtime.interpreter.stepwise_execution`) runs beside
-it, under the random scheduler and under the spec's own detector family,
-and must be bit-identical to it.
+run (:mod:`repro.runtime.fuse`), and skips a read-only loop trace's
+iterations once it reaches a fixed point: :class:`TraceRecorder` accepts
+every repeat and records each event it stands for.  With ``fuse=True`` a
+third, stepwise leg (:func:`~repro.runtime.interpreter.stepwise_execution`)
+runs beside it, under the random scheduler and under the spec's own
+detector family, and must be bit-identical to it, event by event.
 
 Both configurations share seeds and schedulers, so any semantic drift in an
 optimization shows up as a first-divergence record rather than a silently
@@ -66,11 +68,16 @@ class TraceRecorder(TraceObserver):
 
     The tuples carry only plain values (ints, strings, nested tuples), so
     two recorders can be compared field by field regardless of which VM,
-    module instance or memory produced them.
+    module instance or memory produced them.  It accepts every repeat of
+    a skipped loop and records each event the repeat stands for, with its
+    own step, in stepwise order (the base ``on_repeats``).
     """
 
     def __init__(self):
         self.records: List[Tuple] = []
+
+    def accepts_repeat(self, event: AccessEvent) -> bool:
+        return True
 
     def on_access(self, event: AccessEvent) -> None:
         self.records.append((
@@ -135,8 +142,10 @@ class ExecutionFingerprint:
         self.steps = steps
         self.exit_code = exit_code
         self.wall_seconds = wall_seconds
-        #: steps that ran fused (observational, not compared)
+        #: steps that ran fused, and those of them a loop at a fixed
+        #: point skipped (observational, not compared)
         self.fused_steps = 0
+        self.skipped_steps = 0
 
     def __repr__(self) -> str:
         return "<ExecutionFingerprint %s seed=%d %s %d events %d steps>" % (
@@ -212,7 +221,8 @@ def fingerprint_run(spec, seed: int, reference: bool = False,
     fusing wherever its scheduler commits a run, and the fingerprint's
     ``fused_steps`` counts the steps that ran fused.  ``family`` is a
     schedule family (``"random"`` or ``"pct"``), built exactly as the
-    spec's detector sweep builds its schedulers.
+    spec's detector sweep builds its schedulers.  ``skipped_steps``
+    counts the fused steps a loop at a fixed point skipped.
     """
     from repro.detectors.seed import make_scheduler
     from repro.owl.integration import spec_job
@@ -225,7 +235,7 @@ def fingerprint_run(spec, seed: int, reference: bool = False,
         vm = spec.make_vm(seed, scheduler=make_scheduler(job),
                           max_steps=max_steps)
     engine = vm.fuse_engine
-    fused_before = engine.fused_steps if engine is not None else 0
+    marks = engine.counters() if engine is not None else None
     recorder = TraceRecorder()
     vm.add_observer(recorder)
     started = time.perf_counter()
@@ -246,7 +256,9 @@ def fingerprint_run(spec, seed: int, reference: bool = False,
         wall_seconds=wall,
     )
     if engine is not None:
-        fingerprint.fused_steps = engine.fused_steps - fused_before
+        fingerprint.fused_steps = engine.fused_steps - marks["fused_steps"]
+        fingerprint.skipped_steps = (engine.skipped_steps
+                                     - marks["skipped_steps"])
     return fingerprint
 
 
@@ -283,11 +295,12 @@ class ProgramDiff:
         self.optimized_seconds = 0.0
         #: fused-vs-stepwise legs (populated only when the sweep ran with
         #: fuse): the stepwise random leg's cost, and the steps each
-        #: family's optimized leg ran fused
+        #: family's optimized leg ran fused and, of those, skipped
         self.fused = False
         self.stepwise_steps = 0
         self.stepwise_seconds = 0.0
         self.fused_steps: Dict[str, int] = {}
+        self.skipped_steps: Dict[str, int] = {}
         #: sorted race-report static keys per mode (diff_reports)
         self.reference_report_keys: Optional[List[Tuple[int, int]]] = None
         self.optimized_report_keys: Optional[List[Tuple[int, int]]] = None
@@ -372,6 +385,8 @@ class ProgramDiff:
                 self.stepwise_steps_per_second, 1)
             payload["fused_speedup"] = round(self.fused_speedup, 3)
             payload["fused_steps"] = dict(sorted(self.fused_steps.items()))
+            payload["skipped_steps"] = dict(
+                sorted(self.skipped_steps.items()))
             payload["fused_report_sets_identical"] = (
                 self.optimized_report_keys == self.stepwise_report_keys)
             payload["fused_counters_identical"] = (
@@ -403,6 +418,7 @@ def diff_program(spec, seeds: Sequence[int] = range(10),
     diff.fused = bool(fuse)
     if fuse:
         diff.fused_steps = {"random": 0, spec_job(spec).family: 0}
+        diff.skipped_steps = dict.fromkeys(diff.fused_steps, 0)
     for seed in diff.seeds:
         divergence, reference, optimized = diff_seed(
             spec, seed, max_steps=max_steps)
@@ -421,6 +437,7 @@ def diff_program(spec, seeds: Sequence[int] = range(10),
                 diff.stepwise_steps += stepwise.steps
                 diff.stepwise_seconds += stepwise.wall_seconds
             diff.fused_steps[family] += optimized.fused_steps
+            diff.skipped_steps[family] += optimized.skipped_steps
             divergence = compare_fingerprints(stepwise, optimized)
             if divergence is not None:
                 divergence.field = "%s.%s" % (family, divergence.field)

@@ -4,12 +4,15 @@ Detectors (TSan-like, SKI-like, lockset) attach to the VM as
 :class:`TraceObserver`s and receive one event per shared-memory access, sync
 operation, thread lifecycle change, allocation and external call.  This is
 the reproduction's equivalent of TSan's compiler instrumentation / SKI's
-hypervisor-level interception.
+hypervisor-level interception.  A loop the VM skips (a read-only loop
+trace at a fixed point, :mod:`repro.runtime.fuse`) reaches observers that
+accept it as one :class:`AccessRepeat` per load instead of one event per
+skipped access.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.ir.instructions import Instruction
 
@@ -76,12 +79,48 @@ class AccessEvent(TraceEvent):
     def variable(self, value) -> None:
         self._variable = value
 
+    def at_step(self, step: int) -> "AccessEvent":
+        """This access, as executed again at ``step``."""
+        return AccessEvent(
+            self.thread_id, step, self.instruction, self.address, self.size,
+            self.is_write, self.value, self.is_atomic, self.call_stack,
+            self._variable,
+        )
+
     def __repr__(self) -> str:
         mode = "W" if self.is_write else "R"
         return "<%s t%d %s 0x%x size=%d val=%d at %s>" % (
             mode, self.thread_id, self.variable or "?", self.address, self.size,
             self.value, self.instruction.location,
         )
+
+
+class AccessRepeat:
+    """``count`` skipped executions of one load, ``period`` steps apart.
+
+    ``last`` is the last of them; the others equal it except for their
+    steps, ``last.step - period``, ``last.step - 2 * period`` and so on
+    back to the first.  :meth:`events` rebuilds all of them.
+    """
+
+    __slots__ = ("last", "count", "period")
+
+    def __init__(self, last: AccessEvent, count: int, period: int):
+        self.last = last
+        self.count = count
+        self.period = period
+
+    def events(self) -> Iterator[AccessEvent]:
+        """Every access the repeat stands for, in step order."""
+        last = self.last
+        first = last.step - (self.count - 1) * self.period
+        for step in range(first, last.step, self.period):
+            yield last.at_step(step)
+        yield last
+
+    def __repr__(self) -> str:
+        return "<AccessRepeat %r x%d every %d steps>" % (
+            self.last, self.count, self.period)
 
 
 class SyncEvent(TraceEvent):
@@ -171,6 +210,24 @@ class TraceObserver:
     """Interface for components consuming the execution trace.
 
     All hooks default to no-ops so observers override only what they need.
+
+    Repeats.  A fused run of a read-only loop trace (loads, compares,
+    arithmetic, GEPs and branches) reaches a fixed point once an
+    iteration writes the same register values as the one before and
+    records no fault: only the granted thread runs, so every later
+    iteration repeats it except for its steps.  The VM may then skip the
+    grant's remaining whole iterations.  It first asks every observer
+    :meth:`accepts_repeat` about each access of the repeating iteration;
+    if any observer refuses any of them, nothing is skipped and every
+    event arrives as usual.  Otherwise each observer gets one
+    :meth:`on_repeats` call with one :class:`AccessRepeat` per load, and
+    must end up exactly as if :meth:`on_access` had seen every event the
+    repeats stand for.  Only access events are ever skipped: the loop
+    syncs, allocates, calls and faults nowhere.  The skipped steps are
+    still counted and committed to the scheduler (the random scheduler's
+    ``commit`` still draws entropy for every one), so schedules do not
+    change.  The base class refuses, so an observer that does not opt in
+    sees every event.
     """
 
     def on_access(self, event: AccessEvent) -> None:
@@ -193,6 +250,25 @@ class TraceObserver:
 
     def on_fault(self, event) -> None:
         pass
+
+    def accepts_repeat(self, event: AccessEvent) -> bool:
+        """Whether repeats of ``event`` may stand in for the events.
+
+        A pure query: it must change nothing, because a refusal by any
+        observer leaves the run exactly as it would have been.
+        """
+        return False
+
+    def on_repeats(self, repeats: Sequence[AccessRepeat]) -> None:
+        """Account one skip's repeats, one per load of the iteration in
+        iteration order, each with the same count.
+
+        The default hands every event the repeats stand for to
+        :meth:`on_access`, in the order a stepwise run delivers them.
+        """
+        for events in zip(*(repeat.events() for repeat in repeats)):
+            for event in events:
+                self.on_access(event)
 
     def on_finish(self, vm) -> None:
         pass

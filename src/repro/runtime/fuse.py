@@ -68,6 +68,19 @@ Soundness contract (see also ``Scheduler.run_length`` and
 - A loop trace's run stops at the first iteration whose closing branch
   leaves the start, or when the grant runs out, even mid-iteration; the
   next decision resumes stepwise or through the plan at that offset.
+- A read-only loop trace (:data:`READ_ONLY`, ``FusePlan.writes``) that
+  reaches a fixed point skips to the end of its grant: once an iteration
+  writes the same register values as the one before and records no
+  fault, every later iteration repeats it except for its steps (only the
+  granted thread runs, and the loop writes no memory).  The VM then
+  advances ``vm.step`` over the grant's remaining whole iterations and
+  runs any leftover partial iteration as ops, after every observer
+  accepted the repeats (``TraceObserver.accepts_repeat``, a pure query);
+  each observer gets one ``AccessRepeat`` per load and accounts it as the
+  events it stands for.  One refusal and the run goes on unskipped.
+  Skipped steps are fused steps: they are counted, and committed to the
+  scheduler (the random scheduler's ``commit`` still draws entropy for
+  every one); ``skipped_steps`` counts them.
 - A fault inside a fused run bails out through the exact same fault path
   as ``step_thread`` (recorded once, observers notified, FAULT result).
 
@@ -137,15 +150,20 @@ class FusePlan:
 
     ``loop`` is the block a loop trace starts at and returns to (its final
     branch can jump back there), or None for a straight-line plan.
+    ``writes`` is set only for a read-only loop trace (every instruction
+    in :data:`READ_ONLY`, no atomic load): the registers an iteration
+    writes, whose values decide when the loop reaches a fixed point.
     """
 
-    __slots__ = ("ops", "start", "length", "loop")
+    __slots__ = ("ops", "start", "length", "loop", "writes")
 
-    def __init__(self, ops: Tuple[Callable, ...], start: int, loop=None):
+    def __init__(self, ops: Tuple[Callable, ...], start: int, loop=None,
+                 writes: Optional[Tuple[Instruction, ...]] = None):
         self.ops = ops
         self.start = start
         self.length = len(ops)
         self.loop = loop
+        self.writes = writes
 
     def __repr__(self) -> str:
         return "<FusePlan start=%d length=%d%s>" % (
@@ -693,6 +711,11 @@ _COMPILERS = (
 #: anchor happens-before edges and keeps its own step.
 FUSIBLE = (Alloca, Load, Store, BinOp, ICmp, GetElementPtr, Cast, Br)
 
+#: Instruction classes a loop trace may hold and still be skipped at a
+#: fixed point: none writes memory, allocates or retypes a block, so an
+#: iteration's effects are its register writes and its (non-atomic) loads.
+READ_ONLY = (Load, BinOp, ICmp, GetElementPtr, Br)
+
 
 def _compiler_for(instruction: Instruction) -> Callable:
     for base, compiler in _COMPILERS:
@@ -731,6 +754,8 @@ class FuseEngine:
         self.compiled = 0
         self.fused_runs = 0
         self.fused_steps = 0
+        #: fused steps a loop at a fixed point skipped (part of fused_steps)
+        self.skipped_steps = 0
         self.bailouts = 0
         self.invalidations = 0
 
@@ -795,6 +820,7 @@ class FuseEngine:
         other block re-enters that block's own plan instead of unrolling.
         """
         ops: List[Callable] = []
+        traced: List[Instruction] = []
         first = block
         index = start
         visited = {block}
@@ -807,6 +833,7 @@ class FuseEngine:
             if not isinstance(instruction, FUSIBLE):
                 break
             ops.append(self.op(vm, instruction))
+            traced.append(instruction)
             if isinstance(instruction, Br):
                 if instruction.is_conditional:
                     targets = (instruction.true_block,
@@ -825,7 +852,14 @@ class FuseEngine:
         if len(ops) < MIN_RUN:
             return None
         self.compiled += 1
-        return FusePlan(tuple(ops), start, loop)
+        writes = None
+        if loop is not None and all(
+                isinstance(instruction, READ_ONLY)
+                and not (isinstance(instruction, Load) and instruction.atomic)
+                for instruction in traced):
+            writes = tuple(instruction for instruction in traced
+                           if not isinstance(instruction, Br))
+        return FusePlan(tuple(ops), start, loop, writes)
 
     def invalidate(self) -> None:
         """Drop every op, plan and heat counter (address layout change)."""
@@ -839,6 +873,7 @@ class FuseEngine:
             "compiled": self.compiled,
             "fused_runs": self.fused_runs,
             "fused_steps": self.fused_steps,
+            "skipped_steps": self.skipped_steps,
             "bailouts": self.bailouts,
             "invalidations": self.invalidations,
         }

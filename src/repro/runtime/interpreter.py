@@ -48,6 +48,7 @@ from repro.runtime import externals
 from repro.runtime.errors import FaultEvent, FaultKind, RuntimeFault
 from repro.runtime.events import (
     AccessEvent,
+    AccessRepeat,
     AllocEvent,
     ExternalCallEvent,
     FreeEvent,
@@ -107,6 +108,17 @@ def stepwise_execution():
 def fusion_enabled() -> bool:
     """Whether VMs constructed now may fuse (neither switch is on)."""
     return not (_REFERENCE_MODE or _STEPWISE_MODE)
+
+
+class _AccessCapture(TraceObserver):
+    """Keeps the access events of the loop iteration being watched for a
+    fixed point (:meth:`VM._run_to_fixed_point`)."""
+
+    def __init__(self):
+        self.events: List[AccessEvent] = []
+
+    def on_access(self, event: AccessEvent) -> None:
+        self.events.append(event)
 
 
 class ExecutionResult:
@@ -668,7 +680,9 @@ class VM:
         A straight-line plan runs its first ``count`` ops.  A loop trace
         (``plan.loop``) cycles its ops while its closing branch returns to
         the plan's start; it stops after the first iteration that leaves,
-        or once ``count`` steps ran, even mid-iteration.
+        or once ``count`` steps ran, even mid-iteration.  A read-only loop
+        trace first goes through :meth:`_run_to_fixed_point`, which may
+        skip most of the grant.
 
         Semantically consecutive :meth:`step_thread` calls on the same
         thread: ``vm.step`` is incremented before each op executes, the op
@@ -686,14 +700,16 @@ class VM:
         end = first + count
         length = plan.length
         try:
-            while True:
-                left = end - self.step
-                for op in ops if left >= length else ops[:left]:
-                    self.step += 1
-                    op(self, thread, frame)
-                if (loop is None or frame.block is not loop
-                        or self.step == end):
-                    break
+            if (plan.writes is None or count < 2 * length
+                    or self._run_to_fixed_point(thread, frame, plan, end)):
+                while True:
+                    left = end - self.step
+                    for op in ops if left >= length else ops[:left]:
+                        self.step += 1
+                        op(self, thread, frame)
+                    if (loop is None or frame.block is not loop
+                            or self.step == end):
+                        break
         except RuntimeFault as fault:
             self._commit_fused(thread, self.step - first)
             self.fuse_engine.bailouts += 1
@@ -706,6 +722,73 @@ class VM:
             return ExecutionResult(ExecutionResult.FAULT, self)
         self._commit_fused(thread, self.step - first)
         return None
+
+    def _run_to_fixed_point(self, thread: ThreadContext, frame: Frame,
+                            plan, end: int) -> bool:
+        """Cycle a read-only loop trace until it reaches a fixed point,
+        then skip the grant's remaining whole iterations.
+
+        The fixed point: an iteration that writes the same register values
+        as the one before (the first is compared with the registers the
+        run started with) and records no fault.  Only this thread runs
+        until ``end`` and the loop writes no memory, so every later
+        iteration repeats that one except for its steps.  Each observer is
+        asked :meth:`~repro.runtime.events.TraceObserver.accepts_repeat`
+        about every access of the repeating iteration; if all accept,
+        ``vm.step`` jumps over the whole iterations left in the grant and
+        each observer gets one repeat per access.  The steps still count
+        as fused, and the scheduler still commits them.
+
+        The caller grants at least two whole iterations.  Watching stops
+        once fewer than two are left, or at a refusal.  Returns whether
+        the run goes on in the plain loop: False when an iteration left
+        the loop.
+        """
+        ops = plan.ops
+        loop = plan.loop
+        length = plan.length
+        writes = plan.writes
+        registers = frame.registers
+        faults = self.faults
+        observers = self.observers
+        capture = None
+        if observers:
+            capture = _AccessCapture()
+            self.observers = [capture] + observers
+        try:
+            before = tuple(map(registers.get, writes))
+            while True:
+                recorded = len(faults)
+                if capture is not None:
+                    capture.events = []
+                for op in ops:
+                    self.step += 1
+                    op(self, thread, frame)
+                if frame.block is not loop:
+                    return False
+                after = tuple(map(registers.get, writes))
+                if after == before and len(faults) == recorded:
+                    break
+                if end - self.step < 2 * length:
+                    return True
+                before = after
+        finally:
+            self.observers = observers
+        events = capture.events if capture is not None else ()
+        for event in events:
+            for observer in observers:
+                if not observer.accepts_repeat(event):
+                    return True
+        whole = (end - self.step) // length
+        skipped = whole * length
+        self.step += skipped
+        self.fuse_engine.skipped_steps += skipped
+        if events:
+            repeats = [AccessRepeat(event.at_step(event.step + skipped),
+                                    whole, length) for event in events]
+            for observer in observers:
+                observer.on_repeats(repeats)
+        return True
 
     def _commit_fused(self, thread: ThreadContext, steps: int) -> None:
         """Account a fused run of ``steps`` steps (the faulting one too)."""

@@ -310,6 +310,91 @@ class TestWatchList:
         assert reports.get((-1, -1)) is None
 
 
+    @staticmethod
+    def _watched_spin_module():
+        """A writer and a reader race on ``flag``; then a spinner, which
+        slept through the race, spins on the watched flag until the step
+        budget."""
+        b = IRBuilder(Module("watched_spin"))
+        flag = b.global_var("flag", I32, 0)
+        b.begin_function("writer", I32, [("arg", ptr(I8))],
+                         source_file="ws.c")
+        b.store(0, flag, line=1)
+        b.ret(b.i32(0), line=2)
+        b.end_function()
+        b.begin_function("reader", I32, [("arg", ptr(I8))],
+                         source_file="ws.c")
+        b.load(flag, line=3)
+        b.ret(b.i32(0), line=4)
+        b.end_function()
+        b.begin_function("spinner", I32, [("arg", ptr(I8))],
+                         source_file="ws.c")
+        b.call("usleep", [40], line=5)
+        b.br("spin", line=5)
+        b.at("spin")
+        value = b.load(flag, line=6)
+        waiting = b.icmp("ne", value, 1, line=6)
+        b.cond_br(waiting, "spin", "done", line=6)
+        b.at("done")
+        b.ret(b.i32(0), line=7)
+        b.end_function()
+        b.begin_function("main", I32, [], source_file="ws.c")
+        handles = [b.call("thread_create",
+                          [b.module.get_function(name), b.null()],
+                          line=10 + offset)
+                   for offset, name in enumerate(
+                       ("writer", "reader", "spinner"))]
+        for offset, handle in enumerate(handles):
+            b.call("thread_join", [handle], line=20 + offset)
+        b.ret(b.i32(0), line=30)
+        b.end_function()
+        verify_module(b.module)
+        return b.module
+
+    def test_spin_over_a_watched_flag_is_not_skipped(self):
+        """Every read of a watched byte joins a report's subsequent
+        reads, so TSan declines the spin's repeats: nothing is skipped and
+        the reports equal a stepwise run's.  With no watch the same loop
+        skips."""
+        from repro.detectors.report import ReportSet, reports_to_payloads
+        from repro.detectors.tsan import TSanDetector
+        from repro.runtime.diffcheck import TraceRecorder
+        from repro.runtime.interpreter import VM, stepwise_execution
+        from repro.runtime.scheduler import PCTScheduler, RoundRobinScheduler
+
+        module = self._watched_spin_module()
+        spinner = module.get_function("spinner")
+
+        def run(scheduler, observer, stepwise):
+            if stepwise:
+                with stepwise_execution():
+                    vm = VM(module, scheduler=scheduler, max_steps=3000)
+            else:
+                vm = VM(module, scheduler=scheduler, max_steps=3000)
+            vm.add_observer(observer)
+            skipped = vm.fuse_engine.skipped_steps
+            vm.start("main")
+            vm.run()
+            return vm.fuse_engine.skipped_steps - skipped
+
+        for make in (lambda: RoundRobinScheduler(quantum=40),
+                     lambda: PCTScheduler(seed=2, expected_steps=3000)):
+            sides = []
+            for stepwise in (True, False):
+                detector = TSanDetector(reports=ReportSet())
+                skipped = run(make(), detector, stepwise)
+                assert skipped == 0
+                sides.append(detector)
+            assert (reports_to_payloads(sides[0].reports)
+                    == reports_to_payloads(sides[1].reports))
+            assert sides[0].access_count == sides[1].access_count
+            spins = [read for report in sides[1].reports
+                     for read in report.subsequent_reads
+                     if read.instruction.function is spinner]
+            assert len(spins) > 500
+            assert run(make(), TraceRecorder(), False) > 0
+
+
 class TestLocksetBaseline:
     def test_lockset_noisier_than_hb(self):
         """Eraser flags fork/join-ordered accesses HB exonerates."""

@@ -12,11 +12,14 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import spec_by_name
+from repro.owl import cache as cache_module
 from repro.owl.cache import (
     CACHE_SCHEMA,
     ResultCache,
+    _canonical,
     code_version,
     module_digest,
     stable_hash,
@@ -86,6 +89,106 @@ class TestKeys:
             assert cache.module_key(clone) == module_digest(clone)
             del clone
             gc.collect()
+
+
+def canonical_model(value):
+    """``_canonical`` as it was when each dict sorted its entries by
+    ``repr`` of the whole canonical entry, kept as the model the key-only
+    sort must equal."""
+    if isinstance(value, dict):
+        entries = [[canonical_model(key), canonical_model(item)]
+                   for key, item in value.items()]
+        entries.sort(key=repr)
+        return ["dict", entries]
+    if isinstance(value, (list, tuple)):
+        return ["list", [canonical_model(item) for item in value]]
+    if isinstance(value, bytes):
+        return ["bytes", value.hex()]
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, (str, int, float)):
+        return value
+    return ["repr", repr(value)]
+
+
+def rendered(canonical) -> str:
+    """What ``stable_hash`` hashes."""
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+
+
+class _Alike:
+    """Distinct objects whose reprs are equal: keys that render alike."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return "<alike>"
+
+
+#: dict keys of every type cache keys use, with numbers whose reprs
+#: prefix one another side by side
+_KEYS = st.one_of(
+    st.sampled_from([1, 10, -1, -10, 1.5, 1e16, 0, 100, "1", "10", b"1"]),
+    st.integers(-200, 200),
+    st.floats(allow_nan=False, width=32),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.tuples(st.sampled_from([1, 10, -1, 1.5]), st.text(max_size=2)),
+)
+_VALUES = st.recursive(
+    st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
+              st.booleans(), st.none(), st.binary(max_size=3)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(_KEYS, children, max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonicalOrder:
+    """Dict entries sorted by their rendered keys alone: every key stays
+    byte-identical to the whole-entry sort."""
+
+    @given(st.dictionaries(_KEYS, _VALUES, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_key_sort_equals_whole_entry_sort(self, value):
+        assert rendered(_canonical(value)) == rendered(canonical_model(value))
+
+    def test_prefix_numbers_side_by_side(self):
+        value = {10: "a", 1: "b", -1: "c", 1.5: "d", -10: "e", 1e16: "f",
+                 "1": {1: 1, 10: 10}}
+        canonical = _canonical(value)
+        assert rendered(canonical) == rendered(canonical_model(value))
+        assert [entry[0] for entry in canonical[1]] == [
+            "1", -1, -10, 1, 1.5, 10, 1e16]
+
+    def test_keys_that_render_alike_sort_by_whole_entry(self):
+        value = {_Alike(1): 2, _Alike(2): 1, "x": {_Alike(3): [3]}}
+        assert rendered(_canonical(value)) == rendered(canonical_model(value))
+
+    def test_every_key_of_a_cold_run_is_unchanged(self, tmp_path,
+                                                  monkeypatch):
+        """The four ``cache_rerun`` programs, cold, at ``jobs=1``."""
+        payloads = []
+        hash_of = cache_module.stable_hash
+
+        def recording(value):
+            payloads.append(value)
+            return hash_of(value)
+
+        monkeypatch.setattr(cache_module, "stable_hash", recording)
+        cache = ResultCache(str(tmp_path))
+        for name in ("chrome", "mysql", "memcached", "ssdb"):
+            run_pipeline(spec_by_name(name), cache=cache)
+        assert len(payloads) > 100
+        for payload in payloads:
+            assert (rendered(_canonical(payload))
+                    == rendered(canonical_model(payload)))
 
 
 class TestWarmParity:

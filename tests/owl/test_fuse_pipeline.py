@@ -65,13 +65,15 @@ class TestSchema8FuseBlock:
         assert block["compiled_blocks"] > 0
         assert block["fused_steps"] >= block["fused_runs"] > 0
         assert 0.0 < block["fused_step_share"] <= 1.0
+        assert 0 <= block["skipped_steps"] <= block["fused_steps"]
         assert block["bailouts"] >= 0
         assert block["invalidations"] == 0
 
     def test_stepwise_run_reports_a_disabled_block(self, baseline_result):
         block = baseline_result.metrics.blocks["fuse"]
         assert block["enabled"] is False
-        assert block["fused_steps"] == block["compiled_blocks"] == 0
+        assert (block["fused_steps"] == block["compiled_blocks"]
+                == block["skipped_steps"] == 0)
 
     def test_block_holds_this_runs_deltas(self):
         spec = spec_by_name("memcached")

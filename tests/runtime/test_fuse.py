@@ -1,6 +1,6 @@
 """Fusion soundness: grant/commit contracts, fused/stepwise parity, fixes.
 
-Six layers:
+Seven layers:
 
 - unit tests for the two VM bugfixes (``_handle_idle`` clamping the sleeper
   fast-forward to the step budget; ``step_thread`` resetting ``blocked_arg``
@@ -16,7 +16,11 @@ Six layers:
 - loop traces: equal event streams, schedules and scheduler state under
   round-robin, random and PCT for loops that exit mid-grant, grants that
   end mid-iteration, sleepers waking inside a loop run, faults in a
-  later iteration and the step budget ending a run, and
+  later iteration and the step budget ending a run,
+- fixed points: read-only loop traces that skip to the end of their
+  grant run exactly as stepwise (random loops under the three
+  schedulers); loops with a store, an alloca, a cast or a fault on every
+  iteration, and observers that do not take repeats, skip nothing, and
 - hypothesis differential tests pinning ``_run_fast_loop`` ≡
   ``_run_reference_loop`` ≡ fused execution across blocked/sleeper/halted
   transitions and fused-block boundaries (fault bailout mid-run, memo
@@ -28,15 +32,15 @@ import gc
 import weakref
 from contextlib import nullcontext
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import IRBuilder, Module, verify_module
-from repro.ir.instructions import Call, Instruction, Load
+from repro.ir.instructions import Call, ICmp, Instruction, Load
 from repro.ir.patch import ModulePatcher
-from repro.ir.types import I32, I64, I8, VOID, ptr
+from repro.ir.types import I32, I64, I8, VOID, ArrayType, ptr
 from repro.ir.values import Value
 from repro.runtime.diffcheck import TraceRecorder, _normalize_fault
 from repro.runtime.errors import FaultKind
@@ -230,15 +234,18 @@ def make_scheduler(kind: str, seed: int):
 
 
 def run_fingerprint(module: Module, scheduler, reference: bool = False,
-                    fuse: bool = False, max_steps: int = 50_000):
+                    fuse: bool = False, max_steps: int = 50_000,
+                    **options):
     """Everything observable about one run, in comparable form.
 
     ``fuse=False`` runs under :func:`stepwise_execution`; ``fuse=True``
-    runs as shipped, through the module's fuse engine.
+    runs as shipped, through the module's fuse engine (the trace
+    recorder accepts repeats, so read-only loops may skip).  ``options``
+    go to the VM.
     """
     with nullcontext() if fuse else stepwise_execution():
         vm = VM(module, scheduler=scheduler, max_steps=max_steps,
-                reference=reference)
+                reference=reference, **options)
     recorder = TraceRecorder()
     vm.add_observer(recorder)
     vm.start("main")
@@ -592,8 +599,9 @@ class TestFuseEngine:
         vm.run()
         counters = vm.fuse_engine.counters()
         assert set(counters) == {"compiled", "fused_runs", "fused_steps",
-                                 "bailouts", "invalidations"}
+                                 "skipped_steps", "bailouts", "invalidations"}
         assert counters["fused_steps"] >= counters["fused_runs"] >= 1
+        assert 0 <= counters["skipped_steps"] <= counters["fused_steps"]
 
 
 # ----------------------------------------------------------------------
@@ -1033,6 +1041,8 @@ class TestLoopTraces:
         waiter = spin.get_function("waiter")
         plan = engine._compile(vm, waiter.get_block("spin"), 0)
         assert plan.loop is waiter.get_block("spin") and plan.length == 3
+        # read-only: its load and compare decide the fixed point
+        assert [type(i) for i in plan.writes] == [Load, ICmp]
         # entering the spin block mid-way is no loop
         assert engine._compile(vm, waiter.get_block("spin"), 1).loop is None
         vm = VM(counting, scheduler=RoundRobinScheduler())
@@ -1041,6 +1051,7 @@ class TestLoopTraces:
         body = main.get_block("body")
         plan = engine._compile(vm, body, 0)
         assert plan.loop is body and plan.length == 9  # body, then cond
+        assert plan.writes is None  # it stores
         # the header's branch leads to body or done, never back to cond
         assert engine._compile(vm, main.get_block("cond"), 0).loop is None
         vm = VM(divider, scheduler=RoundRobinScheduler())
@@ -1048,20 +1059,38 @@ class TestLoopTraces:
         # an unconditional back-edge to the start closes a loop as well
         assert vm.fuse_engine._compile(vm, cond, 0).loop is cond
 
-    def test_linux_spin_runs_as_few_loop_runs(self):
+    def test_linux_spin_runs_as_few_loop_runs(self, monkeypatch):
         """Seed 8's ready_waiter spin: far fewer fused runs than spin
-        iterations (one access per iteration)."""
+        iterations (one access per iteration).  An observer without the
+        repeat hook sees every iteration and nothing is skipped; with the
+        SKI detector attached the spin skips at least 99% of its loop
+        steps."""
         from repro.apps.registry import spec_by_name
+        from repro.detectors.ski import SkiDetector
         from repro.runtime.events import TraceObserver
+
+        spin = "ready_waiter_kernel_sched"
 
         class SpinCounter(TraceObserver):
             iterations = 0
 
             def on_access(self, event):
-                function = event.instruction.function
-                if function.name == "ready_waiter_kernel_sched":
+                if event.instruction.function.name == spin:
                     self.iterations += 1
 
+        loop_steps = {"ran": 0, "skipped": 0}
+        step_fused = VM._step_fused
+
+        def spy(vm, thread, plan, count):
+            first, skipped = vm.step, vm.fuse_engine.skipped_steps
+            outcome = step_fused(vm, thread, plan, count)
+            if plan.loop is not None and plan.loop.function.name == spin:
+                loop_steps["ran"] += vm.step - first
+                loop_steps["skipped"] += (vm.fuse_engine.skipped_steps
+                                          - skipped)
+            return outcome
+
+        monkeypatch.setattr(VM, "_step_fused", spy)
         spec = spec_by_name("linux")
         vm = spec.make_vm(seed=8, scheduler=PCTScheduler(seed=8))
         counter = SpinCounter()
@@ -1073,6 +1102,255 @@ class TestLoopTraces:
         assert result.reason == ExecutionResult.STEP_LIMIT
         assert counter.iterations > 50_000
         assert engine.fused_runs - runs_before < counter.iterations / 10
+        assert loop_steps["ran"] > 3 * 50_000
+        assert loop_steps["skipped"] == 0
+
+        loop_steps.update(ran=0, skipped=0)
+        vm = spec.make_vm(seed=8, scheduler=PCTScheduler(seed=8))
+        detector = SkiDetector()
+        vm.add_observer(detector)
+        vm.start(spec.entry)
+        skipped = vm.run()
+        assert (skipped.reason, skipped.steps) == (result.reason,
+                                                   result.steps)
+        assert loop_steps["ran"] > 3 * 50_000
+        assert loop_steps["skipped"] >= 0.99 * loop_steps["ran"]
+        assert detector.access_count > counter.iterations
+
+
+# ----------------------------------------------------------------------
+# fixed points: a read-only loop trace skips to the end of its grant
+
+
+class LoopShape(NamedTuple):
+    """A waiter's read-only loop for :func:`build_read_only_loop`."""
+
+    #: the loop trace starts at ``head``, which reads the registers that
+    #: the previous iteration's ``x`` and ``y`` blocks wrote
+    carried: bool
+    #: globals loaded per iteration (1-3)
+    loads: int
+    #: arithmetic folded over the loaded values: (operator, constant)
+    folds: Tuple[Tuple[str, int], ...]
+    #: the loop leaves once the folded value's low 3 bits equal this
+    target: int
+    #: the writer's script: (steps asleep, global, value stored)
+    writes: Tuple[Tuple[int, int, int], ...]
+
+
+def build_read_only_loop(shape: LoopShape) -> Module:
+    """A waiter cycling a read-only loop over globals a sleeping writer
+    changes now and then.
+
+    Without ``carried`` the loop is one block.  With it the waiter enters
+    at ``x`` and the loop trace starts at ``head``: ``head`` reads the
+    previous iteration's ``x`` and ``y`` registers (computed from memory
+    as it was before the run when the run starts) and loads the table
+    slot they pick, so the first iteration of a run may differ from the
+    second, and only later ones repeat.
+    """
+    module = Module("read_only_loop")
+    b = IRBuilder(module)
+    cells = [b.global_var("g%d" % index, I64, 5 * index + 1)
+             for index in range(3)]
+    table = b.global_var("table", ArrayType(I64, 4), [7, 11, 13, 17])
+    b.begin_function("writer", I32, [("arg", ptr(I8))], source_file="w.c")
+    for line, (delay, cell, value) in enumerate(shape.writes, 1):
+        b.call("usleep", [delay], line=line)
+        b.store(value, cells[cell], line=line)
+    b.ret(b.i32(0), line=9)
+    b.end_function()
+    b.begin_function("waiter", I32, [("arg", ptr(I8))], source_file="l.c")
+    slots = b.cast("bitcast", table, ptr(I64), line=10)
+    b.br("x" if shape.carried else "loop", line=10)
+    b.at("x" if shape.carried else "loop")
+    value = b.load(cells[0], line=11)
+    for index in range(1, shape.loads):
+        value = b.binop("xor", value, b.load(cells[index], line=12), line=12)
+    for op, constant in shape.folds:
+        value = b.binop(op, value, constant, line=13)
+    if shape.carried:
+        b.br("y", line=13)
+        b.at("y")
+    low = b.binop("and", value, 7, line=14)
+    leave = b.icmp("eq", low, shape.target, line=14)
+    b.cond_br(leave, "done", "head" if shape.carried else "loop", line=14)
+    if shape.carried:
+        b.at("head")
+        slot = b.index(slots, b.binop("and", low, 3, line=15), line=15)
+        b.add(b.load(slot, line=15), value, line=16)
+        b.br("x", line=16)
+    b.at("done")
+    b.ret(b.i32(0), line=17)
+    b.end_function()
+    b.begin_function("main", I32, [], source_file="l.c")
+    handles = [b.call("thread_create", [module.get_function(name), b.null()],
+                      line=20 + offset)
+               for offset, name in enumerate(("writer", "waiter"))]
+    for offset, handle in enumerate(handles):
+        b.call("thread_join", [handle], line=22 + offset)
+    b.ret(b.i32(0), line=24)
+    b.end_function()
+    verify_module(module)
+    return module
+
+
+def skip_scheduler(kind: str, seed: int, max_steps: int):
+    """Round-robin quanta over whole iterations, PCT change points inside
+    the run, random grants to a lone thread."""
+    if kind == "round_robin":
+        return RoundRobinScheduler(quantum=10 + 7 * seed)
+    if kind == "pct":
+        return PCTScheduler(seed=seed, depth=4, expected_steps=max_steps)
+    return RandomScheduler(seed)
+
+
+def assert_skipping_equals_stepwise(module: Module, kind: str, seed: int,
+                                    max_steps: int, **options) -> int:
+    """Run ``module`` stepwise and as shipped; both must have equal
+    fingerprints, schedules and scheduler (RNG) state.  Returns the steps
+    the shipped run skipped."""
+    with pytest.MonkeyPatch.context() as patch:
+        spy = SteppingSpy(patch)
+        schedulers = [skip_scheduler(kind, seed, max_steps)
+                      for _ in range(2)]
+        stepwise = run_fingerprint(module, schedulers[0],
+                                   max_steps=max_steps, **options)
+        stepwise_schedule, _ = spy.take()
+        engine = fuse_engine(module)
+        skipped = engine.skipped_steps
+        fused = run_fingerprint(module, schedulers[1], fuse=True,
+                                max_steps=max_steps, **options)
+        skipped = engine.skipped_steps - skipped
+        fused_schedule, _ = spy.take()
+    assert fused == stepwise
+    assert fused_schedule == stepwise_schedule
+    assert _scheduler_state(schedulers[1]) == _scheduler_state(schedulers[0])
+    return skipped
+
+
+_LOOP_SHAPES = st.builds(
+    LoopShape,
+    carried=st.booleans(),
+    loads=st.integers(1, 3),
+    folds=st.lists(st.tuples(
+        st.sampled_from(["add", "sub", "mul", "and", "or", "xor", "shl",
+                         "lshr"]),
+        st.integers(0, 9)), max_size=3).map(tuple),
+    target=st.integers(0, 7),
+    writes=st.lists(st.tuples(st.integers(1, 400), st.integers(0, 2),
+                              st.integers(0, 40)), max_size=3).map(tuple),
+)
+
+#: shapes whose waiter spins for most of the run, under every scheduler
+_SPINNING_SHAPES = (
+    LoopShape(False, 1, (), 7, ((300, 1, 4),)),
+    LoopShape(True, 3, (("mul", 3), ("add", 2)), 6, ((50, 2, 9),
+                                                      (200, 0, 8))),
+    LoopShape(True, 2, (("xor", 5),), 5, ()),
+)
+
+
+class TestFixedPoints:
+    @given(_LOOP_SHAPES, st.sampled_from(["round_robin", "random", "pct"]),
+           st.integers(0, 40), st.integers(40, 2500))
+    @settings(max_examples=60, deadline=None)
+    def test_random_read_only_loops_skip_exactly(self, shape, kind, seed,
+                                                 max_steps):
+        """Any read-only loop, any scheduler: sleepers waking inside the
+        loop, PCT change points inside it and budgets that end
+        mid-iteration cut the grants; the skipping run equals the
+        stepwise one."""
+        assert_skipping_equals_stepwise(build_read_only_loop(shape), kind,
+                                        seed, max_steps)
+
+    @pytest.mark.parametrize("kind", ["round_robin", "random", "pct"])
+    def test_spinning_loops_skip(self, kind):
+        skipped = 0
+        for shape in _SPINNING_SHAPES:
+            module = build_read_only_loop(shape)
+            for seed in range(3):
+                skipped += assert_skipping_equals_stepwise(
+                    module, kind, seed, 3000)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("kind", ["store", "alloca", "cast", "fault"])
+    def test_loops_that_are_never_skipped(self, kind):
+        """A store, an alloca or a cast in the loop, or a load recording
+        a tolerated fault on every iteration: the loop fuses but skips
+        nothing, and runs as it does stepwise.  The same loop without
+        them skips."""
+        options = {"nonfatal_faults": frozenset({
+            FaultKind.FIELD_OVERFLOW, FaultKind.BUFFER_OVERFLOW})}
+        for variant, skips in ((kind, False), ("plain", True)):
+            module = build_unskippable_loop(variant)
+            for scheduler in ("round_robin", "random", "pct"):
+                skipped = assert_skipping_equals_stepwise(
+                    module, scheduler, 1, 2000, **options)
+                assert bool(skipped) == skips, (variant, scheduler)
+            assert module.fuse_engine.fused_steps > 1000
+        if kind == "fault":
+            fingerprint = run_fingerprint(build_unskippable_loop(kind),
+                                          RandomScheduler(0), fuse=True,
+                                          max_steps=2000, **options)
+            assert len(fingerprint["faults"]) > 300
+
+    def test_an_observer_without_the_hook_declines(self):
+        """The base observer refuses every repeat: nothing is skipped and
+        it sees every iteration."""
+        from repro.runtime.events import TraceObserver
+
+        class Counter(TraceObserver):
+            accesses = 0
+
+            def on_access(self, event):
+                self.accesses += 1
+
+        module = build_unskippable_loop("plain")
+        counts = []
+        for shipped in (False, True):
+            with nullcontext() if shipped else stepwise_execution():
+                vm = VM(module, scheduler=RandomScheduler(0), max_steps=2000)
+            counter = Counter()
+            vm.add_observer(counter)
+            vm.start("main")
+            vm.run()
+            counts.append((counter.accesses, vm.step))
+        assert counts[0] == counts[1]
+        assert module.fuse_engine.skipped_steps == 0
+        assert module.fuse_engine.fused_steps > 1000
+
+
+def build_unskippable_loop(kind: str) -> Module:
+    """main spins on a flag nobody sets; the loop also holds, by
+    ``kind``: a ``store`` to another global, an ``alloca``, a ``cast``,
+    an 8-byte load of a 4-byte global (``fault``: a BUFFER_OVERFLOW the
+    VM must be told to tolerate), or nothing (``plain``)."""
+    module = Module("unskippable_%s" % kind)
+    b = IRBuilder(module)
+    flag = b.global_var("flag", I64, 0)
+    seen = b.global_var("seen", I64, 0)
+    small = b.global_var("small", I32, 0)
+    b.begin_function("main", I32, [], source_file="u.c")
+    wide = b.cast("bitcast", small, ptr(I64), line=1)
+    b.br("spin", line=1)
+    b.at("spin")
+    value = b.load(flag, line=2)
+    if kind == "store":
+        b.store(value, seen, line=3)
+    elif kind == "alloca":
+        b.alloca(I64, line=3)
+    elif kind == "cast":
+        b.cast("bitcast", flag, ptr(I8), line=3)
+    elif kind == "fault":
+        b.load(wide, line=3)
+    done = b.icmp("ne", value, 0, line=4)
+    b.cond_br(done, "done", "spin", line=4)
+    b.at("done")
+    b.ret(b.i32(0), line=5)
+    b.end_function()
+    verify_module(module)
+    return module
 
 
 class TestFusedBoundaries:

@@ -17,7 +17,10 @@ decision) joins every sweep and must be bit-identical to the optimized
 one — per seed under the random scheduler and under the spec's own
 detector family (PCT for SKI specs), and for the report sets and
 counters — and each family's optimized runs must have fused at least one
-step.  (Recording and replaying VMs never fuse: their schedulers observe
+step.  The optimized runs also skip read-only loops at a fixed point;
+their event streams then carry every skipped event, so the comparison is
+still event by event, and the ``diff_oracle`` block reports the skipped
+steps per family next to the fused ones.  (Recording and replaying VMs never fuse: their schedulers observe
 every decision, so they get no fuse engine.)  ``--fuse-bench`` measures
 the fused-vs-stepwise steps/s ratio under a round-robin scheduler (where
 ``run_length`` has real no-preempt windows — the random scheduler fuses
@@ -38,7 +41,8 @@ Usage::
     PYTHONPATH=src python tools/diff_oracle.py                # all apps, 10 seeds
     PYTHONPATH=src python tools/diff_oracle.py --programs memcached apache_log \\
         --seeds 10 --counters --fuse --metrics-out benchmarks/out
-    PYTHONPATH=src python tools/diff_oracle.py --programs linux --seeds 12 --fuse
+    PYTHONPATH=src python tools/diff_oracle.py --programs linux --seeds 12 \\
+        --fuse --counters
     PYTHONPATH=src python tools/diff_oracle.py --programs memcached \\
         --fuse-bench --fuse-floor 1.3
     PYTHONPATH=src python tools/diff_oracle.py --programs ssdb --debugger
@@ -166,7 +170,9 @@ def main(argv=None):
                   diff.speedup, verdict))
         if args.fuse:
             print("  fused steps: %s" % ", ".join(
-                "%s %d" % item for item in sorted(diff.fused_steps.items())))
+                "%s %d (%d skipped)" % (family, steps,
+                                        diff.skipped_steps[family])
+                for family, steps in sorted(diff.fused_steps.items())))
         if args.debugger:
             print("  debugger: %d items, %d runs, %d reference steps, "
                   "%d shipped steps" % (
