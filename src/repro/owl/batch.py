@@ -384,12 +384,13 @@ def _item_spec(job: Dict, spec: Optional[ProgramSpec]) -> ProgramSpec:
 
 
 def _verify_items(stage: str, item, jobs: List[Dict], spec: ProgramSpec,
-                  sweep, finish) -> List:
+                  sweep, finish, **local) -> List:
     """One verification stage's items through ``sweep``, keyed by the
-    whole payload; ``finish`` rehydrates each output in order."""
+    whole payload; ``finish`` rehydrates each output in order.  In-process
+    items get ``spec`` and ``local``."""
     keys = sweep.keys(stage, spec.build(), jobs)
     return sweep.map(stage, item, jobs, keys, finish,
-                     rebuildable=can_parallelize(spec), spec=spec)
+                     rebuildable=can_parallelize(spec), spec=spec, **local)
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +398,30 @@ def _verify_items(stage: str, item, jobs: List[Dict], spec: ProgramSpec,
 
 
 def race_verifier_for(spec: ProgramSpec, job: Dict,
-                      tracer: Optional[SpanTracer] = None
-                      ) -> DynamicRaceVerifier:
+                      tracer: Optional[SpanTracer] = None,
+                      trunks: Optional[Dict] = None) -> DynamicRaceVerifier:
     """The race verifier of one item: ``job``'s entry, inputs, seeds and
-    step budget on ``spec``'s module."""
+    step budget on ``spec``'s module, its runs taking over ``trunks``
+    (:class:`repro.owl.race_verifier.Trunk`) where they can."""
     inputs, max_steps = job["inputs"], job["max_steps"]
     return DynamicRaceVerifier(
         spec.build(), entry=job["entry"], inputs=inputs, seeds=job["seeds"],
         max_steps=max_steps,
         vm_factory=lambda seed: spec.make_vm(seed, inputs=inputs,
                                              max_steps=max_steps),
-        tracer=tracer,
+        tracer=tracer, trunks=trunks,
     )
 
 
 def verify_report_item(job: Dict, tracer: Optional[SpanTracer] = None,
-                       spec: Optional[ProgramSpec] = None) -> Dict:
-    """Verify ``job``'s report; the output payload."""
+                       spec: Optional[ProgramSpec] = None,
+                       trunks: Optional[Dict] = None) -> Dict:
+    """Verify ``job``'s report; the output payload.  In-process items
+    share their batch's ``trunks``; a pooled item runs every run fresh."""
     spec = _item_spec(job, spec)
     report = report_from_payload(spec.build(), job["report"])
-    verification = race_verifier_for(spec, job, tracer).verify(report)
+    verification = race_verifier_for(spec, job, tracer,
+                                      trunks).verify(report)
     hints = verification.hints
     return {
         "verified": verification.verified,
@@ -435,7 +440,9 @@ def verify_races_batch(spec: ProgramSpec, reports: Sequence[RaceReport],
     ``sweep`` (:class:`repro.owl.sweep.Sweep`) is the run's execution
     context: its cache, pool and batch policy run the items, and its
     tracer gets one ``verify_report`` span per report, in report order,
-    on every path.
+    on every path.  In-process items share one trunk per verify seed
+    (:class:`repro.owl.race_verifier.Trunk`), so each seed's common
+    prefix runs once for the whole batch.
     """
     reports = list(reports)
 
@@ -461,7 +468,7 @@ def verify_races_batch(spec: ProgramSpec, reports: Sequence[RaceReport],
     jobs = [verify_job(spec, report=report_to_payload(report))
             for report in reports]
     return _verify_items("race_verify", verify_report_item, jobs, spec,
-                         sweep, finish)
+                         sweep, finish, trunks={})
 
 
 # ---------------------------------------------------------------------------

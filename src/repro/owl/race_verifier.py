@@ -20,19 +20,30 @@ with the report's static may-reach summary (:mod:`repro.ir.reach`), and
 ``VM.run`` returns ``OUT_OF_REACH`` once no two live threads can ever again
 be at the racing pair.  That run was a miss already, so outcomes are those
 of running it to the end; reference-mode VMs run every execution to the end.
+
+Every report's run under one seed follows the same schedule until its first
+breakpoint fires or its early stop holds, so that shared prefix runs once:
+a verifier given ``trunks`` keeps one :class:`Trunk` per seed (and per
+module, entry, inputs and step budget), and a run takes the trunk over
+where it first differs from it (:meth:`Trunk.serves`).  A run the trunk
+cannot serve, and every run in reference mode or without ``trunks`` (pool
+workers), starts fresh from step 0.  Either way the run is the same run:
+same halts, hits, early stop, outcome and step count.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.detectors.report import RaceReport
+from repro.ir.instructions import Instruction
 from repro.ir.module import Module
-from repro.ir.reach import reach_analysis
+from repro.ir.reach import TargetReach, reach_analysis
 from repro.runtime.debugger import Debugger, PendingAccess
 from repro.runtime.interpreter import VM, ExecutionResult
 from repro.runtime.scheduler import RandomScheduler
 from repro.runtime.spans import SpanTracer, maybe_span
+from repro.runtime.thread import ThreadState
 
 
 class SecurityHints:
@@ -74,8 +85,10 @@ class SecurityHints:
 class RaceVerification:
     """Outcome of verifying one race report.
 
-    ``vm_steps`` (the steps of every run, sleep fast-forwards included) and
-    ``runs_stopped_early`` are work counters the verifier fills in.
+    ``vm_steps`` (the steps of every run, sleep fast-forwards included,
+    each run counted from step 0 though a run that took over a trunk
+    executed its prefix once, in the trunk) and ``runs_stopped_early``
+    are work counters the verifier fills in.
     """
 
     def __init__(self, report: RaceReport, verified: bool,
@@ -95,8 +108,70 @@ class RaceVerification:
         )
 
 
+class Trunk:
+    """One seed's shared prefix: the execution every report's run follows
+    until its own breakpoints or early stop make it differ.
+
+    ``vm`` is a started execution that no breakpoint has stopped (None once
+    it ended), and ``trail`` every instruction a thread was scheduled at in
+    it.  The trunk only advances under the debugger of a run that takes it
+    over (:meth:`serve`); ``served`` counts those runs.
+    """
+
+    def __init__(self, vm: VM):
+        self.vm: Optional[VM] = vm
+        self.trail: Set[Instruction] = set()
+        self.served = 0
+
+    def serves(self, reach: TargetReach) -> bool:
+        """Whether a fresh run with breakpoints on ``reach``'s targets and
+        its early stop would be here now: no target ran before (it would
+        have halted there) and the early stop does not hold (it is
+        monotone, so it held at no earlier step either)."""
+        vm = self.vm
+        return (vm is not None and self.trail.isdisjoint(reach.targets)
+                and not reach.out_of_reach(
+                    thread.frames for thread in vm._alive))
+
+    def serve(self, debugger: Debugger) -> ExecutionResult:
+        """Run on under ``debugger`` (a run's, attached to :attr:`vm`) to
+        the first return of ``VM.run``; the run keeps the VM and the result.
+
+        The trunk goes on as a fork of that VM: after a halt the fork
+        releases the halted thread and executes the step the scheduler
+        already drew for it (no second draw); after an early stop it goes
+        on as it is.  Any other result ended the execution, and the trunk
+        with it.
+        """
+        vm = self.vm
+        self.served += 1
+        debugger.trail = self.trail
+        try:
+            result = vm.run()
+        finally:
+            debugger.trail = None
+        trunk = None
+        if result.reason == ExecutionResult.BREAKPOINT:
+            halted = debugger.last_hit[0]
+            trunk = vm.fork()
+            thread = trunk.threads[halted.thread_id]
+            thread.state = ThreadState.RUNNABLE
+            trunk._halted_count -= 1
+            self.trail.add(thread.current_instruction())
+            if trunk.step_thread(thread) is not None:
+                trunk = None
+        elif result.reason == ExecutionResult.OUT_OF_REACH:
+            trunk = vm.fork()
+        self.vm = trunk
+        return result
+
+
 class DynamicRaceVerifier:
-    """Verifies race reports by catching them in the racing moment."""
+    """Verifies race reports by catching them in the racing moment.
+
+    ``trunks`` (a dict one batch of verifications shares) lets runs take
+    over their seed's :class:`Trunk` instead of re-running its prefix.
+    """
 
     TAG = "verified"
 
@@ -109,6 +184,7 @@ class DynamicRaceVerifier:
         max_steps: int = 200_000,
         vm_factory: Optional[Callable[[int], VM]] = None,
         tracer: Optional[SpanTracer] = None,
+        trunks: Optional[Dict[Tuple, Trunk]] = None,
     ):
         self.module = module
         self.entry = entry
@@ -117,6 +193,7 @@ class DynamicRaceVerifier:
         self.max_steps = max_steps
         self.vm_factory = vm_factory
         self.tracer = tracer
+        self.trunks = trunks
 
     # ------------------------------------------------------------------
 
@@ -139,24 +216,34 @@ class DynamicRaceVerifier:
         livelocks = vm_steps = stopped = 0
         verification = None
         for attempt, seed in enumerate(self.seeds, start=1):
-            vm = self._make_vm(seed)
+            trunk = self._trunk(seed)
+            vm = trunk.vm if trunk is not None else self._make_vm(seed)
+            if not vm.reference and (reach is None
+                                     or reach.module is not vm.module):
+                reach = reach_analysis(vm.module).for_targets(targets)
+            if trunk is not None and not trunk.serves(reach):
+                trunk, vm = None, self._make_vm(seed)
             debugger = Debugger(vm)
             for instruction in targets:
                 debugger.add_breakpoint(instruction)
             if not vm.reference:
-                if reach is None or reach.module is not vm.module:
-                    reach = reach_analysis(vm.module).for_targets(targets)
                 debugger.stop_when_out_of_reach(reach)
             with maybe_span(self.tracer, "verify_attempt",
                             seed=seed, attempt=attempt) as span:
-                vm.start(self.entry)
-                hints, released, reason = self._drive(vm, debugger, report)
+                if trunk is not None:
+                    first = trunk.serve(debugger)
+                else:
+                    vm.start(self.entry)
+                    first = None
+                hints, released, reason = self._drive(vm, debugger, report,
+                                                      first)
                 stopped_early = reason == ExecutionResult.OUT_OF_REACH
                 if span is not None:
                     span.attrs.update(caught=hints is not None,
                                       stopped_early=stopped_early)
                     if stopped_early:
                         span.attrs["stop_step"] = vm.step
+            debugger.detach()
             vm_steps += vm.step
             if hints is not None:
                 # livelocks_resolved counts the releases of the runs that
@@ -182,14 +269,32 @@ class DynamicRaceVerifier:
         return VM(self.module, scheduler=RandomScheduler(seed), inputs=self.inputs,
                   max_steps=self.max_steps, seed=seed)
 
-    def _drive(self, vm: VM, debugger: Debugger, report: RaceReport
+    def _trunk(self, seed: int) -> Optional[Trunk]:
+        """``seed``'s trunk, started on first use, while it runs; None
+        without trunks or in reference mode (the first VM built for the
+        seed tells the mode, and a reference VM is not kept)."""
+        if self.trunks is None:
+            return None
+        key = (self.module, self.entry, repr(self.inputs), self.max_steps,
+               seed)
+        trunk = self.trunks.get(key)
+        if trunk is None:
+            vm = self._make_vm(seed)
+            vm.start(self.entry)
+            trunk = self.trunks[key] = Trunk(None if vm.reference else vm)
+        return trunk if trunk.vm is not None else None
+
+    def _drive(self, vm: VM, debugger: Debugger, report: RaceReport,
+               first: Optional[ExecutionResult] = None
                ) -> Tuple[Optional[SecurityHints], int, str]:
         """Run one execution: (hints when caught, livelocks resolved, the
-        last ``VM.run`` reason)."""
+        last ``VM.run`` reason).  ``first`` is the result of the run's
+        first ``VM.run`` when it already returned (:meth:`Trunk.serve`)."""
         livelocks_resolved = 0
         race_instructions = {report.first.instruction, report.second.instruction}
         while True:
-            result = vm.run()
+            result = first if first is not None else vm.run()
+            first = None
             if result.reason != ExecutionResult.BREAKPOINT:
                 return None, livelocks_resolved, result.reason
             halted = debugger.halted_threads()

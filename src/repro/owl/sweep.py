@@ -71,9 +71,12 @@ class Sweep:
         pool (``jobs > 1`` or an executor) and ``rebuildable`` payloads,
         misses run there as ``item(payload, tracer)``, rebuilding what
         ``local`` would have supplied from the payload.  Otherwise each
-        item runs in-process on ``local`` (the caller's spec or module)
-        with this sweep's tracer, just before it is finished, so live
-        spans and cache-hit markers land in payload order.
+        item runs in-process on ``local`` with this sweep's tracer, just
+        before it is finished, so live spans and cache-hit markers land
+        in payload order.  ``local`` is what in-process items share with
+        the caller: its spec or module, and for race verification the
+        batch's trunks (:class:`repro.owl.race_verifier.Trunk`), which an
+        item's output never depends on.
         """
         if not payloads:
             return []

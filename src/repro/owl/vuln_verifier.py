@@ -195,6 +195,7 @@ class DynamicVulnerabilityVerifier:
             vulnerability, site_reached, realized, diverged, faults, attempt,
         )
         outcome.vm_steps = vm.step
+        debugger.detach()
         return outcome
 
     def _make_vm(self, seed: int) -> VM:

@@ -13,7 +13,7 @@ vulnerability verifier drive it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.ir.instructions import (
     AtomicRMW,
@@ -22,6 +22,7 @@ from repro.ir.instructions import (
     Load,
     Store,
 )
+from repro.runtime.errors import RuntimeFault
 from repro.runtime.thread import ThreadContext, ThreadState
 
 
@@ -97,7 +98,22 @@ class Debugger:
         self.reach = None
         #: instructions after which the VM re-checks the early stop
         self.watch: FrozenSet[Instruction] = frozenset()
+        #: when set, every instruction a thread is scheduled at and not
+        #: halted before goes in (the trunk a run took over records its
+        #: prefix: :class:`repro.owl.race_verifier.Trunk`)
+        self.trail: Optional[Set[Instruction]] = None
         vm.debugger = self
+
+    def detach(self) -> None:
+        """End the run: the VM forgets its debugger.
+
+        ``Debugger.__init__`` makes the VM and its debugger refer to each
+        other; detaching breaks that cycle, so a finished run's VM is
+        freed as soon as its last reference goes, not by the cyclic
+        collector.  The debugger's own methods keep working.
+        """
+        if self.vm.debugger is self:
+            self.vm.debugger = None
 
     # ------------------------------------------------------------------
     # breakpoint management
@@ -122,6 +138,8 @@ class Debugger:
                 breakpoint.hit_count += 1
                 self.last_hit = (thread, breakpoint)
                 return True
+        if self.trail is not None:
+            self.trail.add(instruction)
         return False
 
     # ------------------------------------------------------------------
@@ -188,7 +206,9 @@ class Debugger:
 
         Operand values are already computed SSA registers, so the address and
         value can be read without executing the instruction — the debugger's
-        equivalent of inspecting registers at a breakpoint.
+        equivalent of inspecting registers at a breakpoint.  An operand
+        :meth:`VM.evaluate` cannot read (undefined or unsupported) means
+        no access; any other error propagates.
         """
         instruction = thread.current_instruction()
         if instruction is None or not thread.frames:
@@ -215,7 +235,7 @@ class Debugger:
                 )
             if isinstance(instruction, Call):
                 return PendingAccess(instruction, None, False, None, "call")
-        except Exception:
+        except RuntimeFault:
             return None
         return None
 

@@ -23,7 +23,9 @@ and vulnerability verifiers on every report of a pipeline run, once in
 reference mode and once as shipped, and holds their outcomes and the
 breakpoint halts of every run equal.  The shipped race verifier may end a
 run early (:mod:`repro.ir.reach`), so its halts need only be a prefix of
-the reference run's.
+the reference run's; and its runs take over the trunks the pipeline's
+race verification shares (:class:`repro.owl.race_verifier.Trunk`), so
+each such run is held equal to the reference side's fresh run.
 
 The optimized VM fuses superinstructions wherever its scheduler commits a
 run (:mod:`repro.runtime.fuse`), and skips a read-only loop trace's
@@ -43,7 +45,7 @@ vs optimized steps/s in the metrics JSON's ``diff_oracle`` block.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.events import (
@@ -313,6 +315,10 @@ class ProgramDiff:
         self.debugger = False
         self.debugger_items = 0
         self.debugger_runs = 0
+        #: shipped runs that took over a trunk, and those that started
+        #: from step 0 (every vulnerability run among them)
+        self.debugger_trunk_runs = 0
+        self.debugger_fresh_runs = 0
         self.debugger_reference_steps = 0
         self.debugger_shipped_steps = 0
 
@@ -377,6 +383,8 @@ class ProgramDiff:
         if self.debugger:
             payload["debugger_items"] = self.debugger_items
             payload["debugger_runs"] = self.debugger_runs
+            payload["debugger_trunk_runs"] = self.debugger_trunk_runs
+            payload["debugger_fresh_runs"] = self.debugger_fresh_runs
             payload["debugger_reference_steps"] = \
                 self.debugger_reference_steps
             payload["debugger_shipped_steps"] = self.debugger_shipped_steps
@@ -520,28 +528,35 @@ def diff_counters(spec, diff: Optional[ProgramDiff] = None,
 
 
 class _RunRecorder:
-    """Wraps a verifier's ``vm_factory`` to record each run it creates.
+    """Records each run of the verifications made inside :meth:`recording`.
 
-    Per run: every breakpoint return of ``VM.run`` as ``(step, ((thread id,
-    pending access), ...))`` for the halted threads, and the last reason.
+    A run is a VM on which ``VM.run`` was called, however it was made: by
+    the verifier's ``vm_factory``, or as a trunk a race verifier's run took
+    over, whose first halt happens in
+    :meth:`repro.owl.race_verifier.Trunk.serve`, before the run holds the
+    VM.  Per run: every breakpoint return of ``VM.run`` as ``(step,
+    ((thread id, pending access), ...))`` for the halted threads, and the
+    last reason.
     """
 
-    def __init__(self, factory):
-        self.factory = factory
+    def __init__(self):
         self.vms: List[VM] = []
         self.halts: List[List[Tuple]] = []
         self.reasons: List[str] = []
+        self._runs: Dict[VM, int] = {}
 
-    def __call__(self, seed: int) -> VM:
-        vm = self.factory(seed)
-        index = len(self.vms)
-        self.vms.append(vm)
-        self.halts.append([])
-        self.reasons.append("")
-        run = vm.run
+    @contextmanager
+    def recording(self):
+        run = VM.run
 
-        def recording_run(*args, **kwargs):
-            result = run(*args, **kwargs)
+        def recording_run(vm, *args, **kwargs):
+            index = self._runs.get(vm)
+            if index is None:
+                index = self._runs[vm] = len(self.vms)
+                self.vms.append(vm)
+                self.halts.append([])
+                self.reasons.append("")
+            result = run(vm, *args, **kwargs)
             self.reasons[index] = result.reason
             if result.reason == ExecutionResult.BREAKPOINT:
                 self.halts[index].append((vm.step, tuple(
@@ -549,8 +564,11 @@ class _RunRecorder:
                     for thread in vm.debugger.halted_threads())))
             return result
 
-        vm.run = recording_run
-        return vm
+        VM.run = recording_run
+        try:
+            yield self
+        finally:
+            VM.run = run
 
     @property
     def steps(self) -> int:
@@ -616,7 +634,9 @@ def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
     does each vulnerability through its item's vulnerability verifier.
     Outcomes (verified, runs used, security hints; the realized verdict)
     must be equal, and so must each run's breakpoint halts, up to the
-    point where the shipped run ended early.
+    point where the shipped run ended early.  The shipped race verifiers
+    share one set of trunks in report order, as the pipeline's do; the
+    reference side runs every run fresh.
     """
     from repro.owl.batch import (
         race_verifier_for,
@@ -630,18 +650,19 @@ def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
         diff = ProgramDiff(spec.name, [])
     diff.debugger = True
     result = OwlPipeline(spec).run()
+    trunks: Dict = {}
 
     def both(make_verifier, item, outcome, run_outcomes, label):
         sides = []
         for reference in (True, False):
             verifier = make_verifier()
-            recorder = _RunRecorder(verifier.vm_factory)
-            verifier.vm_factory = recorder
-            if reference:
-                with reference_execution():
+            with _RunRecorder().recording() as recorder:
+                if reference:
+                    with reference_execution():
+                        verification = verifier.verify(item)
+                else:
+                    verifier.trunks = trunks
                     verification = verifier.verify(item)
-            else:
-                verification = verifier.verify(item)
             sides.append((verification, recorder))
         (ref, ref_runs), (opt, opt_runs) = sides
         diff.debugger_items += 1
@@ -669,6 +690,8 @@ def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
              lambda v: (v.attack_realized, v.site_reached, v.runs_used),
              _vuln_run_outcomes,
              "vuln[%s]" % vulnerability.site.location)
+    diff.debugger_trunk_runs = sum(trunk.served for trunk in trunks.values())
+    diff.debugger_fresh_runs = diff.debugger_runs - diff.debugger_trunk_runs
     return diff
 
 

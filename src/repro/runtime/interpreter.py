@@ -59,7 +59,7 @@ from repro.runtime.events import (
 from repro.runtime.fuse import FuseEngine, fuse_engine
 from repro.runtime.memory import Memory, MemoryBlock, store_initializer
 from repro.runtime.os_model import OSWorld
-from repro.runtime.scheduler import RoundRobinScheduler, Scheduler
+from repro.runtime.scheduler import RoundRobinScheduler, Scheduler, copy_rng
 from repro.runtime.thread import Frame, ThreadContext, ThreadState
 
 MASK64 = (1 << 64) - 1
@@ -241,6 +241,44 @@ class VM:
             self._global_addresses[variable.name] = block.base
             store_initializer(self.memory, block, variable.value_type,
                               variable.initializer)
+
+    def fork(self) -> "VM":
+        """A copy of this execution that runs on independently.
+
+        Every piece of mutable state is copied: memory blocks, threads and
+        their frames (allocas remapped to the copied blocks), mutexes,
+        condvar waiters, faults, the OS world, input cursors, :attr:`rng`
+        and the scheduler with its RNG.  The module, its fuse engine and
+        the address maps are shared: breakpoints match instructions by
+        identity, so a fork runs the very IR its original runs.  The fork
+        has no debugger and no observers; a halted thread stays halted.
+        """
+        vm = VM.__new__(VM)
+        state = dict(self.__dict__)
+        memory = self.memory.copy()
+        threads = {thread_id: thread.copy(memory._blocks)
+                   for thread_id, thread in self.threads.items()}
+        state.update(
+            scheduler=self.scheduler.fork(),
+            world=self.world.copy(),
+            memory=memory,
+            inputs=dict(self.inputs),
+            _input_cursors=dict(self._input_cursors),
+            rng=copy_rng(self.rng),
+            threads=threads,
+            _alive=[threads[thread.thread_id] for thread in self._alive],
+            _blocked=[threads[thread.thread_id] for thread in self._blocked],
+            mutexes=dict(self.mutexes),
+            cond_waiters={cond: list(waiters)
+                          for cond, waiters in self.cond_waiters.items()},
+            observers=[],
+            faults=list(self.faults),
+            debugger=None,
+        )
+        vm.__dict__.update(state)
+        if self.reference:
+            vm.execute = vm._execute_reference  # type: ignore[assignment]
+        return vm
 
     # ------------------------------------------------------------------
     # observers / events

@@ -95,6 +95,15 @@ class MemoryBlock:
         """Drop memoized descriptions after the field layout changed."""
         self._describe_memo.clear()
 
+    def copy(self) -> "MemoryBlock":
+        """A copy with its own bytes, flags and description memo (the
+        field layout is only ever replaced, never edited, so it is shared)."""
+        block = MemoryBlock.__new__(MemoryBlock)
+        block.__dict__.update(self.__dict__)
+        block.data = bytearray(self.data)
+        block._describe_memo = dict(self._describe_memo)
+        return block
+
     def __repr__(self) -> str:
         state = " freed" if self.freed else ""
         return "<MemoryBlock %s %s base=0x%x size=%d%s>" % (
@@ -122,6 +131,17 @@ class Memory:
         self._last_block: Optional[MemoryBlock] = None
         #: faults recorded when fault-tolerant access is requested
         self.recorded_faults: List[FaultEvent] = []
+
+    def copy(self) -> "Memory":
+        """A copy of the address space: every block copied, at its address."""
+        memory = Memory.__new__(Memory)
+        memory.__dict__.update(self.__dict__)
+        memory._blocks = {base: block.copy()
+                          for base, block in self._blocks.items()}
+        memory._bases = list(self._bases)
+        memory._last_block = None
+        memory.recorded_faults = list(self.recorded_faults)
+        return memory
 
     # ------------------------------------------------------------------
     # allocation

@@ -22,6 +22,11 @@ class FileObject:
         self.descriptor = descriptor
         self.content = bytearray()
 
+    def copy(self) -> "FileObject":
+        twin = FileObject(self.path, self.descriptor)
+        twin.content = bytearray(self.content)
+        return twin
+
     def __repr__(self) -> str:
         return "<File fd=%d %s (%d bytes)>" % (
             self.descriptor, self.path, len(self.content),
@@ -75,6 +80,24 @@ class OSWorld:
         self.stdout = bytearray()
         self.exit_code: Optional[int] = None
         self.process_killed = False
+
+    def copy(self) -> "OSWorld":
+        """A copy for a forked VM: its own files (contents included), logs
+        and output; the log records are never edited, so they are shared."""
+        world = type(self).__new__(type(self))
+        world.__dict__.update(self.__dict__)
+        files = {id(file): file.copy()
+                 for file in (*self.files_by_path.values(),
+                              *self.files_by_fd.values())}
+        world.files_by_path = {path: files[id(file)]
+                               for path, file in self.files_by_path.items()}
+        world.files_by_fd = {fd: files[id(file)]
+                             for fd, file in self.files_by_fd.items()}
+        world.exec_log = list(self.exec_log)
+        world.privilege_log = list(self.privilege_log)
+        world.file_access_log = list(self.file_access_log)
+        world.stdout = bytearray(self.stdout)
+        return world
 
     # ------------------------------------------------------------------
     # credentials

@@ -18,10 +18,19 @@ hardware timings)".  Here the interleaving is chosen per instruction by a
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.thread import ThreadContext
+
+
+def copy_rng(rng: random.Random) -> random.Random:
+    """An independent generator in ``rng``'s state (``copy.copy`` would
+    seed a new one from the OS first, then overwrite that state)."""
+    twin = random.Random.__new__(random.Random)
+    twin.setstate(rng.getstate())
+    return twin
 
 
 class Scheduler:
@@ -82,6 +91,11 @@ class Scheduler:
 
     def reset(self) -> None:
         pass
+
+    def fork(self) -> "Scheduler":
+        """An independent copy that goes on to make the same decisions
+        (:meth:`repro.runtime.interpreter.VM.fork`)."""
+        return copy.deepcopy(self)
 
 
 class RoundRobinScheduler(Scheduler):
@@ -191,6 +205,11 @@ class RandomScheduler(Scheduler):
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
         self._last_n = None
+
+    def fork(self) -> "RandomScheduler":
+        twin = copy.copy(self)
+        twin._rng = copy_rng(self._rng)
+        return twin
 
 
 class PCTScheduler(Scheduler):

@@ -40,6 +40,18 @@ class Frame:
         self.block = block
         self.index = 0
 
+    def copy(self, blocks: Dict[int, object]) -> "Frame":
+        """A copy with its own registers, its allocas mapped through
+        ``blocks`` (base address -> the copied block)."""
+        frame = Frame.__new__(Frame)
+        frame.function = self.function
+        frame.call_site = self.call_site
+        frame.block = self.block
+        frame.index = self.index
+        frame.registers = dict(self.registers)
+        frame.allocas = [blocks[block.base] for block in self.allocas]
+        return frame
+
     def __repr__(self) -> str:
         inst = self.current_instruction()
         where = str(inst.location) if inst is not None else "<end>"
@@ -82,7 +94,6 @@ class ThreadContext:
         for argument, value in zip(entry.arguments, values):
             frame.registers[argument] = value
         self.frames.append(frame)
-        self.joiners: List["ThreadContext"] = []
         self.held_mutexes: List[int] = []
 
     @property
@@ -96,6 +107,17 @@ class ThreadContext:
         if not self.frames:
             return None
         return self.top.current_instruction()
+
+    def copy(self, blocks: Dict[int, object]) -> "ThreadContext":
+        """A copy for a forked VM: its own frames (see :meth:`Frame.copy`),
+        held mutexes and the per-call wait state externals keep in the
+        thread's ``__dict__`` (``_cond_state``, ``_sleep_state``)."""
+        thread = ThreadContext.__new__(ThreadContext)
+        state = {name: value.copy() if type(value) in (dict, list) else value
+                 for name, value in self.__dict__.items()}
+        state["frames"] = [frame.copy(blocks) for frame in self.frames]
+        thread.__dict__.update(state)
+        return thread
 
     # ------------------------------------------------------------------
     # frame-list mutation (the call-stack memo's invalidation points)

@@ -1,13 +1,30 @@
 """Tests for the dynamic race verifier and the vulnerability verifier."""
 
+import gc
+import weakref
+from contextlib import contextmanager
+
+import pytest
+
 from repro.apps.libsafe import build_module as build_libsafe
 from repro.apps.libsafe import exploit_inputs, libsafe_spec, workload_inputs
+from repro.apps.registry import spec_by_name
 from repro.detectors import run_tsan
+from repro.detectors.report import AccessRecord, RaceReport, report_to_payload
 from repro.ir import IRBuilder, Module, verify_module
 from repro.ir.types import I32, I64, I8, U64, ptr
+from repro.owl.batch import (
+    verify_job,
+    verify_report_item,
+    verify_vuln_item,
+    vuln_job,
+)
+from repro.owl.pipeline import OwlPipeline
 from repro.owl.race_verifier import DynamicRaceVerifier
 from repro.owl.vuln_analysis import VulnerabilityAnalyzer
 from repro.owl.vuln_verifier import DynamicVulnerabilityVerifier
+from repro.runtime.interpreter import VM, ExecutionResult
+from repro.runtime.thread import ThreadState
 from repro.spec import ProgramSpec
 from tests.helpers import build_counter_race
 
@@ -138,3 +155,169 @@ class TestVulnVerifier:
         )
         outcome = verifier.verify(vuln)
         assert "REALIZED" in outcome.describe()
+
+
+@contextmanager
+def run_vms():
+    """Weak references to every VM ``VM.run`` is called on, with the
+    cyclic collector off: what is freed, refcounting alone freed."""
+    refs = []
+    run = VM.run
+
+    def recording_run(vm, *args, **kwargs):
+        refs.append(weakref.ref(vm))
+        return run(vm, *args, **kwargs)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(VM, "run", recording_run)
+            yield refs
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestRunsReleaseTheirVMs:
+    """A finished verification run's VM goes with its last reference: the
+    run detaches its debugger, which would otherwise keep a cycle."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        spec = spec_by_name("apache_log")
+        return spec, OwlPipeline(spec).run()
+
+    def test_race_runs_free_their_vms(self, pipeline):
+        spec, result = pipeline
+        trunks = {}
+        for report in result.annotated_reports:
+            job = verify_job(spec, report=report_to_payload(report))
+            for shared in (None, trunks):
+                with run_vms() as refs:
+                    verify_report_item(job, spec=spec, trunks=shared)
+                    assert refs
+                    assert all(ref() is None for ref in refs)
+        assert any(trunk.served for trunk in trunks.values())
+
+    def test_vulnerability_runs_free_their_vms(self, pipeline):
+        spec, result = pipeline
+        assert result.vulnerabilities
+        for vulnerability in result.vulnerabilities:
+            with run_vms() as refs:
+                verify_vuln_item(vuln_job(spec, vulnerability), spec=spec)
+                assert refs
+                assert all(ref() is None for ref in refs)
+
+
+@contextmanager
+def recorded_runs():
+    """Per run (a VM ``VM.run`` is called on), every return of ``VM.run``:
+    reason, step and the halted threads with their instructions."""
+    runs = {}
+    run = VM.run
+
+    def recording_run(vm, *args, **kwargs):
+        result = run(vm, *args, **kwargs)
+        halted = tuple((t.thread_id, t.current_instruction().uid)
+                       for t in vm.threads.values()
+                       if t.state is ThreadState.HALTED)
+        runs.setdefault(vm, []).append((result.reason, vm.step, halted))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VM, "run", recording_run)
+        yield runs
+
+
+def verify_both_ways(spec, reports):
+    """Each report's item output and runs, fresh and through shared
+    trunks (in report order), and how many of its runs took a trunk over."""
+    trunks = {}
+    sides = {"fresh": [], "trunk": []}
+    served = []
+    for report in reports:
+        job = verify_job(spec, report=report_to_payload(report))
+        before = sum(trunk.served for trunk in trunks.values())
+        for side, shared in (("fresh", None), ("trunk", trunks)):
+            with recorded_runs() as runs:
+                output = verify_report_item(job, spec=spec, trunks=shared)
+            sides[side].append((output, list(runs.values())))
+        served.append(sum(trunk.served for trunk in trunks.values())
+                      - before)
+    return sides, served
+
+
+class TestTrunks:
+    """A run that takes over its seed's trunk is the fresh run: the same
+    halts, early stop, outcome and step count."""
+
+    @pytest.mark.parametrize("name", ["memcached", "apache"])
+    def test_trunk_served_runs_are_fresh_runs(self, name):
+        spec = spec_by_name(name)
+        reports = list(OwlPipeline(spec).run().annotated_reports)
+        sides, served = verify_both_ways(spec, reports)
+        assert sides["trunk"] == sides["fresh"]
+        runs = sum(output["runs_used"] for output, _ in sides["fresh"])
+        assert 0 < sum(served) < runs
+
+    def test_a_run_whose_early_stop_holds_starts_fresh(self):
+        """The racing pair sits behind a branch no worker takes: it never
+        runs, so only the early stop tells that a fresh run would have
+        ended before the trunk's step."""
+        b = IRBuilder(Module("gated"))
+        gate = b.global_var("gate", I64, 0)
+        cold = b.global_var("cold", I64, 0)
+        counter = b.global_var("counter", I64, 0)
+        b.begin_function("worker", I32, [("arg", ptr(I8))],
+                         source_file="g.c")
+        shut = b.icmp("eq", b.load(gate, line=1), 0, line=1)
+        b.cond_br(shut, "work", "cold", line=1)
+        b.at("cold")
+        b.store(1, cold, line=2)
+        b.load(cold, line=3)
+        b.br("work", line=3)
+        b.at("work")
+        for line in (4, 5, 6):
+            b.store(b.add(b.load(counter, line=line), 1, line=line),
+                    counter, line=line)
+        b.ret(b.i32(0), line=7)
+        b.end_function()
+        b.begin_function("main", I32, [], source_file="g.c")
+        workers = [b.call("thread_create",
+                          [b.module.get_function("worker"), b.null()],
+                          line=8 + i) for i in range(2)]
+        for i, worker in enumerate(workers):
+            b.call("thread_join", [worker], line=10 + i)
+        b.ret(b.i32(0), line=12)
+        b.end_function()
+        verify_module(b.module)
+        module = b.module
+        spec = ProgramSpec("gated", lambda: module, verify_seeds=range(6),
+                           max_steps=5_000)
+        counter_store = module.find_instructions(filename="g.c", line=6,
+                                                 opcode="store")[0]
+        cold_store, cold_load = (
+            module.find_instructions(filename="g.c", line=line,
+                                     opcode=opcode)[0]
+            for line, opcode in ((2, "store"), (3, "load")))
+
+        def report(first, second):
+            return RaceReport(
+                AccessRecord(first, 1, True, 0, (), 0),
+                AccessRecord(second, 2, True, 0, (), 0))
+
+        late = report(counter_store, counter_store)
+        never = report(cold_store, cold_load)
+        sides, served = verify_both_ways(spec, [late, never])
+        assert sides["trunk"] == sides["fresh"]
+        (late_output, late_runs), (never_output, never_runs) = sides["trunk"]
+        # the seeds whose trunk the late report advanced run fresh; the
+        # other trunks are still at step 0, where any run takes over
+        advanced = late_output["runs_used"]
+        assert served == [advanced, 6 - advanced]
+        assert all(run[0][0] == ExecutionResult.BREAKPOINT
+                   for run in late_runs)
+        assert never_output["runs_stopped_early"] == 6
+        assert [run[-1][0] for run in never_runs] == \
+            [ExecutionResult.OUT_OF_REACH] * 6

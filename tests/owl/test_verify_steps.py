@@ -2,12 +2,16 @@
 
 The race and vulnerability verification stages report the VM steps their
 re-executions took, carried through the verification results, the pool
-workers' outputs and the result cache.  The counts, the telemetry
-counter of race-verification runs that ended early, and every
-verification outcome (per report and per vulnerability, hints and steps
-included) are identical at ``jobs=1``, at ``jobs=2`` and on a cold and a
-warm cache.
+workers' outputs and the result cache.  A race-verification run that took
+over its seed's trunk (:class:`repro.owl.race_verifier.Trunk`) counts its
+steps from step 0 too: the steps of its own ``VM.run`` calls plus the step
+at which it took the trunk over.  The counts, the telemetry counter of
+race-verification runs that ended early, and every verification outcome
+(per report and per vulnerability, hints and steps included) are
+identical at ``jobs=1``, at ``jobs=2`` and on a cold and a warm cache.
 """
+
+import weakref
 
 import pytest
 
@@ -59,8 +63,12 @@ def _outcomes(result):
 
 @pytest.fixture(scope="module")
 def serial():
-    """A serial uncached run, counting ``VM.run`` step deltas by stage."""
+    """A serial uncached run, counting by stage the ``VM.run`` step deltas
+    and, per run, the step its first ``VM.run`` call started at (0 unless
+    the run took over a trunk)."""
     deltas = {name: 0 for name in STAGES}
+    takeovers = {name: 0 for name in STAGES}
+    runs = weakref.WeakSet()
     current = []
     run = VM.run
 
@@ -69,6 +77,9 @@ def serial():
         result = run(vm, *args, **kwargs)
         if current:
             deltas[current[-1]] += vm.step - before
+            if vm not in runs:
+                runs.add(vm)
+                takeovers[current[-1]] += before
         return result
 
     def in_stage(name, batch):
@@ -89,22 +100,28 @@ def serial():
             "vulnerability_verification",
             pipeline_module.verify_vulns_batch))
         result = OwlPipeline(spec_by_name(PROGRAM)).run()
-    return result, deltas
+    return result, deltas, takeovers
 
 
 class TestVerificationSteps:
     def test_stages_count_their_vm_steps(self, serial):
-        result, deltas = serial
+        result, deltas, takeovers = serial
         counts = _counts(result)
         assert all(steps > 0 for steps in deltas.values())
-        assert counts["stages"] == deltas
-        assert counts["telemetry"] == deltas
+        assert takeovers["race_verification"] > 0
+        assert takeovers["vulnerability_verification"] == 0
+        race = deltas["race_verification"] + takeovers["race_verification"]
+        vuln = deltas["vulnerability_verification"]
+        expected = {"race_verification": race,
+                    "vulnerability_verification": vuln}
+        assert counts["stages"] == expected
+        assert counts["telemetry"] == expected
         assert counts["stopped_early"] > 0
 
     def test_verification_results_carry_their_steps(self, serial):
-        result, deltas = serial
+        result, deltas, takeovers = serial
         assert sum(v.vm_steps for v in result.verifications) == \
-            deltas["race_verification"]
+            deltas["race_verification"] + takeovers["race_verification"]
         assert sum(a.verification.vm_steps for a in result.attacks) == \
             deltas["vulnerability_verification"]
 

@@ -1,6 +1,8 @@
 """Tests for schedulers and the thread-specific-breakpoint debugger."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.runtime import (
     ScriptedScheduler,
     VM,
 )
+from repro.runtime.errors import FaultEvent, FaultKind, RuntimeFault
 from repro.runtime.thread import ThreadState
 from tests.helpers import build_counter_race
 
@@ -355,6 +358,52 @@ class TestDebugger:
         assert pending.is_write
         assert pending.address == vm.global_address("counter")
         assert pending.value == 1  # first increment writes 1
+
+    def test_pending_access_without_a_readable_operand_is_none(self):
+        module, vm, debugger, load, store = _debug_session()
+        debugger.add_breakpoint(store)
+        vm.start("main")
+        vm.run()
+        thread = debugger.halted_threads()[0]
+
+        def undefined(frame, operand):
+            raise RuntimeFault(FaultEvent(FaultKind.WILD_ACCESS, -1,
+                                          "use of undefined value"))
+
+        vm.evaluate = undefined
+        assert debugger.pending_access(thread) is None
+
+    def test_pending_access_lets_other_errors_through(self):
+        module, vm, debugger, load, store = _debug_session()
+        debugger.add_breakpoint(store)
+        vm.start("main")
+        vm.run()
+        thread = debugger.halted_threads()[0]
+
+        def broken(frame, operand):
+            raise KeyError(operand)
+
+        vm.evaluate = broken
+        with pytest.raises(KeyError):
+            debugger.pending_access(thread)
+
+    def test_detach_breaks_the_vm_debugger_cycle(self):
+        module, vm, debugger, load, _ = _debug_session()
+        debugger.add_breakpoint(load)
+        vm.start("main")
+        vm.run()
+        debugger.detach()
+        assert vm.debugger is None
+        assert debugger.halted_threads()
+        ref = weakref.ref(vm)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del vm, debugger
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_release_one_resolves_livelock(self):
         module, vm, debugger, load, store = _debug_session()

@@ -34,7 +34,11 @@ outcomes (verified, runs used, security hints; the realized verdict) must
 be equal, and each run's breakpoint halts (step, halted threads, pending
 accesses) as shipped must be a prefix of the reference run's — the
 shipped race verifier ends a run once it can no longer catch its race.
-Both sides' VM steps go into the ``diff_oracle`` block.
+Both sides' VM steps go into the ``diff_oracle`` block.  The shipped race
+verifier's runs take over the trunk of their seed where they can (one
+shared prefix per seed, as in the pipeline); the block counts the shipped
+runs that did (``debugger_trunk_runs``) and those that started from step 0
+(``debugger_fresh_runs``).
 
 Usage::
 
@@ -174,9 +178,10 @@ def main(argv=None):
                                         diff.skipped_steps[family])
                 for family, steps in sorted(diff.fused_steps.items())))
         if args.debugger:
-            print("  debugger: %d items, %d runs, %d reference steps, "
-                  "%d shipped steps" % (
+            print("  debugger: %d items, %d runs (%d from a trunk, %d "
+                  "fresh), %d reference steps, %d shipped steps" % (
                       diff.debugger_items, diff.debugger_runs,
+                      diff.debugger_trunk_runs, diff.debugger_fresh_runs,
                       diff.debugger_reference_steps,
                       diff.debugger_shipped_steps))
         for divergence in diff.divergences:
