@@ -11,7 +11,7 @@ benign reports (paper Finding V).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.ir.builder import IRBuilder
 from repro.ir.types import I32, I64, I8, ptr
@@ -102,26 +102,6 @@ def add_adhoc_sync_workers(
     builder.ret(builder.i32(0), line=line)
     builder.end_function()
     return setter, waiter
-
-
-def spawn_and_join(builder: IRBuilder, function_names, line: int,
-                   arg: Optional[object] = None) -> int:
-    """Emit thread_create for each function then thread_join for all.
-
-    Returns the next free line number.  Must be called with an open function
-    and positioned builder.
-    """
-    handles = []
-    argument = arg if arg is not None else builder.null()
-    for name in function_names:
-        target = builder.module.get_function(name)
-        handle = builder.call("thread_create", [target, argument], line=line)
-        handles.append(handle)
-        line += 1
-    for handle in handles:
-        builder.call("thread_join", [handle], line=line)
-        line += 1
-    return line
 
 
 def add_publish_races(

@@ -119,15 +119,6 @@ class Function(Value):
     def first_instruction(self) -> Instruction:
         return self.entry.instructions[0]
 
-    def find_by_line(self, line: int, filename: Optional[str] = None) -> List[Instruction]:
-        """All instructions at a given source line (used by test fixtures)."""
-        result = []
-        for instruction in self.instructions():
-            loc = instruction.location
-            if loc.line == line and (filename is None or loc.filename == filename):
-                result.append(instruction)
-        return result
-
     def short_name(self) -> str:
         return "@%s" % self.name
 

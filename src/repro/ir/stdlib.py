@@ -88,11 +88,3 @@ STDLIB_PROTOTYPES: Dict[str, FunctionType] = {
     "input_int": _ft(I64, I64),
     "input_str": _ft(_PTR, I64),
 }
-
-
-def stdlib_prototype(name: str) -> FunctionType:
-    """Prototype for a standard external, raising ``KeyError`` if unknown."""
-    try:
-        return STDLIB_PROTOTYPES[name]
-    except KeyError:
-        raise KeyError("no stdlib prototype for %r" % name) from None

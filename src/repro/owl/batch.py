@@ -2,22 +2,27 @@
 
 The paper's deployment story (Table 1: 28,209 reports; Table 3: 31,870 raw
 detector reports) makes detector throughput the limiting factor, and every
-stage of Figure 3 is embarrassingly parallel at some granularity:
+stage of Figure 3 splits into independent units of work:
 
 - **detection** — each ``(program × seed)`` detector run is an independent
-  VM execution,
+  VM execution (a predict wave's recorded seed too,
+  :mod:`repro.owl.explore`),
+- **adhoc classification** — the raw report set of one run,
 - **race verification** — each report is re-executed on its own,
-- **vulnerability verification** — each vulnerable-input hint likewise.
+- **Algorithm-1 analysis** — each remaining report is propagated on its own,
+- **vulnerability verification** — each vulnerable-input hint likewise,
+- and ``owl fix``'s gates, one target's candidate at a time
+  (:mod:`repro.owl.repair`).
 
-Each such unit is a stage *item*: a plain, picklable payload that names
-the whole job, an item function that runs it and returns a plain output,
-and one rehydration of that output into result objects.  A detector
-seed's payload is its :class:`repro.detectors.seed.SeedJob`; a
-verification's is :func:`verify_job` — the spec name, entry, inputs,
-verify seeds and step budget, plus the report or vulnerability — and its
-item function (:func:`verify_report_item`, :func:`verify_vuln_item`)
-builds the verifier from exactly those fields, so what runs is what the
-cache key (:mod:`repro.owl.cache`) names.  The sweep
+Each such unit is a stage *item*: a plain payload that names the whole
+job, an item function that computes a plain output from it, and one
+rehydration of that output into result objects.  A detector seed's
+payload is its :class:`repro.detectors.seed.SeedJob`; a verification's is
+:func:`verify_job` — the spec name, entry, inputs, verify seeds and step
+budget, plus the report or vulnerability — and its item function
+(:func:`verify_report_item`, :func:`verify_vuln_item`) builds the verifier
+from exactly those fields, so what runs is what the cache key
+(:mod:`repro.owl.cache`) names.  The sweep
 (:meth:`repro.owl.sweep.Sweep.map`) decides where each item runs:
 
 - answered from the result cache (the stored output, marked ``cached``),
@@ -25,14 +30,17 @@ cache key (:mod:`repro.owl.cache`) names.  The sweep
   the run's tracer, or
 - in a pool worker (:func:`in_worker`), which rebuilds the spec by
   registry name (:func:`can_parallelize`) and ships its spans back for
-  adoption (:func:`adopt_spans`).
+  adoption (:func:`adopt_spans`).  Detection and both verifications go
+  there; the adhoc, Algorithm-1, predict and repair items always run
+  in-process.
 
 Every path hands the same output to the same rehydration, so results are
-identical on all three.  Instruction identity crosses the boundary as the
-module uid: module builds are deterministic, and rehydrating against the
-caller's module restores object identity, so breakpoints and tag lookups
-behave alike.  Each worker process caches the spec it rebuilt,
-amortizing the build across its tasks.
+identical on all three, and the sweep and this module are the only code
+that reads or writes the cache.  Instruction identity crosses the
+boundary as the module uid: module builds are deterministic, and
+rehydrating against the caller's module restores object identity, so
+breakpoints and tag lookups behave alike.  Each worker process caches the
+spec it rebuilt, amortizing the build across its tasks.
 
 **Determinism and parity invariants** (the contract every function here
 keeps, and the tests in ``tests/owl/test_batch.py`` enforce):
@@ -47,8 +55,8 @@ keeps, and the tests in ``tests/owl/test_batch.py`` enforce):
    fault-tolerant re-run in the parent never change results, only
    wall-clock.
 4. *Cache transparency* — a cache hit returns the exact output the item
-   originally produced (minus spans), so cached and uncached runs emit
-   bit-identical counters and provenance dispositions.
+   originally produced (minus spans and timings), so cached and uncached
+   runs emit bit-identical counters and provenance dispositions.
 
 **Fault tolerance** (:class:`BatchPolicy`, :func:`run_tasks`): each pooled
 item gets a per-item result-wait budget; transient failures — a crashed
@@ -68,18 +76,27 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
 from repro.detectors.report import (
     RaceReport,
     report_from_payload,
     report_to_payload,
+    reports_to_payloads,
 )
 from repro.detectors.seed import cached_spec
 from repro.ir.module import Module
+from repro.owl.adhoc import AdhocSyncDetector
 from repro.owl.race_verifier import (
     DynamicRaceVerifier,
     RaceVerification,
     SecurityHints,
 )
+from repro.owl.vuln_analysis import (
+    DependenceKind,
+    VulnerabilityAnalyzer,
+    VulnerabilityReport,
+)
+from repro.owl.vuln_sites import VulnSiteType
 from repro.owl.vuln_verifier import DynamicVulnerabilityVerifier, VulnVerification
 from repro.runtime.errors import FaultKind
 from repro.runtime.spans import SpanTracer
@@ -104,10 +121,7 @@ def vuln_to_payload(vulnerability) -> Dict:
     }
 
 
-def vuln_from_payload(module: Module, payload: Dict):
-    from repro.owl.vuln_analysis import DependenceKind, VulnerabilityReport
-    from repro.owl.vuln_sites import VulnSiteType
-
+def vuln_from_payload(module: Module, payload: Dict) -> VulnerabilityReport:
     return VulnerabilityReport(
         site=module.instruction_by_uid(payload["site"]),
         site_type=VulnSiteType(payload["site_type"]),
@@ -272,16 +286,16 @@ def run_tasks(worker: Callable[[Dict], Dict], payloads: Sequence[Dict],
 def _cacheable(output: Dict) -> Dict:
     """What of an item output goes into the result cache.
 
-    Spans are observations of one particular execution (timings, worker
-    ids), not results — replaying them from a warm cache would be lying
-    about where time went, so they are stripped; cache hits get a single
-    ``cached=True`` marker span instead.  Schedule logs are stripped too:
-    they live in their own ``record`` stage (far smaller entries), so a
-    detect entry produced by a recording run stays byte-identical to one
-    produced by a normal run.
+    Spans and ``seconds`` are observations of one particular execution
+    (timings, worker ids), not results — replaying them from a warm cache
+    would be lying about where time went, so they are stripped; cache hits
+    get a single ``cached=True`` marker span instead.  Schedule logs are
+    stripped too: they live in their own ``record`` stage (far smaller
+    entries), so a detect entry produced by a recording run stays
+    byte-identical to one produced by a normal run.
     """
     return {key: value for key, value in output.items()
-            if key not in ("spans", "log")}
+            if key not in ("spans", "log", "seconds")}
 
 
 def cached_output(cache, stage: str, key: Optional[str]) -> Optional[Dict]:
@@ -394,6 +408,57 @@ def _verify_items(stage: str, item, jobs: List[Dict], spec: ProgramSpec,
 
 
 # ---------------------------------------------------------------------------
+# stage 2: adhoc-sync classification, one item per run
+
+
+def adhoc_item(job: Dict, tracer: Optional[SpanTracer] = None,
+               module: Optional[Module] = None) -> Dict:
+    """Classify ``job``'s reports on ``module``; the output payload: per
+    annotation, in classification order, the uid of the report it tagged
+    and its read, write and variable."""
+    reports = [report_from_payload(module, payload)
+               for payload in job["reports"]]
+    AdhocSyncDetector().analyze(reports)
+    tagged = []
+    for report in reports:
+        annotation = report.tags.get(AdhocSyncDetector.TAG)
+        if annotation is not None:
+            tagged.append([report.uid,
+                           annotation.read_instruction.uid or 0,
+                           annotation.write_instruction.uid or 0,
+                           annotation.variable])
+    return {"tagged": tagged}
+
+
+def classify_adhoc(module: Module, reports, sweep) -> AnnotationSet:
+    """The adhoc-sync annotations of ``reports`` on ``module``, one item
+    through ``sweep``.
+
+    Like :meth:`AdhocSyncDetector.analyze`, each annotated report is
+    tagged with its annotation.  The annotations come back in
+    classification order: their payload feeds the detector re-run's cache
+    key.
+    """
+    reports = list(reports)
+
+    def finish(index: int, output: Dict) -> AnnotationSet:
+        by_uid = {report.uid: report for report in reports}
+        annotations = AnnotationSet()
+        for report_uid, read_uid, write_uid, variable in output["tagged"]:
+            annotation = AdhocSyncAnnotation(
+                module.instruction_by_uid(read_uid),
+                module.instruction_by_uid(write_uid), variable)
+            annotations.add(annotation)
+            by_uid[report_uid].tags[AdhocSyncDetector.TAG] = annotation
+        return annotations
+
+    jobs = [{"reports": reports_to_payloads(reports)}]
+    return sweep.map("adhoc", adhoc_item, jobs,
+                     sweep.keys("adhoc", module, jobs), finish,
+                     rebuildable=False, module=module)[0]
+
+
+# ---------------------------------------------------------------------------
 # stage 3: per-report race verification
 
 
@@ -469,6 +534,52 @@ def verify_races_batch(spec: ProgramSpec, reports: Sequence[RaceReport],
             for report in reports]
     return _verify_items("race_verify", verify_report_item, jobs, spec,
                          sweep, finish, trunks={})
+
+
+# ---------------------------------------------------------------------------
+# stage 4: Algorithm 1, one item per usable report
+
+
+def analyze_item(job: Dict, tracer: Optional[SpanTracer] = None,
+                 analyzer: Optional[VulnerabilityAnalyzer] = None) -> Dict:
+    """Run Algorithm 1 from ``job``'s report with ``analyzer`` (the
+    caller's, built with ``job``'s options, its spans going to the run's
+    tracer); the output payload, plus the analysis' wall time as
+    ``seconds``."""
+    report = report_from_payload(analyzer.module, job["report"])
+    started = time.perf_counter()
+    found = analyzer.analyze_report(report)
+    return {
+        "vulns": [vuln_to_payload(vulnerability) for vulnerability in found],
+        "budget_exhausted": analyzer.budget_exhausted,
+        "seconds": time.perf_counter() - started,
+    }
+
+
+def analyze_reports_batch(module: Module, reports: Sequence[RaceReport],
+                          sweep) -> List[Tuple[List, bool, float]]:
+    """Algorithm 1 from each report on ``module``, one item per report
+    through ``sweep``; per report, in order: the vulnerabilities found,
+    whether the instruction budget ran out, and the analysis' wall time
+    (0 for an answer from the cache).  The sweep's tracer gets each
+    analysis' spans, or a cached ``analyze_report`` marker."""
+    reports = list(reports)
+    analyzer = VulnerabilityAnalyzer(module, tracer=sweep.tracer)
+
+    def finish(index: int, output: Dict) -> Tuple[List, bool, float]:
+        found = [vuln_from_payload(module, payload)
+                 for payload in output["vulns"]]
+        budget_exhausted = output["budget_exhausted"]
+        adopt_spans(sweep.tracer, output, "analyze_report",
+                    report=reports[index].uid, sites=len(found),
+                    budget_exhausted=budget_exhausted)
+        return found, budget_exhausted, output.get("seconds", 0.0)
+
+    jobs = [{"report": report_to_payload(report),
+             "options": vars(analyzer.options)} for report in reports]
+    return sweep.map("vuln_analysis", analyze_item, jobs,
+                     sweep.keys("vuln_analysis", module, jobs), finish,
+                     rebuildable=False, analyzer=analyzer)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ keeps, and tested the same way (jobs=1 vs jobs=2).  Per-seed results
 (reports, stats, coverage snapshot) are cacheable through the ordinary
 ``detect`` stage of :class:`repro.owl.cache.ResultCache`; the schedule
 family and depth are part of each key, so escalated re-runs of a seed
-never collide with its base-family entry.
+never collide with its base-family entry.  A predict wave is one stage
+item of its own (:func:`predict_item`, the ``predict`` stage), run
+through the same :meth:`repro.owl.sweep.Sweep.map`.
 """
 
 from __future__ import annotations
@@ -38,10 +40,14 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.detectors.annotations import annotations_from_payload
-from repro.detectors.predict import PredictPolicy
+from repro.detectors.predict import (
+    PredictionResult,
+    PredictPolicy,
+    predict_from_log,
+)
 from repro.detectors.report import ReportSet
-from repro.detectors.seed import SeedRun, run_seed
-from repro.owl.sweep import merge_runs, seed_span_attrs
+from repro.detectors.seed import run_seed
+from repro.owl.sweep import merge_runs, seed_run
 from repro.runtime.coverage import CoverageMap, SeedCoverage
 
 #: Schedule-family ladders: the base rung first, then each escalation.
@@ -229,52 +235,57 @@ class ExplorationResult:
 # wave execution
 
 
+def predict_item(wave: Tuple, tracer=None, module=None,
+                 world_factory=None) -> Dict:
+    """Run a predict wave (``(job, predict policy)``) on ``module``: the
+    recorded job once, then the prediction from its log.
+
+    The output payload is the run's, with the prediction in place of the
+    log it consumed and the coverage *pre-seeded* with every predicted
+    static pair — the delta that makes later waves dry when they only
+    rediscover what prediction already decided.  ``world_factory`` builds
+    the OS world for the prediction's witness replays.
+    """
+    job, policy = wave
+    run = run_seed(job, module=module, tracer=tracer)
+    prediction = predict_from_log(
+        module, run.log,
+        annotations=annotations_from_payload(module, job.annotations),
+        inputs=job.inputs, world_factory=world_factory, policy=policy,
+        observed_keys={report.static_key for report in run.reports},
+    )
+    seed0 = run.coverage
+    run.coverage = SeedCoverage(
+        seed=0, pairs=seed0.pairs | prediction.predicted_keys,
+        signature=seed0.signature, switches=seed0.switches,
+    )
+    run.log = None
+    output = run.to_payload()
+    output["prediction"] = prediction.to_payload()
+    return output
+
+
 def _run_predict_wave(module, job, sweep, predict_policy, world_factory=None):
     """Wave 0 of a predicting exploration: one recorded run + closure.
 
     Runs ``job`` (seed 0, the base schedule family, recorder attached)
-    once in-process, then predicts the feasible race set from that single
-    log (:func:`repro.detectors.predict.predict_from_log`).  Returns
-    ``(reports, run, prediction)``: ``reports`` merges the live seed-0
-    reports with the predicted ones, and ``run.coverage`` is the seed-0
-    coverage *pre-seeded* with every predicted static pair — the delta
-    that makes later waves dry when they only rediscover what prediction
-    already decided.  Serial and deterministic at any job count; cached
-    as one ``predict`` entry keyed by the job and the policy, whose hit
-    records a ``cached=True`` ``detect_seed`` marker like any cached seed.
+    once in-process as a ``predict`` stage item (:func:`predict_item`),
+    keyed by the job and the policy.  Returns ``(reports, run,
+    prediction)``: ``reports`` merges the seed-0 reports with the
+    predicted ones (:func:`repro.detectors.predict.predict_from_log`), and
+    ``run.coverage`` is pre-seeded with every predicted pair.  Serial and
+    deterministic at any job count; a cached wave records a
+    ``cached=True`` ``detect_seed`` marker like any cached seed.
     """
-    from repro.detectors.predict import PredictionResult, predict_from_log
+    def finish(index: int, output: Dict):
+        return (seed_run(module, job, output, sweep.tracer),
+                PredictionResult.from_payload(module, output["prediction"]))
 
-    cache = sweep.cache
-    key = hit = None
-    if cache is not None:
-        key = sweep.key("predict", module, job,
-                        predict=predict_policy.as_dict())
-        hit = cache.get("predict", key)
-    if hit is not None:
-        prediction = PredictionResult.from_payload(module, hit["prediction"])
-        run = SeedRun.from_payload(module, job, hit, cached=True)
-        if sweep.tracer is not None:
-            sweep.tracer.marker("detect_seed", **seed_span_attrs(run))
-    else:
-        run = run_seed(job, module=module, tracer=sweep.tracer)
-        prediction = predict_from_log(
-            module, run.log,
-            annotations=annotations_from_payload(module, job.annotations),
-            inputs=job.inputs, world_factory=world_factory,
-            policy=predict_policy,
-            observed_keys={report.static_key for report in run.reports},
-        )
-        seed0 = run.coverage
-        run.coverage = SeedCoverage(
-            seed=0, pairs=seed0.pairs | prediction.predicted_keys,
-            signature=seed0.signature, switches=seed0.switches,
-        )
-        if cache is not None:
-            entry = run.to_payload()
-            del entry["log"]  # the prediction already consumed it
-            entry["prediction"] = prediction.to_payload()
-            cache.put("predict", key, entry)
+    parts = [dict(job.key_parts(), predict=predict_policy.as_dict())]
+    [(run, prediction)] = sweep.map(
+        "predict", predict_item, [(job, predict_policy)],
+        sweep.keys("predict", module, parts), finish, rebuildable=False,
+        module=module, world_factory=world_factory)
     reports = ReportSet()
     reports.merge(run.reports)
     for item in prediction.predictions:

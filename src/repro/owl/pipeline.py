@@ -15,6 +15,13 @@ Stages, with the counters that reproduce Tables 2 and 3:
 5. **vulnerability verification** — each hint is re-executed; hints whose
    site matches a known attack use that attack's subtle inputs and racing
    order (the "user intervention" of section 4.3).
+
+Each stage's units of work — detector seeds, the adhoc classification,
+race verifications, Algorithm-1 propagations, vulnerability
+verifications — are stage items (:mod:`repro.owl.batch`) run through the
+run's one :class:`repro.owl.sweep.Sweep`, which answers them from the
+cache, in-process or in the pool; the stages here record counters,
+metrics and provenance from the rehydrated results.
 """
 
 from __future__ import annotations
@@ -23,29 +30,24 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.detectors.annotations import AdhocSyncAnnotation, AnnotationSet
-from repro.detectors.report import (
-    RaceReport,
-    ReportSet,
-    report_to_payload,
-    reports_to_payloads,
-)
+from repro.detectors.annotations import AnnotationSet
+from repro.detectors.report import RaceReport, ReportSet
 from repro.detectors.seed import SeedJob
 from repro.owl.adhoc import AdhocSyncDetector
 from repro.owl.batch import (
     BatchPolicy,
+    analyze_reports_batch,
     can_parallelize,
+    classify_adhoc,
     make_executor,
     verify_races_batch,
     verify_vulns_batch,
-    vuln_from_payload,
-    vuln_to_payload,
 )
 from repro.owl.explore import ExplorePolicy
 from repro.owl.integration import run_detector, usable_reports
 from repro.owl.race_verifier import RaceVerification
 from repro.owl.sweep import Sweep
-from repro.owl.vuln_analysis import VulnerabilityAnalyzer, VulnerabilityReport
+from repro.owl.vuln_analysis import VulnerabilityReport
 from repro.owl.vuln_verifier import VulnVerification
 from repro.owl.provenance import ProvenanceLog
 from repro.runtime.fuse import fuse_engine
@@ -228,9 +230,9 @@ class OwlPipeline:
     block) and span tracer.
 
     With a ``cache`` (:class:`repro.owl.cache.ResultCache`, any spec)
-    every stage's unit results are answered from disk when their content
-    key matches a previous run — bit-identical counters and provenance,
-    zero VM re-execution for unchanged work.
+    every stage item is answered from disk when its content key matches a
+    previous run — bit-identical counters and provenance, zero VM
+    re-execution for unchanged work.
 
     An ``explore`` policy (:class:`repro.owl.explore.ExplorePolicy`)
     replaces the detect stages' blind ``detect_seeds`` sweep with
@@ -551,7 +553,8 @@ class OwlPipeline:
 
     def _stage_schedule_reduction(self, result: PipelineResult) -> None:
         with self._stage(result, "schedule_reduction", "reports") as stage:
-            annotations = self._classify_adhoc(result)
+            annotations = classify_adhoc(self.spec.build(),
+                                         result.raw_reports, self._sweep)
             result.annotations = annotations
             result.counters.adhoc_syncs = annotations.unique_static_count()
             if len(annotations):
@@ -584,52 +587,6 @@ class OwlPipeline:
                     report, "schedule_reduction", "survived",
                     adhoc_syncs_annotated=annotations.unique_static_count(),
                 )
-
-    def _classify_adhoc(self, result: PipelineResult) -> AnnotationSet:
-        """Adhoc-sync classification of the raw reports, cached when possible.
-
-        The cached value stores, in classification order, which report uid
-        each annotation tagged; replaying it re-tags the same reports and
-        rebuilds the same :class:`AnnotationSet` (same order — the
-        annotation payload feeds the detector re-run's cache key).
-        """
-        module = self.spec.build()
-        key = None
-        if self.cache is not None:
-            key = self.cache.key(
-                "adhoc", module=module,
-                reports=reports_to_payloads(result.raw_reports),
-            )
-            value = self.cache.get("adhoc", key)
-            if value is not None:
-                by_uid = {report.uid: report
-                          for report in result.raw_reports}
-                annotations = AnnotationSet()
-                for report_uid, read_uid, write_uid, variable in value["tagged"]:
-                    annotation = AdhocSyncAnnotation(
-                        module.instruction_by_uid(read_uid),
-                        module.instruction_by_uid(write_uid),
-                        variable,
-                    )
-                    annotations.add(annotation)
-                    report = by_uid.get(report_uid)
-                    if report is not None:
-                        report.tags[AdhocSyncDetector.TAG] = annotation
-                return annotations
-        annotations = AdhocSyncDetector().analyze(result.raw_reports)
-        if self.cache is not None:
-            tagged = []
-            for report in result.raw_reports:
-                annotation = report.tags.get(AdhocSyncDetector.TAG)
-                if annotation is not None:
-                    tagged.append([
-                        report.uid,
-                        annotation.read_instruction.uid or 0,
-                        annotation.write_instruction.uid or 0,
-                        annotation.variable,
-                    ])
-            self.cache.put("adhoc", key, {"tagged": tagged})
-        return annotations
 
     # ------------------------------------------------------------------
     # stage 3: dynamic race verification (section 5.2)
@@ -681,43 +638,17 @@ class OwlPipeline:
     def _stage_vulnerability_analysis(self, result: PipelineResult) -> None:
         with self._stage(result, "vulnerability_analysis",
                          "reports") as stage:
-            module = self.spec.build()
-            analyzer = VulnerabilityAnalyzer(module, tracer=result.spans)
             reports = usable_reports(result.remaining_reports)
+            analyses = analyze_reports_batch(self.spec.build(), reports,
+                                             self._sweep)
             elapsed = 0.0
             vulnerabilities: List[VulnerabilityReport] = []
-            for report in reports:
-                key = None
-                if self.cache is not None:
-                    key = self.cache.key(
-                        "vuln_analysis", module=module,
-                        report=report_to_payload(report),
-                        options=vars(analyzer.options),
-                    )
-                    value = self.cache.get("vuln_analysis", key)
-                    if value is not None:
-                        found = [vuln_from_payload(module, payload)
-                                 for payload in value["vulns"]]
-                        budget_exhausted = value["budget_exhausted"]
-                        result.spans.marker(
-                            "analyze_report", report=report.uid,
-                            sites=len(found),
-                            budget_exhausted=budget_exhausted)
-                        self._record_analysis(result, report, found,
-                                              budget_exhausted)
-                        vulnerabilities.extend(found)
-                        continue
-                start = time.perf_counter()
-                found = analyzer.analyze_report(report)
-                elapsed += time.perf_counter() - start
-                if self.cache is not None:
-                    self.cache.put("vuln_analysis", key, {
-                        "vulns": [vuln_to_payload(v) for v in found],
-                        "budget_exhausted": analyzer.budget_exhausted,
-                    })
+            for report, (found, budget_exhausted, seconds) in zip(
+                    reports, analyses):
                 self._record_analysis(result, report, found,
-                                      analyzer.budget_exhausted)
+                                      budget_exhausted)
                 vulnerabilities.extend(found)
+                elapsed += seconds
             result.vulnerabilities = self._dedup(vulnerabilities)
             stage.items = len(reports)
             stage.extra["vulnerability_reports"] = len(result.vulnerabilities)
@@ -730,7 +661,7 @@ class OwlPipeline:
     def _record_analysis(result: PipelineResult, report: RaceReport,
                          found: List[VulnerabilityReport],
                          budget_exhausted: bool) -> None:
-        """Provenance for one analyzed report — same for cached and fresh."""
+        """Provenance for one analyzed report."""
         for vulnerability in found:
             result.provenance.record(
                 report, "vulnerability_analysis", "site-reached",

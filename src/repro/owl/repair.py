@@ -64,6 +64,12 @@ Gate (a)'s unpatched allowed set is built at most once per
 target still records its own attempts, gates, cache entry and patch
 artifact, so targets on one variable carry one identical patch.
 
+Each target's gating is one ``repair`` stage item (:func:`gate_item`,
+:mod:`repro.owl.batch`), mapped through a :class:`repro.owl.sweep.Sweep`
+once per distinct candidate and keyed by the patched clone and the
+target's payload (:func:`gate_job`), which names everything the gates
+read; the candidate's verdict memo rides in the map's ``local``.
+
 Everything here is deterministic (no wall clock, no unseeded randomness),
 runs serially regardless of the pipeline's ``jobs``, and orders targets by
 static key — the ``repair`` metrics block is bit-identical at
@@ -87,7 +93,9 @@ from repro.ir.module import Module
 from repro.ir.patch import ModulePatcher, clone_module, ir_diff
 from repro.ir.types import I64, I8, PointerType
 from repro.ir.verifier import verify_module
+from repro.owl.batch import verify_job, verify_vuln_item, vuln_to_payload
 from repro.owl.cache import module_digest
+from repro.owl.sweep import Sweep
 from repro.runtime.interpreter import VM, ExecutionResult
 from repro.runtime.scheduler import (
     PCTScheduler,
@@ -277,10 +285,10 @@ def _front_detector_reports(spec, module: Module):
     return reports
 
 
-def gate_detector(spec, patched: Module, static_key,
+def gate_detector(spec, patched: Module, pairs: Sequence[Tuple[int, int]],
                   variable: Optional[str] = None,
                   attack_probes: Optional[Sequence[Tuple[Dict, object]]] = None
-                  ):
+                  ) -> List[Dict]:
     """Gate (b): the targeted pair is gone from detect *and* predict, and
     no attack the pipeline realized on this variable still realizes.
 
@@ -299,12 +307,11 @@ def gate_detector(spec, patched: Module, static_key,
     order-enforcing verifier reliably drives the exploit — exactly that
     class of patch must die on this leg.
 
-    ``static_key`` is the targeted pair, or a list of the pairs of every
-    target one candidate repairs on ``variable``.  The detect sweep, the
-    predict leg and the attack re-drives do not read the pair, so they run
-    once either way; a list returns one gate dict per pair, in order.
+    ``pairs`` are the targeted static pairs of every target one candidate
+    repairs on ``variable``.  The detect sweep, the predict leg and the
+    attack re-drives do not read them, so they run once; one gate dict per
+    pair comes back, in order.
     """
-    pairs = static_key if isinstance(static_key, list) else [static_key]
     reports = _front_detector_reports(spec, patched)
     reported = {report.static_key for report in reports}
     predicted = None
@@ -328,8 +335,7 @@ def gate_detector(spec, patched: Module, static_key,
             patched, log, inputs=spec.workload_inputs,
             world_factory=spec.initial_world,
         ).predicted_keys
-    probes = [(payload, truth) for payload, truth in (attack_probes or [])
-              if variable is not None and truth.racy_variable == variable]
+    probes = _probes_on(attack_probes, variable)
     attacks_realized = []
     for payload, truth in probes:
         if _drive_attack(spec, patched, payload, truth):
@@ -348,7 +354,14 @@ def gate_detector(spec, patched: Module, static_key,
             "attacks_checked": len(probes),
             "attacks_realized": list(attacks_realized),
         })
-    return gates if isinstance(static_key, list) else gates[0]
+    return gates
+
+
+def _probes_on(attack_probes: Optional[Sequence[Tuple[Dict, object]]],
+               variable: Optional[str]) -> List[Tuple[Dict, object]]:
+    """The attack probes gate (b) re-drives for a target on ``variable``."""
+    return [(payload, truth) for payload, truth in (attack_probes or [])
+            if variable is not None and truth.racy_variable == variable]
 
 
 def _drive_attack(spec, patched: Module, payload: Dict, truth) -> bool:
@@ -361,8 +374,6 @@ def _drive_attack(spec, patched: Module, payload: Dict, truth) -> bool:
     racing-order breakpoints over the verify seeds).  Returns whether the
     attack still realized.
     """
-    from repro.owl.batch import verify_job, verify_vuln_item
-
     job = verify_job(spec, vuln=payload, inputs=truth.subtle_inputs)
     return verify_vuln_item(job, spec=spec, module=patched)["attack_realized"]
 
@@ -688,68 +699,94 @@ class RepairResult:
         return "\n".join(lines)
 
 
-def _gate_candidate(spec, original: Module, patched: Module,
+# ---------------------------------------------------------------------------
+# gating: one ``repair`` stage item per target
+
+
+#: The gates, in the order each target meets them.
+GATES = ("oracle", "detector", "schedulers")
+
+
+def gate_job(spec, target: TargetOutcome, sweep_seeds: Sequence[int],
+             attack_probes: Sequence[Tuple[Dict, object]]) -> Dict:
+    """One target's item payload: everything its gates read beside the
+    patched clone, which keys the item as its module — the spec's name,
+    entry, workload inputs, verify seeds and step budget
+    (:func:`repro.owl.batch.verify_job`), its detector and detect seeds,
+    the scheduler sweep, the targeted pair and variable, and the realized
+    attacks gate (b) re-drives on that variable."""
+    return verify_job(
+        spec, detector=spec.detector, detect_seeds=list(spec.detect_seeds),
+        sweep=list(sweep_seeds), target=list(target.static_key),
+        variable=target.variable,
+        probes=[[payload, truth.attack_id, truth.subtle_inputs]
+                for payload, truth in _probes_on(attack_probes,
+                                                 target.variable)])
+
+
+def gate_item(job: Dict, tracer=None, gate=None) -> Dict:
+    """Gate one target (``job``, :func:`gate_job`): ``gate(name, job)`` is
+    gate ``name``'s verdict on the target's candidate, and the gates run
+    in order up to the first that fails.  The output payload: their
+    verdicts, and whether all three passed."""
+    verdicts: Dict[str, Dict] = {}
+    for name in GATES:
+        verdicts[name] = gate(name, job)
+        if not verdicts[name]["passed"]:
+            break
+    return {"gates": verdicts, "passed": verdicts[name]["passed"]}
+
+
+def _gate_candidate(sweep, spec, original: Module, patched: Module,
                     members: Sequence[Tuple[TargetOutcome, CandidateOutcome]],
                     registry: MetricsRegistry,
                     sweep_seeds: Sequence[int],
                     unpatched: Dict,
-                    cache=None,
-                    attack_probes: Optional[Sequence] = None) -> None:
+                    attack_probes: Sequence[Tuple[Dict, object]]) -> None:
     """Gate one distinct candidate for every target (``members``) whose
-    synthesized clone printed identically.
+    synthesized clone printed identically: one ``repair`` item per target
+    through ``sweep``, keyed by the clone and the target's payload.
 
-    The gates run in order and each member stops at its first failing
-    gate, so it records exactly the gates dict it would record if gated
-    alone: the oracle and scheduler verdicts do not read the target, and
-    gate (b) runs once per variable and reads each member's pair out of
-    that one run.  With a cache, every member keeps its own entry, and
-    only members that miss are gated.  ``unpatched`` is gate (a)'s memo.
+    Each gate runs on first need and at most once: the oracle and
+    scheduler verdicts do not read the target, and gate (b) runs once per
+    variable and reads each member's pair out of that one run.  Each
+    member stops at its first failing gate, so it records exactly the
+    gates dict it would record if gated alone; with a cache, every member
+    keeps its own entry, and only members that miss are gated.
+    ``unpatched`` is gate (a)'s memo.
     """
-    gated = []
-    for target, attempt in members:
-        key = None
-        if cache is not None:
-            key = cache.key(
-                "repair", module=patched, program=spec.name,
-                target="r%d-%d" % target.static_key, sweep=list(sweep_seeds))
-            hit = cache.get("repair", key)
-            if hit is not None:
-                attempt.gates = hit["gates"]
-                attempt.passed = hit["passed"]
-                attempt.cached = True
-                continue
-        gated.append((target, attempt, key))
-    live = gated
-    if live:
-        oracle = gate_oracle(spec, original, patched, memo=unpatched)
-        for _, attempt, _ in live:
-            attempt.gates["oracle"] = oracle
-        if not oracle["passed"]:
-            live = []
-    by_variable: Dict[Optional[str], List] = {}
-    for member in live:
-        by_variable.setdefault(member[0].variable, []).append(member)
-    for variable, group in by_variable.items():
-        verdicts = gate_detector(
-            spec, patched, [target.static_key for target, _, _ in group],
-            variable=variable, attack_probes=attack_probes)
-        for (_, attempt, _), verdict in zip(group, verdicts):
-            attempt.gates["detector"] = verdict
-    live = [member for member in live
-            if member[1].gates["detector"]["passed"]]
-    if live:
-        schedulers = gate_schedulers(spec, patched, seeds=sweep_seeds)
-        for _, attempt, _ in live:
-            attempt.gates["schedulers"] = schedulers
-            attempt.passed = schedulers["passed"]
-    if cache is not None:
-        for _, attempt, key in gated:
-            cache.put("repair", key,
-                      {"gates": attempt.gates, "passed": attempt.passed})
-    for _, attempt in members:
-        for name, gate in attempt.gates.items():
+    verdicts: Dict[Tuple[str, Optional[str]], Dict] = {}
+
+    def gate(name: str, job: Dict) -> Dict:
+        variable = job["variable"] if name == "detector" else None
+        if (name, variable) not in verdicts:
+            if name == "oracle":
+                verdict = gate_oracle(spec, original, patched, memo=unpatched)
+            elif name == "detector":
+                pairs = [target.static_key for target, _ in members
+                         if target.variable == variable]
+                verdict = dict(zip(pairs, gate_detector(
+                    spec, patched, pairs, variable=variable,
+                    attack_probes=attack_probes)))
+            else:
+                verdict = gate_schedulers(spec, patched, seeds=sweep_seeds)
+            verdicts[name, variable] = verdict
+        verdict = verdicts[name, variable]
+        return verdict[tuple(job["target"])] if name == "detector" else verdict
+
+    def finish(index: int, output: Dict) -> None:
+        attempt = members[index][1]
+        attempt.gates = output["gates"]
+        attempt.passed = output["passed"]
+        attempt.cached = bool(output.get("cached"))
+        for name, verdict in attempt.gates.items():
             registry.counter("repair.gate.%s.%s" % (
-                name, "pass" if gate["passed"] else "fail")).inc()
+                name, "pass" if verdict["passed"] else "fail")).inc()
+
+    jobs = [gate_job(spec, target, sweep_seeds, attack_probes)
+            for target, _ in members]
+    sweep.map("repair", gate_item, jobs, sweep.keys("repair", patched, jobs),
+              finish, rebuildable=False, gate=gate)
 
 
 def repair_program(spec, result=None,
@@ -802,8 +839,6 @@ def repair_program(spec, result=None,
     # Attacks the pipeline realized on the unpatched module, as payloads
     # that resolve against uid-preserving clones: gate (b) re-drives each
     # against every candidate and requires it to stop realizing.
-    from repro.owl.batch import vuln_to_payload
-
     attack_probes = [
         (vuln_to_payload(detected.vulnerability), detected.ground_truth)
         for detected in getattr(result, "attacks", [])
@@ -815,6 +850,7 @@ def repair_program(spec, result=None,
         registry.counter("repair.targets").inc()
     annotations = result.annotations
     unpatched: Dict = {}
+    sweep = Sweep(cache=cache)
     pending = list(repair.targets)
     for strategy in strategies:
         # One round per strategy over the targets still unrepaired.
@@ -845,9 +881,8 @@ def repair_program(spec, result=None,
             attempt.diff = list(diff)
             members.append((target, attempt))
         for patched, _, members in candidates.values():
-            _gate_candidate(spec, original, patched, members, registry,
-                            sweep_seeds, unpatched, cache=cache,
-                            attack_probes=attack_probes)
+            _gate_candidate(sweep, spec, original, patched, members, registry,
+                            sweep_seeds, unpatched, attack_probes)
             # The clone is done executing.  IR graphs are cyclic, so it
             # waits for the cyclic collector; its ops and plans need not.
             patched.fuse_engine = None

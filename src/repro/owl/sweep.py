@@ -5,8 +5,12 @@ many seeds, or over coverage-guided waves (:mod:`repro.owl.explore`).
 Each seed is one stage item (:mod:`repro.owl.batch`): its job is the
 payload, :func:`seed_item` runs it, and :meth:`Sweep.run` rehydrates the
 output into a :class:`repro.detectors.seed.SeedRun` against the caller's
-module.  :meth:`Sweep.map` runs the items of every stage — detection and
-both verifications — answered from the cache, in-process, or in the pool.
+module.  :meth:`Sweep.map` runs the items of every cached unit of work —
+detector seeds and the predict wave, the adhoc classification, both
+verifications, Algorithm 1 and ``owl fix``'s gates — answered from the
+cache, in-process, or in the pool; :meth:`Sweep.keys` makes their cache
+keys.  This module and :mod:`repro.owl.batch` are the only code that
+reads or writes the cache.
 
 Runs come back in seed order, so reports, stats, coverage and spans
 (with the run-log events they write) are identical at any job count.
@@ -34,9 +38,12 @@ class Sweep:
     from disk, ``policy`` (:class:`repro.owl.batch.BatchPolicy`) bounds
     each pooled item's wait and retries, and ``tracer`` collects one span
     per item (a cached item's is a marker).  A pipeline run holds one
-    sweep, and its verification stages run through the same context
-    (:func:`repro.owl.batch.verify_races_batch`,
-    :func:`repro.owl.batch.verify_vulns_batch`).
+    sweep, and every stage runs its items through it
+    (:func:`repro.owl.batch.classify_adhoc`,
+    :func:`repro.owl.batch.verify_races_batch`,
+    :func:`repro.owl.batch.analyze_reports_batch`,
+    :func:`repro.owl.batch.verify_vulns_batch`); ``owl fix`` gates through
+    one of its own (:func:`repro.owl.repair.repair_program`).
     """
 
     def __init__(self, jobs: int = 1, executor=None, cache=None, policy=None,
@@ -49,10 +56,6 @@ class Sweep:
         #: The :class:`repro.owl.explore.ExplorationResult` of the latest
         #: exploring sweep run through this context.
         self.exploration = None
-
-    def key(self, stage: str, module, job: SeedJob, **extra) -> str:
-        """The cache key of ``job``'s result in ``stage``."""
-        return self.cache.key(stage, module=module, **job.key_parts(), **extra)
 
     def keys(self, stage: str, module,
              parts: Sequence[Dict]) -> Optional[List[str]]:
@@ -67,16 +70,18 @@ class Sweep:
         """Run one stage's items; ``finish(index, output)`` turns each
         output into the stage's result, in payload order.
 
-        ``item(payload, tracer, **local)`` computes one output.  With a
-        pool (``jobs > 1`` or an executor) and ``rebuildable`` payloads,
-        misses run there as ``item(payload, tracer)``, rebuilding what
-        ``local`` would have supplied from the payload.  Otherwise each
-        item runs in-process on ``local`` with this sweep's tracer, just
-        before it is finished, so live spans and cache-hit markers land
-        in payload order.  ``local`` is what in-process items share with
-        the caller: its spec or module, and for race verification the
-        batch's trunks (:class:`repro.owl.race_verifier.Trunk`), which an
-        item's output never depends on.
+        ``item(payload, tracer, **local)`` computes one output; ``keys``
+        (:meth:`keys`, None without a cache) key each payload's output.
+        With a pool (``jobs > 1`` or an executor) and ``rebuildable``
+        payloads, misses run there as ``item(payload, tracer)``,
+        rebuilding what ``local`` would have supplied from the payload.
+        Otherwise each item runs in-process on ``local`` with this sweep's
+        tracer, just before it is finished, so live spans and cache-hit
+        markers land in payload order.  ``local`` is what in-process items
+        share with the caller: its spec or module, and memos an item's
+        output never depends on — race verification's trunks
+        (:class:`repro.owl.race_verifier.Trunk`), Algorithm 1's analyzer,
+        a repair candidate's gate verdicts.
         """
         if not payloads:
             return []
@@ -131,24 +136,25 @@ class Sweep:
                                    output["log"])
                 else:
                     output.setdefault("log", logs[index])
-            run = SeedRun.from_payload(module, seed_jobs[index], output,
-                                       cached=bool(output.get("cached")))
-            batch.adopt_spans(self.tracer, output, "detect_seed",
-                              **seed_span_attrs(run))
-            return run
+            return seed_run(module, seed_jobs[index], output, self.tracer)
 
         return self.map("detect", seed_item, seed_jobs, keys, finish,
                         rebuildable=seed_jobs[0].source is not None,
                         module=module)
 
 
-def seed_span_attrs(run: SeedRun) -> Dict:
-    """The attrs :func:`repro.detectors.seed.run_seed` gives a job's
-    ``detect_seed`` span: a cached run's marker carries them too."""
+def seed_run(module, job: SeedJob, output: Dict,
+             tracer: Optional[SpanTracer]) -> SeedRun:
+    """Rehydrate one seed item's output on ``module`` and fold its spans
+    into ``tracer``; a cached run's ``detect_seed`` marker carries the
+    attrs :func:`repro.detectors.seed.run_seed` gives the live span."""
+    run = SeedRun.from_payload(module, job, output,
+                               cached=bool(output.get("cached")))
     stats = run.stats
-    return {"seed": run.job.seed, "detector": run.job.kind,
-            "steps": stats.steps, "reason": stats.reason,
-            "reports": stats.reports}
+    batch.adopt_spans(tracer, output, "detect_seed", seed=job.seed,
+                      detector=job.kind, steps=stats.steps,
+                      reason=stats.reason, reports=stats.reports)
+    return run
 
 
 def seed_item(job: SeedJob, tracer: Optional[SpanTracer] = None,

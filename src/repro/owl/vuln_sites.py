@@ -15,7 +15,7 @@ arbitrary instructions; it is deliberately extensible (``add_type`` /
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.ir.function import ExternalFunction, Function
 from repro.ir.instructions import Call, Instruction, Load, Store
@@ -62,10 +62,6 @@ class VulnSiteRegistry:
     def add_function(self, name: str, site_type: VulnSiteType) -> None:
         """Register one more sensitive external ("more types can be added")."""
         self._by_function[name] = site_type
-
-    def add_functions(self, names: Iterable[str], site_type: VulnSiteType) -> None:
-        for name in names:
-            self.add_function(name, site_type)
 
     def functions_of(self, site_type: VulnSiteType) -> Set[str]:
         return {

@@ -574,6 +574,11 @@ class _RunRecorder:
     def steps(self) -> int:
         return sum(vm.step for vm in self.vms)
 
+    def runs(self) -> List[Tuple]:
+        """Per run: its halts, last reason and the step it ended at."""
+        return [(halts, reason, vm.step) for vm, halts, reason
+                in zip(self.vms, self.halts, self.reasons)]
+
 
 def _pending(vm: VM, thread) -> Optional[Tuple]:
     access = vm.debugger.pending_access(thread)
@@ -581,6 +586,14 @@ def _pending(vm: VM, thread) -> Optional[Tuple]:
         return None
     return (access.instruction.uid, access.address, access.is_write,
             access.value, access.value_type)
+
+
+def _recorded(verifier, item, as_reference: bool) -> Tuple:
+    """``verifier``'s verification of ``item`` and the recorder of its
+    runs, under :func:`reference_execution` when ``as_reference``."""
+    with _RunRecorder().recording() as recorder, \
+            (reference_execution() if as_reference else nullcontext()):
+        return verifier.verify(item), recorder
 
 
 def _compare_runs(program: str, label: str, reference: _RunRecorder,
@@ -627,16 +640,32 @@ def _vuln_run_outcomes(verification, recorder: _RunRecorder) -> List[Tuple]:
 
 
 def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
-    """The debugger-driven oracle over every report of one pipeline run.
+    """The debugger-driven oracle (:func:`diff_verifiers`) over every
+    report and vulnerability of one pipeline run of ``spec``."""
+    from repro.owl.pipeline import OwlPipeline
 
-    Each race report the pipeline verified goes through its item's race
-    verifier twice, under :func:`reference_execution` and as shipped; so
-    does each vulnerability through its item's vulnerability verifier.
-    Outcomes (verified, runs used, security hints; the realized verdict)
-    must be equal, and so must each run's breakpoint halts, up to the
-    point where the shipped run ended early.  The shipped race verifiers
-    share one set of trunks in report order, as the pipeline's do; the
-    reference side runs every run fresh.
+    result = OwlPipeline(spec).run()
+    return diff_verifiers(spec, result.annotated_reports,
+                          result.vulnerabilities, diff)
+
+
+def diff_verifiers(spec, reports: Sequence, vulnerabilities: Sequence = (),
+                   diff: Optional[ProgramDiff] = None) -> ProgramDiff:
+    """Verify each report and vulnerability in reference mode and as
+    shipped, and compare the runs.
+
+    Each race report goes through its item's race verifier three times:
+    under :func:`reference_execution`, as shipped with every run fresh,
+    and as shipped sharing one set of trunks in report order, as the
+    pipeline's runs do.  The reference and trunk-sharing sides must reach
+    equal outcomes (verified, runs used, security hints), and each shipped
+    run's breakpoint halts must be a prefix of the reference run's (the
+    reference side never ends a run early, so this cannot tell where a
+    shipped run stopped).  Each trunk-sharing run must be the fresh
+    shipped run exactly: every halt, the last reason and the step it
+    ended at.  Each vulnerability goes through its item's vulnerability
+    verifier in reference mode and as shipped, held to the same outcome
+    (realized, site reached, runs used) and halts rules.
     """
     from repro.owl.batch import (
         race_verifier_for,
@@ -644,52 +673,52 @@ def diff_debugger(spec, diff: Optional[ProgramDiff] = None) -> ProgramDiff:
         vuln_job,
         vuln_verifier_for,
     )
-    from repro.owl.pipeline import OwlPipeline
 
     if diff is None:
         diff = ProgramDiff(spec.name, [])
     diff.debugger = True
-    result = OwlPipeline(spec).run()
     trunks: Dict = {}
 
-    def both(make_verifier, item, outcome, run_outcomes, label):
-        sides = []
-        for reference in (True, False):
-            verifier = make_verifier()
-            with _RunRecorder().recording() as recorder:
-                if reference:
-                    with reference_execution():
-                        verification = verifier.verify(item)
-                else:
-                    verifier.trunks = trunks
-                    verification = verifier.verify(item)
-            sides.append((verification, recorder))
-        (ref, ref_runs), (opt, opt_runs) = sides
+    def compare(label, reference, shipped, outcome, run_outcomes
+                ) -> Optional[Divergence]:
+        """Count the item; the first divergence of ``shipped`` from
+        ``reference``, each a ``(verification, recorder)`` pair."""
+        (ref, ref_runs), (opt, opt_runs) = reference, shipped
         diff.debugger_items += 1
         diff.debugger_runs += len(opt_runs.vms)
         diff.debugger_reference_steps += ref_runs.steps
         diff.debugger_shipped_steps += opt_runs.steps
         if outcome(ref) != outcome(opt):
-            diff.divergences.append(Divergence(
-                spec.name, None, label + ".outcome", None,
-                outcome(ref), outcome(opt)))
-            return
-        divergence = _compare_runs(
+            return Divergence(spec.name, None, label + ".outcome", None,
+                              outcome(ref), outcome(opt))
+        return _compare_runs(
             spec.name, label, ref_runs, opt_runs,
             (run_outcomes(ref, ref_runs), run_outcomes(opt, opt_runs)))
-        if divergence is not None:
-            diff.divergences.append(divergence)
 
-    for report in result.annotated_reports:
-        both(lambda: race_verifier_for(spec, verify_job(spec)), report,
-             _race_outcome, _race_run_outcomes, "race[%s]" % report.uid)
-    for vulnerability in result.vulnerabilities:
-        both(lambda: vuln_verifier_for(spec, vuln_job(spec, vulnerability),
-                                       vulnerability),
-             vulnerability,
-             lambda v: (v.attack_realized, v.site_reached, v.runs_used),
-             _vuln_run_outcomes,
-             "vuln[%s]" % vulnerability.site.location)
+    found: List[Optional[Divergence]] = []
+    for report in reports:
+        label = "race[%s]" % report.uid
+        reference, fresh, shipped = (
+            _recorded(race_verifier_for(spec, verify_job(spec), trunks=shared),
+                      report, as_reference)
+            for as_reference, shared in ((True, None), (False, None),
+                                         (False, trunks)))
+        found.append(
+            compare(label, reference, shipped, _race_outcome,
+                    _race_run_outcomes)
+            or _first_list_divergence(spec.name, None, label + ".trunk_runs",
+                                      fresh[1].runs(), shipped[1].runs()))
+    for vulnerability in vulnerabilities:
+        reference, shipped = (
+            _recorded(vuln_verifier_for(spec, vuln_job(spec, vulnerability),
+                                        vulnerability),
+                      vulnerability, as_reference)
+            for as_reference in (True, False))
+        found.append(compare(
+            "vuln[%s]" % vulnerability.site.location, reference, shipped,
+            lambda v: (v.attack_realized, v.site_reached, v.runs_used),
+            _vuln_run_outcomes))
+    diff.divergences.extend(item for item in found if item is not None)
     diff.debugger_trunk_runs = sum(trunk.served for trunk in trunks.values())
     diff.debugger_fresh_runs = diff.debugger_runs - diff.debugger_trunk_runs
     return diff

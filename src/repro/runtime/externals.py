@@ -89,10 +89,6 @@ def overridden(name: str, impl: ExternalImpl):
             _REGISTRY[name] = saved
 
 
-def has_impl(name: str) -> bool:
-    return name in _REGISTRY
-
-
 # ---------------------------------------------------------------------------
 # memory management
 

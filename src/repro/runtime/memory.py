@@ -336,10 +336,6 @@ class Memory:
         return bytes(out)
 
 
-def sizeof(type_: Type) -> int:
-    return type_.size()
-
-
 def store_initializer(memory: Memory, block: MemoryBlock, type_: Type, value,
                       offset: int = 0) -> None:
     """Write a global initializer (int, bytes, or nested list) into a block."""

@@ -100,9 +100,6 @@ class ThreadContext:
     def top(self) -> Frame:
         return self.frames[-1]
 
-    def is_runnable(self) -> bool:
-        return self.state == ThreadState.RUNNABLE
-
     def current_instruction(self) -> Optional[Instruction]:
         if not self.frames:
             return None

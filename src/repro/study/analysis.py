@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.callgraph import CallGraph
 from repro.study.corpus import CORPUS, PROGRAMS, corpus_totals, reproduced_attacks
 
 
@@ -119,12 +118,6 @@ def finding5_burial(measured_raw: Optional[Dict[str, int]] = None,
 
 # ---------------------------------------------------------------------------
 # live measurements against model programs
-
-
-def static_spread(module, bug_function: str, site_function: str) -> Optional[int]:
-    """Call-graph hop distance between a bug's function and its attack site's
-    function — the quantity behind Finding II / the ConSeq comparison."""
-    return CallGraph(module).static_distance(bug_function, site_function)
 
 
 def callstack_prefix_stats(pairs: List[Tuple[Tuple, Tuple]]) -> Dict:

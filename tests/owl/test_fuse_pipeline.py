@@ -100,9 +100,10 @@ class TestFuseCacheKeys:
         sweep = Sweep(cache=ResultCache(str(tmp_path)))
         module = spec_by_name("memcached").build()
         job = SeedJob(inputs={}, max_steps=1000)
+        parts = [job.key_parts()]
         with stepwise_execution():
-            stepwise_key = sweep.key("detect", module, job)
-        assert sweep.key("detect", module, job) == stepwise_key
+            stepwise_keys = sweep.keys("detect", module, parts)
+        assert sweep.keys("detect", module, parts) == stepwise_keys
 
 
 class TestFusedDetectorSweeps:

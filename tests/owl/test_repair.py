@@ -166,8 +166,9 @@ class TestDetectorGateTeeth:
             patcher.set_atomic(patched.instruction_by_uid(uid), True)
         probes = attack_probes(result)
         assert probes, "pipeline did not realize the apache_log attack"
-        gate = gate_detector(spec, patched, report.static_key,
-                             variable=report.variable, attack_probes=probes)
+        [gate] = gate_detector(spec, patched, [report.static_key],
+                               variable=report.variable,
+                               attack_probes=probes)
         assert gate["pair_reported"] is False     # detector silenced...
         assert gate["attacks_realized"]           # ...but the attack lives
         assert gate["passed"] is False
@@ -245,9 +246,9 @@ class TestGateOnce:
                               access_uids=sorted(uids)) is not None
             lone = {
                 "oracle": gate_oracle(spec, original, clone),
-                "detector": gate_detector(spec, clone, target.static_key,
+                "detector": gate_detector(spec, clone, [target.static_key],
                                           variable=target.variable,
-                                          attack_probes=probes),
+                                          attack_probes=probes)[0],
                 "schedulers": gate_schedulers(spec, clone, seeds=range(3)),
             }
             assert json.dumps(lone, sort_keys=True) == \
@@ -255,8 +256,8 @@ class TestGateOnce:
 
     def test_detector_reads_each_pair_out_of_one_run(self, memcached_repair):
         """On the unpatched module every verified pair is still reported;
-        a pair no report carries is not.  The list form must say so pair
-        by pair, exactly as single-pair calls do."""
+        a pair no report carries is not.  One call over every pair must
+        say so pair by pair, exactly as one-pair calls do."""
         spec, result, _ = memcached_repair
         unpatched = clone_module(spec.build())
         keys = sorted(report.static_key
@@ -265,8 +266,8 @@ class TestGateOnce:
         assert [verdict["pair_reported"] for verdict in verdicts] == \
             [True] * (len(keys) - 1) + [False]
         assert not any(verdict["passed"] for verdict in verdicts[:-1])
-        assert verdicts[0] == gate_detector(spec, unpatched, keys[0])
-        assert verdicts[-1] == gate_detector(spec, unpatched, keys[-1])
+        assert verdicts[:1] == gate_detector(spec, unpatched, keys[:1])
+        assert verdicts[-1:] == gate_detector(spec, unpatched, keys[-1:])
 
     def test_targets_on_one_variable_share_one_patch(
             self, memcached_repair, apache_log_repair):
@@ -312,3 +313,34 @@ class TestRepairCache:
         assert all(target.emitted.cached for target in warm.emitted)
         assert json.dumps(cold.metrics_block(), sort_keys=True) == \
             json.dumps(warm.metrics_block(), sort_keys=True)
+
+    def test_entries_are_keyed_by_the_detect_seeds(self, tmp_path):
+        """Gates (a) and (b) sweep the detect seeds: entries gated over 3
+        seeds must not answer a run over 6, which gates like a fresh run."""
+        spec = spec_by_name("memcached")
+        result = OwlPipeline(spec).run()
+        spec.detect_seeds = list(range(3))
+        repair_program(spec, result=result, cache=ResultCache(str(tmp_path)))
+        spec.detect_seeds = list(range(6))
+        cache = ResultCache(str(tmp_path))
+        wider = repair_program(spec, result=result, cache=cache)
+        fresh = repair_program(spec, result=result)
+        assert cache.stage_counters("repair")["hits"] == 0
+        assert cache.stage_counters("repair")["misses"] == 4
+        assert json.dumps(wider.metrics_block(), sort_keys=True) == \
+            json.dumps(fresh.metrics_block(), sort_keys=True)
+        assert [target.emitted.gates["oracle"]["seeds_checked"]
+                for target in wider.targets] == [7] * 4
+
+    def test_two_cold_runs_write_identical_entries(self, tmp_path,
+                                                   apache_log_run):
+        spec, result = apache_log_run
+        trees = []
+        for name in ("a", "b"):
+            root = tmp_path / name
+            repair_program(spec, result=result, cache=ResultCache(str(root)))
+            trees.append({
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in (root / "repair").rglob("*.json")})
+        assert len(trees[0]) == 4
+        assert trees[0] == trees[1]

@@ -20,9 +20,10 @@ from repro.owl.batch import (
     vuln_job,
 )
 from repro.owl.pipeline import OwlPipeline
-from repro.owl.race_verifier import DynamicRaceVerifier
+from repro.owl.race_verifier import DynamicRaceVerifier, Trunk
 from repro.owl.vuln_analysis import VulnerabilityAnalyzer
 from repro.owl.vuln_verifier import DynamicVulnerabilityVerifier
+from repro.runtime.diffcheck import diff_verifiers
 from repro.runtime.interpreter import VM, ExecutionResult
 from repro.runtime.thread import ThreadState
 from repro.spec import ProgramSpec
@@ -248,6 +249,58 @@ def verify_both_ways(spec, reports):
     return sides, served
 
 
+def gated_program():
+    """A program whose ``cold`` store and load sit behind a branch no
+    worker takes, as a spec, with two hand-made reports: ``late`` (the
+    last counter store racing with itself) and ``never`` (the cold pair,
+    which never runs)."""
+    b = IRBuilder(Module("gated"))
+    gate = b.global_var("gate", I64, 0)
+    cold = b.global_var("cold", I64, 0)
+    counter = b.global_var("counter", I64, 0)
+    b.begin_function("worker", I32, [("arg", ptr(I8))],
+                     source_file="g.c")
+    shut = b.icmp("eq", b.load(gate, line=1), 0, line=1)
+    b.cond_br(shut, "work", "cold", line=1)
+    b.at("cold")
+    b.store(1, cold, line=2)
+    b.load(cold, line=3)
+    b.br("work", line=3)
+    b.at("work")
+    for line in (4, 5, 6):
+        b.store(b.add(b.load(counter, line=line), 1, line=line),
+                counter, line=line)
+    b.ret(b.i32(0), line=7)
+    b.end_function()
+    b.begin_function("main", I32, [], source_file="g.c")
+    workers = [b.call("thread_create",
+                      [b.module.get_function("worker"), b.null()],
+                      line=8 + i) for i in range(2)]
+    for i, worker in enumerate(workers):
+        b.call("thread_join", [worker], line=10 + i)
+    b.ret(b.i32(0), line=12)
+    b.end_function()
+    verify_module(b.module)
+    module = b.module
+    spec = ProgramSpec("gated", lambda: module, verify_seeds=range(6),
+                       max_steps=5_000)
+    counter_store = module.find_instructions(filename="g.c", line=6,
+                                             opcode="store")[0]
+    cold_store, cold_load = (
+        module.find_instructions(filename="g.c", line=line,
+                                 opcode=opcode)[0]
+        for line, opcode in ((2, "store"), (3, "load")))
+
+    def report(first, second):
+        return RaceReport(
+            AccessRecord(first, 1, True, 0, (), 0),
+            AccessRecord(second, 2, True, 0, (), 0))
+
+    late = report(counter_store, counter_store)
+    never = report(cold_store, cold_load)
+    return spec, late, never
+
+
 class TestTrunks:
     """A run that takes over its seed's trunk is the fresh run: the same
     halts, early stop, outcome and step count."""
@@ -265,50 +318,7 @@ class TestTrunks:
         """The racing pair sits behind a branch no worker takes: it never
         runs, so only the early stop tells that a fresh run would have
         ended before the trunk's step."""
-        b = IRBuilder(Module("gated"))
-        gate = b.global_var("gate", I64, 0)
-        cold = b.global_var("cold", I64, 0)
-        counter = b.global_var("counter", I64, 0)
-        b.begin_function("worker", I32, [("arg", ptr(I8))],
-                         source_file="g.c")
-        shut = b.icmp("eq", b.load(gate, line=1), 0, line=1)
-        b.cond_br(shut, "work", "cold", line=1)
-        b.at("cold")
-        b.store(1, cold, line=2)
-        b.load(cold, line=3)
-        b.br("work", line=3)
-        b.at("work")
-        for line in (4, 5, 6):
-            b.store(b.add(b.load(counter, line=line), 1, line=line),
-                    counter, line=line)
-        b.ret(b.i32(0), line=7)
-        b.end_function()
-        b.begin_function("main", I32, [], source_file="g.c")
-        workers = [b.call("thread_create",
-                          [b.module.get_function("worker"), b.null()],
-                          line=8 + i) for i in range(2)]
-        for i, worker in enumerate(workers):
-            b.call("thread_join", [worker], line=10 + i)
-        b.ret(b.i32(0), line=12)
-        b.end_function()
-        verify_module(b.module)
-        module = b.module
-        spec = ProgramSpec("gated", lambda: module, verify_seeds=range(6),
-                           max_steps=5_000)
-        counter_store = module.find_instructions(filename="g.c", line=6,
-                                                 opcode="store")[0]
-        cold_store, cold_load = (
-            module.find_instructions(filename="g.c", line=line,
-                                     opcode=opcode)[0]
-            for line, opcode in ((2, "store"), (3, "load")))
-
-        def report(first, second):
-            return RaceReport(
-                AccessRecord(first, 1, True, 0, (), 0),
-                AccessRecord(second, 2, True, 0, (), 0))
-
-        late = report(counter_store, counter_store)
-        never = report(cold_store, cold_load)
+        spec, late, never = gated_program()
         sides, served = verify_both_ways(spec, [late, never])
         assert sides["trunk"] == sides["fresh"]
         (late_output, late_runs), (never_output, never_runs) = sides["trunk"]
@@ -321,3 +331,18 @@ class TestTrunks:
         assert never_output["runs_stopped_early"] == 6
         assert [run[-1][0] for run in never_runs] == \
             [ExecutionResult.OUT_OF_REACH] * 6
+
+    def test_debugger_oracle_catches_a_trunk_that_ignores_the_early_stop(
+            self, monkeypatch):
+        """A trunk that serves a run past its early stop ends the run
+        later than a fresh run does: no halt tells, so the oracle must
+        compare each trunk-served run with a fresh shipped one."""
+        spec, late, never = gated_program()
+        assert diff_verifiers(spec, [late, never]).identical
+        monkeypatch.setattr(
+            Trunk, "serves", lambda trunk, reach: (
+                trunk.vm is not None
+                and trunk.trail.isdisjoint(reach.targets)))
+        diff = diff_verifiers(spec, [late, never])
+        assert [divergence.field for divergence in diff.divergences] == \
+            ["race[%s].trunk_runs" % never.uid]

@@ -29,16 +29,19 @@ proves parity, not performance) and ``--fuse-floor`` turns that into a
 gate.
 
 With ``--debugger`` every race report and vulnerability of a pipeline run
-also goes through its verifier twice, in reference mode and as shipped:
-outcomes (verified, runs used, security hints; the realized verdict) must
-be equal, and each run's breakpoint halts (step, halted threads, pending
+also goes through its verifier in reference mode and as shipped: outcomes
+(verified, runs used, security hints; the realized verdict) must be
+equal, and each run's breakpoint halts (step, halted threads, pending
 accesses) as shipped must be a prefix of the reference run's — the
 shipped race verifier ends a run once it can no longer catch its race.
 Both sides' VM steps go into the ``diff_oracle`` block.  The shipped race
 verifier's runs take over the trunk of their seed where they can (one
 shared prefix per seed, as in the pipeline); the block counts the shipped
 runs that did (``debugger_trunk_runs``) and those that started from step 0
-(``debugger_fresh_runs``).
+(``debugger_fresh_runs``).  Each race report is verified a third time, as
+shipped with every run fresh, and each trunk-sharing run must equal its
+fresh run exactly — every halt, the last reason and the step it ended at
+— since the reference side cannot tell where a shipped run stopped.
 
 Usage::
 
@@ -104,7 +107,8 @@ def parse_args(argv):
         "--debugger", action="store_true",
         help="also verify every race report and vulnerability of a "
              "pipeline run in reference mode and as shipped, and assert "
-             "equal outcomes and breakpoint halts")
+             "equal outcomes and breakpoint halts, and every trunk-served "
+             "race run equal to a fresh shipped run")
     parser.add_argument(
         "--fuse-bench", action="store_true",
         help="measure fused vs stepwise steps/s under a round-robin "

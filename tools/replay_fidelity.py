@@ -119,10 +119,11 @@ def check_entry_sizes(spec, seeds, cache_root):
     _, runs = run_sweep(module, job, seeds, sweep=sweep)
     pairs = []
     for run in runs:
+        parts = [run.job.key_parts()]
         detect_path = sweep.cache._path(
-            "detect", sweep.key("detect", module, run.job))
+            "detect", sweep.keys("detect", module, parts)[0])
         record_path = sweep.cache._path(
-            "record", sweep.key("record", module, run.job))
+            "record", sweep.keys("record", module, parts)[0])
         pairs.append((os.path.getsize(record_path),
                       os.path.getsize(detect_path)))
     return pairs, sum(1 for run in runs if run.log is not None)
